@@ -16,13 +16,12 @@
 //! (min cut / importance spheres) and then replay it through the pipeline
 //! ([`pipeline::PartitionReplay`]). [`h1_rebuild`] keeps the original
 //! rebuild-per-ranking implementation as the performance baseline the
-//! benches compare against. Wall time per heuristic is recorded in the
-//! global [`fcm_substrate::telemetry`] under `alloc.*` stages.
+//! benches compare against. When observability is enabled, wall time per
+//! heuristic call lands in an `alloc.*_ns` histogram ([`fcm_obs::timed`]).
 
 use fcm_core::ImportanceWeights;
 use fcm_graph::algo::{recursive_min_cut, BisectPolicy};
 use fcm_graph::NodeIdx;
-use fcm_substrate::telemetry;
 
 use crate::cluster::Clustering;
 use crate::error::AllocError;
@@ -45,7 +44,7 @@ use crate::sw::SwGraph;
 ///   can reduce the cluster count further;
 /// * [`AllocError::Graph`] — `target` is zero or exceeds the node count.
 pub fn h1(g: &SwGraph, target: usize) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h1", || {
+    fcm_obs::timed("alloc.h1_ns", || {
         check_target(g, target)?;
         let mut pipe = CondensePipeline::new(g);
         pipe.run_policy(target, &mut pipeline::H1Greedy)?;
@@ -64,7 +63,7 @@ pub fn h1(g: &SwGraph, target: usize) -> Result<Clustering, AllocError> {
 ///
 /// As for [`h1`].
 pub fn h1_rebuild(g: &SwGraph, target: usize) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h1_rebuild", || {
+    fcm_obs::timed("alloc.h1_rebuild_ns", || {
         check_target(g, target)?;
         let mut clustering = Clustering::singletons(g);
         while clustering.len() > target {
@@ -86,7 +85,7 @@ pub fn h1_rebuild(g: &SwGraph, target: usize) -> Result<Clustering, AllocError> 
 ///
 /// As for [`h1`].
 pub fn h1_pair_all(g: &SwGraph, target: usize) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h1_pair_all", || {
+    fcm_obs::timed("alloc.h1_pair_all_ns", || {
         check_target(g, target)?;
         let mut pipe = CondensePipeline::new(g);
         pipe.run_policy(target, &mut pipeline::H1PairAll)?;
@@ -107,7 +106,7 @@ pub fn h1_pair_all(g: &SwGraph, target: usize) -> Result<Clustering, AllocError>
 /// * [`AllocError::Graph`] — invalid `target`;
 /// * [`AllocError::NoFeasibleClustering`] — repair failed.
 pub fn h2(g: &SwGraph, target: usize, policy: BisectPolicy) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h2", || {
+    fcm_obs::timed("alloc.h2_ns", || {
         check_target(g, target)?;
         let groups = recursive_min_cut(g, target, policy)?;
         let repaired = repair(g, groups, target)?;
@@ -130,7 +129,7 @@ pub fn h3(
     target: usize,
     weights: &ImportanceWeights,
 ) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h3", || h3_inner(g, target, weights))
+    fcm_obs::timed("alloc.h3_ns", || h3_inner(g, target, weights))
 }
 
 fn h3_inner(
@@ -198,7 +197,9 @@ pub fn h2_source_target(
     target: usize,
     weights: &ImportanceWeights,
 ) -> Result<Clustering, AllocError> {
-    telemetry::global().time("alloc.h2_st", || h2_source_target_inner(g, target, weights))
+    fcm_obs::timed("alloc.h2_st_ns", || {
+        h2_source_target_inner(g, target, weights)
+    })
 }
 
 fn h2_source_target_inner(

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, Matrix, NodeIdx};
-use fcm_substrate::{telemetry, Mutex};
+use fcm_substrate::Mutex;
 
 use crate::cluster::{is_schedulable, member_names, replica_conflict, Clustering};
 use crate::error::AllocError;
@@ -359,7 +359,6 @@ impl<'g> CondensePipeline<'g> {
         self.shrink_influence(hi);
         self.recombine_row_col(lo);
         self.merges += 1;
-        telemetry::global().add("alloc.pipeline.merges", 1);
         fcm_obs::counter_add("alloc.pipeline.merges", 1);
         Ok(())
     }

@@ -10,7 +10,6 @@ use fcm_alloc::heuristics::{h1, h1_pair_all, h1_rebuild, h2, h3};
 use fcm_core::ImportanceWeights;
 use fcm_graph::algo::BisectPolicy;
 use fcm_substrate::bench::Suite;
-use fcm_substrate::telemetry;
 use fcm_workloads::random::RandomWorkload;
 
 fn main() {
@@ -66,6 +65,5 @@ fn main() {
             h1_rebuild(black_box(&g), target).expect("feasible")
         });
     }
-    suite.embed_telemetry(telemetry::global());
     suite.finish();
 }

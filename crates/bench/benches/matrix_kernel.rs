@@ -10,7 +10,6 @@ use std::hint::black_box;
 use fcm_graph::{Matrix, Workspace};
 use fcm_substrate::bench::Suite;
 use fcm_substrate::rng::Rng;
-use fcm_substrate::telemetry;
 
 const ORDER: usize = 8;
 const EPSILON: f64 = 1e-12;
@@ -85,6 +84,5 @@ fn main() {
             black_box(acc.max_abs())
         });
     }
-    suite.embed_telemetry(telemetry::global());
     suite.finish();
 }

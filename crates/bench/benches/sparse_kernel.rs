@@ -20,7 +20,6 @@
 use fcm_graph::SparseMatrix;
 use fcm_substrate::bench::Suite;
 use fcm_substrate::json::{Json, ToJson};
-use fcm_substrate::telemetry;
 use fcm_workloads::fleet::SparseFleet;
 
 /// Walk-series truncation order (matches `matrix_kernel`).
@@ -121,8 +120,7 @@ fn main() {
     let artifact = Json::object()
         .set("suite", "sparse_kernel")
         .set("schema", "fcm-bench/v1")
-        .set("benchmarks", Json::Arr(benchmarks))
-        .set("telemetry", telemetry::global().to_json());
+        .set("benchmarks", Json::Arr(benchmarks));
 
     let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     let path = std::path::Path::new(&dir).join("BENCH_sparse_kernel.json");

@@ -5,14 +5,11 @@
 //!
 //! * top level: object with `schema` (string starting `fcm-bench/`),
 //!   `suite` (non-empty string), `benchmarks` (non-empty array), and
-//!   optionally `telemetry` (array of stage snapshots) and `overhead`
-//!   (object of numeric ratios); nothing else;
+//!   optionally `overhead` (object of numeric ratios); nothing else;
 //! * each `benchmarks` entry: `name` (non-empty string), `iters` ≥ 1,
 //!   and nanosecond statistics `min_ns` / `mean_ns` / `median_ns` /
 //!   `p95_ns` / `max_ns`, all numeric, non-negative, and consistently
 //!   ordered (`min ≤ median ≤ p95 ≤ max`, `min ≤ mean ≤ max`);
-//! * each `telemetry` entry: `stage` (string) with numeric `spans`,
-//!   `total_ns`, `count`;
 //! * grid suites (`sparse_kernel`) may attach per-entry problem-size
 //!   metadata: when any of `n` / `nnz` / `density` is present all three
 //!   are required (`n` ≥ 1, `nnz` ≥ 0, `density` ∈ [0, 1]), and
@@ -74,7 +71,7 @@ fn validate(text: &str) -> Vec<String> {
     };
     let mut problems = Vec::new();
     for key in top.keys() {
-        if !matches!(key.as_str(), "schema" | "suite" | "benchmarks" | "telemetry" | "overhead") {
+        if !matches!(key.as_str(), "schema" | "suite" | "benchmarks" | "overhead") {
             problems.push(format!("unknown top-level key '{key}'"));
         }
     }
@@ -97,23 +94,6 @@ fn validate(text: &str) -> Vec<String> {
             }
         }
         None => problems.push("missing 'benchmarks' array".into()),
-    }
-    if let Some(tel) = j.get("telemetry") {
-        match tel.as_array() {
-            Some(entries) => {
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.get("stage").and_then(Json::as_str).is_none() {
-                        problems.push(format!("telemetry[{i}]: missing string 'stage'"));
-                    }
-                    for key in ["spans", "total_ns", "count"] {
-                        if entry.get(key).and_then(Json::as_f64).is_none() {
-                            problems.push(format!("telemetry[{i}]: missing numeric '{key}'"));
-                        }
-                    }
-                }
-            }
-            None => problems.push("'telemetry' is not an array".into()),
-        }
     }
     if let Some(overhead) = j.get("overhead") {
         match overhead {

@@ -13,10 +13,11 @@
 //!
 //! Every run is deterministic: the default base seed is fixed, so two
 //! invocations with the same arguments produce byte-identical output.
-//! After each experiment a wall-time line and the stage-telemetry
-//! summary are printed with a `# ` prefix — those lines carry
-//! wall-clock measurements, so byte-comparisons (`scripts/verify.sh`)
-//! strip them with `grep -v '^# '`.
+//! After each experiment a wall-time line is printed with a `# `
+//! prefix — it carries a wall-clock measurement, so byte-comparisons
+//! (`scripts/verify.sh`) strip it with `grep -v '^# '`. The per-stage
+//! breakdown (heuristic timings, merge and sweep-cell counts) is in the
+//! `--obs-out` event log.
 //!
 //! `--obs-out <path>` (or the `FCM_OBS_OUT` environment variable)
 //! enables the `fcm-obs` observability layer and writes its JSONL
@@ -27,7 +28,6 @@
 use std::time::Instant;
 
 use fcm_bench::experiments::{self, Scale};
-use fcm_substrate::telemetry;
 
 /// One line per flag — the single source of truth for `--help` and the
 /// unknown-flag error text.
@@ -381,17 +381,14 @@ fn parse_obs_out(args: &[String]) -> Option<String> {
 }
 
 /// Runs one experiment: section header, the experiment's own output,
-/// then the `# `-prefixed wall time and per-stage telemetry summary
-/// (the global sink is reset first, so the stages belong to this
-/// experiment alone). The `# ` lines are the only non-deterministic
-/// output — byte comparisons must strip them.
+/// then the `# `-prefixed wall time. The `# ` lines are the only
+/// non-deterministic output — byte comparisons must strip them.
 ///
 /// When observability is enabled the whole experiment runs under a
 /// root span named by its id (the title's first word), so `obsview`
 /// renders one tree per experiment.
 fn emit(title: &'static str, body: impl FnOnce() -> String) {
     println!("\n=== {title} ===");
-    telemetry::global().reset();
     let root = title.split_whitespace().next().unwrap_or("repro");
     let _root_span = fcm_obs::span(root);
     let t0 = Instant::now();
@@ -399,9 +396,6 @@ fn emit(title: &'static str, body: impl FnOnce() -> String) {
     let wall = t0.elapsed();
     print!("{out}");
     println!("# wall {:.3}s", wall.as_secs_f64());
-    for line in telemetry::global().summary_lines() {
-        println!("# {line}");
-    }
 }
 
 /// Parses `--seed <n>` (also `--seed=<n>`); defaults to 0, the fixed

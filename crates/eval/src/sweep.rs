@@ -17,12 +17,12 @@
 //! variable when set (a positive integer; `1` forces a fully sequential
 //! sweep — `scripts/verify.sh` uses this to byte-compare sequential and
 //! parallel output), otherwise from the pool's default worker count.
-//! Cell counts and wall time land in the global
-//! [`fcm_substrate::telemetry`] under the `eval.sweep` stage.
+//! With observability enabled, cell counts land in the
+//! `eval.sweep.cells` counter and per-cell wall time in the
+//! `eval.sweep.cell_ns` histogram.
 
 use fcm_substrate::pool::{par_map_threads, worker_count};
 use fcm_substrate::rng::Rng;
-use fcm_substrate::telemetry;
 
 /// Environment variable overriding the sweep thread count.
 pub const SWEEP_THREADS_ENV: &str = "FCM_SWEEP_THREADS";
@@ -78,25 +78,17 @@ impl SweepDriver {
         R: Send,
         F: Fn(&T, &mut Rng) -> R + Sync,
     {
-        let t = telemetry::global();
-        t.add("eval.sweep.cells", cells.len() as u64);
         fcm_obs::counter_add("eval.sweep.cells", cells.len() as u64);
         #[allow(clippy::cast_precision_loss)]
         fcm_obs::gauge_set("eval.sweep.threads", self.threads as f64);
         let sweep_span = fcm_obs::span("eval.sweep");
         let parent = sweep_span.id();
-        t.time("eval.sweep", || {
-            let indices: Vec<usize> = (0..cells.len()).collect();
-            par_map_threads(&indices, self.threads, |&i| {
-                let _cell = fcm_obs::span_under("eval.sweep.cell", parent, Some(i as u64));
-                let t0 = fcm_obs::enabled().then(fcm_obs::span::now_ns);
+        let indices: Vec<usize> = (0..cells.len()).collect();
+        par_map_threads(&indices, self.threads, |&i| {
+            let _cell = fcm_obs::span_under("eval.sweep.cell", parent, Some(i as u64));
+            fcm_obs::timed("eval.sweep.cell_ns", || {
                 let mut rng = Rng::stream(self.base_seed, i as u64);
-                let out = f(&cells[i], &mut rng);
-                if let Some(t0) = t0 {
-                    let elapsed = fcm_obs::span::now_ns().saturating_sub(t0);
-                    fcm_obs::hist_record("eval.sweep.cell_ns", elapsed);
-                }
-                out
+                f(&cells[i], &mut rng)
             })
         })
     }

@@ -273,13 +273,10 @@ pub fn export_to(path: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, metrics, set_enabled, span, ObsConfig};
-    use fcm_substrate::pool::Mutex;
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::{init, metrics, set_enabled, span, ObsConfig, TEST_LOCK};
 
     fn with_obs(f: impl FnOnce()) {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         init(ObsConfig::default());
         let _ = span::drain();
         let _ = metrics::drain();
@@ -349,7 +346,8 @@ mod tests {
     fn export_to_writes_a_parseable_file() {
         with_obs(|| {
             drop(span::span("file_span"));
-            let dir = std::env::temp_dir().join("fcm_obs_export_test");
+            let dir =
+                std::env::temp_dir().join(format!("fcm_obs_export_test_{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("log.jsonl");
             export_to(&path).expect("writes");

@@ -96,22 +96,39 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Runs `f`; when recording is enabled, its elapsed wall time in
+/// nanoseconds lands as one sample in histogram `hist`. Disabled, this
+/// is `f()` plus the one atomic load.
+pub fn timed<R>(hist: &str, f: impl FnOnce() -> R) -> R {
+    if !enabled() {
+        return f();
+    }
+    let t0 = span::now_ns();
+    let out = f();
+    hist_record(hist, span::now_ns().saturating_sub(t0));
+    out
+}
+
 /// The pool's counter hook: per-worker pool counters land in the
 /// registry as `<name>.w<worker>`.
 fn pool_hook(name: &'static str, worker: usize, n: u64) {
     metrics::counter_add(&format!("{name}.w{worker}"), n);
 }
 
+/// The crate-wide test lock. The registry, span rings, recorder,
+/// `ENABLED` and the pool counter hook are all process-global, so every
+/// test that touches any of them holds this one lock for its whole body.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: fcm_substrate::pool::Mutex<()> = fcm_substrate::pool::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcm_substrate::pool::{self, Mutex};
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use fcm_substrate::pool;
 
     #[test]
     fn off_by_default_costs_one_atomic_load() {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         set_enabled(false);
         assert!(!enabled());
         // All entry points are inert.
@@ -123,7 +140,7 @@ mod tests {
 
     #[test]
     fn init_installs_the_pool_counter_hook() {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         init(ObsConfig::default());
         let _ = metrics::drain();
         let items: Vec<u64> = (0..256).collect();
@@ -145,6 +162,23 @@ mod tests {
             .sum();
         assert!(parks >= 1, "workers record their park on exit");
         set_enabled(false);
+        pool::set_counter_hook(None);
+    }
+
+    #[test]
+    fn timed_records_one_sample_only_when_enabled() {
+        let _g = TEST_LOCK.lock();
+        init(ObsConfig::default());
+        let _ = metrics::drain();
+        assert_eq!(timed("lib.timed", || 7), 7, "returns the closure's value");
+        assert_eq!(metrics::snapshot().hists["lib.timed"].count(), 1);
+        set_enabled(false);
+        assert_eq!(timed("lib.timed", || 8), 8);
+        assert_eq!(
+            metrics::drain().hists["lib.timed"].count(),
+            1,
+            "no sample while off"
+        );
         pool::set_counter_hook(None);
     }
 }

@@ -181,12 +181,10 @@ pub fn drain() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, set_enabled, ObsConfig};
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::{init, set_enabled, ObsConfig, TEST_LOCK};
 
     fn with_obs(f: impl FnOnce()) {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         init(ObsConfig::default());
         let _ = drain();
         f();
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn recording_is_a_noop_when_disabled() {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         set_enabled(false);
         let before = snapshot();
         counter_add("off.counter", 1);

@@ -261,13 +261,10 @@ pub fn auto_dump(reason: &str) -> Option<PathBuf> {
 mod tests {
     use super::*;
     use crate::export::EventLog;
-
-    // The recorder is process-global state shared across tests in this
-    // binary; serialise on one lock and reset around each body.
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK;
 
     fn with_recorder(capacity: usize, f: impl FnOnce()) {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         configure(capacity);
         set_dump_path(None);
         set_enabled(true);
@@ -278,7 +275,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_noop() {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         set_enabled(false);
         configure(8);
         record("ghost", Json::object());

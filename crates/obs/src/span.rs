@@ -303,14 +303,10 @@ pub fn peek() -> (Vec<SpanRecord>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, set_enabled, ObsConfig};
-
-    // The obs globals are process-wide, so every test here serialises on
-    // one lock and drains before/after to avoid cross-talk.
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::{init, set_enabled, ObsConfig, TEST_LOCK};
 
     fn with_obs(f: impl FnOnce()) {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         init(ObsConfig::default());
         let _ = drain();
         f();
@@ -320,7 +316,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        let _g = GATE.lock();
+        let _g = TEST_LOCK.lock();
         set_enabled(false);
         let s = span("nothing");
         assert_eq!(s.id(), 0);

@@ -23,7 +23,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use crate::json::{Json, ToJson};
-use crate::telemetry::Telemetry;
 
 /// Per-benchmark timing statistics, in nanoseconds per iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +80,6 @@ pub struct Suite {
     warmup_iters: u32,
     sample_size: u32,
     results: Vec<Stats>,
-    telemetry: Option<Json>,
     quiet: bool,
 }
 
@@ -98,7 +96,6 @@ impl Suite {
             warmup_iters: 3,
             sample_size: if quick { 10 } else { 30 },
             results: Vec::new(),
-            telemetry: None,
             quiet: false,
         }
     }
@@ -152,28 +149,16 @@ impl Suite {
         &self.results
     }
 
-    /// Snapshots `telemetry` into the artefact (a `"telemetry"` key
-    /// holding the per-stage span/counter array). Call it after the
-    /// benches have run; a later call replaces the earlier snapshot.
-    pub fn embed_telemetry(&mut self, telemetry: &Telemetry) -> &mut Suite {
-        self.telemetry = Some(telemetry.to_json());
-        self
-    }
-
     /// The suite as a JSON artefact value.
     #[must_use]
     pub fn to_artifact(&self) -> Json {
-        let artifact = Json::object()
+        Json::object()
             .set("suite", self.name.as_str())
             .set("schema", "fcm-bench/v1")
             .set(
                 "benchmarks",
                 Json::Arr(self.results.iter().map(ToJson::to_json).collect()),
-            );
-        match &self.telemetry {
-            Some(t) => artifact.set("telemetry", t.clone()),
-            None => artifact,
-        }
+            )
     }
 
     /// Writes `BENCH_<suite>.json` into `dir` and returns the path.
@@ -257,25 +242,6 @@ mod tests {
             Some("noop")
         );
         assert!(benches[0].get("median_ns").and_then(Json::as_f64).is_some());
-    }
-
-    #[test]
-    fn artifact_embeds_a_telemetry_snapshot() {
-        use crate::telemetry::Telemetry;
-        let mut suite = Suite::new("test_tel");
-        suite.quiet().sample_size(2).warmup(0);
-        suite.bench("noop", || ());
-        assert!(suite.to_artifact().get("telemetry").is_none());
-        let t = Telemetry::new();
-        t.time("stage_x", || ());
-        t.add("stage_x", 9);
-        suite.embed_telemetry(&t);
-        let j = suite.to_artifact();
-        let stages = j.get("telemetry").and_then(Json::as_array).unwrap();
-        assert_eq!(stages[0].get("stage").and_then(Json::as_str), Some("stage_x"));
-        assert_eq!(stages[0].get("count").and_then(Json::as_f64), Some(9.0));
-        // Still round-trips through the parser.
-        assert_eq!(Json::parse(&j.to_string_pretty()).unwrap(), j);
     }
 
     #[test]

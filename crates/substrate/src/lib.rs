@@ -13,7 +13,6 @@
 //! | [`bytes`] | `bytes` | an immutable cheap-clone byte string |
 //! | [`prop`] | `proptest` | seeded property harness, bisection shrinking, `FCM_PROP_SEED` replay |
 //! | [`bench`] | `criterion` | warmup + timed iterations, median/p95, `BENCH_*.json` artefacts |
-//! | [`telemetry`] | `tracing` timers | monotonic stage timers + counters, deterministic-order summaries |
 //! | [`fault`] | `fail`/failpoints | deterministic fault plans for named IO sites, crash latch, site tracing |
 //!
 //! The dependability argument (after De Florio's survey of application-
@@ -31,11 +30,9 @@ pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;
-pub mod telemetry;
 
 pub use bytes::Bytes;
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan, FaultRule};
 pub use json::{Json, ToJson};
 pub use pool::{par_for, par_map, par_map_threads, par_reduce, Mutex};
 pub use rng::Rng;
-pub use telemetry::Telemetry;

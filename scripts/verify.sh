@@ -16,6 +16,13 @@ cargo build --release --offline
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+echo "== fcm-obs unit tests, 20 runs (global-state tests must not race)"
+# The fcm-obs tests share process-global state behind one test lock; a
+# race shows up only on some runs, so one lucky pass proves nothing.
+for _ in $(seq 20); do
+    cargo test -q --offline -p fcm-obs --lib >/dev/null
+done
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -37,7 +44,7 @@ echo "$e14_a" | grep -q "failover+shedding" || {
     exit 1
 }
 # Determinism: two same-seed runs must be byte-identical. The `# `
-# lines are wall-clock telemetry — the one intentionally
+# lines carry wall-clock times — the one intentionally
 # non-deterministic part of the output — so strip them first.
 e14_b=$(cargo run --release --offline -q -p fcm-bench --bin repro -- --quick e14)
 if [ "$(echo "$e14_a" | grep -v '^# ')" != "$(echo "$e14_b" | grep -v '^# ')" ]; then
@@ -199,7 +206,7 @@ grep -q "C012" target/verify/check_broken.txt || {
 
 echo "== archived repro_output.txt is not stale (T1 section)"
 # PR 3 shipped a stale archive once; this guard re-runs T1 and diffs it
-# against the committed file (minus `# ` wall-clock telemetry lines).
+# against the committed file (minus `# ` wall-clock lines).
 t1_archived=$(awk '/^=== T1 /{f=1} f && /^=== / && !/^=== T1 /{exit} f' repro_output.txt | grep -v '^# \|^$')
 t1_fresh=$(cargo run --release --offline -q -p fcm-bench --bin repro -- t1 | grep -v '^# \|^$')
 if [ "$t1_archived" != "$t1_fresh" ]; then
