@@ -30,7 +30,7 @@
 //! heuristic's merge path flows through the same engine.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, Matrix, NodeIdx};
 use fcm_substrate::Mutex;
@@ -68,25 +68,6 @@ fn run_preflight(g: &SwGraph) -> Result<(), AllocError> {
         }
     }
     Ok(())
-}
-
-/// Process-wide count of *full* condensations (the O(E + k²) rebuild a
-/// [`CondensePipeline`] performs once at construction). Long-running
-/// layers above this crate (the `fcm-serve` daemon) assert that after
-/// startup every edit flows through the incremental Eq. 4 path — i.e.
-/// this counter stays put while they mutate.
-static FULL_CONDENSES: AtomicU64 = AtomicU64::new(0);
-
-/// Records one full condensation (called by the pipeline constructors
-/// and by anything else that rebuilds a cluster matrix from scratch).
-pub fn note_full_condense() {
-    FULL_CONDENSES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Full condensations performed by this process so far.
-#[must_use]
-pub fn full_condense_count() -> u64 {
-    FULL_CONDENSES.load(Ordering::Relaxed)
 }
 
 /// Returns `m` without row and column `hi` (O(k²) copy; surviving
@@ -221,7 +202,6 @@ impl<'g> CondensePipeline<'g> {
         let groups: Vec<Vec<NodeIdx>> = g.node_indices().map(|n| vec![n]).collect();
         let cond = condense(g, &groups, CombineRule::Probabilistic)
             .expect("singletons always form a partition");
-        note_full_condense();
         CondensePipeline {
             g,
             membership: (0..groups.len()).collect(),
@@ -237,7 +217,6 @@ impl<'g> CondensePipeline<'g> {
         let groups: Vec<Vec<NodeIdx>> = clustering.clusters().to_vec();
         let cond = condense(g, &groups, CombineRule::Probabilistic)
             .expect("a Clustering is a validated partition");
-        note_full_condense();
         let mut membership = vec![0usize; g.node_count()];
         for (ci, group) in groups.iter().enumerate() {
             for &n in group {

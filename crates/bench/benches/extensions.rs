@@ -43,10 +43,10 @@ fn main() {
     }
 
     suite.bench("generic_hierarchy_build_4_levels", || {
-        let mut h = GenericFcmHierarchy::new(LevelLadder::with_objects());
-        let p = h
-            .add_root("p", "process", AttributeSet::default())
-            .expect("root");
+        let ladder = LevelLadder::with_objects();
+        let top = ladder.top();
+        let mut h = GenericFcmHierarchy::new(ladder);
+        let p = h.add_root("p", top, AttributeSet::default()).expect("root");
         for ti in 0..4 {
             let t = h
                 .add_child(p, format!("t{ti}"), AttributeSet::default())

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::hierarchy::FcmId;
-use crate::level::HierarchyLevel;
 
 /// Errors reported by the FCM model.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,15 +16,18 @@ pub enum FcmError {
     },
     /// Rule R1: a child must be exactly one level below its parent.
     LevelMismatch {
-        /// Level of the would-be parent.
-        parent: HierarchyLevel,
-        /// Level of the would-be child.
-        child: HierarchyLevel,
+        /// Name of the would-be parent's level.
+        parent: String,
+        /// Name of the would-be child's level.
+        child: String,
     },
-    /// A procedure-level FCM cannot have children (nothing below it).
+    /// A leaf-level FCM (a procedure, in the paper's ladder) cannot have
+    /// children (nothing below it).
     BelowLeafLevel {
-        /// The procedure-level FCM.
+        /// The leaf-level FCM.
         id: FcmId,
+        /// Name of its level.
+        level: String,
     },
     /// Rule R2: the integration DAG must be a tree; the FCM already has a
     /// parent and cannot be shared ("if two FCMs share a lower-level FCM,
@@ -37,7 +39,7 @@ pub enum FcmError {
         parent: FcmId,
     },
     /// Rule R3/R4: merging FCMs that are not siblings. Use
-    /// [`FcmHierarchy::integrate_across`](crate::FcmHierarchy::integrate_across)
+    /// [`Hierarchy::integrate_across`](crate::Hierarchy::integrate_across)
     /// to first integrate the parents (R4), or duplicate the child.
     NotSiblings {
         /// First FCM.
@@ -74,8 +76,8 @@ impl fmt::Display for FcmError {
                 f,
                 "rule R1 violation: a {child} cannot be the direct child of a {parent}"
             ),
-            FcmError::BelowLeafLevel { id } => {
-                write!(f, "fcm {id} is a procedure and cannot have children")
+            FcmError::BelowLeafLevel { id, level } => {
+                write!(f, "fcm {id} is a {level} and cannot have children")
             }
             FcmError::AlreadyHasParent { id, parent } => write!(
                 f,
@@ -103,14 +105,18 @@ impl Error for FcmError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::HierarchyLevel;
 
     #[test]
     fn messages_name_the_violated_rule() {
         let e = FcmError::LevelMismatch {
-            parent: HierarchyLevel::Process,
-            child: HierarchyLevel::Procedure,
+            parent: HierarchyLevel::Process.to_string(),
+            child: HierarchyLevel::Procedure.to_string(),
         };
-        assert!(e.to_string().contains("R1"));
+        assert_eq!(
+            e.to_string(),
+            "rule R1 violation: a procedure cannot be the direct child of a process"
+        );
         let e = FcmError::AlreadyHasParent {
             id: FcmId(1),
             parent: FcmId(0),

@@ -1,5 +1,11 @@
 //! The FCM integration hierarchy with composition rules R1–R5.
 //!
+//! This is the one implementation of the rules: [`Hierarchy`] is generic
+//! over a [`Ladder`] of levels, since the rules hold whatever the ladder.
+//! [`FcmHierarchy`] is the paper's three-level instance and the default;
+//! [`GenericFcmHierarchy`](crate::ladder::GenericFcmHierarchy) runs the
+//! same rules over a named [`LevelLadder`].
+//!
 //! The paper's vertical-integration rules (§4.1), enforced here by
 //! construction or checked at call sites:
 //!
@@ -7,16 +13,16 @@
 //!   an FCM at the next higher level" (and only the next higher level);
 //! * **R2** — "The integration DAG is a tree": no FCM has two parents and
 //!   no two FCMs share a lower-level FCM. Consequently reuse requires
-//!   duplication ([`FcmHierarchy::duplicate_into`]) — "the function must
+//!   duplication ([`Hierarchy::duplicate_into`]) — "the function must
 //!   be separately compiled with each FCM caller";
 //! * **R3** — "An FCM can be integrated only with its siblings"
-//!   ([`FcmHierarchy::merge_siblings`] rejects non-siblings);
+//!   ([`Hierarchy::merge_siblings`] rejects non-siblings);
 //! * **R4** — "If children of different parents are integrated, their
-//!   parents must be integrated" ([`FcmHierarchy::integrate_across`]
+//!   parents must be integrated" ([`Hierarchy::integrate_across`]
 //!   merges the parent chain bottom-up);
 //! * **R5** — "Whenever a FCM is modified, its parent FCM, and only its
 //!   parent, also needs to be tested, including the interfaces with its
-//!   siblings" ([`FcmHierarchy::retest_set`]).
+//!   siblings" ([`Hierarchy::retest_set`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -24,9 +30,10 @@ use std::fmt;
 use crate::attributes::AttributeSet;
 use crate::composition::CompositionKind;
 use crate::error::FcmError;
+use crate::ladder::{Ladder, LevelLadder, PaperLadder};
 use crate::level::HierarchyLevel;
 
-/// Identifier of an FCM within one [`FcmHierarchy`].
+/// Identifier of an FCM within one [`Hierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FcmId(pub u64);
 
@@ -42,12 +49,13 @@ impl fmt::Display for FcmId {
     }
 }
 
-/// A fault containment module in the hierarchy.
+/// A fault containment module in the hierarchy, at a level of type `V`
+/// (the paper's [`HierarchyLevel`] unless the ladder says otherwise).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fcm {
+pub struct Fcm<V = HierarchyLevel> {
     id: FcmId,
     name: String,
-    level: HierarchyLevel,
+    level: V,
     attributes: AttributeSet,
     parent: Option<FcmId>,
     children: Vec<FcmId>,
@@ -55,7 +63,7 @@ pub struct Fcm {
     alive: bool,
 }
 
-impl Fcm {
+impl<V: Copy> Fcm<V> {
     /// The FCM's id.
     pub fn id(&self) -> FcmId {
         self.id
@@ -67,7 +75,7 @@ impl Fcm {
     }
 
     /// The hierarchy level.
-    pub fn level(&self) -> HierarchyLevel {
+    pub fn level(&self) -> V {
         self.level
     }
 
@@ -112,7 +120,7 @@ impl RetestSet {
     }
 }
 
-/// The FCM integration tree.
+/// The FCM integration tree over the levels of ladder `L`.
 ///
 /// FCMs consumed by a merge remain in the arena but are no longer
 /// addressable (operations on them return [`FcmError::UnknownFcm`]),
@@ -132,16 +140,48 @@ impl RetestSet {
 /// assert_eq!(h.fcm(merged)?.parent(), Some(task));
 /// # Ok::<(), fcm_core::FcmError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FcmHierarchy {
-    arena: Vec<Fcm>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct Hierarchy<L: Ladder> {
+    ladder: L,
+    arena: Vec<Fcm<L::Level>>,
     next_replica_group: u32,
 }
+
+/// The paper's three-level hierarchy: procedures, tasks and processes.
+pub type FcmHierarchy = Hierarchy<PaperLadder>;
 
 impl FcmHierarchy {
     /// Creates an empty hierarchy.
     pub fn new() -> Self {
-        FcmHierarchy::default()
+        Hierarchy::over(PaperLadder)
+    }
+}
+
+impl Default for FcmHierarchy {
+    fn default() -> Self {
+        FcmHierarchy::new()
+    }
+}
+
+impl Hierarchy<LevelLadder> {
+    /// Creates an empty hierarchy over `ladder`.
+    pub fn new(ladder: LevelLadder) -> Self {
+        Hierarchy::over(ladder)
+    }
+}
+
+impl<L: Ladder> Hierarchy<L> {
+    fn over(ladder: L) -> Self {
+        Hierarchy {
+            ladder,
+            arena: Vec::new(),
+            next_replica_group: 0,
+        }
+    }
+
+    /// The ladder in use.
+    pub fn ladder(&self) -> &L {
+        &self.ladder
     }
 
     /// Number of live FCMs.
@@ -163,7 +203,7 @@ impl FcmHierarchy {
     pub fn add_root(
         &mut self,
         name: impl Into<String>,
-        level: HierarchyLevel,
+        level: L::Level,
         attributes: AttributeSet,
     ) -> Result<FcmId, FcmError> {
         Ok(self.push(name.into(), level, attributes, None))
@@ -175,7 +215,7 @@ impl FcmHierarchy {
     /// # Errors
     ///
     /// * [`FcmError::UnknownFcm`] — `parent` does not exist;
-    /// * [`FcmError::BelowLeafLevel`] — `parent` is a procedure.
+    /// * [`FcmError::BelowLeafLevel`] — `parent` is at the leaf level.
     pub fn add_child(
         &mut self,
         parent: FcmId,
@@ -183,9 +223,13 @@ impl FcmHierarchy {
         attributes: AttributeSet,
     ) -> Result<FcmId, FcmError> {
         let parent_level = self.fcm(parent)?.level;
-        let child_level = parent_level
-            .child()
-            .ok_or(FcmError::BelowLeafLevel { id: parent })?;
+        let child_level =
+            self.ladder
+                .child(parent_level)
+                .ok_or_else(|| FcmError::BelowLeafLevel {
+                    id: parent,
+                    level: self.ladder.name(parent_level).to_owned(),
+                })?;
         let id = self.push(name.into(), child_level, attributes, Some(parent));
         self.arena[parent.index()].children.push(id);
         Ok(id)
@@ -210,12 +254,7 @@ impl FcmHierarchy {
                 parent: existing,
             });
         }
-        if parent_level.child() != Some(child_fcm.level) {
-            return Err(FcmError::LevelMismatch {
-                parent: parent_level,
-                child: child_fcm.level,
-            });
-        }
+        self.check_r1(parent_level, child_fcm.level)?;
         self.arena[child.index()].parent = Some(parent);
         self.arena[parent.index()].children.push(child);
         Ok(())
@@ -228,9 +267,9 @@ impl FcmHierarchy {
     ///
     /// * [`FcmError::NothingToCompose`] — fewer than one child;
     /// * [`FcmError::UnknownFcm`] / [`FcmError::AlreadyHasParent`] /
-    ///   [`FcmError::LevelMismatch`] — as for [`FcmHierarchy::attach`];
-    /// * [`FcmError::LevelMismatch`] — the children are processes (nothing
-    ///   above process level).
+    ///   [`FcmError::LevelMismatch`] — as for [`Hierarchy::attach`];
+    /// * [`FcmError::LevelMismatch`] — the children are at the top level
+    ///   (nothing above it).
     pub fn group_into_new_parent(
         &mut self,
         children: &[FcmId],
@@ -241,16 +280,13 @@ impl FcmHierarchy {
         for &c in rest {
             let l = self.fcm(c)?.level;
             if l != child_level {
-                return Err(FcmError::LevelMismatch {
-                    parent: l,
-                    child: child_level,
-                });
+                return Err(self.level_mismatch(l, child_level));
             }
         }
-        let parent_level = child_level.parent().ok_or(FcmError::LevelMismatch {
-            parent: child_level,
-            child: child_level,
-        })?;
+        let parent_level = self
+            .ladder
+            .parent(child_level)
+            .ok_or_else(|| self.level_mismatch(child_level, child_level))?;
         // Validate every child before mutating anything.
         for &c in children {
             if let Some(existing) = self.fcm(c)?.parent {
@@ -335,7 +371,7 @@ impl FcmHierarchy {
     ///
     /// # Errors
     ///
-    /// * everything [`FcmHierarchy::merge_siblings`] can return;
+    /// * everything [`Hierarchy::merge_siblings`] can return;
     /// * [`FcmError::NotSiblings`] — one FCM has a parent and the other is
     ///   a root (the hierarchy shapes are incompatible).
     pub fn integrate_across(
@@ -373,13 +409,7 @@ impl FcmHierarchy {
     ///   `child`.
     pub fn duplicate_into(&mut self, child: FcmId, new_parent: FcmId) -> Result<FcmId, FcmError> {
         let parent_level = self.fcm(new_parent)?.level;
-        let child_fcm = self.fcm(child)?.clone();
-        if parent_level.child() != Some(child_fcm.level) {
-            return Err(FcmError::LevelMismatch {
-                parent: parent_level,
-                child: child_fcm.level,
-            });
-        }
+        self.check_r1(parent_level, self.fcm(child)?.level)?;
         let copy = self.clone_subtree(child, Some(new_parent));
         self.arena[new_parent.index()].children.push(copy);
         Ok(copy)
@@ -436,7 +466,7 @@ impl FcmHierarchy {
 
     /// The naive alternative to R5: re-certify the entire tree containing
     /// `modified` (every live FCM sharing its root). Experiment E6
-    /// compares its size against [`FcmHierarchy::retest_set`].
+    /// compares its size against [`Hierarchy::retest_set`].
     ///
     /// # Errors
     ///
@@ -454,7 +484,7 @@ impl FcmHierarchy {
     /// # Errors
     ///
     /// Returns [`FcmError::UnknownFcm`] for missing or merged-away ids.
-    pub fn fcm(&self, id: FcmId) -> Result<&Fcm, FcmError> {
+    pub fn fcm(&self, id: FcmId) -> Result<&Fcm<L::Level>, FcmError> {
         self.arena
             .get(id.index())
             .filter(|f| f.alive)
@@ -476,17 +506,17 @@ impl FcmHierarchy {
     }
 
     /// Iterates over all live FCMs.
-    pub fn iter(&self) -> impl Iterator<Item = &Fcm> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &Fcm<L::Level>> + '_ {
         self.arena.iter().filter(|f| f.alive)
     }
 
     /// Live root FCMs (no parent).
-    pub fn roots(&self) -> impl Iterator<Item = &Fcm> + '_ {
+    pub fn roots(&self) -> impl Iterator<Item = &Fcm<L::Level>> + '_ {
         self.iter().filter(|f| f.parent.is_none())
     }
 
     /// All live FCMs at `level`.
-    pub fn at_level(&self, level: HierarchyLevel) -> impl Iterator<Item = &Fcm> + '_ {
+    pub fn at_level(&self, level: L::Level) -> impl Iterator<Item = &Fcm<L::Level>> + '_ {
         self.iter().filter(move |f| f.level == level)
     }
 
@@ -532,12 +562,7 @@ impl FcmHierarchy {
                         parent: child.parent.unwrap_or(f.id),
                     });
                 }
-                if f.level.child() != Some(child.level) {
-                    return Err(FcmError::LevelMismatch {
-                        parent: f.level,
-                        child: child.level,
-                    });
-                }
+                self.check_r1(f.level, child.level)?;
             }
             if let Some(p) = f.parent {
                 let parent = self.fcm(p)?;
@@ -564,10 +589,26 @@ impl FcmHierarchy {
         Ok(())
     }
 
+    /// Rule R1: `child` must sit exactly one level below `parent`.
+    fn check_r1(&self, parent: L::Level, child: L::Level) -> Result<(), FcmError> {
+        if self.ladder.child(parent) == Some(child) {
+            Ok(())
+        } else {
+            Err(self.level_mismatch(parent, child))
+        }
+    }
+
+    fn level_mismatch(&self, parent: L::Level, child: L::Level) -> FcmError {
+        FcmError::LevelMismatch {
+            parent: self.ladder.name(parent).to_owned(),
+            child: self.ladder.name(child).to_owned(),
+        }
+    }
+
     fn push(
         &mut self,
         name: String,
-        level: HierarchyLevel,
+        level: L::Level,
         attributes: AttributeSet,
         parent: Option<FcmId>,
     ) -> FcmId {
@@ -666,15 +707,13 @@ mod tests {
         ));
         // A child that already has a parent cannot be re-attached.
         let existing_child = h2.fcm(task).unwrap().children()[0];
-        let p4 = h2.add_root("p4", HierarchyLevel::Task, attrs(0)).unwrap();
-        let _ = p4;
         let t9 = h2.add_root("t9", HierarchyLevel::Task, attrs(0)).unwrap();
         assert!(h2.attach(t9, existing_child).is_err());
         h.verify().unwrap();
     }
 
     #[test]
-    fn merge_siblings_combines_attributes_and_reparents_children() {
+    fn sibling_merge_combines_attributes_and_reparents_children() {
         let mut h = FcmHierarchy::new();
         let process = h.add_root("p", HierarchyLevel::Process, attrs(9)).unwrap();
         let t1 = h.add_child(process, "t1", attrs(4)).unwrap();
@@ -752,7 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn integrate_across_same_parent_degenerates_to_merge() {
+    fn r4_under_one_parent_degenerates_to_merge() {
         let (mut h, _, task, a, b) = small();
         let merged = h.integrate_across(a, b, "ab").unwrap();
         assert_eq!(h.fcm(merged).unwrap().parent(), Some(task));
@@ -760,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn integrate_across_root_and_child_is_rejected() {
+    fn r4_rejects_a_root_with_a_child() {
         let mut h = FcmHierarchy::new();
         let p = h.add_root("p", HierarchyLevel::Process, attrs(0)).unwrap();
         let t = h.add_child(p, "t", attrs(0)).unwrap();

@@ -1,22 +1,84 @@
-//! Generalised N-level FCM hierarchies.
+//! The ladders of levels an FCM hierarchy is built over.
 //!
 //! The paper fixes three levels but is explicit that the choice is
 //! presentational: *"Once such a framework is established, it is possible
 //! to add/delete levels (or elements of the hierarchy) as desired"*, and
 //! its OO footnote observes that *"object-oriented implementation …
 //! introduces objects/classes as another natural level in the hierarchy,
-//! with its own kinds of faults"*. This module provides that extension: a
-//! [`LevelLadder`] names an arbitrary ordered set of levels, and a
-//! [`GenericFcmHierarchy`] enforces the same composition rules R1–R5 over
-//! it. [`FcmHierarchy`](crate::FcmHierarchy) remains the paper's fixed
-//! three-level instance.
+//! with its own kinds of faults"*. This module holds only the ladder
+//! types: the [`Ladder`] trait, the paper's fixed [`PaperLadder`], and a
+//! [`LevelLadder`] that names an arbitrary ordered set of levels. The
+//! composition rules R1–R5 exist once, in [`Hierarchy`], which is generic
+//! over the ladder; [`FcmHierarchy`](crate::FcmHierarchy) and
+//! [`GenericFcmHierarchy`] are its two instances.
 
 use std::fmt;
 
-use crate::attributes::AttributeSet;
-use crate::composition::CompositionKind;
 use crate::error::FcmError;
-use crate::hierarchy::{FcmId, RetestSet};
+use crate::hierarchy::{Fcm, Hierarchy};
+use crate::level::HierarchyLevel;
+
+/// An ordered set of hierarchy levels: what rules R1–R5 need to know
+/// about the levels an FCM hierarchy steps between.
+pub trait Ladder {
+    /// A level of this ladder.
+    type Level: Copy + Eq + fmt::Debug;
+
+    /// The level below `level`, or `None` at the leaf.
+    fn child(&self, level: Self::Level) -> Option<Self::Level>;
+
+    /// The level above `level`, or `None` at the top.
+    fn parent(&self, level: Self::Level) -> Option<Self::Level>;
+
+    /// The name of `level`, as error messages print it.
+    fn name(&self, level: Self::Level) -> &str;
+}
+
+/// The paper's fixed three-level ladder, `procedure < task < process`:
+/// the default instance behind [`FcmHierarchy`](crate::FcmHierarchy).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PaperLadder;
+
+impl Ladder for PaperLadder {
+    type Level = HierarchyLevel;
+
+    fn child(&self, level: HierarchyLevel) -> Option<HierarchyLevel> {
+        level.child()
+    }
+
+    fn parent(&self, level: HierarchyLevel) -> Option<HierarchyLevel> {
+        level.parent()
+    }
+
+    fn name(&self, level: HierarchyLevel) -> &str {
+        level.name()
+    }
+}
+
+/// An FCM in a hierarchy over a [`LevelLadder`].
+pub type GenericFcm = Fcm<Rank>;
+
+/// An FCM hierarchy over an arbitrary [`LevelLadder`], enforcing the
+/// same composition rules R1–R5 as the fixed three-level
+/// [`FcmHierarchy`](crate::FcmHierarchy).
+///
+/// # Example
+///
+/// ```
+/// use fcm_core::ladder::{GenericFcmHierarchy, LevelLadder};
+/// use fcm_core::AttributeSet;
+///
+/// let ladder = LevelLadder::with_objects();
+/// let top = ladder.top();
+/// let mut h = GenericFcmHierarchy::new(ladder);
+/// let process = h.add_root("fms", top, AttributeSet::default())?;
+/// let task = h.add_child(process, "route", AttributeSet::default())?;
+/// let object = h.add_child(task, "leg", AttributeSet::default())?;
+/// let proc1 = h.add_child(object, "distance", AttributeSet::default())?;
+/// assert_eq!(h.ladder().name(h.fcm(proc1)?.level()), "procedure");
+/// # Ok::<(), fcm_core::FcmError>(())
+/// ```
+pub type GenericFcmHierarchy = Hierarchy<LevelLadder>;
 
 /// A named level in a [`LevelLadder`]; rank 0 is the leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,7 +129,8 @@ impl LevelLadder {
 
     /// The paper's standard three-level ladder.
     pub fn standard() -> Self {
-        LevelLadder::new(["procedure", "task", "process"]).expect("static names are valid")
+        LevelLadder::new(HierarchyLevel::ALL.map(HierarchyLevel::name))
+            .expect("static names are valid")
     }
 
     /// The OO footnote's four-level ladder: objects slot in between
@@ -107,20 +170,6 @@ impl LevelLadder {
         Rank(self.names.len() - 1)
     }
 
-    /// The rank above, or `None` at the top.
-    pub fn parent_rank(&self, rank: Rank) -> Option<Rank> {
-        if rank.0 + 1 < self.names.len() {
-            Some(Rank(rank.0 + 1))
-        } else {
-            None
-        }
-    }
-
-    /// The rank below, or `None` at the leaf.
-    pub fn child_rank(&self, rank: Rank) -> Option<Rank> {
-        rank.0.checked_sub(1).map(Rank)
-    }
-
     /// Inserts a new level immediately above `below` — the paper's "add
     /// levels as desired". Existing ranks at or above the insertion point
     /// shift up by one.
@@ -139,310 +188,32 @@ impl LevelLadder {
     }
 }
 
+impl Ladder for LevelLadder {
+    type Level = Rank;
+
+    fn child(&self, rank: Rank) -> Option<Rank> {
+        rank.0.checked_sub(1).map(Rank)
+    }
+
+    fn parent(&self, rank: Rank) -> Option<Rank> {
+        Some(Rank(rank.0 + 1)).filter(|r| r.0 < self.names.len())
+    }
+
+    fn name(&self, rank: Rank) -> &str {
+        LevelLadder::name(self, rank)
+    }
+}
+
 impl fmt::Display for LevelLadder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.names.join(" < "))
     }
 }
 
-/// An FCM in a generic hierarchy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenericFcm {
-    id: FcmId,
-    name: String,
-    rank: Rank,
-    attributes: AttributeSet,
-    parent: Option<FcmId>,
-    children: Vec<FcmId>,
-    alive: bool,
-}
-
-impl GenericFcm {
-    /// The FCM's id.
-    pub fn id(&self) -> FcmId {
-        self.id
-    }
-
-    /// The FCM's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The FCM's rank in the ladder.
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    /// The attribute set.
-    pub fn attributes(&self) -> &AttributeSet {
-        &self.attributes
-    }
-
-    /// The parent, if any.
-    pub fn parent(&self) -> Option<FcmId> {
-        self.parent
-    }
-
-    /// The children, in insertion order.
-    pub fn children(&self) -> &[FcmId] {
-        &self.children
-    }
-}
-
-/// An FCM hierarchy over an arbitrary [`LevelLadder`], enforcing the
-/// same composition rules R1–R5 as the fixed three-level
-/// [`FcmHierarchy`](crate::FcmHierarchy).
-///
-/// # Example
-///
-/// ```
-/// use fcm_core::ladder::{GenericFcmHierarchy, LevelLadder};
-/// use fcm_core::AttributeSet;
-///
-/// let mut h = GenericFcmHierarchy::new(LevelLadder::with_objects());
-/// let process = h.add_root("fms", "process", AttributeSet::default())?;
-/// let task = h.add_child(process, "route", AttributeSet::default())?;
-/// let object = h.add_child(task, "leg", AttributeSet::default())?;
-/// let proc1 = h.add_child(object, "distance", AttributeSet::default())?;
-/// assert_eq!(h.ladder().name(h.fcm(proc1)?.rank()), "procedure");
-/// # Ok::<(), fcm_core::FcmError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenericFcmHierarchy {
-    ladder: LevelLadder,
-    arena: Vec<GenericFcm>,
-}
-
-impl GenericFcmHierarchy {
-    /// Creates an empty hierarchy over `ladder`.
-    pub fn new(ladder: LevelLadder) -> Self {
-        GenericFcmHierarchy {
-            ladder,
-            arena: Vec::new(),
-        }
-    }
-
-    /// The ladder in use.
-    pub fn ladder(&self) -> &LevelLadder {
-        &self.ladder
-    }
-
-    /// Number of live FCMs.
-    pub fn len(&self) -> usize {
-        self.arena.iter().filter(|f| f.alive).count()
-    }
-
-    /// Whether the hierarchy has no live FCMs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Adds a root FCM at the named level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FcmError::UnknownFcm`] for an unknown level name (the id
-    /// in the error is a sentinel).
-    pub fn add_root(
-        &mut self,
-        name: impl Into<String>,
-        level: &str,
-        attributes: AttributeSet,
-    ) -> Result<FcmId, FcmError> {
-        let rank = self.ladder.rank_of(level).ok_or(FcmError::UnknownFcm {
-            id: FcmId(u64::MAX),
-        })?;
-        Ok(self.push(name.into(), rank, attributes, None))
-    }
-
-    /// Adds a child exactly one rank below `parent` (rule R1).
-    ///
-    /// # Errors
-    ///
-    /// * [`FcmError::UnknownFcm`] — missing parent;
-    /// * [`FcmError::BelowLeafLevel`] — the parent is at the leaf rank.
-    pub fn add_child(
-        &mut self,
-        parent: FcmId,
-        name: impl Into<String>,
-        attributes: AttributeSet,
-    ) -> Result<FcmId, FcmError> {
-        let parent_rank = self.fcm(parent)?.rank;
-        let child_rank = self
-            .ladder
-            .child_rank(parent_rank)
-            .ok_or(FcmError::BelowLeafLevel { id: parent })?;
-        let id = self.push(name.into(), child_rank, attributes, Some(parent));
-        self.arena[parent.0 as usize].children.push(id);
-        Ok(id)
-    }
-
-    /// Merges two sibling FCMs (rule R3), combining attributes
-    /// most-stringently and re-parenting children.
-    ///
-    /// # Errors
-    ///
-    /// * [`FcmError::NotSiblings`] — different parents or ranks;
-    /// * [`FcmError::NothingToCompose`] — `a == b`.
-    pub fn merge_siblings(
-        &mut self,
-        a: FcmId,
-        b: FcmId,
-        name: impl Into<String>,
-    ) -> Result<FcmId, FcmError> {
-        if a == b {
-            return Err(FcmError::NothingToCompose);
-        }
-        let fa = self.fcm(a)?.clone();
-        let fb = self.fcm(b)?.clone();
-        if fa.parent != fb.parent || fa.rank != fb.rank {
-            return Err(FcmError::NotSiblings { a, b });
-        }
-        let attrs = fa
-            .attributes
-            .combine(&fb.attributes, CompositionKind::Merge);
-        let merged = self.push(name.into(), fa.rank, attrs, fa.parent);
-        let mut children = fa.children.clone();
-        children.extend_from_slice(&fb.children);
-        for &c in &children {
-            self.arena[c.0 as usize].parent = Some(merged);
-        }
-        self.arena[merged.0 as usize].children = children;
-        if let Some(p) = fa.parent {
-            let list = &mut self.arena[p.0 as usize].children;
-            list.retain(|&c| c != a && c != b);
-            list.push(merged);
-        }
-        self.arena[a.0 as usize].alive = false;
-        self.arena[b.0 as usize].alive = false;
-        Ok(merged)
-    }
-
-    /// Integrates FCMs under different parents by merging the parent
-    /// chain first (rule R4), then the FCMs.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GenericFcmHierarchy::merge_siblings`], plus
-    /// [`FcmError::NotSiblings`] when exactly one of the FCMs is a root.
-    pub fn integrate_across(
-        &mut self,
-        a: FcmId,
-        b: FcmId,
-        name: impl Into<String>,
-    ) -> Result<FcmId, FcmError> {
-        let pa = self.fcm(a)?.parent;
-        let pb = self.fcm(b)?.parent;
-        match (pa, pb) {
-            (Some(pa), Some(pb)) if pa != pb => {
-                let merged_name = format!(
-                    "{}+{}",
-                    self.fcm(pa)?.name.clone(),
-                    self.fcm(pb)?.name.clone()
-                );
-                self.integrate_across(pa, pb, merged_name)?;
-            }
-            (Some(_), None) | (None, Some(_)) => return Err(FcmError::NotSiblings { a, b }),
-            _ => {}
-        }
-        self.merge_siblings(a, b, name)
-    }
-
-    /// Rule R5: the retest obligation after a modification.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FcmError::UnknownFcm`] for a missing id.
-    pub fn retest_set(&self, modified: FcmId) -> Result<RetestSet, FcmError> {
-        let fcm = self.fcm(modified)?;
-        let parent = fcm.parent;
-        let sibling_interfaces = match parent {
-            Some(p) => self
-                .fcm(p)?
-                .children
-                .iter()
-                .copied()
-                .filter(|&c| c != modified)
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok(RetestSet {
-            modified,
-            parent,
-            sibling_interfaces,
-        })
-    }
-
-    /// The FCM with id `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FcmError::UnknownFcm`] for missing or merged-away ids.
-    pub fn fcm(&self, id: FcmId) -> Result<&GenericFcm, FcmError> {
-        self.arena
-            .get(id.0 as usize)
-            .filter(|f| f.alive)
-            .ok_or(FcmError::UnknownFcm { id })
-    }
-
-    /// Iterates over live FCMs.
-    pub fn iter(&self) -> impl Iterator<Item = &GenericFcm> + '_ {
-        self.arena.iter().filter(|f| f.alive)
-    }
-
-    /// Live FCMs at the named level.
-    pub fn at_level<'a>(&'a self, level: &str) -> impl Iterator<Item = &'a GenericFcm> + 'a {
-        let rank = self.ladder.rank_of(level);
-        self.iter().filter(move |f| Some(f.rank) == rank)
-    }
-
-    /// Checks R1/R2 structural invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    pub fn verify(&self) -> Result<(), FcmError> {
-        for f in self.iter() {
-            for &c in &f.children {
-                let child = self.fcm(c)?;
-                if child.parent != Some(f.id) {
-                    return Err(FcmError::AlreadyHasParent {
-                        id: c,
-                        parent: child.parent.unwrap_or(f.id),
-                    });
-                }
-                if self.ladder.child_rank(f.rank) != Some(child.rank) {
-                    return Err(FcmError::UnknownFcm { id: c });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn push(
-        &mut self,
-        name: String,
-        rank: Rank,
-        attributes: AttributeSet,
-        parent: Option<FcmId>,
-    ) -> FcmId {
-        let id = FcmId(self.arena.len() as u64);
-        self.arena.push(GenericFcm {
-            id,
-            name,
-            rank,
-            attributes,
-            parent,
-            children: Vec::new(),
-            alive: true,
-        });
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attributes::AttributeSet;
 
     fn attrs(c: u32) -> AttributeSet {
         AttributeSet::default().with_criticality(c)
@@ -457,9 +228,9 @@ mod tests {
         assert_eq!(ladder.name(Rank(0)), "procedure");
         assert_eq!(ladder.rank_of("process"), Some(Rank(2)));
         assert_eq!(ladder.rank_of("object"), None);
-        assert_eq!(ladder.parent_rank(Rank(2)), None);
-        assert_eq!(ladder.child_rank(Rank(0)), None);
-        assert_eq!(ladder.parent_rank(Rank(0)), Some(Rank(1)));
+        assert_eq!(ladder.parent(Rank(2)), None);
+        assert_eq!(ladder.child(Rank(0)), None);
+        assert_eq!(ladder.parent(Rank(0)), Some(Rank(1)));
         assert_eq!(ladder.to_string(), "procedure < task < process");
     }
 
@@ -482,13 +253,13 @@ mod tests {
     #[test]
     fn four_level_hierarchy_enforces_r1() {
         let mut h = GenericFcmHierarchy::new(LevelLadder::with_objects());
-        let process = h.add_root("p", "process", attrs(5)).unwrap();
+        let process = h.add_root("p", h.ladder().top(), attrs(5)).unwrap();
         let task = h.add_child(process, "t", attrs(4)).unwrap();
         let object = h.add_child(task, "o", attrs(3)).unwrap();
         let procedure = h.add_child(object, "f", attrs(2)).unwrap();
-        assert_eq!(h.ladder().name(h.fcm(object).unwrap().rank()), "object");
+        assert_eq!(h.ladder().name(h.fcm(object).unwrap().level()), "object");
         assert_eq!(
-            h.ladder().name(h.fcm(procedure).unwrap().rank()),
+            h.ladder().name(h.fcm(procedure).unwrap().level()),
             "procedure"
         );
         // Procedures are leaves even in the extended ladder.
@@ -498,21 +269,32 @@ mod tests {
         ));
         h.verify().unwrap();
         assert_eq!(h.len(), 4);
-        assert_eq!(h.at_level("object").count(), 1);
+        assert_eq!(h.at_level(h.ladder().rank_of("object").unwrap()).count(), 1);
+        // R1 errors name the ladder's levels; R2 duplication and replica
+        // marks come with the one rule set.
+        let stray_task = h.add_root("s", Rank(2), attrs(0)).unwrap();
+        assert_eq!(
+            h.attach(task, stray_task).unwrap_err().to_string(),
+            "rule R1 violation: a task cannot be the direct child of a task"
+        );
+        h.attach(process, stray_task).unwrap();
+        let copy = h.duplicate_into(object, stray_task).unwrap();
+        assert_eq!(h.fcm(copy).unwrap().name(), "o'");
+        h.mark_replicas(&[object, copy]).unwrap();
+        h.verify().unwrap();
     }
 
     #[test]
     fn unknown_level_name_errors() {
-        let mut h = GenericFcmHierarchy::new(LevelLadder::standard());
-        assert!(h.add_root("x", "module", attrs(0)).is_err());
+        assert_eq!(LevelLadder::standard().rank_of("module"), None);
     }
 
     #[test]
     fn r3_and_r4_work_over_custom_ladders() {
         let ladder = LevelLadder::new(["function", "component", "subsystem"]).unwrap();
         let mut h = GenericFcmHierarchy::new(ladder);
-        let s1 = h.add_root("s1", "subsystem", attrs(3)).unwrap();
-        let s2 = h.add_root("s2", "subsystem", attrs(9)).unwrap();
+        let s1 = h.add_root("s1", h.ladder().top(), attrs(3)).unwrap();
+        let s2 = h.add_root("s2", h.ladder().top(), attrs(9)).unwrap();
         let c1 = h.add_child(s1, "c1", attrs(1)).unwrap();
         let c2 = h.add_child(s2, "c2", attrs(2)).unwrap();
         // R3: not siblings.
@@ -532,7 +314,7 @@ mod tests {
     #[test]
     fn r5_retest_in_generic_hierarchy() {
         let mut h = GenericFcmHierarchy::new(LevelLadder::with_objects());
-        let p = h.add_root("p", "process", attrs(0)).unwrap();
+        let p = h.add_root("p", h.ladder().top(), attrs(0)).unwrap();
         let t = h.add_child(p, "t", attrs(0)).unwrap();
         let o1 = h.add_child(t, "o1", attrs(0)).unwrap();
         let o2 = h.add_child(t, "o2", attrs(0)).unwrap();
@@ -546,7 +328,7 @@ mod tests {
     #[test]
     fn merge_reparents_children_and_kills_constituents() {
         let mut h = GenericFcmHierarchy::new(LevelLadder::standard());
-        let p = h.add_root("p", "process", attrs(0)).unwrap();
+        let p = h.add_root("p", h.ladder().top(), attrs(0)).unwrap();
         let t1 = h.add_child(p, "t1", attrs(2)).unwrap();
         let t2 = h.add_child(p, "t2", attrs(7)).unwrap();
         let f1 = h.add_child(t1, "f1", attrs(0)).unwrap();
@@ -563,12 +345,15 @@ mod tests {
     fn single_level_ladder_supports_flat_systems() {
         let ladder = LevelLadder::new(["partition"]).unwrap();
         let mut h = GenericFcmHierarchy::new(ladder);
-        let a = h.add_root("a", "partition", attrs(1)).unwrap();
-        let b = h.add_root("b", "partition", attrs(2)).unwrap();
+        let a = h.add_root("a", h.ladder().top(), attrs(1)).unwrap();
+        let b = h.add_root("b", h.ladder().top(), attrs(2)).unwrap();
         // No level below: nothing can be a child.
-        assert!(h.add_child(a, "x", attrs(0)).is_err());
+        assert_eq!(
+            h.add_child(a, "x", attrs(0)).unwrap_err().to_string(),
+            "fcm f0 is a partition and cannot have children"
+        );
         // Roots at the same rank are siblings and can merge.
         let merged = h.merge_siblings(a, b, "ab").unwrap();
-        assert_eq!(h.fcm(merged).unwrap().rank(), Rank(0));
+        assert_eq!(h.fcm(merged).unwrap().level(), Rank(0));
     }
 }

@@ -47,6 +47,15 @@ impl HierarchyLevel {
         }
     }
 
+    /// The level's lower-case name (`"procedure"`, `"task"`, `"process"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            HierarchyLevel::Procedure => "procedure",
+            HierarchyLevel::Task => "task",
+            HierarchyLevel::Process => "process",
+        }
+    }
+
     /// The fault classes handled *at* this level (paper §3.1–3.3): each
     /// level of the hierarchy isolates a predefined class of faults.
     pub fn fault_classes(self) -> &'static [FaultClass] {
@@ -79,12 +88,7 @@ impl HierarchyLevel {
 
 impl fmt::Display for HierarchyLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            HierarchyLevel::Procedure => "procedure",
-            HierarchyLevel::Task => "task",
-            HierarchyLevel::Process => "process",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

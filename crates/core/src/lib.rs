@@ -23,12 +23,16 @@
 //!   influence matrix;
 //! * [`composition`] — Eq. 4 cluster influence, merging vs grouping, and
 //!   attribute combination;
-//! * [`FcmHierarchy`] — the integration tree with rules **R1–R5** enforced
+//! * [`Hierarchy`] — the integration tree with rules **R1–R5** enforced
 //!   by the API (R1: children are exactly one level below; R2: the DAG is
 //!   a tree, no shared children; R3: merge only siblings; R4: integrating
 //!   children of different parents forces parent integration; R5: a
 //!   modification requires retesting exactly the parent and its sibling
-//!   interfaces).
+//!   interfaces). The rules are implemented once, generic over a
+//!   [`ladder::Ladder`] of levels: [`FcmHierarchy`] is the paper's
+//!   three-level instance and the default, and
+//!   [`ladder::GenericFcmHierarchy`] runs the same rules over any
+//!   [`ladder::LevelLadder`] (e.g. with the OO footnote's object level).
 //!
 //! # Example
 //!
@@ -67,7 +71,7 @@ pub use attributes::{
 };
 pub use composition::{cluster_influence, CompositionKind};
 pub use error::FcmError;
-pub use hierarchy::{Fcm, FcmHierarchy, FcmId, RetestSet};
+pub use hierarchy::{Fcm, FcmHierarchy, FcmId, Hierarchy, RetestSet};
 pub use influence::{FactorKind, FaultFactor, Influence, Probability};
 pub use isolation::IsolationTechnique;
 pub use level::{FaultClass, HierarchyLevel};

@@ -1,7 +1,10 @@
 //! Property-based tests: random composition sequences preserve the
-//! hierarchy invariants (rules R1/R2 structurally, R3/R4 behaviourally).
+//! hierarchy invariants (rules R1/R2 structurally, R3/R4 behaviourally),
+//! and the paper's three-level hierarchy and the same rules run over
+//! `LevelLadder::standard()` give the same answers op for op.
 
-use fcm_core::{AttributeSet, FcmHierarchy, FcmId, HierarchyLevel};
+use fcm_core::ladder::{GenericFcmHierarchy, Ladder, LevelLadder};
+use fcm_core::{AttributeSet, FcmError, FcmHierarchy, FcmId, Hierarchy, HierarchyLevel};
 use fcm_substrate::prop;
 use fcm_substrate::rng::Rng;
 use fcm_substrate::{prop_assert, prop_assert_eq};
@@ -14,34 +17,42 @@ enum Op {
     MergeSiblings(usize, usize),
     Duplicate(usize, usize),
     IntegrateAcross(usize, usize),
+    MarkReplicas(usize, usize),
 }
 
-/// Weighted random op mix (4:2:1:1:1 child/merge/root/dup/integrate),
-/// sequence length scaled by the shrinkable size budget up to 59.
+/// Weighted random op mix (4:2:1:1:1:1 child/merge/root/dup/integrate/
+/// replicas), sequence length scaled by the shrinkable size budget up
+/// to 59.
 fn arb_ops(rng: &mut Rng, size: usize) -> Vec<Op> {
     let hi = 59usize.min(1 + size * 59 / 100).max(1);
     let len = rng.gen_range(1..=hi);
+    let pick = |rng: &mut Rng| rng.gen_range(0usize..64);
     (0..len)
-        .map(|_| match rng.gen_range(0u32..9) {
+        .map(|_| match rng.gen_range(0u32..10) {
             0 => Op::AddRoot,
-            1..=4 => Op::AddChild(rng.gen_range(0usize..64)),
-            5 | 6 => Op::MergeSiblings(rng.gen_range(0usize..64), rng.gen_range(0usize..64)),
-            7 => Op::Duplicate(rng.gen_range(0usize..64), rng.gen_range(0usize..64)),
-            _ => Op::IntegrateAcross(rng.gen_range(0usize..64), rng.gen_range(0usize..64)),
+            1..=4 => Op::AddChild(pick(rng)),
+            5 | 6 => Op::MergeSiblings(pick(rng), pick(rng)),
+            7 => Op::Duplicate(pick(rng), pick(rng)),
+            8 => Op::IntegrateAcross(pick(rng), pick(rng)),
+            _ => Op::MarkReplicas(pick(rng), pick(rng)),
         })
         .collect()
 }
 
-/// Applies ops best-effort (invalid ones simply error and are skipped),
-/// returning the hierarchy.
-fn run_ops(ops: &[Op]) -> FcmHierarchy {
-    let mut h = FcmHierarchy::new();
-    // Seed with two process trees so child ops have targets.
+/// Applies ops best-effort to `h` (invalid ones simply error and are
+/// skipped), with roots added at `top`. Returns each op's outcome: the
+/// FCM id or replica group it created, or its error.
+fn apply_ops<L: Ladder>(
+    h: &mut Hierarchy<L>,
+    top: L::Level,
+    ops: &[Op],
+) -> Vec<Result<u64, FcmError>> {
+    // Seed with two top-level trees so child ops have targets.
     let p1 = h
-        .add_root("seed1", HierarchyLevel::Process, AttributeSet::default())
+        .add_root("seed1", top, AttributeSet::default())
         .expect("root");
     let _p2 = h
-        .add_root("seed2", HierarchyLevel::Process, AttributeSet::default())
+        .add_root("seed2", top, AttributeSet::default())
         .expect("root");
     let _ = h.add_child(p1, "t0", AttributeSet::default());
     let mut counter = 0usize;
@@ -49,6 +60,7 @@ fn run_ops(ops: &[Op]) -> FcmHierarchy {
         counter += 1;
         format!("n{counter}")
     };
+    let mut outcomes = Vec::new();
     // Ids are dense; ops address them modulo the arena size.
     for op in ops {
         let live: Vec<FcmId> = h.iter().map(|f| f.id()).collect();
@@ -56,25 +68,55 @@ fn run_ops(ops: &[Op]) -> FcmHierarchy {
             break;
         }
         let pick = |i: usize| live[i % live.len()];
-        match *op {
-            Op::AddRoot => {
-                let _ = h.add_root(name(), HierarchyLevel::Process, AttributeSet::default());
+        let created = match *op {
+            Op::AddRoot => h.add_root(name(), top, AttributeSet::default()),
+            Op::AddChild(i) => h.add_child(pick(i), name(), AttributeSet::default()),
+            Op::MergeSiblings(a, b) => h.merge_siblings(pick(a), pick(b), name()),
+            Op::Duplicate(c, p) => h.duplicate_into(pick(c), pick(p)),
+            Op::IntegrateAcross(a, b) => h.integrate_across(pick(a), pick(b), name()),
+            Op::MarkReplicas(a, b) => {
+                outcomes.push(h.mark_replicas(&[pick(a), pick(b)]).map(u64::from));
+                continue;
             }
-            Op::AddChild(i) => {
-                let _ = h.add_child(pick(i), name(), AttributeSet::default());
-            }
-            Op::MergeSiblings(a, b) => {
-                let _ = h.merge_siblings(pick(a), pick(b), name());
-            }
-            Op::Duplicate(c, p) => {
-                let _ = h.duplicate_into(pick(c), pick(p));
-            }
-            Op::IntegrateAcross(a, b) => {
-                let _ = h.integrate_across(pick(a), pick(b), name());
-            }
-        }
+        };
+        outcomes.push(created.map(|id| id.0));
     }
+    outcomes
+}
+
+/// The ops applied to the paper's three-level hierarchy.
+fn run_ops(ops: &[Op]) -> FcmHierarchy {
+    let mut h = FcmHierarchy::new();
+    apply_ops(&mut h, HierarchyLevel::Process, ops);
     h
+}
+
+/// One live FCM as plain data, its level given by position in the
+/// ladder (leaf = 0), so the paper and ladder instances compare.
+type Shape = (
+    FcmId,
+    String,
+    usize,
+    AttributeSet,
+    Option<FcmId>,
+    Vec<FcmId>,
+    Option<u32>,
+);
+
+fn shape<L: Ladder>(h: &Hierarchy<L>, position: impl Fn(L::Level) -> usize) -> Vec<Shape> {
+    h.iter()
+        .map(|f| {
+            (
+                f.id(),
+                f.name().to_owned(),
+                position(f.level()),
+                *f.attributes(),
+                f.parent(),
+                f.children().to_vec(),
+                f.replica_group(),
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -153,6 +195,53 @@ fn descendants_are_acyclic_and_unique() {
                 d.dedup();
                 prop_assert_eq!(d.len(), before, "duplicate in descendants = shared child");
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn the_standard_ladder_instance_matches_the_paper_instance() {
+    prop::check_cases(
+        "the_standard_ladder_instance_matches_the_paper_instance",
+        128,
+        arb_ops,
+        |ops| {
+            let mut paper = FcmHierarchy::new();
+            let paper_out = apply_ops(&mut paper, HierarchyLevel::Process, ops);
+            let ladder = LevelLadder::standard();
+            let top = ladder.top();
+            let mut generic = GenericFcmHierarchy::new(ladder);
+            let generic_out = apply_ops(&mut generic, top, ops);
+            // Same outcome per op: the same new id, or the same error.
+            prop_assert_eq!(paper_out, generic_out);
+            let by_position = |l: HierarchyLevel| {
+                HierarchyLevel::ALL
+                    .iter()
+                    .position(|&x| x == l)
+                    .expect("a paper level")
+            };
+            prop_assert_eq!(shape(&paper, by_position), shape(&generic, |r| r.0));
+            for f in paper.iter() {
+                prop_assert_eq!(paper.retest_set(f.id()), generic.retest_set(f.id()));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn any_composition_sequence_preserves_the_invariants_over_four_levels() {
+    prop::check_cases(
+        "any_composition_sequence_preserves_the_invariants_over_four_levels",
+        128,
+        arb_ops,
+        |ops| {
+            let ladder = LevelLadder::with_objects();
+            let top = ladder.top();
+            let mut h = GenericFcmHierarchy::new(ladder);
+            apply_ops(&mut h, top, ops);
+            prop_assert!(h.verify().is_ok(), "{:?}", h.verify());
             Ok(())
         },
     );

@@ -315,7 +315,6 @@ impl LiveModel {
                 .expect("singletons always form a partition")
                 .influence_matrix(),
         );
-        pipeline::note_full_condense();
 
         let index = graph
             .nodes()

@@ -560,10 +560,13 @@ pub fn start(config: ServerConfig) -> Result<Handle, String> {
                         let thread = std::thread::spawn(move || {
                             serve_client(reader_half, &shared, &tx);
                         });
-                        clients
-                            .lock()
-                            .expect("clients lock")
-                            .push(ClientSlot { stream, thread });
+                        let mut slots = clients.lock().expect("clients lock");
+                        // Reap closed sessions so their sockets do not
+                        // stay open for the daemon's lifetime.
+                        for done in slots.extract_if(.., |slot| slot.thread.is_finished()) {
+                            let _ = done.thread.join();
+                        }
+                        slots.push(ClientSlot { stream, thread });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));

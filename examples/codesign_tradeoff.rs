@@ -72,10 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== extended hierarchy: the OO object level ==");
-    let mut h = GenericFcmHierarchy::new(LevelLadder::with_objects());
+    let ladder = LevelLadder::with_objects();
+    let process_rank = ladder
+        .rank_of("process")
+        .expect("the ladder has a process level");
+    let mut h = GenericFcmHierarchy::new(ladder);
     let process = h.add_root(
         "fms",
-        "process",
+        process_rank,
         AttributeSet::default().with_criticality(7),
     )?;
     let task = h.add_child(process, "route_planner", AttributeSet::default())?;
@@ -85,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{} lives at the {} level; modifying it retests {} FCM(s) under R5",
         h.fcm(method)?.name(),
-        h.ladder().name(h.fcm(method)?.rank()),
+        h.ladder().name(h.fcm(method)?.level()),
         h.retest_set(method)?.size()
     );
     Ok(())
