@@ -447,7 +447,14 @@ mod tests {
         // Separation conflicts cannot be shed away either: the replica
         // is protected (criticality 9 ≥ 5), so degraded mode also fails…
         assert!(matches!(
-            remap(&g, &c, &m, &hw, dead, ShedPolicy::ShedBelow { critical_at: 5 }),
+            remap(
+                &g,
+                &c,
+                &m,
+                &hw,
+                dead,
+                ShedPolicy::ShedBelow { critical_at: 5 }
+            ),
             Err(AllocError::NoFeasibleMapping { .. })
         ));
         // …but with the threshold above the replicas' criticality the

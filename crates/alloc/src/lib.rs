@@ -67,8 +67,8 @@ pub mod sw;
 
 pub use cluster::Clustering;
 pub use error::AllocError;
-pub use pipeline::{CondensePipeline, CondensePolicy, H1Greedy, H1PairAll, PartitionReplay};
 pub use failover::{FailoverOutcome, ShedPolicy};
 pub use hw::{HwGraph, HwNode};
 pub use mapping::Mapping;
+pub use pipeline::{CondensePipeline, CondensePolicy, H1Greedy, H1PairAll, PartitionReplay};
 pub use sw::{SwGraph, SwGraphBuilder, SwNode};

@@ -664,11 +664,7 @@ mod tests {
     fn partition_replay_reproduces_a_target_partition() {
         let g = sample();
         let n: Vec<NodeIdx> = g.node_indices().collect();
-        let target = vec![
-            vec![n[2], n[0]],
-            vec![n[3]],
-            vec![n[1], n[4]],
-        ];
+        let target = vec![vec![n[2], n[0]], vec![n[3]], vec![n[1], n[4]]];
         let mut pipe = CondensePipeline::new(&g);
         let mut policy = PartitionReplay::toward(g.node_count(), &target);
         pipe.run_policy(target.len(), &mut policy).unwrap();
@@ -697,12 +693,7 @@ mod tests {
         // Wrong number of clusters.
         assert!(pipe.reorder_to(&[vec![n[0]]]).is_err());
         // Right count, wrong contents.
-        let bogus = vec![
-            vec![n[0], n[2]],
-            vec![n[1]],
-            vec![n[3]],
-            vec![n[4]],
-        ];
+        let bogus = vec![vec![n[0], n[2]], vec![n[1]], vec![n[3]], vec![n[4]]];
         assert!(pipe.reorder_to(&bogus).is_err());
     }
 

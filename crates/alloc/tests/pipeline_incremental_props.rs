@@ -72,11 +72,7 @@ fn assert_bitwise_equal(pipe: &CondensePipeline<'_>, g: &SwGraph) -> Result<(), 
 /// Drives `policy` to `target` clusters, checking the bitwise contract
 /// after every individual merge (mirrors `run_policy`'s bookkeeping but
 /// interleaves the full-recompute check).
-fn run_checked(
-    g: &SwGraph,
-    target: usize,
-    policy: &mut dyn CondensePolicy,
-) -> Result<(), String> {
+fn run_checked(g: &SwGraph, target: usize, policy: &mut dyn CondensePolicy) -> Result<(), String> {
     let mut pipe = CondensePipeline::new(g);
     assert_bitwise_equal(&pipe, g)?;
     while pipe.len() > target {

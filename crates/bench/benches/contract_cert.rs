@@ -36,7 +36,10 @@ fn main() {
     suite.sample_size(if quick { 3 } else { 10 }).warmup(1);
 
     for n in SIZES {
-        let fleet = SparseFleet { processes: n, ..SparseFleet::default() };
+        let fleet = SparseFleet {
+            processes: n,
+            ..SparseFleet::default()
+        };
         let influence = fleet.influence();
         let (names, mut crits, contracts) = for_fleet(&fleet);
 
@@ -95,7 +98,10 @@ fn main() {
     };
     let mut overhead = Json::object();
     for n in SIZES {
-        let (full, inc) = (median(&format!("full/{n}")), median(&format!("incremental/{n}")));
+        let (full, inc) = (
+            median(&format!("full/{n}")),
+            median(&format!("incremental/{n}")),
+        );
         let speedup = if inc > 0.0 { full / inc } else { 0.0 };
         println!("n={n}: full {full:.0} ns, incremental {inc:.0} ns, speedup {speedup:.1}x");
         overhead = overhead.set(&format!("speedup_{n}"), speedup);

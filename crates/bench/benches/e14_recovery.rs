@@ -56,13 +56,7 @@ fn main() {
             ..RepairableModel::default()
         };
         suite.bench(&format!("missions_{}", policy.label()), || {
-            model.evaluate(
-                black_box(&ex.graph),
-                &clustering,
-                &mapping,
-                &hw,
-                policy,
-            )
+            model.evaluate(black_box(&ex.graph), &clustering, &mapping, &hw, policy)
         });
     }
     suite.finish();

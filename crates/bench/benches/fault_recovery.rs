@@ -92,7 +92,11 @@ fn resume_point(len: usize) -> Json {
         }
         let ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(rec.replay.len(), len);
-        assert_eq!(m.state_json().to_string_compact(), reference, "resume drifted");
+        assert_eq!(
+            m.state_json().to_string_compact(),
+            reference,
+            "resume drifted"
+        );
         samples.push(ns);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -104,7 +108,10 @@ fn resume_point(len: usize) -> Json {
     entry(
         format!("paper/resume_replay@{len}"),
         &samples,
-        &[("model", Json::from("paper")), ("journal_mutations", Json::from(len as u64))],
+        &[
+            ("model", Json::from("paper")),
+            ("journal_mutations", Json::from(len as u64)),
+        ],
     )
 }
 
@@ -132,7 +139,10 @@ fn rearm_sample(iter: usize) -> u64 {
 
     let t0 = Instant::now();
     let first = drive(&target);
-    assert!(first.contains("\"degraded\":true"), "fault did not trip: {first}");
+    assert!(
+        first.contains("\"degraded\":true"),
+        "fault did not trip: {first}"
+    );
     let ns = loop {
         std::thread::sleep(std::time::Duration::from_millis(2));
         if drive(&target).contains("\"ok\":true") {
@@ -160,7 +170,10 @@ fn main() {
     benchmarks.push(entry(
         "paper/rearm_latency".to_string(),
         &rearm,
-        &[("model", Json::from("paper")), ("rearm_base_ms", Json::from(5u64))],
+        &[
+            ("model", Json::from("paper")),
+            ("rearm_base_ms", Json::from(5u64)),
+        ],
     ));
 
     let artifact = Json::object()

@@ -132,7 +132,10 @@ fn entry(mode: Mode, report: &LoadReport) -> Json {
     let mean = sorted.iter().sum::<u64>() as f64 / n as f64;
     #[allow(clippy::cast_precision_loss)]
     Json::object()
-        .set("name", format!("paper/serve_mutation@10000/{}", mode.name()))
+        .set(
+            "name",
+            format!("paper/serve_mutation@10000/{}", mode.name()),
+        )
         .set("iters", n as u64)
         .set("min_ns", sorted[0] as f64)
         .set("mean_ns", mean)

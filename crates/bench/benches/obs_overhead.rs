@@ -46,7 +46,10 @@ fn main() {
     };
     let mut overhead = Json::object();
     for exp in ["e1", "e14"] {
-        let (off, on) = (median(&format!("{exp}/obs_off")), median(&format!("{exp}/obs_on")));
+        let (off, on) = (
+            median(&format!("{exp}/obs_off")),
+            median(&format!("{exp}/obs_on")),
+        );
         let ratio = if off > 0.0 { on / off - 1.0 } else { 0.0 };
         println!("overhead {exp}: {:.2}% (target < 5%)", ratio * 100.0);
         overhead = overhead.set(exp, ratio);

@@ -35,12 +35,42 @@ struct Point {
 }
 
 const POINTS: [Point; 6] = [
-    Point { model: "paper", rate: 1_000, duration_ms: 2_000, clients: 2 },
-    Point { model: "paper", rate: 10_000, duration_ms: 2_000, clients: 4 },
-    Point { model: "paper", rate: 100_000, duration_ms: 1_000, clients: 8 },
-    Point { model: "avionics", rate: 1_000, duration_ms: 2_000, clients: 2 },
-    Point { model: "avionics", rate: 10_000, duration_ms: 2_000, clients: 4 },
-    Point { model: "avionics", rate: 100_000, duration_ms: 1_000, clients: 8 },
+    Point {
+        model: "paper",
+        rate: 1_000,
+        duration_ms: 2_000,
+        clients: 2,
+    },
+    Point {
+        model: "paper",
+        rate: 10_000,
+        duration_ms: 2_000,
+        clients: 4,
+    },
+    Point {
+        model: "paper",
+        rate: 100_000,
+        duration_ms: 1_000,
+        clients: 8,
+    },
+    Point {
+        model: "avionics",
+        rate: 1_000,
+        duration_ms: 2_000,
+        clients: 2,
+    },
+    Point {
+        model: "avionics",
+        rate: 10_000,
+        duration_ms: 2_000,
+        clients: 4,
+    },
+    Point {
+        model: "avionics",
+        rate: 100_000,
+        duration_ms: 1_000,
+        clients: 8,
+    },
 ];
 
 /// One `stats` round-trip against the daemon (via the script driver —
@@ -121,8 +151,16 @@ fn run_point(p: &Point) -> (Json, Json) {
     };
     let mutations: LoadReport = writer.join().expect("writer pool").expect("mutation load");
     let queries: LoadReport = reader.join().expect("reader pool").expect("query load");
-    assert_eq!(mutations.errors, 0, "{}: seeded mutation mix always valid", p.model);
-    assert_eq!(queries.errors, 0, "{}: seeded query mix always valid", p.model);
+    assert_eq!(
+        mutations.errors, 0,
+        "{}: seeded mutation mix always valid",
+        p.model
+    );
+    assert_eq!(
+        queries.errors, 0,
+        "{}: seeded query mix always valid",
+        p.model
+    );
 
     // The incremental-path guarantee: still exactly one full condense.
     let stats = stats_query(&target);
@@ -136,8 +174,7 @@ fn run_point(p: &Point) -> (Json, Json) {
     handle.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&state_dir);
 
-    let achieved =
-        mutations.mutation_ns.len() as f64 / (mutations.elapsed_ns as f64 / 1e9);
+    let achieved = mutations.mutation_ns.len() as f64 / (mutations.elapsed_ns as f64 / 1e9);
     println!(
         "{:<10} offered {:>6}/s achieved {:>9.0}/s  apply p50 {:>7} p99 {:>9}  query p50 {:>7} p99 {:>9}",
         p.model,

@@ -30,7 +30,11 @@ const EPSILON: f64 = 1e-12;
 const TOP_K: usize = 10;
 
 fn fleet_matrix(n: usize) -> SparseMatrix {
-    SparseFleet { processes: n, ..SparseFleet::default() }.matrix()
+    SparseFleet {
+        processes: n,
+        ..SparseFleet::default()
+    }
+    .matrix()
 }
 
 /// Panics unless the sparse kernel reproduces the dense oracle
@@ -55,7 +59,11 @@ fn assert_bitwise_oracle(n: usize, m: &SparseMatrix) {
         .map(|j| (j, want.get(0, j).expect("in bounds")))
         .filter(|&(_, v)| v != 0.0)
         .collect();
-    full.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then_with(|| a.0.cmp(&b.0)));
+    full.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("finite")
+            .then_with(|| a.0.cmp(&b.0))
+    });
     full.truncate(TOP_K);
     assert_eq!(top.len(), full.len(), "top-k length at n={n}");
     for (g, w) in top.iter().zip(&full) {
@@ -77,15 +85,23 @@ fn run_cell(
     oracle: &'static str,
 ) {
     let (nnz, density) = (m.nnz(), m.density());
-    suite.bench(&format!("walk_series/{n}"), || m.walk_series(ORDER, EPSILON));
+    suite.bench(&format!("walk_series/{n}"), || {
+        m.walk_series(ORDER, EPSILON)
+    });
     meta.push((n, nnz, density, oracle));
-    suite.bench(&format!("top_k/{n}"), || m.top_k_from(0, TOP_K, ORDER, EPSILON));
+    suite.bench(&format!("top_k/{n}"), || {
+        m.top_k_from(0, TOP_K, ORDER, EPSILON)
+    });
     meta.push((n, nnz, density, oracle));
 }
 
 fn main() {
     let quick = std::env::var("FCM_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let large_ns: &[usize] = if quick { &[1_000, 10_000] } else { &[1_000, 10_000, 50_000] };
+    let large_ns: &[usize] = if quick {
+        &[1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 50_000]
+    };
 
     let mut suite = Suite::new("sparse_kernel");
     suite.sample_size(if quick { 3 } else { 10 });
@@ -103,7 +119,11 @@ fn main() {
         run_cell(&mut suite, &mut meta, n, &m, "skipped");
     }
 
-    assert_eq!(suite.results().len(), meta.len(), "metadata tracks results 1:1");
+    assert_eq!(
+        suite.results().len(),
+        meta.len(),
+        "metadata tracks results 1:1"
+    );
     let benchmarks: Vec<Json> = suite
         .results()
         .iter()

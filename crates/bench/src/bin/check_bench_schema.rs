@@ -109,7 +109,11 @@ fn validate(text: &str) -> Vec<String> {
     }
     if j.get("suite").and_then(Json::as_str) == Some("obs_live") {
         for key in ["recorder_pct", "serve_latency_pct"] {
-            if j.get("overhead").and_then(|o| o.get(key)).and_then(Json::as_f64).is_none() {
+            if j.get("overhead")
+                .and_then(|o| o.get(key))
+                .and_then(Json::as_f64)
+                .is_none()
+            {
                 problems.push(format!("obs_live suite: missing numeric overhead.{key}"));
             }
         }

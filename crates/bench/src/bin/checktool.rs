@@ -28,7 +28,8 @@ use fcm_bench::models;
 use fcm_check::{contract, run_checks, ContractSet, Severity};
 use fcm_substrate::{Json, ToJson};
 
-const USAGE: &str = "usage: checktool [--json] [--broken-e14] [--contracts FILE | --emit-contracts] [model...]
+const USAGE: &str =
+    "usage: checktool [--json] [--broken-e14] [--contracts FILE | --emit-contracts] [model...]
   models: paper avionics        (default: all)
   --json             emit one fcm-check/v1 JSON document instead of text
   --broken-e14       also analyse the deliberately broken avionics model
@@ -125,8 +126,17 @@ fn main() -> ExitCode {
     if json {
         let doc = Json::object()
             .set("schema", "fcm-check/v1")
-            .set("errors", reports.iter().map(|r| r.count(Severity::Error)).sum::<usize>() as f64)
-            .set("reports", Json::Arr(reports.iter().map(ToJson::to_json).collect()));
+            .set(
+                "errors",
+                reports
+                    .iter()
+                    .map(|r| r.count(Severity::Error))
+                    .sum::<usize>() as f64,
+            )
+            .set(
+                "reports",
+                Json::Arr(reports.iter().map(ToJson::to_json).collect()),
+            );
         println!("{}", doc.to_string_pretty());
     } else {
         for report in &reports {

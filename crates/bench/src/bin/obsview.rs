@@ -56,15 +56,39 @@ const MAX_EVENTS: usize = 100;
 
 fn usage(out: &mut dyn std::io::Write) {
     let _ = writeln!(out, "usage: obsview <log.jsonl>");
-    let _ = writeln!(out, "       obsview --follow <log.jsonl> [--frames N] [--interval-ms MS]");
-    let _ = writeln!(out, "       obsview --live <ADDR> [--frames N] [--interval-ms MS]");
+    let _ = writeln!(
+        out,
+        "       obsview --follow <log.jsonl> [--frames N] [--interval-ms MS]"
+    );
+    let _ = writeln!(
+        out,
+        "       obsview --live <ADDR> [--frames N] [--interval-ms MS]"
+    );
     let _ = writeln!(out, "       obsview diff <a.jsonl> <b.jsonl>");
-    let _ = writeln!(out, "  renders the span tree, collapsed-stack flamegraph, flight");
-    let _ = writeln!(out, "  events, and histogram summaries of an fcm-obs event log;");
-    let _ = writeln!(out, "  --follow tails a file, --live polls a running fcm-serve");
-    let _ = writeln!(out, "  daemon (host:port for TCP, a path for a Unix socket), and");
-    let _ = writeln!(out, "  diff prints counter/histogram deltas between two logs");
-    let _ = writeln!(out, "  (--frames 0 = until interrupted; default 1 frame / 1000 ms)");
+    let _ = writeln!(
+        out,
+        "  renders the span tree, collapsed-stack flamegraph, flight"
+    );
+    let _ = writeln!(
+        out,
+        "  events, and histogram summaries of an fcm-obs event log;"
+    );
+    let _ = writeln!(
+        out,
+        "  --follow tails a file, --live polls a running fcm-serve"
+    );
+    let _ = writeln!(
+        out,
+        "  daemon (host:port for TCP, a path for a Unix socket), and"
+    );
+    let _ = writeln!(
+        out,
+        "  diff prints counter/histogram deltas between two logs"
+    );
+    let _ = writeln!(
+        out,
+        "  (--frames 0 = until interrupted; default 1 frame / 1000 ms)"
+    );
 }
 
 fn main() {
@@ -160,7 +184,10 @@ fn parse_or_exit(path: &str, text: &str) -> EventLog {
 fn tail_is_truncated(text: &str) -> bool {
     !text.is_empty()
         && !text.ends_with('\n')
-        && text.lines().last().is_some_and(|l| Json::parse(l.trim()).is_err())
+        && text
+            .lines()
+            .last()
+            .is_some_and(|l| Json::parse(l.trim()).is_err())
 }
 
 fn run_follow(path: &str, frames: u64, interval_ms: u64) {
@@ -221,7 +248,11 @@ fn run_live(addr: &str, frames: u64, interval_ms: u64) {
 /// sockets opened here).
 fn fetch_live(target: &Listen) -> Result<(Json, Json), String> {
     let mut buf = Vec::new();
-    run_script(target, "{\"op\":\"metrics\"}\n{\"op\":\"stats\"}\n", &mut buf)?;
+    run_script(
+        target,
+        "{\"op\":\"metrics\"}\n{\"op\":\"stats\"}\n",
+        &mut buf,
+    )?;
     let text = String::from_utf8_lossy(&buf);
     let mut lines = text.lines();
     let _hello = lines.next().ok_or("server closed before hello")?;
@@ -237,7 +268,11 @@ fn fetch_live(target: &Listen) -> Result<(Json, Json), String> {
 
 fn render_live(metrics: &Json, stats: &Json) -> String {
     let mut out = String::new();
-    let sget = |k: &str| stats.get(k).map_or_else(|| "-".to_string(), Json::to_string_compact);
+    let sget = |k: &str| {
+        stats
+            .get(k)
+            .map_or_else(|| "-".to_string(), Json::to_string_compact)
+    };
     out.push_str(&format!(
         "model {} seq {} fcms {} degraded {} (transitions {}, rearm_attempts {})\n",
         sget("model"),
@@ -307,7 +342,12 @@ fn render_diff(a: &EventLog, b: &EventLog) -> String {
         b.spans_dropped,
     ));
     let keys = |am: &BTreeMap<String, u64>, bm: &BTreeMap<String, u64>| -> Vec<String> {
-        am.keys().chain(bm.keys()).cloned().collect::<std::collections::BTreeSet<_>>().into_iter().collect()
+        am.keys()
+            .chain(bm.keys())
+            .cloned()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect()
     };
     let counter_keys = keys(&a.counters, &b.counters);
     if !counter_keys.is_empty() {
@@ -327,12 +367,18 @@ fn render_diff(a: &EventLog, b: &EventLog) -> String {
         for name in hist_names {
             let part = |m: &BTreeMap<String, Histogram>| -> (u64, String) {
                 m.get(&name).map_or((0, "-".to_string()), |h| {
-                    (h.count(), h.quantile(0.99).map_or_else(|| "-".to_string(), |v| v.to_string()))
+                    (
+                        h.count(),
+                        h.quantile(0.99)
+                            .map_or_else(|| "-".to_string(), |v| v.to_string()),
+                    )
                 })
             };
             let (ac, ap) = part(&a.hists);
             let (bc, bp) = part(&b.hists);
-            out.push_str(&format!("{name:<28} {ac:>10} -> {bc:>10}   p99 {ap} -> {bp}\n"));
+            out.push_str(&format!(
+                "{name:<28} {ac:>10} -> {bc:>10}   p99 {ap} -> {bp}\n"
+            ));
         }
     }
     let gauge_names: std::collections::BTreeSet<String> =
@@ -343,7 +389,11 @@ fn render_diff(a: &EventLog, b: &EventLog) -> String {
             let show = |m: &BTreeMap<String, f64>| {
                 m.get(&name).map_or_else(|| "-".to_string(), f64::to_string)
             };
-            out.push_str(&format!("{name:<40} {} -> {}\n", show(&a.gauges), show(&b.gauges)));
+            out.push_str(&format!(
+                "{name:<40} {} -> {}\n",
+                show(&a.gauges),
+                show(&b.gauges)
+            ));
         }
     }
     out
@@ -439,7 +489,8 @@ fn render_hist_table(out: &mut String, hists: &BTreeMap<String, Histogram>) {
             "{:<28} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
             name,
             h.count(),
-            h.mean().map_or_else(|| "-".into(), |m| unit(m.round() as u64)),
+            h.mean()
+                .map_or_else(|| "-".into(), |m| unit(m.round() as u64)),
             quant(h, 0.5, unit),
             quant(h, 0.9, unit),
             quant(h, 0.99, unit),
@@ -520,7 +571,13 @@ impl<'a> SpanTree<'a> {
         stacks
     }
 
-    fn collect_stacks(&self, i: usize, prefix: String, depth: usize, out: &mut BTreeMap<String, u64>) {
+    fn collect_stacks(
+        &self,
+        i: usize,
+        prefix: String,
+        depth: usize,
+        out: &mut BTreeMap<String, u64>,
+    ) {
         if depth >= MAX_DEPTH {
             return;
         }

@@ -181,14 +181,16 @@ fn main() {
         });
     }
     if want("e1") {
-        emit("E1  heuristic ablation (residual cross-node influence)", || {
-            experiments::e1(scale).to_string()
-        });
+        emit(
+            "E1  heuristic ablation (residual cross-node influence)",
+            || experiments::e1(scale).to_string(),
+        );
     }
     if want("e2") {
-        emit("E2  separation-series convergence (Eq. 3 truncation)", || {
-            experiments::e2().to_string()
-        });
+        emit(
+            "E2  separation-series convergence (Eq. 3 truncation)",
+            || experiments::e2().to_string(),
+        );
     }
     if want("e3") {
         emit("E3  measured vs analytic influence (Eq. 1/2)", || {
@@ -222,9 +224,10 @@ fn main() {
         );
     }
     if want("e9") {
-        emit("E9  HW platform selection under a reliability target", || {
-            experiments::e9(scale).to_string()
-        });
+        emit(
+            "E9  HW platform selection under a reliability target",
+            || experiments::e9(scale).to_string(),
+        );
     }
     if want("e10") {
         emit("E10 heuristic × interaction structure", || {
@@ -254,9 +257,10 @@ fn main() {
         });
     }
     if want("e15") {
-        emit("E15 sparse large-n analysis engine (oracle-checked CSR sweep)", || {
-            experiments::e15(scale).to_string()
-        });
+        emit(
+            "E15 sparse large-n analysis engine (oracle-checked CSR sweep)",
+            || experiments::e15(scale).to_string(),
+        );
     }
 
     if let Some(path) = &obs_out {
@@ -331,7 +335,14 @@ fn print_help() {
 /// Rejects any `--flag` that is not in [`FLAG_HELP`], exit code 2 — a
 /// typo like `--obsout` must not silently run without observability.
 fn reject_unknown_flags(args: &[String]) {
-    let known = ["--quick", "--dot", "--list", "--check", "--seed", "--obs-out"];
+    let known = [
+        "--quick",
+        "--dot",
+        "--list",
+        "--check",
+        "--seed",
+        "--obs-out",
+    ];
     let mut skip_value = false;
     for a in args {
         if skip_value {

@@ -82,7 +82,9 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// The crate-directory name a file belongs to (`crates/<name>/...`).
 fn crate_of(rel: &Path) -> Option<&str> {
-    let mut parts = rel.components().map(|c| c.as_os_str().to_str().unwrap_or(""));
+    let mut parts = rel
+        .components()
+        .map(|c| c.as_os_str().to_str().unwrap_or(""));
     if parts.next() == Some("crates") {
         parts.next()
     } else {
@@ -157,18 +159,26 @@ fn main() -> ExitCode {
             let loc = format!("{}:{}", rel.display(), i + 1);
             let trimmed = line.trim_start();
             if !WALL_CLOCK_ALLOWED.contains(&krate) && line.contains(&wall_clock) {
-                findings.push(format!("{loc}: wall-clock ({wall_clock}) outside substrate/serve"));
+                findings.push(format!(
+                    "{loc}: wall-clock ({wall_clock}) outside substrate/serve"
+                ));
             }
             if krate != "substrate" {
                 if trimmed.starts_with(&use_rand) || trimmed.starts_with(&extern_rand) {
-                    findings.push(format!("{loc}: external randomness import outside crates/substrate"));
+                    findings.push(format!(
+                        "{loc}: external randomness import outside crates/substrate"
+                    ));
                 }
                 if trimmed.starts_with(&use_serde) || trimmed.starts_with(&extern_serde) {
-                    findings.push(format!("{loc}: external serialisation import outside crates/substrate"));
+                    findings.push(format!(
+                        "{loc}: external serialisation import outside crates/substrate"
+                    ));
                 }
             }
             if line.contains(&monotonic) && !INSTANT_ALLOWED.contains(&krate) {
-                findings.push(format!("{loc}: monotonic clock read outside substrate/obs/bench/serve"));
+                findings.push(format!(
+                    "{loc}: monotonic clock read outside substrate/obs/bench/serve"
+                ));
             }
             if (line.contains(&tcp_net) || line.contains(&unix_net))
                 && !NET_ALLOWED.contains(&krate)
@@ -178,7 +188,9 @@ fn main() -> ExitCode {
             if (line.contains(&fault_injector) || line.contains(&fault_plan))
                 && !FAULT_ALLOWED.contains(&krate)
             {
-                findings.push(format!("{loc}: fault-injection shim outside substrate/serve/bench"));
+                findings.push(format!(
+                    "{loc}: fault-injection shim outside substrate/serve/bench"
+                ));
             }
             if DENSE_ALLOC_BANNED.contains(&krate) {
                 if let Some(pos) = line.find(&dense_zeros) {
@@ -187,10 +199,7 @@ fn main() -> ExitCode {
                         let args: Vec<&str> = rest[..end].split(',').map(str::trim).collect();
                         let square_symbolic = args.len() == 2
                             && args[0] == args[1]
-                            && args[0]
-                                .chars()
-                                .next()
-                                .is_some_and(|c| !c.is_ascii_digit());
+                            && args[0].chars().next().is_some_and(|c| !c.is_ascii_digit());
                         if square_symbolic {
                             findings.push(format!(
                                 "{loc}: square dense allocation ({dense_zeros}{a}, {a})) in crates/{krate} — route through InfluenceMatrix",
@@ -207,7 +216,11 @@ fn main() -> ExitCode {
             }
             if in_rules {
                 if let Some(rest) = trimmed.strip_prefix(&code_decl) {
-                    if let Ok(n) = rest.trim_end_matches("),").trim_end_matches(')').parse::<u16>() {
+                    if let Ok(n) = rest
+                        .trim_end_matches("),")
+                        .trim_end_matches(')')
+                        .parse::<u16>()
+                    {
                         if let Some((_, first)) = codes.iter().find(|(c, _)| *c == n) {
                             findings.push(format!("{loc}: duplicate diagnostic code C{n:03} (first declared at {first})"));
                         } else {

@@ -18,8 +18,8 @@ use fcm_sched::{edf, nonpreemptive, Job, JobSet};
 use fcm_sim::fault::FaultKind;
 use fcm_sim::model::{SchedulingPolicy, SystemSpecBuilder};
 use fcm_sim::InfluenceCampaign;
-use fcm_workloads::{avionics, paper, random::RandomWorkload};
 use fcm_substrate::rng::Rng;
+use fcm_workloads::{avionics, paper, random::RandomWorkload};
 
 use crate::report::Table;
 
@@ -276,7 +276,10 @@ pub fn e1(scale: Scale) -> Table {
             processes: n,
             density: 0.25,
             replicated_fraction: 0.15,
-            seed: scale.base_seed.wrapping_add(seed.wrapping_mul(7919)).wrapping_add(n as u64),
+            seed: scale
+                .base_seed
+                .wrapping_add(seed.wrapping_mul(7919))
+                .wrapping_add(n as u64),
             ..RandomWorkload::default()
         }
         .generate();
@@ -419,8 +422,7 @@ pub fn e3(scale: Scale) -> Table {
                 .vulnerability(p3)
                 .build()
                 .expect("valid task");
-            let campaign =
-                InfluenceCampaign::new(
+            let campaign = InfluenceCampaign::new(
                 b.build().expect("valid system"),
                 20,
                 scale.trials,
@@ -662,7 +664,12 @@ pub fn e7(scale: Scale) -> Table {
         ("preemptive scheduling", SchedulingPolicy::PreemptiveEdf),
     ] {
         let (spec, roles) = avionics::control_loop_system(policy).expect("static system");
-        let campaign = InfluenceCampaign::new(spec, 400, scale.trials.min(500), scale.base_seed.wrapping_add(5));
+        let campaign = InfluenceCampaign::new(
+            spec,
+            400,
+            scale.trials.min(500),
+            scale.base_seed.wrapping_add(5),
+        );
         let infl = campaign
             .measure_influence_with(
                 roles.maintenance,
@@ -953,7 +960,8 @@ pub fn e12(scale: Scale) -> String {
     use fcm_workloads::measured::sw_graph_from_measurements;
     let (spec, roles) =
         avionics::control_loop_system(SchedulingPolicy::PreemptiveEdf).expect("static system");
-    let campaign = InfluenceCampaign::new(spec, 400, scale.trials, scale.base_seed.wrapping_add(4242));
+    let campaign =
+        InfluenceCampaign::new(spec, 400, scale.trials, scale.base_seed.wrapping_add(4242));
     let g = sw_graph_from_measurements(&campaign, &[], 0.05).expect("attribute vector empty");
     let mut out = String::from(
         "measured influence edges (threshold 0.05):
@@ -1045,7 +1053,8 @@ pub fn e14(scale: Scale) -> Table {
             format!("{:.4}", est.mission_failure),
             format!("{:.3}", est.mean_shed_processes),
             format!("{:.3}", est.mean_recoveries),
-            est.mttr.map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
+            est.mttr
+                .map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
         ]
     });
     for row in rows {

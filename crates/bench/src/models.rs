@@ -256,7 +256,10 @@ mod tests {
         let report = run_checks(&broken_e14_model());
         let codes: Vec<u16> = report.diagnostics.iter().map(|d| d.code.0).collect();
         for expected in [8u16, 12, 16] {
-            assert!(codes.contains(&expected), "missing C{expected:03}: {codes:?}");
+            assert!(
+                codes.contains(&expected),
+                "missing C{expected:03}: {codes:?}"
+            );
         }
     }
 

@@ -45,12 +45,10 @@ impl Table {
 
 impl ToJson for Table {
     fn to_json(&self) -> Json {
-        Json::object()
-            .set("header", self.header.clone())
-            .set(
-                "rows",
-                Json::Arr(self.rows.iter().map(|r| Json::from(r.clone())).collect()),
-            )
+        Json::object().set("header", self.header.clone()).set(
+            "rows",
+            Json::Arr(self.rows.iter().map(|r| Json::from(r.clone())).collect()),
+        )
     }
 }
 

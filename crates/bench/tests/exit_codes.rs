@@ -39,9 +39,15 @@ fn usage_errors_exit_two() {
         (env!("CARGO_BIN_EXE_check_bench_schema"), &[]),
         (env!("CARGO_BIN_EXE_checktool"), &["no-such-model"]),
         (env!("CARGO_BIN_EXE_checktool"), &["--contracts"]),
-        (env!("CARGO_BIN_EXE_checktool"), &["--contracts", "/no/such/contracts.json"]),
+        (
+            env!("CARGO_BIN_EXE_checktool"),
+            &["--contracts", "/no/such/contracts.json"],
+        ),
         (env!("CARGO_BIN_EXE_checktool"), &["--emit-contracts"]),
-        (env!("CARGO_BIN_EXE_checktool"), &["--emit-contracts", "--contracts", "x.json", "paper"]),
+        (
+            env!("CARGO_BIN_EXE_checktool"),
+            &["--emit-contracts", "--contracts", "x.json", "paper"],
+        ),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);
@@ -60,16 +66,29 @@ fn checktool_clean_models_exit_zero() {
     let out = run(env!("CARGO_BIN_EXE_checktool"), &[]);
     assert_eq!(code(&out), 0, "committed workloads must be clean of errors");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("paper:"), "report summary for the paper model:\n{text}");
-    assert!(text.contains("avionics:"), "report summary for the avionics model:\n{text}");
+    assert!(
+        text.contains("paper:"),
+        "report summary for the paper model:\n{text}"
+    );
+    assert!(
+        text.contains("avionics:"),
+        "report summary for the avionics model:\n{text}"
+    );
 }
 
 #[test]
 fn checktool_findings_exit_one_and_json_carries_schema() {
     let out = run(env!("CARGO_BIN_EXE_checktool"), &["--json", "--broken-e14"]);
-    assert_eq!(code(&out), 1, "the broken model must produce error findings");
+    assert_eq!(
+        code(&out),
+        1,
+        "the broken model must produce error findings"
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"schema\": \"fcm-check/v1\""), "JSON schema tag missing:\n{text}");
+    assert!(
+        text.contains("\"schema\": \"fcm-check/v1\""),
+        "JSON schema tag missing:\n{text}"
+    );
     for expected in ["C008", "C012", "C016"] {
         assert!(text.contains(expected), "missing {expected} in:\n{text}");
     }
@@ -79,7 +98,10 @@ fn checktool_findings_exit_one_and_json_carries_schema() {
 fn checktool_contract_round_trip_is_clean_and_violations_exit_one() {
     // Emit → re-check: the synthesized set is the tightest *passing*
     // one, so the round trip is clean (exit 0; C022 may warn).
-    let out = run(env!("CARGO_BIN_EXE_checktool"), &["avionics", "--emit-contracts"]);
+    let out = run(
+        env!("CARGO_BIN_EXE_checktool"),
+        &["avionics", "--emit-contracts"],
+    );
     assert_eq!(code(&out), 0, "emit must succeed");
     let doc = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(doc.contains("fcm-contracts/v1"), "{doc}");
@@ -91,7 +113,12 @@ fn checktool_contract_round_trip_is_clean_and_violations_exit_one() {
         env!("CARGO_BIN_EXE_checktool"),
         &["avionics", "--contracts", clean.to_str().unwrap()],
     );
-    assert_eq!(code(&out), 0, "round trip must be clean:\n{}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(
+        code(&out),
+        0,
+        "round trip must be clean:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 
     // Tighten one guarantee below its actual row sum: C017 → exit 1.
     let mut set =
@@ -113,7 +140,11 @@ fn checktool_contract_round_trip_is_clean_and_violations_exit_one() {
 #[test]
 fn repro_check_gate_passes_on_committed_workloads() {
     let out = run(env!("CARGO_BIN_EXE_repro"), &["--check", "e1", "e14"]);
-    assert_eq!(code(&out), 0, "pre-flight over committed workloads must pass");
+    assert_eq!(
+        code(&out),
+        0,
+        "pre-flight over committed workloads must pass"
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("paper:"), "{text}");
     assert!(text.contains("avionics:"), "{text}");

@@ -27,8 +27,8 @@ use fcm_graph::{fnv, InfluenceMatrix};
 use fcm_substrate::pool::{par_map_threads, worker_count};
 
 use crate::contract::{
-    cap_diags, certified_bound, convergence_diag, covers, floor_diag, guarantee_diag,
-    missing_diag, rely_diags, row_sum, CertifiedBound, ContractSet,
+    cap_diags, certified_bound, convergence_diag, covers, floor_diag, guarantee_diag, missing_diag,
+    rely_diags, row_sum, CertifiedBound, ContractSet,
 };
 use crate::diag::{Diagnostic, Report, Severity};
 
@@ -107,20 +107,28 @@ pub struct Certifier {
 }
 
 fn state_hash(name: &str, crit: u32, row: u64) -> u64 {
-    fnv::word(fnv::word(fnv::text(fnv::OFFSET, name), u64::from(crit)), row)
+    fnv::word(
+        fnv::word(fnv::text(fnv::OFFSET, name), u64::from(crit)),
+        row,
+    )
 }
 
 /// Order-sensitive fingerprint of the FCM name list (length markers
 /// keep `["ab","c"]` distinct from `["a","bc"]`).
 fn names_fingerprint(names: &[String]) -> u64 {
-    names
-        .iter()
-        .fold(fnv::OFFSET, |h, s| fnv::word(fnv::text(h, s), s.len() as u64))
+    names.iter().fold(fnv::OFFSET, |h, s| {
+        fnv::word(fnv::text(h, s), s.len() as u64)
+    })
 }
 
 /// Computes one per-FCM verdict: C017 + C018 + C020 (+ the C021
 /// missing-contract warning) for row `i`. O(degree of i).
-fn verify_one(view: &CertView, index: &BTreeMap<String, usize>, i: usize, hashes: (u64, u64)) -> Verdict {
+fn verify_one(
+    view: &CertView,
+    index: &BTreeMap<String, usize>,
+    i: usize,
+    hashes: (u64, u64),
+) -> Verdict {
     let name = &view.names[i];
     let sum = row_sum(view.influence, i);
     let mut diags = Vec::new();
@@ -132,7 +140,12 @@ fn verify_one(view: &CertView, index: &BTreeMap<String, usize>, i: usize, hashes
         }
         None => diags.push(missing_diag(name)),
     }
-    Verdict { state_hash: hashes.0, contract_hash: hashes.1, row_sum: sum, diags }
+    Verdict {
+        state_hash: hashes.0,
+        contract_hash: hashes.1,
+        row_sum: sum,
+        diags,
+    }
 }
 
 impl Certifier {
@@ -162,7 +175,12 @@ impl Certifier {
         assert_eq!(view.crits.len(), n, "one criticality per FCM");
         let fp = names_fingerprint(view.names);
         if self.names_fp != Some(fp) {
-            self.index = view.names.iter().enumerate().map(|(i, s)| (s.clone(), i)).collect();
+            self.index = view
+                .names
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.clone(), i))
+                .collect();
             self.names_fp = Some(fp);
         }
 
@@ -180,7 +198,10 @@ impl Certifier {
         let (index, verdicts) = (&self.index, &self.verdicts);
         let fresh: Vec<(usize, Option<Verdict>)> = par_map_threads(&rows, threads, |&i| {
             let sh = state_hash(&view.names[i], view.crits[i], view.influence.row_hash(i));
-            let ch = view.contracts.get(&view.names[i]).map_or(NO_CONTRACT, |c| c.fingerprint());
+            let ch = view
+                .contracts
+                .get(&view.names[i])
+                .map_or(NO_CONTRACT, |c| c.fingerprint());
             let hit = verdicts
                 .get(i)
                 .is_some_and(|v| v.state_hash == sh && v.contract_hash == ch);
@@ -218,7 +239,10 @@ impl Certifier {
             report.diagnostics.extend(convergence_diag(&bound));
         }
         report.sort();
-        let clean = !report.diagnostics.iter().any(|d| d.severity == Severity::Error);
+        let clean = !report
+            .diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Error);
         Certification {
             certified: covered && bound.converges && clean,
             report,
@@ -325,6 +349,11 @@ mod tests {
         let out = Certifier::new().certify(&view, Dirty::Full, 1);
         assert!(!out.certified);
         assert!(!out.report.has_errors(), "{}", out.report.render());
-        assert_eq!(out.report.count(Severity::Warn), 2, "{}", out.report.render());
+        assert_eq!(
+            out.report.count(Severity::Warn),
+            2,
+            "{}",
+            out.report.render()
+        );
     }
 }

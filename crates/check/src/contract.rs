@@ -47,7 +47,13 @@ pub struct Contract {
 impl Contract {
     /// Creates a contract with no per-edge caps.
     pub fn new(fcm: impl Into<String>, guarantee: f64, rely: f64, floor: u32) -> Contract {
-        Contract { fcm: fcm.into(), guarantee, rely, floor, caps: Vec::new() }
+        Contract {
+            fcm: fcm.into(),
+            guarantee,
+            rely,
+            floor,
+            caps: Vec::new(),
+        }
     }
 
     /// Adds (or replaces) a per-edge cap, keeping caps sorted by target.
@@ -123,7 +129,9 @@ impl Contract {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("contract {fcm:?} needs a numeric \"{key}\""))?;
             if !v.is_finite() || v < 0.0 {
-                return Err(format!("contract {fcm:?}: \"{key}\" {v} is not a finite bound ≥ 0"));
+                return Err(format!(
+                    "contract {fcm:?}: \"{key}\" {v} is not a finite bound ≥ 0"
+                ));
             }
             Ok(v)
         };
@@ -134,7 +142,9 @@ impl Contract {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("contract {fcm:?} needs a numeric \"floor\""))?;
         if floor_raw.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&floor_raw) {
-            return Err(format!("contract {fcm:?}: floor {floor_raw} is not a criticality rank"));
+            return Err(format!(
+                "contract {fcm:?}: floor {floor_raw} is not a criticality rank"
+            ));
         }
         let mut c = Contract::new(fcm.clone(), guarantee, rely, floor_raw as u32);
         if let Some(caps) = doc.get("caps") {
@@ -181,7 +191,10 @@ impl ContractSet {
 
     /// Inserts a contract, replacing any previous one for the same FCM.
     pub fn insert(&mut self, c: Contract) {
-        match self.contracts.binary_search_by(|x| x.fcm.as_str().cmp(&c.fcm)) {
+        match self
+            .contracts
+            .binary_search_by(|x| x.fcm.as_str().cmp(&c.fcm))
+        {
             Ok(i) => self.contracts[i] = c,
             Err(i) => self.contracts.insert(i, c),
         }
@@ -215,9 +228,10 @@ impl ContractSet {
     /// Canonical JSON document (`fcm-contracts/v1`).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("schema", CONTRACTS_SCHEMA)
-            .set("contracts", Json::Arr(self.contracts.iter().map(Contract::to_json).collect()))
+        Json::object().set("schema", CONTRACTS_SCHEMA).set(
+            "contracts",
+            Json::Arr(self.contracts.iter().map(Contract::to_json).collect()),
+        )
     }
 
     /// Parses a contract-file document.
@@ -229,7 +243,11 @@ impl ContractSet {
     pub fn from_json(doc: &Json) -> Result<ContractSet, String> {
         match doc.get("schema").and_then(Json::as_str) {
             Some(CONTRACTS_SCHEMA) => {}
-            other => return Err(format!("expected schema {CONTRACTS_SCHEMA:?}, got {other:?}")),
+            other => {
+                return Err(format!(
+                    "expected schema {CONTRACTS_SCHEMA:?}, got {other:?}"
+                ))
+            }
         }
         let items = doc
             .get("contracts")
@@ -335,7 +353,9 @@ pub fn cap_diags(
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (target, cap) in &c.caps {
-        let Some(&j) = index.get(target) else { continue };
+        let Some(&j) = index.get(target) else {
+            continue;
+        };
         let v = mat.get(i, j).unwrap_or(0.0);
         if v > *cap {
             out.push(Diagnostic::error(
@@ -355,7 +375,10 @@ pub fn floor_diag(name: &str, criticality: u32, c: &Contract) -> Option<Diagnost
         Diagnostic::error(
             Code(20),
             format!("contracts/{name}"),
-            format!("criticality {criticality} is below the contract floor {}", c.floor),
+            format!(
+                "criticality {criticality} is below the contract floor {}",
+                c.floor
+            ),
         )
     })
 }
@@ -383,7 +406,10 @@ pub fn missing_diag(name: &str) -> Diagnostic {
 /// index's keys iterate sorted, so membership of every contract name
 /// costs O(n) comparisons total, not O(n log n) lookups.
 #[must_use]
-pub fn dangling_scan(index: &BTreeMap<String, usize>, set: &ContractSet) -> (Vec<Diagnostic>, bool) {
+pub fn dangling_scan(
+    index: &BTreeMap<String, usize>,
+    set: &ContractSet,
+) -> (Vec<Diagnostic>, bool) {
     let mut out = Vec::new();
     let mut names_resolved = true;
     let mut keys = index.keys();
@@ -568,7 +594,10 @@ pub fn synthesize_for_model(m: &crate::model::SystemModel) -> Option<ContractSet
         return None;
     }
     let names: Vec<String> = g.nodes().map(|(_, node)| node.name.clone()).collect();
-    let crits: Vec<u32> = g.nodes().map(|(_, node)| node.attributes.criticality.0).collect();
+    let crits: Vec<u32> = g
+        .nodes()
+        .map(|(_, node)| node.attributes.criticality.0)
+        .collect();
     Some(synthesize(&names, &crits, mat))
 }
 

@@ -106,7 +106,10 @@ impl Diagnostic {
 
     /// One rendered line: `error[C001] hierarchy/task[7]: message`.
     pub fn render(&self) -> String {
-        format!("{}[{}] {}: {}", self.severity, self.code, self.path, self.message)
+        format!(
+            "{}[{}] {}: {}",
+            self.severity, self.code, self.path, self.message
+        )
     }
 }
 
@@ -141,13 +144,18 @@ impl Report {
     /// Number of findings at `severity`.
     #[must_use]
     pub fn count(&self, severity: Severity) -> usize {
-        self.diagnostics.iter().filter(|d| d.severity == severity).count()
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == severity)
+            .count()
     }
 
     /// Whether any `Error`-severity finding is present (= model invalid).
     #[must_use]
     pub fn has_errors(&self) -> bool {
-        self.diagnostics.iter().any(|d| d.severity == Severity::Error)
+        self.diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Error)
     }
 
     /// Restores the canonical `(code, path, message)` order.
@@ -229,7 +237,11 @@ mod tests {
         r.diagnostics.push(Diagnostic::warn(Code(2), "c", "y"));
         r.diagnostics.push(Diagnostic::error(Code(9), "a", "x"));
         r.sort();
-        let codes: Vec<_> = r.diagnostics.iter().map(|d| (d.code.0, d.path.as_str())).collect();
+        let codes: Vec<_> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.code.0, d.path.as_str()))
+            .collect();
         assert_eq!(codes, vec![(2, "c"), (9, "a"), (9, "b")]);
     }
 
@@ -243,15 +255,21 @@ mod tests {
     #[test]
     fn json_export_carries_schema_counts_and_findings() {
         let mut r = Report::new("m");
-        r.diagnostics.push(Diagnostic::error(Code(8), "factors[0]", "p > 1"));
+        r.diagnostics
+            .push(Diagnostic::error(Code(8), "factors[0]", "p > 1"));
         let j = r.to_json();
         assert_eq!(j.get("schema").and_then(Json::as_str), Some("fcm-check/v1"));
         assert_eq!(
-            j.get("counts").and_then(|c| c.get("error")).and_then(Json::as_f64),
+            j.get("counts")
+                .and_then(|c| c.get("error"))
+                .and_then(Json::as_f64),
             Some(1.0)
         );
         let diags = j.get("diagnostics").and_then(Json::as_array).unwrap();
         assert_eq!(diags[0].get("code").and_then(Json::as_str), Some("C008"));
-        assert_eq!(diags[0].get("severity").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            diags[0].get("severity").and_then(Json::as_str),
+            Some("error")
+        );
     }
 }

@@ -90,7 +90,10 @@ pub fn check_system_spec(spec: &SystemSpec) -> Report {
             report.diagnostics.push(Diagnostic::error(
                 Code(16),
                 "recovery/retry".to_string(),
-                format!("backoff base 0 with {} retries: restarts busy-loop", r.max_retries),
+                format!(
+                    "backoff base 0 with {} retries: restarts busy-loop",
+                    r.max_retries
+                ),
             ));
         }
     }
@@ -151,7 +154,11 @@ mod tests {
         let spec = b.build().unwrap();
         let r = check_system_spec(&spec);
         assert!(r.has_errors());
-        assert!(r.error_lines().contains("utilisation"), "{}", r.error_lines());
+        assert!(
+            r.error_lines().contains("utilisation"),
+            "{}",
+            r.error_lines()
+        );
     }
 
     #[test]

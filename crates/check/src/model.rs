@@ -298,7 +298,11 @@ mod tests {
     fn view_extraction_preserves_links_and_ranks() {
         let mut h = FcmHierarchy::new();
         let p = h
-            .add_root("p1", HierarchyLevel::Process, AttributeSet::default().with_criticality(7))
+            .add_root(
+                "p1",
+                HierarchyLevel::Process,
+                AttributeSet::default().with_criticality(7),
+            )
             .unwrap();
         let t = h
             .add_child(p, "t1", AttributeSet::default().with_criticality(7))
@@ -318,10 +322,14 @@ mod tests {
     #[test]
     fn retest_from_view_lists_parent_and_siblings() {
         let mut h = FcmHierarchy::new();
-        let p = h.add_root("p", HierarchyLevel::Process, AttributeSet::default()).unwrap();
+        let p = h
+            .add_root("p", HierarchyLevel::Process, AttributeSet::default())
+            .unwrap();
         let a = h.add_child(p, "a", AttributeSet::default()).unwrap();
         let b = h.add_child(p, "b", AttributeSet::default()).unwrap();
-        let m = SystemModel::new("m").with_hierarchy(&h).with_retest_from_view();
+        let m = SystemModel::new("m")
+            .with_hierarchy(&h)
+            .with_retest_from_view();
         let ra = m.retest.iter().find(|r| r.modified == a.0).unwrap();
         assert_eq!(ra.parent, Some(p.0));
         assert_eq!(ra.siblings, vec![b.0]);

@@ -304,7 +304,9 @@ fn fmt_parent(p: Option<u64>) -> String {
 
 // C001 — bidirectional link consistency (R2).
 fn c001_backlinks(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for n in &v.nodes {
         for &c in &n.children {
@@ -348,7 +350,9 @@ fn c001_backlinks(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C002 — single-rank level steps (R1).
 fn c002_level_step(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for n in &v.nodes {
         for &c in &n.children {
@@ -374,7 +378,9 @@ fn c002_level_step(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C003 — parent chains terminate (no cycles).
 fn c003_cycles(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut reps: BTreeSet<u64> = BTreeSet::new();
     for start in &v.nodes {
         let mut walk = vec![start.id];
@@ -401,7 +407,9 @@ fn c003_cycles(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C004 — a child belongs to exactly one parent.
 fn c004_shared_child(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut listings: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for n in &v.nodes {
         for &c in &n.children {
@@ -416,7 +424,11 @@ fn c004_shared_child(m: &SystemModel) -> Vec<Diagnostic> {
             Diagnostic::error(
                 Code(4),
                 v.path_of(c),
-                format!("listed as a child {} times (by {})", names.len(), names.join(", ")),
+                format!(
+                    "listed as a child {} times (by {})",
+                    names.len(),
+                    names.join(", ")
+                ),
             )
         })
         .collect()
@@ -424,7 +436,9 @@ fn c004_shared_child(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C005 — unreachable FCMs and stray low-rank roots.
 fn c005_orphans(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     if v.nodes.is_empty() {
         return Vec::new();
     }
@@ -474,7 +488,9 @@ fn c005_orphans(m: &SystemModel) -> Vec<Diagnostic> {
 // C006 — criticality combines upward by max; a parent below its most
 // critical child under-declares the subtree.
 fn c006_criticality(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for n in &v.nodes {
         let max_child = n
@@ -501,7 +517,9 @@ fn c006_criticality(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C007 — declared retest plans agree with the tree (R5).
 fn c007_retest(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(v) = &m.hierarchy else { return Vec::new() };
+    let Some(v) = &m.hierarchy else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for r in &m.retest {
         let Some(n) = v.find(r.modified) else {
@@ -525,12 +543,13 @@ fn c007_retest(m: &SystemModel) -> Vec<Diagnostic> {
         }
         // Sibling comparison only makes sense on an intact link (broken
         // links are C001's finding, not a retest drift).
-        let Some(pv) = n.parent.and_then(|p| v.find(p)) else { continue };
+        let Some(pv) = n.parent.and_then(|p| v.find(p)) else {
+            continue;
+        };
         if !pv.children.contains(&n.id) {
             continue;
         }
-        let expected: BTreeSet<u64> =
-            pv.children.iter().copied().filter(|&c| c != n.id).collect();
+        let expected: BTreeSet<u64> = pv.children.iter().copied().filter(|&c| c != n.id).collect();
         let declared: BTreeSet<u64> = r.siblings.iter().copied().collect();
         for &missing in expected.difference(&declared) {
             out.push(Diagnostic::error(
@@ -586,7 +605,12 @@ fn c008_factors(m: &SystemModel) -> Vec<Diagnostic> {
             out.push(Diagnostic::error(
                 Code(8),
                 format!("factors[{i}]"),
-                format!("{}→{}: p_k = {} outside [0,1]", f.from, f.to, f.probability()),
+                format!(
+                    "{}→{}: p_k = {} outside [0,1]",
+                    f.from,
+                    f.to,
+                    f.probability()
+                ),
             ));
         }
     }
@@ -611,7 +635,9 @@ fn c008_factors(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C009 — stated influence matrix domain.
 fn c009_matrix_domain(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(mat) = &m.influence else { return Vec::new() };
+    let Some(mat) = &m.influence else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     if mat.rows() != mat.cols() {
         out.push(Diagnostic::error(
@@ -659,7 +685,9 @@ pub const TRUNCATION_BOUND: f64 = 1e-3;
 
 // C010 — Eq. 3 convergence and truncation-error bound.
 fn c010_truncation(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(mat) = &m.influence else { return Vec::new() };
+    let Some(mat) = &m.influence else {
+        return Vec::new();
+    };
     if mat.rows() != mat.cols() || mat.rows() == 0 {
         return Vec::new(); // shape/domain problems are C009's findings
     }
@@ -719,14 +747,20 @@ fn c010_truncation(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C011 — the stated matrix must equal the Eq. 2 graph derivation.
 fn c011_consistency(m: &SystemModel) -> Vec<Diagnostic> {
-    let (Some(mat), Some(g)) = (&m.influence, &m.sw) else { return Vec::new() };
+    let (Some(mat), Some(g)) = (&m.influence, &m.sw) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     let n = g.node_count();
     if mat.rows() != n || mat.cols() != n {
         out.push(Diagnostic::error(
             Code(11),
             "influence".to_string(),
-            format!("matrix is {}×{} but the SW graph has {n} nodes", mat.rows(), mat.cols()),
+            format!(
+                "matrix is {}×{} but the SW graph has {n} nodes",
+                mat.rows(),
+                mat.cols()
+            ),
         ));
         return out;
     }
@@ -821,7 +855,11 @@ fn c013_feasibility(m: &SystemModel) -> Vec<Diagnostic> {
         out.push(Diagnostic::error(
             Code(13),
             "mapping".to_string(),
-            format!("mapping places {} clusters but the clustering has {}", map.len(), c.len()),
+            format!(
+                "mapping places {} clusters but the clustering has {}",
+                map.len(),
+                c.len()
+            ),
         ));
     }
     let mut demand: BTreeMap<usize, f64> = BTreeMap::new();
@@ -834,7 +872,9 @@ fn c013_feasibility(m: &SystemModel) -> Vec<Diagnostic> {
             ));
             continue;
         };
-        let Some(members) = c.clusters().get(ci) else { continue };
+        let Some(members) = c.clusters().get(ci) else {
+            continue;
+        };
         if let Some(g) = &m.sw {
             for &sw in members {
                 let Some(swn) = g.node(sw) else { continue };
@@ -855,7 +895,10 @@ fn c013_feasibility(m: &SystemModel) -> Vec<Diagnostic> {
                         out.push(Diagnostic::error(
                             Code(13),
                             format!("mapping/cluster[{ci}]"),
-                            format!("{} is pinned to {pin} but placed on {}", swn.name, node.name),
+                            format!(
+                                "{} is pinned to {pin} but placed on {}",
+                                swn.name, node.name
+                            ),
                         ));
                     }
                 }
@@ -902,17 +945,24 @@ fn c014_admission(m: &SystemModel) -> Vec<Diagnostic> {
             }
         }
     }
-    let (Some(g), Some(c), Some(map)) = (&m.sw, &m.clustering, &m.mapping) else { return out };
+    let (Some(g), Some(c), Some(map)) = (&m.sw, &m.clustering, &m.mapping) else {
+        return out;
+    };
     if !timing_ok {
         return out; // admission over broken triples would double-report
     }
     let mut per_node: BTreeMap<usize, Vec<Job>> = BTreeMap::new();
     for (ci, h) in map.iter() {
-        let Some(members) = c.clusters().get(ci) else { continue };
+        let Some(members) = c.clusters().get(ci) else {
+            continue;
+        };
         for &sw in members {
             let Some(swn) = g.node(sw) else { continue };
             if let Some(t) = swn.attributes.timing {
-                per_node.entry(h.index()).or_default().push(t.to_job(sw.index() as u64));
+                per_node
+                    .entry(h.index())
+                    .or_default()
+                    .push(t.to_job(sw.index() as u64));
             }
         }
     }
@@ -921,7 +971,10 @@ fn c014_admission(m: &SystemModel) -> Vec<Diagnostic> {
             out.push(Diagnostic::error(
                 Code(14),
                 format!("mapping/node[{h}]"),
-                format!("combined job set ({} jobs) is not EDF-admissible", jobs.len()),
+                format!(
+                    "combined job set ({} jobs) is not EDF-admissible",
+                    jobs.len()
+                ),
             ));
         }
     }
@@ -931,8 +984,12 @@ fn c014_admission(m: &SystemModel) -> Vec<Diagnostic> {
 // C015 — degraded-mode shed soundness: a protected FCM must never fall
 // below the shed threshold.
 fn c015_shed(m: &SystemModel) -> Vec<Diagnostic> {
-    let (Some(g), Some(policy)) = (&m.sw, &m.shed) else { return Vec::new() };
-    let ShedPolicy::ShedBelow { critical_at } = *policy else { return Vec::new() };
+    let (Some(g), Some(policy)) = (&m.sw, &m.shed) else {
+        return Vec::new();
+    };
+    let ShedPolicy::ShedBelow { critical_at } = *policy else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for (ni, n) in g.nodes() {
         let mut protections = Vec::new();
@@ -963,7 +1020,9 @@ fn c015_shed(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C016 — recovery parameter sanity.
 fn c016_recovery(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some(r) = &m.recovery else { return Vec::new() };
+    let Some(r) = &m.recovery else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     if r.heartbeat_period == 0 {
         out.push(Diagnostic::error(
@@ -985,7 +1044,10 @@ fn c016_recovery(m: &SystemModel) -> Vec<Diagnostic> {
         out.push(Diagnostic::error(
             Code(16),
             "recovery/retry".to_string(),
-            format!("backoff base 0 with {} retries: restarts busy-loop", r.max_retries),
+            format!(
+                "backoff base 0 with {} retries: restarts busy-loop",
+                r.max_retries
+            ),
         ));
     }
     if r.checkpoint_every == 0 {
@@ -1008,7 +1070,9 @@ fn c016_recovery(m: &SystemModel) -> Vec<Diagnostic> {
 /// when contracts, SW graph or matrix are absent, or when the matrix
 /// shape disagrees with the graph — shape problems are C009/C011
 /// findings, not ours.
-fn contract_view(m: &SystemModel) -> Option<(Vec<String>, Vec<u32>, &InfluenceMatrix, &ContractSet)> {
+fn contract_view(
+    m: &SystemModel,
+) -> Option<(Vec<String>, Vec<u32>, &InfluenceMatrix, &ContractSet)> {
     let (Some(g), Some(mat), Some(set)) = (&m.sw, &m.influence, &m.contracts) else {
         return None;
     };
@@ -1017,13 +1081,18 @@ fn contract_view(m: &SystemModel) -> Option<(Vec<String>, Vec<u32>, &InfluenceMa
         return None;
     }
     let names = g.nodes().map(|(_, node)| node.name.clone()).collect();
-    let crits = g.nodes().map(|(_, node)| node.attributes.criticality.0).collect();
+    let crits = g
+        .nodes()
+        .map(|(_, node)| node.attributes.criticality.0)
+        .collect();
     Some((names, crits, mat, set))
 }
 
 // C017 — contracted guarantee vs the actual matrix row, O(degree) each.
 fn c017_guarantee(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, _, mat, set)) = contract_view(m) else { return Vec::new() };
+    let Some((names, _, mat, set)) = contract_view(m) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for (i, name) in names.iter().enumerate() {
         if let Some(c) = set.get(name) {
@@ -1035,9 +1104,14 @@ fn c017_guarantee(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C018 — per-edge caps vs the actual matrix entries.
 fn c018_edge_caps(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, _, mat, set)) = contract_view(m) else { return Vec::new() };
-    let index: BTreeMap<String, usize> =
-        names.iter().enumerate().map(|(i, s)| (s.clone(), i)).collect();
+    let Some((names, _, mat, set)) = contract_view(m) else {
+        return Vec::new();
+    };
+    let index: BTreeMap<String, usize> = names
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.clone(), i))
+        .collect();
     let mut out = Vec::new();
     for (i, name) in names.iter().enumerate() {
         if let Some(c) = set.get(name) {
@@ -1050,7 +1124,9 @@ fn c018_edge_caps(m: &SystemModel) -> Vec<Diagnostic> {
 // C019 — relies entailed by the others' guarantees: pure contract
 // arithmetic, meaningful only once the set covers the model.
 fn c019_relies(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, _, _, set)) = contract_view(m) else { return Vec::new() };
+    let Some((names, _, _, set)) = contract_view(m) else {
+        return Vec::new();
+    };
     if !contract::covers(&names, set) {
         return Vec::new(); // coverage gaps are C021's findings
     }
@@ -1059,7 +1135,9 @@ fn c019_relies(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C020 — criticality floors.
 fn c020_floor(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, crits, _, set)) = contract_view(m) else { return Vec::new() };
+    let Some((names, crits, _, set)) = contract_view(m) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for (i, name) in names.iter().enumerate() {
         if let Some(c) = set.get(name) {
@@ -1072,9 +1150,14 @@ fn c020_floor(m: &SystemModel) -> Vec<Diagnostic> {
 // C021 — coverage: FCMs without contracts (warn) and contracts or caps
 // naming absent FCMs (error).
 fn c021_coverage(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, _, _, set)) = contract_view(m) else { return Vec::new() };
-    let index: BTreeMap<String, usize> =
-        names.iter().enumerate().map(|(i, s)| (s.clone(), i)).collect();
+    let Some((names, _, _, set)) = contract_view(m) else {
+        return Vec::new();
+    };
+    let index: BTreeMap<String, usize> = names
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.clone(), i))
+        .collect();
     let mut out: Vec<Diagnostic> = names
         .iter()
         .filter(|n| set.get(n).is_none())
@@ -1086,7 +1169,9 @@ fn c021_coverage(m: &SystemModel) -> Vec<Diagnostic> {
 
 // C022 — the certified system bound from contracts alone.
 fn c022_certification(m: &SystemModel) -> Vec<Diagnostic> {
-    let Some((names, _, _, set)) = contract_view(m) else { return Vec::new() };
+    let Some((names, _, _, set)) = contract_view(m) else {
+        return Vec::new();
+    };
     if !contract::covers(&names, set) {
         return Vec::new();
     }
@@ -1115,7 +1200,12 @@ mod tests {
         // timing coverage (including C017–C022) is exactly this naming
         // contract: one span per code, `check.cNNN`.
         for def in &CATALOG {
-            assert_eq!(def.span, format!("check.c{:03}", def.code.0), "{}", def.name);
+            assert_eq!(
+                def.span,
+                format!("check.c{:03}", def.code.0),
+                "{}",
+                def.name
+            );
         }
     }
 
@@ -1166,8 +1256,10 @@ mod tests {
         assert_eq!(sites, ["influence/entry[0,1]", "influence/entry[1,0]"]);
         // The dense scan of the same model agrees.
         let dm = SystemModel::new("d").with_influence(stated).with_sw(g);
-        let dense_sites: Vec<String> =
-            c011_consistency(&dm).iter().map(|d| d.path.clone()).collect();
+        let dense_sites: Vec<String> = c011_consistency(&dm)
+            .iter()
+            .map(|d| d.path.clone())
+            .collect();
         assert_eq!(dense_sites, sites);
         // A derived-only entry (stated row empty) is also caught.
         let empty = SystemModel::new("e")

@@ -46,7 +46,11 @@ fn valid_model(rng: &mut Rng, size: usize) -> SystemModel {
             let tid = h
                 .add_child(pid, format!("proc{p}.t{t}"), attrs(tcrit))
                 .expect("task");
-            let n_sub = if p == 0 && t == 0 { 2 } else { rng.gen_range(0..3usize) };
+            let n_sub = if p == 0 && t == 0 {
+                2
+            } else {
+                rng.gen_range(0..3usize)
+            };
             for q in 0..n_sub {
                 let qcrit = rng.gen_range(1..=tcrit);
                 h.add_child(tid, format!("proc{p}.t{t}.q{q}"), attrs(qcrit))
@@ -139,14 +143,19 @@ fn assert_mutation_fires(code: u16, mutated: &SystemModel) {
 
 #[test]
 fn valid_models_have_zero_errors() {
-    prop::check("valid-model-clean", prop::Config::with_cases(48), valid_model, |m| {
-        let r = run_checks_with_threads(m, 1);
-        if r.count(Severity::Error) == 0 {
-            Ok(())
-        } else {
-            Err(format!("errors on a valid model:\n{}", r.render()))
-        }
-    });
+    prop::check(
+        "valid-model-clean",
+        prop::Config::with_cases(48),
+        valid_model,
+        |m| {
+            let r = run_checks_with_threads(m, 1);
+            if r.count(Severity::Error) == 0 {
+                Ok(())
+            } else {
+                Err(format!("errors on a valid model:\n{}", r.render()))
+            }
+        },
+    );
 }
 
 #[test]
@@ -163,7 +172,11 @@ fn reports_are_identical_across_thread_counts() {
     for m in &models {
         let seq = run_checks_with_threads(m, 1);
         let par = run_checks_with_threads(m, 4);
-        assert_eq!(seq.render(), par.render(), "render differs across thread counts");
+        assert_eq!(
+            seq.render(),
+            par.render(),
+            "render differs across thread counts"
+        );
         assert_eq!(
             seq.to_json().to_string_pretty(),
             par.to_json().to_string_pretty(),
@@ -296,7 +309,11 @@ fn c009_out_of_domain_entry_fires() {
     m.sw = None; // isolate from C011's graph comparison
     m.clustering = None;
     m.mapping = None;
-    m.influence = Some(InfluenceMatrix::Dense(Matrix::from_rows(2, 2, &[0.1, 1.5, 0.0, 0.2])));
+    m.influence = Some(InfluenceMatrix::Dense(Matrix::from_rows(
+        2,
+        2,
+        &[0.1, 1.5, 0.0, 0.2],
+    )));
     assert_mutation_fires(9, &m);
 }
 
@@ -306,7 +323,11 @@ fn c010_divergent_row_warns() {
     m.sw = None;
     m.clustering = None;
     m.mapping = None;
-    m.influence = Some(InfluenceMatrix::Dense(Matrix::from_rows(2, 2, &[0.6, 0.6, 0.1, 0.1])));
+    m.influence = Some(InfluenceMatrix::Dense(Matrix::from_rows(
+        2,
+        2,
+        &[0.6, 0.6, 0.1, 0.1],
+    )));
     let r = run_checks_with_threads(&m, 1);
     // The base model may carry the (milder) truncation-bound advisory,
     // so assert the row-sum divergence finding specifically.
@@ -317,7 +338,12 @@ fn c010_divergent_row_warns() {
         "divergent row must warn:\n{}",
         r.render()
     );
-    assert_eq!(r.count(Severity::Error), 0, "divergence is a warning:\n{}", r.render());
+    assert_eq!(
+        r.count(Severity::Error),
+        0,
+        "divergence is a warning:\n{}",
+        r.render()
+    );
 }
 
 #[test]
@@ -363,7 +389,10 @@ fn replica_model(same_node: bool) -> SystemModel {
 fn c012_cohosted_replicas_fire() {
     assert!(!codes_of(&replica_model(false)).contains(&12));
     let codes = codes_of(&replica_model(true));
-    assert!(codes.contains(&12), "co-hosted replicas must fire C012: {codes:?}");
+    assert!(
+        codes.contains(&12),
+        "co-hosted replicas must fire C012: {codes:?}"
+    );
     // Co-hosting per se is legal (degraded states): no other error fires.
     assert_eq!(codes, vec![12], "C012 must fire alone: {codes:?}");
 }
@@ -373,14 +402,20 @@ fn c013_missing_resource_and_capacity_fire() {
     // One process demanding a resource the platform lacks and more
     // throughput than its node's capacity.
     let mut b = SwGraphBuilder::new();
-    b.add_process("gpuuser", attrs(5).with_timing(0, 20, 2).with_throughput(2.0));
+    b.add_process(
+        "gpuuser",
+        attrs(5).with_timing(0, 20, 2).with_throughput(2.0),
+    );
     let mut g = b.build();
     g.node_mut(NodeIdx(0))
         .expect("node exists")
         .required_resources
         .insert("gpu".into());
     let clustering = Clustering::singletons(&g);
-    let hw = HwGraph::new(vec![fcm_alloc::hw::HwNode::new("hw0").with_capacity(1.0)], &[]);
+    let hw = HwGraph::new(
+        vec![fcm_alloc::hw::HwNode::new("hw0").with_capacity(1.0)],
+        &[],
+    );
     let m = SystemModel::new("resources")
         .with_sw(g)
         .with_clustering(clustering)
@@ -389,8 +424,14 @@ fn c013_missing_resource_and_capacity_fire() {
     assert!(codes.contains(&13), "expected C013: {codes:?}");
     let r = run_checks_with_threads(&m, 1);
     let messages: Vec<&str> = r.diagnostics.iter().map(|d| d.message.as_str()).collect();
-    assert!(messages.iter().any(|t| t.contains("resource")), "{messages:?}");
-    assert!(messages.iter().any(|t| t.contains("capacity")), "{messages:?}");
+    assert!(
+        messages.iter().any(|t| t.contains("resource")),
+        "{messages:?}"
+    );
+    assert!(
+        messages.iter().any(|t| t.contains("capacity")),
+        "{messages:?}"
+    );
 }
 
 #[test]
@@ -408,13 +449,20 @@ fn c014_overloaded_node_fires() {
             Mapping::from_assignment(vec![NodeIdx(0), NodeIdx(1)]),
             hw.clone(),
         );
-    assert!(!codes_of(&ok).contains(&14), "spread placement is admissible");
+    assert!(
+        !codes_of(&ok).contains(&14),
+        "spread placement is admissible"
+    );
     let overloaded = SystemModel::new("edf")
         .with_sw(g)
         .with_clustering(clustering)
         .with_mapping(Mapping::from_assignment(vec![NodeIdx(0), NodeIdx(0)]), hw);
     let codes = codes_of(&overloaded);
-    assert_eq!(codes, vec![14], "co-hosted deadline conflict fires C014 alone: {codes:?}");
+    assert_eq!(
+        codes,
+        vec![14],
+        "co-hosted deadline conflict fires C014 alone: {codes:?}"
+    );
 }
 
 #[test]
@@ -427,7 +475,10 @@ fn c015_sheddable_protected_fcm_fires() {
         .with_sw(g)
         .with_shed(ShedPolicy::ShedBelow { critical_at: 3 });
     let codes = codes_of(&m);
-    assert!(codes.contains(&15), "pinned low-criticality FCM must fire C015: {codes:?}");
+    assert!(
+        codes.contains(&15),
+        "pinned low-criticality FCM must fire C015: {codes:?}"
+    );
     // The same node above the threshold is sound.
     let mut b = SwGraphBuilder::new();
     let n = b.add_process("highpin", attrs(5).with_timing(0, 20, 2));

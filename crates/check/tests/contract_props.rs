@@ -35,8 +35,11 @@ fn random_matrix(rng: &mut Rng, n: usize) -> Matrix {
     let mut m = Matrix::zeros(n, n);
     let certifiable = rng.gen_bool(0.5);
     for i in 0..n {
-        let mut budget: f64 =
-            if certifiable { rng.gen_range(0.3f64..0.95) } else { rng.gen_range(0.5f64..2.0) };
+        let mut budget: f64 = if certifiable {
+            rng.gen_range(0.3f64..0.95)
+        } else {
+            rng.gen_range(0.5f64..2.0)
+        };
         for j in 0..n {
             if i != j && rng.gen_bool(0.4) {
                 let w = (budget * rng.gen_range(0.1f64..0.6)).min(1.0);
@@ -208,16 +211,23 @@ fn c021_missing_and_dangling_contracts_fire() {
     assert_contract_mutation_fires(21, &m);
     let r = run_checks_with_threads(&m, 1);
     assert!(
-        r.diagnostics.iter().all(|d| d.code.0 != 21 || d.severity == Severity::Warn),
+        r.diagnostics
+            .iter()
+            .all(|d| d.code.0 != 21 || d.severity == Severity::Warn),
         "a missing contract is advisory:\n{}",
         r.render()
     );
     // Dangling: a contract naming an absent FCM → error.
     let mut m = contract_base();
-    m.contracts.as_mut().unwrap().insert(Contract::new("ghost", 0.1, 1.0, 0));
+    m.contracts
+        .as_mut()
+        .unwrap()
+        .insert(Contract::new("ghost", 0.1, 1.0, 0));
     let r = run_checks_with_threads(&m, 1);
     assert!(
-        r.diagnostics.iter().any(|d| d.code.0 == 21 && d.severity == Severity::Error),
+        r.diagnostics
+            .iter()
+            .any(|d| d.code.0 == 21 && d.severity == Severity::Error),
         "a dangling contract is an error:\n{}",
         r.render()
     );
@@ -237,7 +247,12 @@ fn c022_divergent_guarantees_fire() {
     }
     assert_contract_mutation_fires(22, &m);
     let r = run_checks_with_threads(&m, 1);
-    assert_eq!(r.count(Severity::Error), 0, "C022 is advisory:\n{}", r.render());
+    assert_eq!(
+        r.count(Severity::Error),
+        0,
+        "C022 is advisory:\n{}",
+        r.render()
+    );
 }
 
 #[test]
@@ -267,10 +282,16 @@ fn incremental_certifier_is_bitwise_identical_to_from_scratch() {
             match rng.gen_range(0..4u32) {
                 0 => {
                     // Rewrite row i (column i untouched: only row i dirties).
-                    let col: Vec<f64> = (0..n).map(|j| influence.get(j, i).unwrap_or(0.0)).collect();
-                    let mut row: Vec<f64> = (0..n).map(|j| influence.get(i, j).unwrap_or(0.0)).collect();
+                    let col: Vec<f64> =
+                        (0..n).map(|j| influence.get(j, i).unwrap_or(0.0)).collect();
+                    let mut row: Vec<f64> =
+                        (0..n).map(|j| influence.get(i, j).unwrap_or(0.0)).collect();
                     let j = (i + 1 + rng.gen_range(0..n - 1)) % n;
-                    row[j] = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..0.8) };
+                    row[j] = if rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..0.8)
+                    };
                     influence.set_row_col(i, &row, &col);
                 }
                 1 => crits[i] = rng.gen_range(0..8u32),
@@ -333,18 +354,34 @@ fn single_row_edits_recertify_in_o_degree() {
     let contracts = synthesize(&names, &crits, &influence);
     let mut warm = Certifier::new();
     let first = warm.certify(
-        &CertView { model: "deg", names: &names, crits: &crits, influence: &influence, contracts: &contracts },
+        &CertView {
+            model: "deg",
+            names: &names,
+            crits: &crits,
+            influence: &influence,
+            contracts: &contracts,
+        },
         Dirty::Full,
         1,
     );
     assert_eq!((first.verified, first.reused), (n, 0));
     crits[9] = (crits[9] + 1) % 8;
     let inc = warm.certify(
-        &CertView { model: "deg", names: &names, crits: &crits, influence: &influence, contracts: &contracts },
+        &CertView {
+            model: "deg",
+            names: &names,
+            crits: &crits,
+            influence: &influence,
+            contracts: &contracts,
+        },
         Dirty::Rows(&[9]),
         1,
     );
-    assert_eq!((inc.verified, inc.reused), (1, n - 1), "one dirty row re-verifies alone");
+    assert_eq!(
+        (inc.verified, inc.reused),
+        (1, n - 1),
+        "one dirty row re-verifies alone"
+    );
 }
 
 #[test]
@@ -355,12 +392,20 @@ fn contract_reports_are_identical_across_thread_counts() {
     edit_contract(&mut broken, "f0", |c| c.guarantee = 0.01);
     edit_contract(&mut broken, "f1", |c| c.floor = 99);
     edit_contract(&mut broken, "f2", |c| c.rely = 0.0);
-    broken.contracts.as_mut().unwrap().insert(Contract::new("ghost", 0.2, 1.0, 0));
+    broken
+        .contracts
+        .as_mut()
+        .unwrap()
+        .insert(Contract::new("ghost", 0.2, 1.0, 0));
     models.push(broken);
     for m in &models {
         let seq = run_checks_with_threads(m, 1);
         let par = run_checks_with_threads(m, 4);
-        assert_eq!(seq.render(), par.render(), "render differs across thread counts");
+        assert_eq!(
+            seq.render(),
+            par.render(),
+            "render differs across thread counts"
+        );
         assert_eq!(
             seq.to_json().to_string_pretty(),
             par.to_json().to_string_pretty(),

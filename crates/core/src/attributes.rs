@@ -15,9 +15,7 @@ use fcm_sched::{Job, JobId, Time};
 
 /// Application criticality (higher = more critical). The paper's Table 1
 /// uses small integers (e.g. 10 for the flight-critical process).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Criticality(pub u32);
 
 impl fmt::Display for Criticality {
@@ -152,9 +150,7 @@ impl fmt::Display for Throughput {
 
 /// Information-security classification level (higher = more restricted);
 /// combined by maximum (data flows up to the most restricted member).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SecurityLevel(pub u8);
 
 impl fmt::Display for SecurityLevel {

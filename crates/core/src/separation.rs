@@ -121,7 +121,13 @@ impl SeparationAnalysis {
 
     /// [`separation`](SeparationAnalysis::separation) against a
     /// caller-owned [`Workspace`] — allocation-free once warm.
-    pub fn separation_with(&self, from: NodeIdx, to: NodeIdx, order: usize, ws: &mut Workspace) -> f64 {
+    pub fn separation_with(
+        &self,
+        from: NodeIdx,
+        to: NodeIdx,
+        order: usize,
+        ws: &mut Workspace,
+    ) -> f64 {
         1.0 - self.total_influence_with(from, to, order, ws)
     }
 
@@ -241,7 +247,12 @@ impl SeparationAnalysis {
     /// [`converged_order`](SeparationAnalysis::converged_order) against a
     /// caller-owned [`Workspace`] (dense scratch; the sparse engine
     /// ignores it).
-    pub fn converged_order_with(&self, epsilon: f64, max_order: usize, ws: &mut Workspace) -> usize {
+    pub fn converged_order_with(
+        &self,
+        epsilon: f64,
+        max_order: usize,
+        ws: &mut Workspace,
+    ) -> usize {
         match &self.influence {
             InfluenceMatrix::Dense(m) => {
                 ws.begin_powers(m.rows());
@@ -265,12 +276,7 @@ impl SeparationAnalysis {
         match &self.influence {
             InfluenceMatrix::Dense(m) => {
                 let n = m.rows();
-                (0..n).all(|i| {
-                    (0..n)
-                        .map(|j| m.get(i, j).expect("in bounds"))
-                        .sum::<f64>()
-                        < 1.0
-                })
+                (0..n).all(|i| (0..n).map(|j| m.get(i, j).expect("in bounds")).sum::<f64>() < 1.0)
             }
             InfluenceMatrix::Sparse(s) => (0..s.rows()).all(|i| {
                 // Stored entries ascend by column; summing them skips
@@ -345,9 +351,9 @@ mod tests {
         p[(2, 3)] = 0.2;
         for a in [
             SeparationAnalysis::new(p.clone()).unwrap(),
-            SeparationAnalysis::from_influence(InfluenceMatrix::Sparse(
-                SparseMatrix::from_dense(&p),
-            ))
+            SeparationAnalysis::from_influence(InfluenceMatrix::Sparse(SparseMatrix::from_dense(
+                &p,
+            )))
             .unwrap(),
         ] {
             let top = a.top_k_least_separated(NodeIdx(0), 2, DEFAULT_ORDER);

@@ -127,7 +127,8 @@ fn any_composition_sequence_preserves_the_invariants() {
         arb_ops,
         |ops| {
             let h = run_ops(ops);
-            h.verify().expect("invariants must hold after any op sequence");
+            h.verify()
+                .expect("invariants must hold after any op sequence");
             Ok(())
         },
     );
@@ -163,41 +164,31 @@ fn retest_sets_stay_within_the_live_hierarchy() {
 
 #[test]
 fn levels_always_step_down_one_rank() {
-    prop::check_cases(
-        "levels_always_step_down_one_rank",
-        128,
-        arb_ops,
-        |ops| {
-            let h = run_ops(ops);
-            for fcm in h.iter() {
-                for &c in fcm.children() {
-                    let child = h.fcm(c).expect("child is live");
-                    prop_assert_eq!(Some(child.level()), fcm.level().child());
-                }
+    prop::check_cases("levels_always_step_down_one_rank", 128, arb_ops, |ops| {
+        let h = run_ops(ops);
+        for fcm in h.iter() {
+            for &c in fcm.children() {
+                let child = h.fcm(c).expect("child is live");
+                prop_assert_eq!(Some(child.level()), fcm.level().child());
             }
-            Ok(())
-        },
-    );
+        }
+        Ok(())
+    });
 }
 
 #[test]
 fn descendants_are_acyclic_and_unique() {
-    prop::check_cases(
-        "descendants_are_acyclic_and_unique",
-        128,
-        arb_ops,
-        |ops| {
-            let h = run_ops(ops);
-            for root in h.roots() {
-                let mut d = h.descendants(root.id()).expect("live root");
-                let before = d.len();
-                d.sort();
-                d.dedup();
-                prop_assert_eq!(d.len(), before, "duplicate in descendants = shared child");
-            }
-            Ok(())
-        },
-    );
+    prop::check_cases("descendants_are_acyclic_and_unique", 128, arb_ops, |ops| {
+        let h = run_ops(ops);
+        for root in h.roots() {
+            let mut d = h.descendants(root.id()).expect("live root");
+            let before = d.len();
+            d.sort();
+            d.dedup();
+            prop_assert_eq!(d.len(), before, "duplicate in descendants = shared child");
+        }
+        Ok(())
+    });
 }
 
 #[test]

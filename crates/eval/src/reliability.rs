@@ -440,8 +440,7 @@ impl RepairableModel {
             mean_failed_processes: totals.failed as f64 / t,
             mean_shed_processes: totals.shed as f64 / t,
             mean_recoveries: totals.recoveries as f64 / t,
-            mttr: (totals.recoveries > 0)
-                .then(|| totals.recovery_time / totals.recoveries as f64),
+            mttr: (totals.recoveries > 0).then(|| totals.recovery_time / totals.recoveries as f64),
             trials: self.base.trials,
         }
     }

@@ -451,8 +451,7 @@ impl InfluenceMatrix {
     pub fn to_state_json(&self) -> Json {
         match self {
             InfluenceMatrix::Dense(m) => Json::array(
-                (0..m.rows())
-                    .map(|i| Json::array((0..m.cols()).map(|j| Json::from(m[(i, j)])))),
+                (0..m.rows()).map(|i| Json::array((0..m.cols()).map(|j| Json::from(m[(i, j)])))),
             ),
             InfluenceMatrix::Sparse(s) => {
                 let n = s.rows();
@@ -556,10 +555,7 @@ impl std::ops::Index<(usize, usize)> for InfluenceMatrix {
         match self {
             InfluenceMatrix::Dense(m) => &m[(r, c)],
             InfluenceMatrix::Sparse(s) => {
-                assert!(
-                    r < s.rows() && c < s.cols(),
-                    "matrix index out of bounds"
-                );
+                assert!(r < s.rows() && c < s.cols(), "matrix index out of bounds");
                 s.entry_ref(r, c).unwrap_or(&ZERO)
             }
         }

@@ -278,7 +278,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn walk_series_into(&self, order: usize, epsilon: f64, ws: &mut Workspace, acc: &mut Matrix) {
+    pub fn walk_series_into(
+        &self,
+        order: usize,
+        epsilon: f64,
+        ws: &mut Workspace,
+        acc: &mut Matrix,
+    ) {
         assert_eq!(self.rows, self.cols, "walk series requires a square matrix");
         let n = self.rows;
         acc.reset_zeros(n, n);

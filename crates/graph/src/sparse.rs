@@ -140,9 +140,7 @@ impl SparseMatrix {
         SparseMatrix::from_triples(
             rows,
             cols,
-            (0..rows).flat_map(|i| {
-                (0..cols).map(move |j| (i, j, m.get(i, j).expect("in bounds")))
-            }),
+            (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j, m.get(i, j).expect("in bounds")))),
         )
     }
 
@@ -388,8 +386,7 @@ impl SparseMatrix {
         let mut scratch = vec![0.0f64; n];
         let mut touched = Vec::new();
         let (cols, vals) = self.row(i);
-        let mut cur: Vec<(usize, f64)> =
-            cols.iter().copied().zip(vals.iter().copied()).collect();
+        let mut cur: Vec<(usize, f64)> = cols.iter().copied().zip(vals.iter().copied()).collect();
         let mut acc: Vec<(usize, f64)> = Vec::new();
         for step in 0..order {
             let max = cur.iter().fold(0.0f64, |m, &(_, v)| m.max(v.abs()));
@@ -577,14 +574,13 @@ impl SparseMatrix {
         assert_eq!(map.len(), n, "map must cover every node");
         let mut inv = vec![usize::MAX; n];
         for (new, &old) in map.iter().enumerate() {
-            assert!(old < n && inv[old] == usize::MAX, "map must be a permutation");
+            assert!(
+                old < n && inv[old] == usize::MAX,
+                "map must be a permutation"
+            );
             inv[old] = new;
         }
-        SparseMatrix::from_triples(
-            n,
-            n,
-            self.entries().map(|(r, c, v)| (inv[r], inv[c], v)),
-        )
+        SparseMatrix::from_triples(n, n, self.entries().map(|(r, c, v)| (inv[r], inv[c], v)))
     }
 
     /// Splits the rows into contiguous blocks of whole strongly
@@ -769,11 +765,8 @@ mod tests {
     #[test]
     fn components_come_back_in_reverse_topological_order() {
         // 0 <-> 1 cycle feeding the 2 -> 3 chain.
-        let m = SparseMatrix::from_triples(
-            4,
-            4,
-            [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.3), (2, 3, 0.2)],
-        );
+        let m =
+            SparseMatrix::from_triples(4, 4, [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.3), (2, 3, 0.2)]);
         let comps = m.components();
         assert_eq!(comps.len(), 3);
         // The sink singleton {3} first, the source cycle {0, 1} last.

@@ -5,8 +5,8 @@
 
 use fcm_graph::{InfluenceMatrix, Matrix, SparseMatrix};
 use fcm_substrate::prop;
-use fcm_substrate::rng::Rng;
 use fcm_substrate::prop_assert_eq;
+use fcm_substrate::rng::Rng;
 
 /// A random influence matrix: n×n, each off-diagonal entry nonzero with
 /// probability `density`, values in (0, 0.9/n·fan] so walk series stay
@@ -94,7 +94,10 @@ fn walk_series_is_bitwise_equal_to_the_dense_oracle() {
             // Full-series parity, at several thread counts.
             assert_bitwise(&sparse.walk_series(*order, *epsilon), &oracle)?;
             for threads in [1, 3] {
-                assert_bitwise(&sparse.walk_series_threads(*order, *epsilon, threads), &oracle)?;
+                assert_bitwise(
+                    &sparse.walk_series_threads(*order, *epsilon, threads),
+                    &oracle,
+                )?;
             }
             Ok(())
         },
@@ -112,10 +115,22 @@ fn eq4_row_col_recombination_matches_across_representations() {
             let gi = rng.gen_range(0..n);
             // Fresh row/col values to splice in (diagonal comes from row).
             let row: Vec<f64> = (0..n)
-                .map(|j| if j == gi { 0.0 } else { rng.gen_range(0.0..0.5) })
+                .map(|j| {
+                    if j == gi {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..0.5)
+                    }
+                })
                 .collect();
             let col: Vec<f64> = (0..n)
-                .map(|j| if j == gi { 0.0 } else { rng.gen_range(0.0..0.5) })
+                .map(|j| {
+                    if j == gi {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..0.5)
+                    }
+                })
                 .collect();
             (dense, gi, row, col)
         },

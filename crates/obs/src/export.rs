@@ -131,16 +131,20 @@ pub fn render_jsonl() -> String {
         line(span_json(s));
     }
     for (name, value) in &snap.counters {
-        line(Json::object()
-            .set("kind", "counter")
-            .set("name", name.as_str())
-            .set("value", *value));
+        line(
+            Json::object()
+                .set("kind", "counter")
+                .set("name", name.as_str())
+                .set("value", *value),
+        );
     }
     for (name, value) in &snap.gauges {
-        line(Json::object()
-            .set("kind", "gauge")
-            .set("name", name.as_str())
-            .set("value", *value));
+        line(
+            Json::object()
+                .set("kind", "gauge")
+                .set("name", name.as_str())
+                .set("value", *value),
+        );
     }
     for (name, h) in &snap.hists {
         let mut j = h.to_json();
@@ -210,10 +214,7 @@ impl EventLog {
                     if let Some(d) = j.get("events_dropped").and_then(Json::as_f64) {
                         log.events_dropped = d as u64;
                     }
-                    log.flight = j
-                        .get("flight")
-                        .and_then(Json::as_str)
-                        .map(str::to_string);
+                    log.flight = j.get("flight").and_then(Json::as_str).map(str::to_string);
                     saw_meta = true;
                 }
                 "event" => {

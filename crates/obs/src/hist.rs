@@ -131,7 +131,11 @@ impl Histogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {

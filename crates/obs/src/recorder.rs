@@ -301,7 +301,10 @@ mod tests {
     #[test]
     fn flight_dump_parses_as_an_event_log() {
         with_recorder(16, || {
-            record("mutation", Json::object().set("seq", 1u64).set("op", "add_fcm"));
+            record(
+                "mutation",
+                Json::object().set("seq", 1u64).set("op", "add_fcm"),
+            );
             record("degraded", Json::object().set("transitions", 1u64));
             let text = render_flight("test");
             let log = EventLog::parse(&text).expect("flight dump parses");
@@ -310,7 +313,10 @@ mod tests {
             assert_eq!(log.events[0].name, "mutation");
             assert_eq!(log.events[0].seq, 0);
             assert_eq!(
-                log.events[1].detail.get("transitions").and_then(Json::as_f64),
+                log.events[1]
+                    .detail
+                    .get("transitions")
+                    .and_then(Json::as_f64),
                 Some(1.0)
             );
             assert_eq!(log.events_dropped, 0);

@@ -45,10 +45,7 @@ fn merging_rotated_windows_reproduces_the_lifetime_histogram() {
             for w in r.windows() {
                 prop_assert_eq!(w.count(), r.window_every());
             }
-            prop_assert_eq!(
-                r.current().count(),
-                samples.len() as u64 % r.window_every()
-            );
+            prop_assert_eq!(r.current().count(), samples.len() as u64 % r.window_every());
             Ok(())
         },
     );
@@ -66,7 +63,9 @@ fn window_quantiles_reflect_the_window_not_the_lifetime() {
                 r.record(v);
             }
             if let Some(w) = r.last_window() {
-                let lo = w.min().map(|m| Histogram::bucket_low(Histogram::bucket_of(m)));
+                let lo = w
+                    .min()
+                    .map(|m| Histogram::bucket_low(Histogram::bucket_of(m)));
                 prop_assert!(w.quantile(0.5).unwrap() >= lo.unwrap());
                 prop_assert!(w.quantile(0.99).unwrap() <= w.max().unwrap());
             }

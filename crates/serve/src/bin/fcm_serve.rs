@@ -210,9 +210,8 @@ fn main() -> ExitCode {
         Err(e) => {
             // Model-content failures (pre-flight findings, infeasible
             // placement) are findings → 1; environment failures → 2.
-            let findings = e.contains("preflight")
-                || e.contains("no feasible")
-                || e.contains("unknown model");
+            let findings =
+                e.contains("preflight") || e.contains("no feasible") || e.contains("unknown model");
             eprintln!("fcm-serve: {e}");
             return ExitCode::from(if findings { 1 } else { 2 });
         }

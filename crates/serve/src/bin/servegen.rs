@@ -99,8 +99,7 @@ fn parse_args(argv: &[String]) -> Result<Option<(Listen, Mode, Option<u64>)>, St
                 subscribe_transcript = Some(k);
             }
             "--subscribe" => {
-                config.subscribers =
-                    uint("--subscribe", value("--subscribe")?)? as usize;
+                config.subscribers = uint("--subscribe", value("--subscribe")?)? as usize;
             }
             "--rate" => config.rate = uint("--rate", value("--rate")?)?,
             "--clients" => config.clients = uint("--clients", value("--clients")?)? as usize,

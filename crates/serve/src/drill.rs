@@ -190,7 +190,9 @@ fn reference_run(
     let mut model = LiveModel::new(model_name)?;
     let mut states = vec![model.state_json().to_string_compact()];
     for (i, m) in session.iter().enumerate() {
-        model.apply(m).map_err(|e| format!("reference apply {i}: {e}"))?;
+        model
+            .apply(m)
+            .map_err(|e| format!("reference apply {i}: {e}"))?;
         store.append(model.seq(), m)?;
         states.push(model.state_json().to_string_compact());
         if (i + 1) % SNAPSHOT_EVERY == 0 {
@@ -224,25 +226,34 @@ fn crash_case(
     let mut model = LiveModel::new(model_name)?;
     let mut acked = 0usize;
     'session: for (i, m) in session.iter().enumerate() {
-        model.apply(m).map_err(|e| format!("drill apply {i}: {e}"))?;
+        model
+            .apply(m)
+            .map_err(|e| format!("drill apply {i}: {e}"))?;
         if store.append(model.seq(), m).is_err() {
             // The process died mid-append. The flight recorder treats a
             // simulated crash like a real one: capture the moment, then
             // best-effort dump (a no-op unless the drill armed it).
             fcm_obs::recorder::record(
                 "crash_point",
-                Json::object().set("site", site).set("hit", k).set("torn", torn),
+                Json::object()
+                    .set("site", site)
+                    .set("hit", k)
+                    .set("torn", torn),
             );
             let _ = fcm_obs::recorder::auto_dump("crash_point");
             break 'session;
         }
         acked += 1;
-        if (i + 1) % SNAPSHOT_EVERY == 0 && store.snapshot(model.seq(), &model.state_json()).is_err()
+        if (i + 1) % SNAPSHOT_EVERY == 0
+            && store.snapshot(model.seq(), &model.state_json()).is_err()
         {
             // Died mid-snapshot; journal has everything.
             fcm_obs::recorder::record(
                 "crash_point",
-                Json::object().set("site", site).set("hit", k).set("torn", torn),
+                Json::object()
+                    .set("site", site)
+                    .set("hit", k)
+                    .set("torn", torn),
             );
             let _ = fcm_obs::recorder::auto_dump("crash_point");
             break 'session;
@@ -327,11 +338,25 @@ pub fn run_matrix(model_name: &str, quick: bool) -> Result<DrillReport, String> 
     let (trace, ref_states) = reference_run(model_name, &session)?;
     let mut cases = Vec::new();
     for (k, site) in trace.iter().enumerate() {
-        cases.push(crash_case(model_name, &session, k as u64, site, false, &ref_states)?);
+        cases.push(crash_case(
+            model_name,
+            &session,
+            k as u64,
+            site,
+            false,
+            &ref_states,
+        )?);
         // Byte-write sites get a second, nastier variant: die mid-write
         // with a strict prefix of the payload on disk.
         if site.ends_with(".write") {
-            cases.push(crash_case(model_name, &session, k as u64, site, true, &ref_states)?);
+            cases.push(crash_case(
+                model_name,
+                &session,
+                k as u64,
+                site,
+                true,
+                &ref_states,
+            )?);
         }
     }
     Ok(DrillReport {
@@ -350,10 +375,20 @@ mod tests {
         let a = golden_session("paper", false).unwrap();
         let b = golden_session("paper", false).unwrap();
         assert_eq!(
-            a.iter().map(crate::proto::mutation_to_json).map(|j| j.to_string_compact()).collect::<Vec<_>>(),
-            b.iter().map(crate::proto::mutation_to_json).map(|j| j.to_string_compact()).collect::<Vec<_>>(),
+            a.iter()
+                .map(crate::proto::mutation_to_json)
+                .map(|j| j.to_string_compact())
+                .collect::<Vec<_>>(),
+            b.iter()
+                .map(crate::proto::mutation_to_json)
+                .map(|j| j.to_string_compact())
+                .collect::<Vec<_>>(),
         );
-        assert!(a.len() >= 10, "full session has enough mutations: {}", a.len());
+        assert!(
+            a.len() >= 10,
+            "full session has enough mutations: {}",
+            a.len()
+        );
         let q = golden_session("paper", true).unwrap();
         assert!(q.len() < a.len(), "quick session is a trimmed script");
     }

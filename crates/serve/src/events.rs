@@ -153,7 +153,9 @@ impl Subscriber {
             {
                 let mut st = self.state.lock().expect("subscriber lock");
                 while (batch.len() as u64) < max {
-                    let Some(ev) = st.queue.pop_front() else { break };
+                    let Some(ev) = st.queue.pop_front() else {
+                        break;
+                    };
                     st.delivered += 1;
                     batch.push((ev, st.dropped));
                 }

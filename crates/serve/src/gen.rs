@@ -249,11 +249,10 @@ fn spawn_subscriber(target: &Listen) -> Result<SubWorker, String> {
             let drops = event_u64(&j, "dropped")?;
             let consistent = match prev {
                 None => eseq.checked_sub(next_eseq) == drops.checked_sub(0),
-                Some((pe, pd)) => {
-                    eseq.checked_sub(pe + 1)
-                        .zip(drops.checked_sub(pd))
-                        .is_some_and(|(gap, d)| gap == d)
-                }
+                Some((pe, pd)) => eseq
+                    .checked_sub(pe + 1)
+                    .zip(drops.checked_sub(pd))
+                    .is_some_and(|(gap, d)| gap == d),
             };
             if !consistent {
                 return Err(format!(
@@ -379,11 +378,20 @@ pub fn run_load(target: &Listen, config: &LoadConfig) -> Result<LoadReport, Stri
     // Fetch the base FCM list once so the mix targets real names.
     let base: Vec<String> = {
         let stream = connect(target)?;
-        let mut tx = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
+        let mut tx = stream
+            .try_clone()
+            .map_err(|e| format!("clone stream: {e}"))?;
         let mut lines = BufReader::new(stream).lines();
-        lines.next().ok_or("server closed before hello")?.map_err(|e| e.to_string())?;
-        tx.write_all(b"{\"op\":\"list\"}\n").map_err(|e| e.to_string())?;
-        let resp = lines.next().ok_or("no list response")?.map_err(|e| e.to_string())?;
+        lines
+            .next()
+            .ok_or("server closed before hello")?
+            .map_err(|e| e.to_string())?;
+        tx.write_all(b"{\"op\":\"list\"}\n")
+            .map_err(|e| e.to_string())?;
+        let resp = lines
+            .next()
+            .ok_or("no list response")?
+            .map_err(|e| e.to_string())?;
         let j = Json::parse(&resp).map_err(|e| format!("list response: {e}"))?;
         j.get("fcms")
             .and_then(Json::as_array)
@@ -404,8 +412,7 @@ pub fn run_load(target: &Listen, config: &LoadConfig) -> Result<LoadReport, Stri
         .collect::<Result<_, _>>()?;
 
     let per_client_rate = config.rate as f64 / config.clients as f64;
-    let total_per_client =
-        ((config.duration_ms as f64 / 1000.0) * per_client_rate).floor() as u64;
+    let total_per_client = ((config.duration_ms as f64 / 1000.0) * per_client_rate).floor() as u64;
     let workers: Vec<_> = (0..config.clients)
         .map(|c| {
             let target = target.clone();
@@ -414,7 +421,9 @@ pub fn run_load(target: &Listen, config: &LoadConfig) -> Result<LoadReport, Stri
             let mutation_pct = config.mutation_pct;
             std::thread::spawn(move || -> Result<LoadReport, String> {
                 let stream = connect(&target)?;
-                let mut tx = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
+                let mut tx = stream
+                    .try_clone()
+                    .map_err(|e| format!("clone stream: {e}"))?;
                 // Responses come back in request order on the session, so
                 // the reader half pairs each line with the send instant
                 // queued by the sender half.
@@ -469,7 +478,8 @@ pub fn run_load(target: &Listen, config: &LoadConfig) -> Result<LoadReport, Stri
                     meta_tx
                         .send((Instant::now(), is_mutation))
                         .map_err(|_| "reader half exited early".to_string())?;
-                    tx.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
+                    tx.write_all(line.as_bytes())
+                        .map_err(|e| format!("send: {e}"))?;
                 }
                 drop(meta_tx);
                 let mut report = reader
@@ -566,8 +576,11 @@ mod tests {
 
     #[test]
     fn script_and_load_run_against_a_live_server() {
-        let h = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
-            .expect("server starts");
+        let h = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
+        .expect("server starts");
         let target = Listen::Tcp(h.addr().to_string());
 
         let mut transcript = Vec::new();

@@ -114,11 +114,19 @@ fn timing_job(attrs: &AttributeSet, id: usize) -> Option<Job> {
 }
 
 fn criticality(g: &SwGraph, v: usize) -> u32 {
-    g.node(NodeIdx(v)).expect("valid index").attributes.criticality.0
+    g.node(NodeIdx(v))
+        .expect("valid index")
+        .attributes
+        .criticality
+        .0
 }
 
 fn throughput_of(g: &SwGraph, v: usize) -> f64 {
-    g.node(NodeIdx(v)).expect("valid index").attributes.throughput.0
+    g.node(NodeIdx(v))
+        .expect("valid index")
+        .attributes
+        .throughput
+        .0
 }
 
 /// Whether `a` and `b` may never share a HW node (replica/separation
@@ -256,7 +264,11 @@ fn displacement_plan(
 /// Rebuilds the per-host placement state from `host_of`. Member lists
 /// come out in dense order; every scoring/admission decision downstream
 /// is order-independent, so this matches incrementally-built state.
-fn rebuild_hosts(g: &SwGraph, hw: &HwGraph, host_of: &[Option<usize>]) -> Result<Vec<HostState>, String> {
+fn rebuild_hosts(
+    g: &SwGraph,
+    hw: &HwGraph,
+    host_of: &[Option<usize>],
+) -> Result<Vec<HostState>, String> {
     let mut hosts = vec![HostState::empty(); hw.len()];
     for (v, host) in host_of.iter().enumerate() {
         if let Some(h) = *host {
@@ -343,13 +355,14 @@ impl LiveModel {
         order.sort_by_key(|&v| (std::cmp::Reverse(criticality(&model.graph, v)), v));
         model.host_of = vec![None; model.graph.node_count()];
         for v in order {
-            let h = find_host(&model.graph, &model.hw, &model.hosts, &model.failed, v)
-                .ok_or_else(|| {
+            let h = find_host(&model.graph, &model.hw, &model.hosts, &model.failed, v).ok_or_else(
+                || {
                     format!(
                         "no feasible initial placement for {}",
                         model.graph.node(NodeIdx(v)).expect("valid index").name
                     )
-                })?;
+                },
+            )?;
             commit_to(&model.graph, &mut model.hosts, h, v);
             model.host_of[v] = Some(h);
         }
@@ -445,7 +458,10 @@ impl LiveModel {
         let mut certifier = self.certifier.clone();
         let cert = certifier.certify(&view, dirty, 1);
         if cert.report.has_errors() {
-            return Err(format!("contracts rejected {op}: {}", cert.report.error_lines()));
+            return Err(format!(
+                "contracts rejected {op}: {}",
+                cert.report.error_lines()
+            ));
         }
         Ok((certifier, Some(cert)))
     }
@@ -561,7 +577,10 @@ impl LiveModel {
         }
         let report = fcm_check::gates::check_sw_graph(&candidate);
         if report.has_errors() {
-            return Err(format!("preflight rejected add_fcm: {}", report.error_lines()));
+            return Err(format!(
+                "preflight rejected add_fcm: {}",
+                report.error_lines()
+            ));
         }
         let v = new.index();
         let h = find_host(&candidate, &self.hw, &self.hosts, &self.failed, v)
@@ -673,14 +692,23 @@ impl LiveModel {
         }
         if let Some(t) = timing {
             attrs.timing = t.map(|(est, tcd, ct)| {
-                AttributeSet::default().with_timing(est, tcd, ct).timing.expect("just set")
+                AttributeSet::default()
+                    .with_timing(est, tcd, ct)
+                    .timing
+                    .expect("just set")
             });
         }
         let mut candidate = self.graph.clone();
-        candidate.node_mut(NodeIdx(v)).expect("valid index").attributes = attrs;
+        candidate
+            .node_mut(NodeIdx(v))
+            .expect("valid index")
+            .attributes = attrs;
         let report = fcm_check::gates::check_sw_graph(&candidate);
         if report.has_errors() {
-            return Err(format!("preflight rejected set_attr: {}", report.error_lines()));
+            return Err(format!(
+                "preflight rejected set_attr: {}",
+                report.error_lines()
+            ));
         }
         // Contract gate on the candidate attributes: only row `v` is
         // dirty (the state hash folds the criticality), so this is the
@@ -802,10 +830,7 @@ impl LiveModel {
             .set(
                 "moved",
                 Json::array(moved.iter().map(|&(v, dest)| {
-                    Json::array([
-                        Json::from(self.fcm_name(v)),
-                        Json::from(self.hw_name(dest)),
-                    ])
+                    Json::array([Json::from(self.fcm_name(v)), Json::from(self.hw_name(dest))])
                 })),
             )
             .set(
@@ -840,10 +865,7 @@ impl LiveModel {
             .set(
                 "placed",
                 Json::array(placed.iter().map(|&(v, dest)| {
-                    Json::array([
-                        Json::from(self.fcm_name(v)),
-                        Json::from(self.hw_name(dest)),
-                    ])
+                    Json::array([Json::from(self.fcm_name(v)), Json::from(self.hw_name(dest))])
                 })),
             )
             .set("restored", node)
@@ -854,7 +876,11 @@ impl LiveModel {
     }
 
     fn fcm_name(&self, v: usize) -> String {
-        self.graph.node(NodeIdx(v)).expect("valid index").name.clone()
+        self.graph
+            .node(NodeIdx(v))
+            .expect("valid index")
+            .name
+            .clone()
     }
 
     /// Answers a read-only query ([`Query::Snapshot`] is handled by the
@@ -899,7 +925,11 @@ impl LiveModel {
             Query::List => Ok(Json::object()
                 .set(
                     "fcms",
-                    Json::array(self.graph.nodes().map(|(_, sw)| Json::from(sw.name.as_str()))),
+                    Json::array(
+                        self.graph
+                            .nodes()
+                            .map(|(_, sw)| Json::from(sw.name.as_str())),
+                    ),
                 )
                 .set(
                     "hw",
@@ -940,7 +970,12 @@ impl LiveModel {
             .set("warnings", report.count(Severity::Warn) as u64)
     }
 
-    fn admit(&self, node: &str, timing: Option<(u64, u64, u64)>, throughput: f64) -> Result<Json, String> {
+    fn admit(
+        &self,
+        node: &str,
+        timing: Option<(u64, u64, u64)>,
+        throughput: f64,
+    ) -> Result<Json, String> {
         let h = self.hw_by_name(node)?;
         let verdict = |admit: bool, reason: &str| {
             Ok(Json::object()
@@ -990,11 +1025,18 @@ impl LiveModel {
         if !self.failed.is_empty() {
             return Err("propose_placement requires no already-failed hw nodes".to_string());
         }
-        let (clustering, mapping) = self.placed_view().ok_or_else(|| {
-            "propose_placement requires a fully-placed model".to_string()
-        })?;
-        let out = failover::remap(&self.graph, &clustering, &mapping, &self.hw, NodeIdx(h), self.shed)
-            .map_err(|e| e.to_string())?;
+        let (clustering, mapping) = self
+            .placed_view()
+            .ok_or_else(|| "propose_placement requires a fully-placed model".to_string())?;
+        let out = failover::remap(
+            &self.graph,
+            &clustering,
+            &mapping,
+            &self.hw,
+            NodeIdx(h),
+            self.shed,
+        )
+        .map_err(|e| e.to_string())?;
         Ok(Json::object()
             .set("degraded", out.degraded)
             .set(
@@ -1011,7 +1053,11 @@ impl LiveModel {
             .set("node", node)
             .set(
                 "shed",
-                Json::array(out.shed.iter().map(|&v| Json::from(self.fcm_name(v.index())))),
+                Json::array(
+                    out.shed
+                        .iter()
+                        .map(|&v| Json::from(self.fcm_name(v.index()))),
+                ),
             ))
     }
 
@@ -1157,7 +1203,10 @@ impl LiveModel {
         if state.get("schema").and_then(Json::as_str) != Some(STATE_SCHEMA) {
             return Err(format!("snapshot state is not {STATE_SCHEMA}"));
         }
-        let name = state.get("model").and_then(Json::as_str).ok_or_else(|| want("model"))?;
+        let name = state
+            .get("model")
+            .and_then(Json::as_str)
+            .ok_or_else(|| want("model"))?;
         let hw = match name {
             "paper" => paper::hw_platform(),
             "avionics" => avionics::platform(),
@@ -1168,11 +1217,17 @@ impl LiveModel {
             .map(|(h, n)| (n.name.clone(), h.index()))
             .collect();
 
-        let fcms = state.get("fcms").and_then(Json::as_array).ok_or_else(|| want("fcms"))?;
+        let fcms = state
+            .get("fcms")
+            .and_then(Json::as_array)
+            .ok_or_else(|| want("fcms"))?;
         let mut graph: SwGraph = SwGraph::new();
         let mut host_of: Vec<Option<usize>> = Vec::with_capacity(fcms.len());
         for f in fcms {
-            let fname = f.get("name").and_then(Json::as_str).ok_or_else(|| want("fcms[].name"))?;
+            let fname = f
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or_else(|| want("fcms[].name"))?;
             let num = |key: &str| {
                 f.get(key)
                     .and_then(Json::as_f64)
@@ -1184,8 +1239,16 @@ impl LiveModel {
                 .with_security(num("sec")? as u8)
                 .with_fault_tolerance(fcm_core::FaultTolerance(num("ft")? as u8));
             if let Some(t) = f.get("timing").filter(|t| !matches!(t, Json::Null)) {
-                let arr = t.as_array().filter(|a| a.len() == 3).ok_or_else(|| want("timing"))?;
-                let g = |i: usize| arr[i].as_f64().map(|x| x as u64).ok_or_else(|| want("timing"));
+                let arr = t
+                    .as_array()
+                    .filter(|a| a.len() == 3)
+                    .ok_or_else(|| want("timing"))?;
+                let g = |i: usize| {
+                    arr[i]
+                        .as_f64()
+                        .map(|x| x as u64)
+                        .ok_or_else(|| want("timing"))
+                };
                 attrs = attrs.with_timing(g(0)?, g(1)?, g(2)?);
             }
             let n = graph.add_node(SwNode::new(fname, attrs));
@@ -1210,16 +1273,26 @@ impl LiveModel {
             });
         }
 
-        let edges = state.get("edges").and_then(Json::as_array).ok_or_else(|| want("edges"))?;
+        let edges = state
+            .get("edges")
+            .and_then(Json::as_array)
+            .ok_or_else(|| want("edges"))?;
         for e in edges {
-            let t = e.as_array().filter(|a| a.len() == 3).ok_or_else(|| want("edges[]"))?;
+            let t = e
+                .as_array()
+                .filter(|a| a.len() == 3)
+                .ok_or_else(|| want("edges[]"))?;
             let f = t[0].as_f64().ok_or_else(|| want("edges[]"))? as usize;
             let to = t[1].as_f64().ok_or_else(|| want("edges[]"))? as usize;
             let w = t[2].as_f64().ok_or_else(|| want("edges[]"))?;
             if f >= graph.node_count() || to >= graph.node_count() {
                 return Err("snapshot edge endpoint out of range".to_string());
             }
-            let weight = if w == 0.0 { SwEdge::ReplicaLink } else { SwEdge::Influence(w) };
+            let weight = if w == 0.0 {
+                SwEdge::ReplicaLink
+            } else {
+                SwEdge::Influence(w)
+            };
             graph.add_edge(NodeIdx(f), NodeIdx(to), weight);
         }
 
@@ -1246,7 +1319,10 @@ impl LiveModel {
             );
         }
 
-        let seq = state.get("seq").and_then(Json::as_f64).ok_or_else(|| want("seq"))? as u64;
+        let seq = state
+            .get("seq")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| want("seq"))? as u64;
         let full_condenses = state
             .get("full_condenses")
             .and_then(Json::as_f64)
@@ -1286,7 +1362,9 @@ impl LiveModel {
 fn fcm_columns(g: &SwGraph) -> (Vec<String>, Vec<u32>) {
     (
         g.nodes().map(|(_, sw)| sw.name.clone()).collect(),
-        g.nodes().map(|(_, sw)| sw.attributes.criticality.0).collect(),
+        g.nodes()
+            .map(|(_, sw)| sw.attributes.criticality.0)
+            .collect(),
     )
 }
 
@@ -1311,7 +1389,10 @@ mod tests {
             throughput: 0.0,
             security: 0,
             timing: None,
-            influences: influences.iter().map(|&(n, w)| (n.to_string(), w)).collect(),
+            influences: influences
+                .iter()
+                .map(|&(n, w)| (n.to_string(), w))
+                .collect(),
             influenced_by: Vec::new(),
             contract: None,
         }
@@ -1348,9 +1429,13 @@ mod tests {
         let mut m = LiveModel::new("paper").unwrap();
         m.apply(&add("x1", 2, &[("p2a", 0.4)])).unwrap();
         assert_eq!(m.influence, full_recompute(&m.graph));
-        m.apply(&add("x2", 1, &[("x1", 0.9), ("p8", 0.05)])).unwrap();
+        m.apply(&add("x2", 1, &[("x1", 0.9), ("p8", 0.05)]))
+            .unwrap();
         assert_eq!(m.influence, full_recompute(&m.graph));
-        m.apply(&Mutation::RemoveFcm { name: "x1".to_string() }).unwrap();
+        m.apply(&Mutation::RemoveFcm {
+            name: "x1".to_string(),
+        })
+        .unwrap();
         assert_eq!(m.influence, full_recompute(&m.graph));
         assert_eq!(m.full_condenses(), 1);
         assert_eq!(m.seq(), 3);
@@ -1371,7 +1456,11 @@ mod tests {
             m.apply(&add(&format!("w{i}"), 1, &[("p8", 0.01)])).unwrap();
         }
         assert_eq!(m.influence.repr(), "csr");
-        assert_eq!(m.influence, full_recompute(&m.graph), "bitwise across the flip");
+        assert_eq!(
+            m.influence,
+            full_recompute(&m.graph),
+            "bitwise across the flip"
+        );
         // Stats and dump surface the representation facts.
         let stats = m.query(&Query::Stats).unwrap();
         let info = stats.get("matrix").expect("stats.matrix");
@@ -1382,7 +1471,9 @@ mod tests {
         assert!(density > 0.0 && density <= 0.05);
         let dump = m.query(&Query::Dump).unwrap();
         assert_eq!(
-            dump.get("matrix").and_then(|x| x.get("repr")).and_then(Json::as_str),
+            dump.get("matrix")
+                .and_then(|x| x.get("repr"))
+                .and_then(Json::as_str),
             Some("csr")
         );
         // Queries answer identically from the CSR engine.
@@ -1394,7 +1485,10 @@ mod tests {
             })
             .unwrap();
         let direct = q.get("direct").and_then(Json::as_f64).unwrap();
-        assert!((direct - 0.01).abs() < 1e-12, "Eq. 4 fold of the single edge");
+        assert!(
+            (direct - 0.01).abs() < 1e-12,
+            "Eq. 4 fold of the single edge"
+        );
         // The snapshot round-trips through the CSR state form.
         let state = m.state_json();
         assert_eq!(
@@ -1407,10 +1501,16 @@ mod tests {
         let restored = LiveModel::from_state(&state).unwrap();
         assert_eq!(restored.influence.repr(), "csr");
         assert_eq!(restored.influence, m.influence);
-        assert_eq!(restored.state_json().to_string_compact(), state.to_string_compact());
+        assert_eq!(
+            restored.state_json().to_string_compact(),
+            state.to_string_compact()
+        );
         // Shrinking back below the threshold flips the matrix home.
         for i in 0..(64 - n0) {
-            m.apply(&Mutation::RemoveFcm { name: format!("w{i}") }).unwrap();
+            m.apply(&Mutation::RemoveFcm {
+                name: format!("w{i}"),
+            })
+            .unwrap();
         }
         assert_eq!(m.influence.repr(), "dense");
         assert_eq!(m.influence, full_recompute(&m.graph));
@@ -1424,10 +1524,14 @@ mod tests {
         assert!(m.apply(&add("y", 0, &[("p1a", 1.5)])).is_err()); // bad weight
         assert!(m.apply(&add("y", 0, &[("ghost", 0.5)])).is_err()); // unknown target
         assert!(m
-            .apply(&Mutation::RemoveFcm { name: "ghost".to_string() })
+            .apply(&Mutation::RemoveFcm {
+                name: "ghost".to_string()
+            })
             .is_err());
         assert!(m
-            .apply(&Mutation::FailNode { node: "hw9".to_string() })
+            .apply(&Mutation::FailNode {
+                node: "hw9".to_string()
+            })
             .is_err());
         assert_eq!(m.state_json().to_string_compact(), before);
         assert_eq!(m.seq(), 0);
@@ -1436,12 +1540,27 @@ mod tests {
     #[test]
     fn fail_and_restore_round_trip_preserves_feasibility() {
         let mut m = LiveModel::new("paper").unwrap();
-        let out = m.apply(&Mutation::FailNode { node: "hw0".to_string() }).unwrap();
+        let out = m
+            .apply(&Mutation::FailNode {
+                node: "hw0".to_string(),
+            })
+            .unwrap();
         assert!(out.get("failed").is_some());
         // Double-fail is rejected.
-        assert!(m.apply(&Mutation::FailNode { node: "hw0".to_string() }).is_err());
-        m.apply(&Mutation::RestoreNode { node: "hw0".to_string() }).unwrap();
-        assert!(m.apply(&Mutation::RestoreNode { node: "hw0".to_string() }).is_err());
+        assert!(m
+            .apply(&Mutation::FailNode {
+                node: "hw0".to_string()
+            })
+            .is_err());
+        m.apply(&Mutation::RestoreNode {
+            node: "hw0".to_string(),
+        })
+        .unwrap();
+        assert!(m
+            .apply(&Mutation::RestoreNode {
+                node: "hw0".to_string()
+            })
+            .is_err());
         // Matrix was never touched by placement-only mutations.
         assert_eq!(m.influence, full_recompute(&m.graph));
         // Every replica pair still separated.
@@ -1458,8 +1577,12 @@ mod tests {
     fn state_round_trips_byte_identically() {
         let mut m = LiveModel::new("avionics").unwrap();
         let anchor = m.fcm_name(0);
-        m.apply(&add("monitor", 2, &[(anchor.as_str(), 0.2)])).unwrap();
-        m.apply(&Mutation::FailNode { node: "hw3".to_string() }).unwrap();
+        m.apply(&add("monitor", 2, &[(anchor.as_str(), 0.2)]))
+            .unwrap();
+        m.apply(&Mutation::FailNode {
+            node: "hw3".to_string(),
+        })
+        .unwrap();
         let state = m.state_json();
         let restored = LiveModel::from_state(&state).unwrap();
         assert_eq!(
@@ -1521,7 +1644,11 @@ mod tests {
         );
         let err = m.apply(&bad).unwrap_err();
         assert!(err.contains("C017"), "{err}");
-        assert_eq!(m.state_json().to_string_compact(), before, "rejection left no trace");
+        assert_eq!(
+            m.state_json().to_string_compact(),
+            before,
+            "rejection left no trace"
+        );
 
         // A satisfiable contract is accepted; partial coverage warns
         // but neither errors nor certifies.
@@ -1537,7 +1664,9 @@ mod tests {
         assert_eq!(cert.get("errors").and_then(Json::as_f64), Some(0.0));
         assert!(cert.get("warnings").and_then(Json::as_f64).unwrap() > 0.0);
         let stats = m.query(&Query::Stats).unwrap();
-        let block = stats.get("certified").expect("stats carries the certified block");
+        let block = stats
+            .get("certified")
+            .expect("stats carries the certified block");
         assert_eq!(block.get("contracts").and_then(Json::as_f64), Some(1.0));
 
         // Dropping the criticality below the contract floor is rejected
@@ -1560,20 +1689,29 @@ mod tests {
         .unwrap();
         let cert = m.query(&Query::Certify).unwrap();
         assert_eq!(cert.get("dirty").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(cert.get("reused").and_then(Json::as_f64), Some(m.fcm_count() as f64 - 1.0));
+        assert_eq!(
+            cert.get("reused").and_then(Json::as_f64),
+            Some(m.fcm_count() as f64 - 1.0)
+        );
 
         // Snapshots carry the contracts and re-certify on load.
         let state = m.state_json();
         assert!(state.get("contracts").is_some());
         let restored = LiveModel::from_state(&state).unwrap();
-        assert_eq!(restored.state_json().to_string_compact(), state.to_string_compact());
+        assert_eq!(
+            restored.state_json().to_string_compact(),
+            state.to_string_compact()
+        );
         assert_eq!(
             restored.query(&Query::Certify).unwrap().get("warnings"),
             m.query(&Query::Certify).unwrap().get("warnings"),
         );
 
         // The FCM's contract leaves with it; certification goes inert.
-        m.apply(&Mutation::RemoveFcm { name: "probe".to_string() }).unwrap();
+        m.apply(&Mutation::RemoveFcm {
+            name: "probe".to_string(),
+        })
+        .unwrap();
         let after = m.query(&Query::Certify).unwrap();
         assert_eq!(after.get("contracts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(after.get("certified"), Some(&Json::Bool(false)));
@@ -1603,7 +1741,10 @@ mod tests {
         let s = sep.get("separation").and_then(Json::as_f64).unwrap();
         assert!((s - (1.0 - transitive)).abs() < 1e-15);
         let stats = m.query(&Query::Stats).unwrap();
-        assert_eq!(stats.get("full_condenses").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            stats.get("full_condenses").and_then(Json::as_f64),
+            Some(1.0)
+        );
         assert_eq!(stats.get("unhosted").and_then(Json::as_f64), Some(0.0));
         let check = m.query(&Query::Check).unwrap();
         assert_eq!(check.get("errors").and_then(Json::as_f64), Some(0.0));
@@ -1621,11 +1762,15 @@ mod tests {
     fn propose_placement_matches_applied_fail_node() {
         let m = LiveModel::new("paper").unwrap();
         let proposal = m
-            .query(&Query::ProposePlacement { node: "hw1".to_string() })
+            .query(&Query::ProposePlacement {
+                node: "hw1".to_string(),
+            })
             .unwrap();
         let mut applied = m.clone();
         let out = applied
-            .apply(&Mutation::FailNode { node: "hw1".to_string() })
+            .apply(&Mutation::FailNode {
+                node: "hw1".to_string(),
+            })
             .unwrap();
         // Same scoring on both paths: identical destinations and sheds.
         assert_eq!(proposal.get("moved"), out.get("moved"));
@@ -1646,7 +1791,9 @@ mod tests {
         assert_eq!(free.get("admit"), Some(&Json::Bool(true)));
         let mut failed = m.clone();
         failed
-            .apply(&Mutation::FailNode { node: "hw0".to_string() })
+            .apply(&Mutation::FailNode {
+                node: "hw0".to_string(),
+            })
             .unwrap();
         let dead = failed
             .query(&Query::Admit {

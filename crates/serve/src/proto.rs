@@ -202,7 +202,9 @@ fn f64_field(j: &Json, key: &str, default: f64) -> Result<f64, String> {
 fn uint_field(j: &Json, key: &str, default: u64) -> Result<u64, String> {
     match j.get(key) {
         None => Ok(default),
-        Some(v) => as_uint(v).ok_or_else(|| format!("field \"{key}\" must be a non-negative integer")),
+        Some(v) => {
+            as_uint(v).ok_or_else(|| format!("field \"{key}\" must be a non-negative integer"))
+        }
     }
 }
 

@@ -396,7 +396,8 @@ impl Handle {
             let _ = t.join();
         }
         // Shut the sockets down to unblock reader threads mid-`read`.
-        let slots: Vec<ClientSlot> = std::mem::take(&mut *self.clients.lock().expect("clients lock"));
+        let slots: Vec<ClientSlot> =
+            std::mem::take(&mut *self.clients.lock().expect("clients lock"));
         for slot in &slots {
             slot.stream.shutdown();
         }
@@ -406,10 +407,9 @@ impl Handle {
         // All client-held writer senders are gone; dropping ours ends
         // the writer loop, which flushes the final snapshot.
         drop(self.writer_tx.take());
-        let result = self
-            .writer_thread
-            .take()
-            .map_or(Ok(()), |t| t.join().map_err(|_| "writer thread panicked".to_string())?);
+        let result = self.writer_thread.take().map_or(Ok(()), |t| {
+            t.join().map_err(|_| "writer thread panicked".to_string())?
+        });
         if let Some(path) = self.unix_path.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -490,8 +490,8 @@ pub fn start(config: ServerConfig) -> Result<Handle, String> {
                 std::fs::remove_file(path)
                     .map_err(|e| format!("remove stale socket {}: {e}", path.display()))?;
             }
-            let l = UnixListener::bind(path)
-                .map_err(|e| format!("bind {}: {e}", path.display()))?;
+            let l =
+                UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
             (
                 Listener::Unix(l),
                 path.display().to_string(),
@@ -786,9 +786,7 @@ fn writer_loop(
                         // deterministic mutation stream are themselves
                         // deterministic (the subscribe golden relies on
                         // this).
-                        if let Ok(stats) =
-                            model.read().expect("model lock").query(&Query::Stats)
-                        {
+                        if let Ok(stats) = model.read().expect("model lock").query(&Query::Stats) {
                             pending_events.push(("stats", stats));
                         }
                     }
@@ -836,7 +834,10 @@ fn writer_loop(
     }
 }
 
-fn write_snapshot(model: &RwLock<LiveModel>, store: Option<&mut Store>) -> Result<Option<u64>, String> {
+fn write_snapshot(
+    model: &RwLock<LiveModel>,
+    store: Option<&mut Store>,
+) -> Result<Option<u64>, String> {
     let Some(store) = store else {
         return Ok(None);
     };
@@ -977,7 +978,13 @@ fn serve_client(mut stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<W
             match parsed {
                 Ok(Request::Mutation(m)) => {
                     let (tx, rx) = mpsc::channel();
-                    if writer.send(WriterMsg::Apply { mutation: m, reply: tx }).is_err() {
+                    if writer
+                        .send(WriterMsg::Apply {
+                            mutation: m,
+                            reply: tx,
+                        })
+                        .is_err()
+                    {
                         break 'session;
                     }
                     pending.push_back((id, rx));
@@ -1116,11 +1123,7 @@ mod tests {
     use std::collections::BTreeMap;
     use std::io::{BufRead, BufReader};
 
-    fn send(
-        out: &mut Stream,
-        lines: &mut std::io::Lines<BufReader<Stream>>,
-        req: &str,
-    ) -> Json {
+    fn send(out: &mut Stream, lines: &mut std::io::Lines<BufReader<Stream>>, req: &str) -> Json {
         out.write_all(req.as_bytes()).expect("write");
         out.write_all(b"\n").expect("write");
         let line = lines.next().expect("response").expect("read");
@@ -1137,7 +1140,10 @@ mod tests {
 
     #[test]
     fn end_to_end_session_over_tcp() {
-        let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
+        let handle = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
         .expect("server starts");
         let (mut out, mut lines, hello) = open_session(handle.addr());
         assert_eq!(
@@ -1167,7 +1173,11 @@ mod tests {
         // Malformed line: structured error, session survives.
         let r = send(&mut out, &mut lines, "{nope");
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
-        assert!(r.get("error").and_then(Json::as_str).unwrap().contains("parse"));
+        assert!(r
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("parse"));
         let r = send(&mut out, &mut lines, r#"{"op":"stats"}"#);
         assert_eq!(r.get("full_condenses").and_then(Json::as_f64), Some(1.0));
         assert_eq!(r.get("seq").and_then(Json::as_f64), Some(1.0));
@@ -1177,7 +1187,10 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_observe_a_torn_model() {
-        let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
+        let handle = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
         .expect("server starts");
         let addr = handle.addr().to_string();
 
@@ -1190,9 +1203,15 @@ mod tests {
                     let add = format!(
                         r#"{{"op":"add_fcm","name":"w{i}","criticality":1,"influences":[["p8",0.5]]}}"#
                     );
-                    assert_eq!(send(&mut out, &mut lines, &add).get("ok"), Some(&Json::Bool(true)));
+                    assert_eq!(
+                        send(&mut out, &mut lines, &add).get("ok"),
+                        Some(&Json::Bool(true))
+                    );
                     let rm = format!(r#"{{"op":"remove_fcm","name":"w{i}"}}"#);
-                    assert_eq!(send(&mut out, &mut lines, &rm).get("ok"), Some(&Json::Bool(true)));
+                    assert_eq!(
+                        send(&mut out, &mut lines, &rm).get("ok"),
+                        Some(&Json::Bool(true))
+                    );
                 }
             })
         };
@@ -1239,11 +1258,17 @@ mod tests {
             r#"{"op":"add_fcm","name":"r2","criticality":1,"influenced_by":[["r1",0.7]]}"#,
         ];
         let reference = {
-            let h = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
+            let h = start(ServerConfig::new(
+                Listen::Tcp("127.0.0.1:0".to_string()),
+                "paper",
+            ))
             .unwrap();
             let (mut out, mut lines, _) = open_session(h.addr());
             for req in part1.iter().chain(part2.iter()) {
-                assert_eq!(send(&mut out, &mut lines, req).get("ok"), Some(&Json::Bool(true)));
+                assert_eq!(
+                    send(&mut out, &mut lines, req).get("ok"),
+                    Some(&Json::Bool(true))
+                );
             }
             let dump = send(&mut out, &mut lines, r#"{"op":"dump"}"#);
             h.stop().unwrap();
@@ -1262,7 +1287,10 @@ mod tests {
             .unwrap();
             let (mut out, mut lines, _) = open_session(h.addr());
             for req in &part1 {
-                assert_eq!(send(&mut out, &mut lines, req).get("ok"), Some(&Json::Bool(true)));
+                assert_eq!(
+                    send(&mut out, &mut lines, req).get("ok"),
+                    Some(&Json::Bool(true))
+                );
             }
             drop(h);
         }
@@ -1276,10 +1304,17 @@ mod tests {
                 ..ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper")
             })
             .unwrap();
-            assert_eq!(h.seq(), part1.len() as u64, "recovered every accepted mutation");
+            assert_eq!(
+                h.seq(),
+                part1.len() as u64,
+                "recovered every accepted mutation"
+            );
             let (mut out, mut lines, _) = open_session(h.addr());
             for req in &part2 {
-                assert_eq!(send(&mut out, &mut lines, req).get("ok"), Some(&Json::Bool(true)));
+                assert_eq!(
+                    send(&mut out, &mut lines, req).get("ok"),
+                    Some(&Json::Bool(true))
+                );
             }
             let dump = send(&mut out, &mut lines, r#"{"op":"dump"}"#);
             h.stop().unwrap();
@@ -1299,9 +1334,17 @@ mod tests {
         })
         .unwrap();
         let (mut out, mut lines, _) = open_session(h.addr());
-        let r = send(&mut out, &mut lines, r#"{"op":"remove_fcm","name":"ghost"}"#);
+        let r = send(
+            &mut out,
+            &mut lines,
+            r#"{"op":"remove_fcm","name":"ghost"}"#,
+        );
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
-        let r = send(&mut out, &mut lines, r#"{"op":"set_attr","name":"p8","criticality":2}"#);
+        let r = send(
+            &mut out,
+            &mut lines,
+            r#"{"op":"set_attr","name":"p8","criticality":2}"#,
+        );
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
         h.stop().unwrap();
         let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
@@ -1338,7 +1381,11 @@ mod tests {
 
         // Subscriber attaches before any mutation, so eseq starts at 0.
         let (mut sub_out, mut sub_lines, _) = open_session(handle.addr());
-        let ack = send(&mut sub_out, &mut sub_lines, r#"{"op":"subscribe","max_events":5}"#);
+        let ack = send(
+            &mut sub_out,
+            &mut sub_lines,
+            r#"{"op":"subscribe","max_events":5}"#,
+        );
         assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "{ack:?}");
         assert_eq!(ack.get("next_eseq").and_then(Json::as_f64), Some(0.0));
         assert_eq!(ack.get("max_events").and_then(Json::as_f64), Some(5.0));
@@ -1352,18 +1399,27 @@ mod tests {
             let add = format!(
                 r#"{{"op":"add_fcm","name":"s{i}","criticality":1,"influences":[["p8",0.5]]}}"#
             );
-            assert_eq!(send(&mut out, &mut lines, &add).get("ok"), Some(&Json::Bool(true)));
+            assert_eq!(
+                send(&mut out, &mut lines, &add).get("ok"),
+                Some(&Json::Bool(true))
+            );
         }
 
         let mut names = Vec::new();
         for want_eseq in 0..5u64 {
             let line = sub_lines.next().expect("event line").expect("read");
             let ev = Json::parse(&line).expect("event JSON");
-            assert_eq!(ev.get("eseq").and_then(Json::as_f64), Some(want_eseq as f64));
+            assert_eq!(
+                ev.get("eseq").and_then(Json::as_f64),
+                Some(want_eseq as f64)
+            );
             assert_eq!(ev.get("dropped").and_then(Json::as_f64), Some(0.0));
             names.push(ev.get("event").and_then(Json::as_str).unwrap().to_string());
         }
-        assert_eq!(names, ["mutation", "mutation", "stats", "mutation", "mutation"]);
+        assert_eq!(
+            names,
+            ["mutation", "mutation", "stats", "mutation", "mutation"]
+        );
 
         let end = Json::parse(&sub_lines.next().expect("end line").expect("read")).unwrap();
         assert_eq!(end.get("event").and_then(Json::as_str), Some("end"));
@@ -1379,8 +1435,11 @@ mod tests {
 
     #[test]
     fn metrics_query_returns_the_live_registry() {
-        let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
-            .expect("server starts");
+        let handle = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
+        .expect("server starts");
         let (mut out, mut lines, _) = open_session(handle.addr());
         assert_eq!(
             send(&mut out, &mut lines, r#"{"op":"ping"}"#).get("ok"),
@@ -1399,7 +1458,10 @@ mod tests {
     #[test]
     fn writer_serializes_conflicting_sessions() {
         // Two sessions race to add the same name; exactly one wins.
-        let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
+        let handle = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
         .unwrap();
         let addr = handle.addr().to_string();
         let outcomes: Vec<bool> = (0..2)
@@ -1419,11 +1481,10 @@ mod tests {
             .into_iter()
             .map(|t| t.join().unwrap())
             .collect();
-        let wins: BTreeMap<bool, usize> =
-            outcomes.iter().fold(BTreeMap::new(), |mut acc, &b| {
-                *acc.entry(b).or_default() += 1;
-                acc
-            });
+        let wins: BTreeMap<bool, usize> = outcomes.iter().fold(BTreeMap::new(), |mut acc, &b| {
+            *acc.entry(b).or_default() += 1;
+            acc
+        });
         assert_eq!(wins.get(&true), Some(&1), "{outcomes:?}");
         assert_eq!(wins.get(&false), Some(&1), "{outcomes:?}");
         handle.stop().unwrap();

@@ -272,7 +272,9 @@ impl Store {
             }
         }
         self.gated("snapshot.tmp.fsync", || {
-            tmp_file.sync_all().map_err(|e| io_err("fsync snapshot", &tmp, &e))
+            tmp_file
+                .sync_all()
+                .map_err(|e| io_err("fsync snapshot", &tmp, &e))
         })?;
         drop(tmp_file);
         self.gated("snapshot.rename", || {
@@ -347,7 +349,8 @@ fn truncate_torn_tail(jpath: &Path) -> Result<(), String> {
         .map_err(|e| io_err("repair journal", jpath, &e))?;
     f.set_len(keep as u64)
         .map_err(|e| io_err("repair journal", jpath, &e))?;
-    f.sync_all().map_err(|e| io_err("repair journal", jpath, &e))
+    f.sync_all()
+        .map_err(|e| io_err("repair journal", jpath, &e))
 }
 
 /// Read-only recovery of the durable state in `dir`: snapshot plus the
@@ -373,7 +376,10 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
             .get("seq")
             .and_then(Json::as_f64)
             .ok_or("snapshot missing \"seq\"")? as u64;
-        let state = json.get("state").cloned().ok_or("snapshot missing \"state\"")?;
+        let state = json
+            .get("state")
+            .cloned()
+            .ok_or("snapshot missing \"state\"")?;
         Some((state, seq))
     } else {
         None
@@ -437,8 +443,12 @@ mod tests {
                 throughput: None,
                 timing: None,
             },
-            Mutation::FailNode { node: "hw2".to_string() },
-            Mutation::RestoreNode { node: "hw2".to_string() },
+            Mutation::FailNode {
+                node: "hw2".to_string(),
+            },
+            Mutation::RestoreNode {
+                node: "hw2".to_string(),
+            },
         ]
     }
 
@@ -536,7 +546,10 @@ mod tests {
         store.append(model.seq(), &all[0]).unwrap();
         model.apply(&all[1]).unwrap();
         let err = store.append(model.seq(), &all[1]).unwrap_err();
-        assert!(err.contains("injected short at journal.append.write"), "{err}");
+        assert!(
+            err.contains("injected short at journal.append.write"),
+            "{err}"
+        );
         assert_eq!(inj.injected(), 1);
         // The short write left a torn tail; recovery sees only line 1.
         let rec = read_recovered(&dir).unwrap();

@@ -19,9 +19,9 @@ fn assert_clean(model: &str, quick: bool) {
         .cases
         .iter()
         .filter_map(|c| {
-            c.failure.as_ref().map(|why| {
-                format!("hit {} at {} (torn={}): {why}", c.hit, c.site, c.torn)
-            })
+            c.failure
+                .as_ref()
+                .map(|why| format!("hit {} at {} (torn={}): {why}", c.hit, c.site, c.torn))
         })
         .collect();
     assert!(
@@ -60,7 +60,16 @@ fn matrix_covers_all_write_flush_rename_sites() {
         );
     }
     // Torn variants exist exactly for byte-write sites.
-    assert!(report.cases.iter().any(|c| c.torn && c.site == "journal.append.write"));
-    assert!(report.cases.iter().any(|c| c.torn && c.site == "snapshot.tmp.write"));
-    assert!(report.cases.iter().all(|c| !c.torn || c.site.ends_with(".write")));
+    assert!(report
+        .cases
+        .iter()
+        .any(|c| c.torn && c.site == "journal.append.write"));
+    assert!(report
+        .cases
+        .iter()
+        .any(|c| c.torn && c.site == "snapshot.tmp.write"));
+    assert!(report
+        .cases
+        .iter()
+        .all(|c| !c.torn || c.site.ends_with(".write")));
 }

@@ -75,11 +75,17 @@ fn persistent_journal_failure_degrades_but_keeps_serving() {
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(stats.get("degraded"), Some(&Json::Bool(true)));
         assert_eq!(stats.get("seq").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(stats.get("degraded_transitions").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            stats.get("degraded_transitions").and_then(Json::as_f64),
+            Some(1.0)
+        );
         assert!(stats.get("rearm_attempts").and_then(Json::as_f64).unwrap() >= 1.0);
         assert!(stats.get("faults_injected").and_then(Json::as_f64).unwrap() >= 1.0);
     }
-    assert!(best < Duration::from_millis(10), "degraded query took {best:?}");
+    assert!(
+        best < Duration::from_millis(10),
+        "degraded query took {best:?}"
+    );
 
     // Shutdown while degraded is still clean (the daemon's exit-0 path).
     h.stop().expect("degraded shutdown is clean");
@@ -119,7 +125,10 @@ fn rearm_restores_durability_after_the_fault_clears() {
 
     let stats = send(&mut s, r#"{"op":"stats"}"#);
     assert_eq!(stats.get("degraded"), Some(&Json::Bool(false)));
-    assert_eq!(stats.get("degraded_transitions").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(
+        stats.get("degraded_transitions").and_then(Json::as_f64),
+        Some(1.0)
+    );
     assert!(stats.get("rearm_attempts").and_then(Json::as_f64).unwrap() >= 1.0);
     assert_eq!(
         stats.get("seq").and_then(Json::as_f64),

@@ -21,7 +21,10 @@ fn code(out: &Output) -> i32 {
 
 #[test]
 fn help_exits_zero() {
-    for bin in [env!("CARGO_BIN_EXE_fcm-serve"), env!("CARGO_BIN_EXE_servegen")] {
+    for bin in [
+        env!("CARGO_BIN_EXE_fcm-serve"),
+        env!("CARGO_BIN_EXE_servegen"),
+    ] {
         let out = run(bin, &["--help"]);
         assert_eq!(code(&out), 0, "{bin} --help must exit 0");
         assert!(!out.stdout.is_empty(), "{bin} --help prints usage");
@@ -34,11 +37,11 @@ fn usage_errors_exit_two() {
     let gen = env!("CARGO_BIN_EXE_servegen");
     let cases: [(&str, &[&str]); 7] = [
         (serve, &["--no-such-flag"]),
-        (serve, &[]),                                     // --model missing
-        (serve, &["--model", "paper"]),                   // no socket
-        (serve, &["--model", "paper", "--resume"]),       // resume sans state-dir
+        (serve, &[]),                               // --model missing
+        (serve, &["--model", "paper"]),             // no socket
+        (serve, &["--model", "paper", "--resume"]), // resume sans state-dir
         (gen, &["--no-such-flag"]),
-        (gen, &[]),                                       // no target
+        (gen, &[]), // no target
         (gen, &["--tcp", "127.0.0.1:1", "--mutation-pct", "101"]),
     ];
     for (bin, args) in cases {
@@ -158,7 +161,14 @@ fn bad_fault_plan_exits_two_and_degraded_daemon_sigterm_exits_zero() {
     // Unparseable --fault-plan is a usage error.
     let out = run(
         serve,
-        &["--model", "paper", "--tcp", "127.0.0.1:0", "--fault-plan", "journal.*:bogus"],
+        &[
+            "--model",
+            "paper",
+            "--tcp",
+            "127.0.0.1:0",
+            "--fault-plan",
+            "journal.*:bogus",
+        ],
     );
     assert_eq!(code(&out), 2, "bad fault spec must exit 2");
 
@@ -293,9 +303,21 @@ fn malformed_requests_are_responses_not_crashes() {
     let text = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4, "hello + three responses:\n{text}");
-    assert!(lines[1].contains("\"ok\":false") && lines[1].contains("parse"), "{}", lines[1]);
-    assert!(lines[2].contains("\"ok\":false") && lines[2].contains("unknown op"), "{}", lines[2]);
-    assert!(lines[3].contains("\"ok\":true") && lines[3].contains("\"id\":3"), "{}", lines[3]);
+    assert!(
+        lines[1].contains("\"ok\":false") && lines[1].contains("parse"),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        lines[2].contains("\"ok\":false") && lines[2].contains("unknown op"),
+        "{}",
+        lines[2]
+    );
+    assert!(
+        lines[3].contains("\"ok\":true") && lines[3].contains("\"id\":3"),
+        "{}",
+        lines[3]
+    );
 
     // SIGTERM → graceful drain → exit 0.
     #[allow(clippy::cast_possible_wrap)]

@@ -52,7 +52,10 @@ fn random_mutation(rng: &mut Rng, pool: &[String], fresh: &mut u64) -> Mutation 
                     rng.gen_range(0u32..5),
                 );
                 if rng.gen_bool(0.5) {
-                    c = c.with_cap(pool[rng.gen_range(0usize..pool.len())].clone(), rng.gen_range(0.0f64..0.5));
+                    c = c.with_cap(
+                        pool[rng.gen_range(0usize..pool.len())].clone(),
+                        rng.gen_range(0.0f64..0.5),
+                    );
                 }
                 c
             });
@@ -137,9 +140,7 @@ fn render_response_echoes_ids_and_is_line_json() {
 fn random_run(seed: u64, steps: usize) -> (LiveModel, Vec<Json>) {
     let mut model = LiveModel::new("paper").expect("paper model");
     let mut rng = Rng::seed_from_u64(seed);
-    let mut pool: Vec<String> = (0..model.fcm_count())
-        .map(|_| String::new())
-        .collect();
+    let mut pool: Vec<String> = (0..model.fcm_count()).map(|_| String::new()).collect();
     // Fetch real names via the list query.
     let names = model
         .query(&fcm_serve::Query::List)
@@ -196,8 +197,7 @@ fn incremental_matrix_stays_bitwise_equal_to_full_condense() {
         let state = model.state_json();
         let replica = LiveModel::from_state(&state).expect("state loads");
         let graph = replica.graph();
-        let groups: Vec<Vec<fcm_graph::NodeIdx>> =
-            graph.node_indices().map(|n| vec![n]).collect();
+        let groups: Vec<Vec<fcm_graph::NodeIdx>> = graph.node_indices().map(|n| vec![n]).collect();
         let full = condense(graph, &groups, CombineRule::Probabilistic)
             .expect("partition")
             .influence_matrix();
@@ -247,13 +247,13 @@ fn every_journal_byte_prefix_resumes_to_the_reference_trajectory() {
     // Every byte prefix is a possible crash image; each must resume.
     for cut in 0..=journal.len() {
         let prefix = &journal[..cut];
-        let pdir = std::env::temp_dir()
-            .join(format!("fcm-serve-prefix-{}-{cut}", std::process::id()));
+        let pdir =
+            std::env::temp_dir().join(format!("fcm-serve-prefix-{}-{cut}", std::process::id()));
         let _ = std::fs::remove_dir_all(&pdir);
         std::fs::create_dir_all(&pdir).unwrap();
         std::fs::write(pdir.join("journal.jsonl"), prefix).unwrap();
-        let (_store, rec) =
-            Store::open_resume(&pdir).unwrap_or_else(|e| panic!("prefix {cut}: resume failed: {e}"));
+        let (_store, rec) = Store::open_resume(&pdir)
+            .unwrap_or_else(|e| panic!("prefix {cut}: resume failed: {e}"));
         assert!(rec.snapshot.is_none());
         let complete_lines = prefix.iter().filter(|&&b| b == b'\n').count();
         assert_eq!(
@@ -306,8 +306,11 @@ fn newline_terminated_corruption_is_a_line_numbered_error() {
 
 #[test]
 fn interleaved_sessions_never_observe_a_torn_model() {
-    let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper"))
-        .expect("server starts");
+    let handle = start(ServerConfig::new(
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        "paper",
+    ))
+    .expect("server starts");
     let addr = handle.addr().to_string();
 
     let session = |addr: &str| {

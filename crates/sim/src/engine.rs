@@ -25,8 +25,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fcm_substrate::Bytes;
 use fcm_substrate::rng::Rng;
+use fcm_substrate::Bytes;
 
 use fcm_sched::Time;
 
@@ -221,7 +221,9 @@ pub fn run(spec: &SystemSpec, injections: &[Injection], seed: u64, horizon: Time
             }
             EventKind::NodeRecover { node } => {
                 down[node] = false;
-                trace.events.push(TraceEvent::NodeRecovered { node, at: now });
+                trace
+                    .events
+                    .push(TraceEvent::NodeRecovered { node, at: now });
                 dispatch(spec, &mut processors[node], node, now, &mut heap, &mut seq);
             }
             EventKind::Detect { node } => {
@@ -798,7 +800,11 @@ mod tests {
         let mut b = SystemSpecBuilder::new(1);
         b.watchdog(1, 0).unwrap();
         b.retry(3, 2).unwrap();
-        b.task("t", 0).one_shot(0, 100, 10).checkpoint(2).build().unwrap();
+        b.task("t", 0)
+            .one_shot(0, 100, 10)
+            .checkpoint(2)
+            .build()
+            .unwrap();
         let spec = b.build().unwrap();
         // Killed at 5 with 5 ticks executed: checkpoint saves 4, so the
         // restart owes 6. Node heals at 6, detection at 6, first retry
@@ -834,7 +840,11 @@ mod tests {
         let mut b = SystemSpecBuilder::new(2);
         b.watchdog(5, 0).unwrap();
         b.retry(2, 4).unwrap();
-        b.task("t", 0).one_shot(0, 100, 10).checkpoint(1).build().unwrap();
+        b.task("t", 0)
+            .one_shot(0, 100, 10)
+            .checkpoint(1)
+            .build()
+            .unwrap();
         let spec = b.build().unwrap();
         let t = run(&spec, &[Injection::node_crash(3, 0)], 11, 200);
         // Detection at 5; retry in [9, 13); home node dead, so the job
@@ -876,7 +886,11 @@ mod tests {
         let mut b = SystemSpecBuilder::new(2);
         b.watchdog(5, 0).unwrap();
         b.retry(2, 4).unwrap();
-        b.task("t", 0).one_shot(0, 100, 10).checkpoint(1).build().unwrap();
+        b.task("t", 0)
+            .one_shot(0, 100, 10)
+            .checkpoint(1)
+            .build()
+            .unwrap();
         let spec = b.build().unwrap();
         let inj = [Injection::node_crash(3, 0)];
         let off = run(&spec, &inj, 11, 200);
@@ -891,7 +905,10 @@ mod tests {
             "sim.failover_latency",
             "sim.recovery_time",
         ] {
-            let h = snap.hists.get(name).unwrap_or_else(|| panic!("{name} missing"));
+            let h = snap
+                .hists
+                .get(name)
+                .unwrap_or_else(|| panic!("{name} missing"));
             assert!(h.count() >= 1, "{name} recorded");
         }
     }
@@ -901,7 +918,11 @@ mod tests {
         let mut b = SystemSpecBuilder::new(2);
         b.watchdog(3, 1).unwrap();
         b.retry(4, 2).unwrap();
-        b.task("a", 0).periodic(10, 0, 3).checkpoint(1).build().unwrap();
+        b.task("a", 0)
+            .periodic(10, 0, 3)
+            .checkpoint(1)
+            .build()
+            .unwrap();
         b.task("b", 1).periodic(7, 1, 2).build().unwrap();
         let spec = b.build().unwrap();
         let inj = [

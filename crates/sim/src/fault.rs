@@ -44,10 +44,7 @@ impl FaultKind {
     /// Whether this kind strikes a processor (so [`Injection::target`] is
     /// a processor index) rather than a task.
     pub fn is_node_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::NodeCrash | FaultKind::NodeTransient { .. }
-        )
+        matches!(self, FaultKind::NodeCrash | FaultKind::NodeTransient { .. })
     }
 }
 

@@ -675,7 +675,11 @@ mod tests {
         assert!(SystemSpecBuilder::new(1).retry(1, 0).is_err());
         // Zero checkpoint interval degrades to "no checkpointing".
         let mut b2 = SystemSpecBuilder::new(1);
-        b2.task("u", 0).periodic(5, 0, 1).checkpoint(0).build().unwrap();
+        b2.task("u", 0)
+            .periodic(5, 0, 1)
+            .checkpoint(0)
+            .build()
+            .unwrap();
         assert_eq!(b2.build().unwrap().tasks[0].checkpoint, None);
     }
 

@@ -234,13 +234,13 @@ mod tests {
         let j = suite.to_artifact();
         let back = Json::parse(&j.to_string_pretty()).expect("parses");
         assert_eq!(back, j);
-        assert_eq!(back.get("suite").and_then(Json::as_str), Some("test_artifact"));
+        assert_eq!(
+            back.get("suite").and_then(Json::as_str),
+            Some("test_artifact")
+        );
         let benches = back.get("benchmarks").and_then(Json::as_array).unwrap();
         assert_eq!(benches.len(), 2);
-        assert_eq!(
-            benches[0].get("name").and_then(Json::as_str),
-            Some("noop")
-        );
+        assert_eq!(benches[0].get("name").and_then(Json::as_str), Some("noop"));
         assert!(benches[0].get("median_ns").and_then(Json::as_f64).is_some());
     }
 
@@ -260,10 +260,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_known_samples() {
-        let s = Stats::from_samples(
-            "known".into(),
-            (1..=100).map(f64::from).collect(),
-        );
+        let s = Stats::from_samples("known".into(), (1..=100).map(f64::from).collect());
         assert_eq!(s.min_ns, 1.0);
         assert_eq!(s.max_ns, 100.0);
         assert_eq!(s.median_ns, 51.0); // nearest-rank at (n-1)*0.5 rounded

@@ -158,7 +158,11 @@ impl FaultPlan {
         FaultPlan {
             rules: vec![FaultRule {
                 site: "*".to_string(),
-                kind: if torn { FaultKind::CrashTorn } else { FaultKind::Crash },
+                kind: if torn {
+                    FaultKind::CrashTorn
+                } else {
+                    FaultKind::Crash
+                },
                 from: k,
                 to: k.saturating_add(1),
             }],
@@ -355,7 +359,9 @@ impl FaultInjector {
     /// [`FaultInjector::tracing`]).
     #[must_use]
     pub fn trace(&self) -> Vec<String> {
-        self.trace.as_ref().map_or_else(Vec::new, |t| t.lock().clone())
+        self.trace
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.lock().clone())
     }
 }
 
@@ -419,7 +425,11 @@ mod tests {
         inj.hit("snapshot.tmp.write");
         assert_eq!(
             inj.trace(),
-            ["journal.append.write", "journal.append.flush", "snapshot.tmp.write"]
+            [
+                "journal.append.write",
+                "journal.append.flush",
+                "snapshot.tmp.write"
+            ]
         );
         assert_eq!(inj.hits(), 3);
         assert_eq!(inj.injected(), 0);

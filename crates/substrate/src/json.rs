@@ -359,7 +359,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *pos += 1;
     }
@@ -435,7 +436,9 @@ mod tests {
         assert_eq!(j.get("name").and_then(Json::as_str), Some("e1"));
         assert_eq!(j.get("trials").and_then(Json::as_f64), Some(3000.0));
         assert_eq!(
-            j.get("nested").and_then(|n| n.get("p95_ns")).and_then(Json::as_f64),
+            j.get("nested")
+                .and_then(|n| n.get("p95_ns"))
+                .and_then(Json::as_f64),
             Some(123.5)
         );
     }
@@ -490,7 +493,10 @@ mod tests {
             j.get("a").and_then(Json::as_array).map(<[Json]>::len),
             Some(3)
         );
-        assert_eq!(j.get("a").unwrap().as_array().unwrap()[2], Json::Num(-300.0));
+        assert_eq!(
+            j.get("a").unwrap().as_array().unwrap()[2],
+            Json::Num(-300.0)
+        );
         assert_eq!(j.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(j.get("d"), Some(&Json::Bool(false)));
     }
@@ -509,10 +515,7 @@ mod tests {
     fn from_conversions_cover_common_types() {
         assert_eq!(Json::from(Some(1u8)).to_string_compact(), "1");
         assert_eq!(Json::from(None::<u8>).to_string_compact(), "null");
-        assert_eq!(
-            Json::from(vec![1u8, 2]).to_string_compact(),
-            "[1,2]"
-        );
+        assert_eq!(Json::from(vec![1u8, 2]).to_string_compact(), "[1,2]");
         assert_eq!(Json::from("s".to_string()).to_string_compact(), r#""s""#);
     }
 

@@ -76,7 +76,10 @@ mod tests {
 
     #[test]
     fn fleet_contracts_cover_and_certify_by_construction() {
-        let fleet = SparseFleet { processes: 256, ..SparseFleet::default() };
+        let fleet = SparseFleet {
+            processes: 256,
+            ..SparseFleet::default()
+        };
         let (names, _, set) = for_fleet(&fleet);
         assert!(covers(&names, &set));
         let influence = fleet.influence();

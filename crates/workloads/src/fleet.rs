@@ -102,7 +102,11 @@ impl SparseFleet {
         }
         // Seeded forward shortcuts, at most one block ahead — they add
         // local density without merging components.
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
         let extras = (n as f64 * self.extra_edges_per_node.max(0.0)) as usize;
         for _ in 0..extras {
             let from = rng.gen_range(0..n);
@@ -133,7 +137,11 @@ fn normalize_rows(m: &SparseMatrix, max_row_sum: f64) -> SparseMatrix {
     for i in 0..m.rows() {
         let (cols, vals) = m.row(i);
         let sum: f64 = vals.iter().sum();
-        let scale = if sum > max_row_sum { max_row_sum / sum } else { 1.0 };
+        let scale = if sum > max_row_sum {
+            max_row_sum / sum
+        } else {
+            1.0
+        };
         for (&j, &v) in cols.iter().zip(vals) {
             triples.push((i, j, v * scale));
         }
@@ -149,13 +157,20 @@ mod tests {
     fn generation_is_deterministic() {
         let f = SparseFleet::default();
         assert_eq!(f.matrix(), f.matrix());
-        let other = SparseFleet { seed: 8, ..SparseFleet::default() };
+        let other = SparseFleet {
+            seed: 8,
+            ..SparseFleet::default()
+        };
         assert_ne!(f.matrix(), other.matrix());
     }
 
     #[test]
     fn every_row_sum_stays_below_one() {
-        let m = SparseFleet { processes: 2000, ..SparseFleet::default() }.matrix();
+        let m = SparseFleet {
+            processes: 2000,
+            ..SparseFleet::default()
+        }
+        .matrix();
         for i in 0..m.rows() {
             let (_, vals) = m.row(i);
             let sum: f64 = vals.iter().sum();
@@ -165,7 +180,10 @@ mod tests {
 
     #[test]
     fn each_block_is_one_strongly_connected_component() {
-        let f = SparseFleet { processes: 512, ..SparseFleet::default() };
+        let f = SparseFleet {
+            processes: 512,
+            ..SparseFleet::default()
+        };
         let comps = f.matrix().components();
         assert_eq!(comps.len(), f.hubs());
         for comp in &comps {
@@ -179,26 +197,44 @@ mod tests {
 
     #[test]
     fn hubs_collect_their_block_fanin() {
-        let f = SparseFleet { processes: 512, extra_edges_per_node: 0.0, ..SparseFleet::default() };
+        let f = SparseFleet {
+            processes: 512,
+            extra_edges_per_node: 0.0,
+            ..SparseFleet::default()
+        };
         let m = f.matrix();
         // Every non-hub spoke points at its hub: in-degree of column 0
         // is the block's spoke count plus the ring wrap edge.
         let fanin = m.entries().filter(|&(_, j, _)| j == 0).count();
-        assert_eq!(fanin, f.hub_every - 1, "spokes 1..63 plus wrap, minus the double-counted pair");
+        assert_eq!(
+            fanin,
+            f.hub_every - 1,
+            "spokes 1..63 plus wrap, minus the double-counted pair"
+        );
     }
 
     #[test]
     fn truncated_walk_reach_stays_local() {
-        let m = SparseFleet { processes: 2048, ..SparseFleet::default() }.matrix();
+        let m = SparseFleet {
+            processes: 2048,
+            ..SparseFleet::default()
+        }
+        .matrix();
         let series = m.walk_series(8, 1e-12);
         // Reach is bounded by the block structure: nowhere near n per row.
         assert!(series.nnz() < 200 * m.rows(), "series nnz {}", series.nnz());
-        assert!(series.nnz() > m.nnz(), "the walk does extend the direct edges");
+        assert!(
+            series.nnz() > m.nnz(),
+            "the walk does extend the direct edges"
+        );
     }
 
     #[test]
     fn fleet_is_sparse_and_policy_picks_csr() {
-        let f = SparseFleet { processes: 1024, ..SparseFleet::default() };
+        let f = SparseFleet {
+            processes: 1024,
+            ..SparseFleet::default()
+        };
         let im = f.influence();
         assert_eq!(im.repr(), "csr");
         assert!(im.density() < 0.05, "density {}", im.density());
@@ -207,7 +243,11 @@ mod tests {
 
     #[test]
     fn ten_thousand_processes_build_quickly() {
-        let m = SparseFleet { processes: 10_000, ..SparseFleet::default() }.matrix();
+        let m = SparseFleet {
+            processes: 10_000,
+            ..SparseFleet::default()
+        }
+        .matrix();
         assert_eq!(m.rows(), 10_000);
         // ~2 backbone edges per process + extras, far below dense n².
         assert!(m.nnz() > 10_000 && m.nnz() < 60_000, "nnz {}", m.nnz());
@@ -215,8 +255,20 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_fleets_are_well_formed() {
-        assert_eq!(SparseFleet { processes: 0, ..SparseFleet::default() }.matrix().rows(), 0);
-        let one = SparseFleet { processes: 1, ..SparseFleet::default() }.matrix();
+        assert_eq!(
+            SparseFleet {
+                processes: 0,
+                ..SparseFleet::default()
+            }
+            .matrix()
+            .rows(),
+            0
+        );
+        let one = SparseFleet {
+            processes: 1,
+            ..SparseFleet::default()
+        }
+        .matrix();
         assert_eq!((one.rows(), one.nnz()), (1, 0));
     }
 }

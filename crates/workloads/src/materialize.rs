@@ -492,15 +492,9 @@ mod tests {
     fn recoverable_materialisation_wires_the_recovery_attributes() {
         let (g, c, m) = setup(2);
         let rec = RecoverySpec::default();
-        let mat = system_from_mapping_recoverable(
-            &g,
-            &c,
-            &m,
-            SchedulingPolicy::PreemptiveEdf,
-            1.0,
-            &rec,
-        )
-        .unwrap();
+        let mat =
+            system_from_mapping_recoverable(&g, &c, &m, SchedulingPolicy::PreemptiveEdf, 1.0, &rec)
+                .unwrap();
         let wd = mat.spec.watchdog.expect("watchdog wired");
         assert_eq!(wd.heartbeat_period, rec.heartbeat_period);
         assert_eq!(wd.detection_latency, rec.detection_latency);
@@ -524,22 +518,11 @@ mod tests {
             max_retries: 5,
             ..RecoverySpec::default()
         };
-        let mat = system_from_mapping_recoverable(
-            &g,
-            &c,
-            &m,
-            SchedulingPolicy::PreemptiveEdf,
-            1.0,
-            &rec,
-        )
-        .unwrap();
+        let mat =
+            system_from_mapping_recoverable(&g, &c, &m, SchedulingPolicy::PreemptiveEdf, 1.0, &rec)
+                .unwrap();
         // Take processor 0 down briefly while its frame is executing.
-        let trace = engine::run(
-            &mat.spec,
-            &[Injection::node_transient(1, 0, 4)],
-            7,
-            300,
-        );
+        let trace = engine::run(&mat.spec, &[Injection::node_transient(1, 0, 4)], 7, 300);
         assert!(trace.detections >= 1, "watchdog must detect the outage");
         assert!(
             trace.restarts >= 1,

@@ -150,10 +150,8 @@ fn cluster_influence_bounds() {
                 .collect::<Vec<f64>>()
         },
         |values| {
-            let members: Vec<Influence> = values
-                .iter()
-                .map(|&v| Influence::new(v).unwrap())
-                .collect();
+            let members: Vec<Influence> =
+                values.iter().map(|&v| Influence::new(v).unwrap()).collect();
             let combined = cluster_influence(&members).value();
             prop_assert!((0.0..=1.0).contains(&combined));
             let max = values.iter().copied().fold(0.0f64, f64::max);
