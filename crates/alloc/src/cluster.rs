@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use fcm_core::{AttributeSet, CompositionKind, ImportanceWeights};
-use fcm_graph::{condense, CombineRule, Condensation, NodeIdx};
+use fcm_graph::{condense, partition_membership, CombineRule, Condensation, NodeIdx};
 use fcm_sched::{edf, Job, JobId, JobSet};
 
 use crate::error::AllocError;
@@ -29,14 +29,13 @@ impl Clustering {
     /// # Errors
     ///
     /// * [`AllocError::Graph`] — `groups` is not a partition of the node
-    ///   set (checked via the condensation machinery);
+    ///   set ([`partition_membership`]);
     /// * [`AllocError::ReplicaConflict`] — a cluster contains two replicas
     ///   of one module;
     /// * [`AllocError::Unschedulable`] — a cluster's merged timing
     ///   constraints are not EDF-schedulable on one processor.
     pub fn new(g: &SwGraph, groups: Vec<Vec<NodeIdx>>) -> Result<Self, AllocError> {
-        // Partition validity (reuses the condensation's checks).
-        condense(g, &groups, CombineRule::Probabilistic)?;
+        partition_membership(g.node_count(), &groups)?;
         for group in &groups {
             if let Some((a, b)) = replica_conflict(g, group) {
                 return Err(AllocError::ReplicaConflict { a, b });
@@ -191,6 +190,48 @@ impl Clustering {
     pub fn mutual_influence(&self, g: &SwGraph, i: usize, j: usize) -> f64 {
         let c = self.condensed(g);
         c.graph.mutual_weight(NodeIdx(i), NodeIdx(j))
+    }
+}
+
+/// The cluster-fit predicate the heuristics ask of every candidate
+/// group: would `group` be a valid cluster of a [`Clustering`] in which
+/// every other node stays a singleton?
+///
+/// Built once per graph, it decides whether every singleton is valid up
+/// front. A singleton fails only when its node's timing triple is
+/// malformed (a well-formed job meets its deadline alone), and such a
+/// node fails every group that holds it. So for a duplicate-free group
+/// of valid indices [`GroupCheck::fits`] is exactly whether
+/// `Clustering::new` accepts `group` plus the other nodes as singletons,
+/// without building that partition.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupCheck<'g> {
+    g: &'g SwGraph,
+    singletons_ok: bool,
+}
+
+impl<'g> GroupCheck<'g> {
+    /// Prepares the predicate for `g`.
+    pub fn new(g: &'g SwGraph) -> Self {
+        let singletons_ok = g.node_indices().all(|n| is_schedulable(g, &[n]));
+        GroupCheck { g, singletons_ok }
+    }
+
+    /// Whether `group` (duplicate-free, valid indices) is a valid cluster
+    /// while every other node is a singleton: no replica conflict inside
+    /// it, and its merged timing constraints are EDF-schedulable.
+    pub fn fits(&self, group: &[NodeIdx]) -> bool {
+        self.singletons_ok
+            && replica_conflict(self.g, group).is_none()
+            && is_schedulable(self.g, group)
+    }
+
+    /// Whether `group` with `v` appended [`fits`](GroupCheck::fits).
+    pub fn fits_with(&self, group: &[NodeIdx], v: NodeIdx) -> bool {
+        let mut merged = Vec::with_capacity(group.len() + 1);
+        merged.extend_from_slice(group);
+        merged.push(v);
+        self.fits(&merged)
     }
 }
 
@@ -358,6 +399,26 @@ mod tests {
         assert!(c.merge_clusters(&g, 0, 9).is_err());
         assert!(c.merge_clusters(&g, 2, 2).is_err());
         assert!(!c.can_merge(&g, 2, 2));
+    }
+
+    #[test]
+    fn group_check_matches_whole_partition_validation() {
+        let (g, n) = sample();
+        let check = GroupCheck::new(&g);
+        assert!(check.fits(&[n[0], n[1], n[2]]));
+        assert!(!check.fits(&[n[3], n[4]]));
+        assert!(check.fits_with(&[n[0]], n[3]));
+        assert!(!check.fits_with(&[n[0], n[3]], n[4]));
+        // A node that cannot run alone fails every group: the groups that
+        // hold it, and all others, because it stays a singleton beside them.
+        let mut b = SwGraphBuilder::new();
+        let ok = b.add_process("ok", attrs(0).with_timing(0, 10, 2));
+        let bad = b.add_process("bad", attrs(0).with_timing(0, 3, 5));
+        let g2 = b.build();
+        let check = GroupCheck::new(&g2);
+        assert!(!check.fits(&[ok]));
+        assert!(!check.fits(&[bad]));
+        assert!(Clustering::new(&g2, vec![vec![ok], vec![bad]]).is_err());
     }
 
     #[test]

@@ -18,12 +18,23 @@
 //! rebuild-per-ranking implementation as the performance baseline the
 //! benches compare against. When observability is enabled, wall time per
 //! heuristic call lands in an `alloc.*_ns` histogram ([`fcm_obs::timed`]).
+//!
+//! Whether a candidate group may form a cluster is asked of one
+//! [`GroupCheck`] per call: a replica-conflict scan and an EDF test over
+//! the group's own members, never a whole-graph validation. H3 caches,
+//! per (unassigned node, sphere) pair, whether the node fits and how
+//! strongly it is attached; when a node joins sphere `s`, only column `s`
+//! is recomputed. Over its `n − k` steps H3 therefore does O(n²·k) cache
+//! reads and O(n²) fit checks, where it used to condense the whole graph
+//! for every pair at every step (about O(n⁵) at k ≈ n/3). H2's repair
+//! keeps one validity flag per group and re-checks only the two groups a
+//! move touches.
 
 use fcm_core::ImportanceWeights;
 use fcm_graph::algo::{recursive_min_cut, BisectPolicy};
 use fcm_graph::NodeIdx;
 
-use crate::cluster::Clustering;
+use crate::cluster::{Clustering, GroupCheck};
 use crate::error::AllocError;
 use crate::pipeline::{self, CondensePipeline};
 use crate::sw::SwGraph;
@@ -147,40 +158,57 @@ fn h3_inner(
             .then(a.cmp(&b))
     });
     let (seeds, rest) = order.split_at(target);
+    let check = GroupCheck::new(g);
     let mut groups: Vec<Vec<NodeIdx>> = seeds.iter().map(|&s| vec![s]).collect();
 
+    // Every unassigned node with, per sphere, whether it fits and its
+    // attachment influence. Joining a node to sphere `s` changes column
+    // `s` only; attachments grow by one term per member, added in member
+    // order, so each equals the sum over the sphere's members.
+    let mut remaining: Vec<Unplaced> = rest
+        .iter()
+        .map(|&v| Unplaced {
+            v,
+            fits: groups.iter().map(|grp| check.fits_with(grp, v)).collect(),
+            attach: groups
+                .iter()
+                .map(|grp| grp.iter().map(|&m| g.mutual_weight(v, m)).sum())
+                .collect(),
+        })
+        .collect();
     // Assign the most strongly attached nodes first.
-    let mut remaining: Vec<NodeIdx> = rest.to_vec();
     while !remaining.is_empty() {
         // (node position, group, attachment influence), best first.
         let mut best: Option<(usize, usize, f64)> = None;
-        for (pos, &v) in remaining.iter().enumerate() {
-            for (gi, group) in groups.iter().enumerate() {
-                if !accepts(g, group, v) {
-                    continue;
-                }
-                let attach: f64 = group.iter().map(|&m| g.mutual_weight(v, m)).sum();
-                let better = best.is_none_or(|(_, _, b)| attach > b);
-                if better {
+        for (pos, c) in remaining.iter().enumerate() {
+            for (gi, (&fits, &attach)) in c.fits.iter().zip(&c.attach).enumerate() {
+                if fits && best.is_none_or(|(_, _, b)| attach > b) {
                     best = Some((pos, gi, attach));
                 }
             }
         }
-        match best {
-            Some((pos, gi, _)) => {
-                let v = remaining.swap_remove(pos);
-                groups[gi].push(v);
-            }
-            None => {
-                return Err(AllocError::NoFeasibleClustering {
-                    requested: target,
-                    reached: groups.len() + remaining.len(),
-                })
-            }
+        let Some((pos, gi, _)) = best else {
+            return Err(AllocError::NoFeasibleClustering {
+                requested: target,
+                reached: groups.len() + remaining.len(),
+            });
+        };
+        let v = remaining.swap_remove(pos).v;
+        groups[gi].push(v);
+        for c in &mut remaining {
+            c.fits[gi] = check.fits_with(&groups[gi], c.v);
+            c.attach[gi] += g.mutual_weight(c.v, v);
         }
     }
     let spheres = Clustering::new(g, groups)?;
     replay_through_pipeline(g, spheres)
+}
+
+/// An H3 node not yet in a sphere, with its per-sphere caches.
+struct Unplaced {
+    v: NodeIdx,
+    fits: Vec<bool>,
+    attach: Vec<f64>,
 }
 
 /// The H2 source–target variation ("cut the graph using source and
@@ -283,49 +311,23 @@ fn ranked_pairs(g: &SwGraph, clustering: &Clustering) -> Vec<(f64, usize, usize)
     pairs
 }
 
-/// Whether `group ∪ {v}` satisfies the combination constraints.
-fn accepts(g: &SwGraph, group: &[NodeIdx], v: NodeIdx) -> bool {
-    let mut merged = group.to_vec();
-    merged.push(v);
-    Clustering::new(g, one_group_partition(g, &merged)).is_ok()
-}
-
-/// Builds a partition where `merged` is one group and every other node is
-/// a singleton (so `Clustering::new` validates just the group of
-/// interest).
-fn one_group_partition(g: &SwGraph, merged: &[NodeIdx]) -> Vec<Vec<NodeIdx>> {
-    let mut groups = vec![merged.to_vec()];
-    let inside: Vec<bool> = {
-        let mut v = vec![false; g.node_count()];
-        for &m in merged {
-            v[m.index()] = true;
-        }
-        v
-    };
-    groups.extend(
-        g.node_indices()
-            .filter(|n| !inside[n.index()])
-            .map(|n| vec![n]),
-    );
-    groups
-}
-
 /// Moves constraint-violating nodes between groups until all groups are
-/// valid (bounded number of passes).
+/// valid (bounded number of passes). `valid[i]` caches whether group `i`
+/// fits, so a pass re-checks only the two groups a move touched.
 fn repair(
     g: &SwGraph,
     mut groups: Vec<Vec<NodeIdx>>,
     target: usize,
 ) -> Result<Clustering, AllocError> {
+    let check = GroupCheck::new(g);
+    let mut valid: Vec<bool> = groups.iter().map(|grp| check.fits(grp)).collect();
     let budget = g.node_count() * target.max(1) + 8;
     for _ in 0..budget {
-        match Clustering::new(g, groups.clone()) {
-            Ok(c) => return Ok(c),
-            Err(_) => {
-                if !repair_step(g, &mut groups) {
-                    break;
-                }
-            }
+        if valid.iter().all(|&ok| ok) {
+            return Clustering::new(g, groups);
+        }
+        if !repair_step(g, &check, &mut groups, &mut valid) {
+            break;
         }
     }
     Err(AllocError::NoFeasibleClustering {
@@ -335,13 +337,17 @@ fn repair(
 }
 
 /// Relocates one violating node; returns `false` when stuck.
-fn repair_step(g: &SwGraph, groups: &mut [Vec<NodeIdx>]) -> bool {
+fn repair_step(
+    g: &SwGraph,
+    check: &GroupCheck<'_>,
+    groups: &mut [Vec<NodeIdx>],
+    valid: &mut [bool],
+) -> bool {
     // Find an invalid group and the node to evict: prefer a replica
     // involved in a conflict, else the most timing-constrained node.
-    let invalid = groups
-        .iter()
-        .position(|grp| Clustering::new(g, one_group_partition(g, grp)).is_err());
-    let Some(gi) = invalid else { return false };
+    let Some(gi) = valid.iter().position(|&ok| !ok) else {
+        return false;
+    };
     // Candidate eviction order: replicas first, then by timing density.
     let mut candidates: Vec<NodeIdx> = groups[gi].clone();
     candidates.sort_by(|&a, &b| {
@@ -361,21 +367,20 @@ fn repair_step(g: &SwGraph, groups: &mut [Vec<NodeIdx>]) -> bool {
     // Pass 2: accept any eviction into a valid target — shrinking an
     // invalid group by one is still progress (a group of k same-module
     // replicas needs k−1 evictions), and a valid target never becomes
-    // invalid (`accepts` guarantees it), so the process terminates.
+    // invalid (`fits_with` guarantees it), so the process terminates.
     for require_source_valid in [true, false] {
         for &v in &candidates {
             let without: Vec<NodeIdx> = groups[gi].iter().copied().filter(|&n| n != v).collect();
             if without.is_empty() {
                 continue;
             }
-            if require_source_valid && Clustering::new(g, one_group_partition(g, &without)).is_err()
-            {
+            if require_source_valid && !check.fits(&without) {
                 continue;
             }
             // Some other group must accept it; pick max attachment.
             let mut best: Option<(usize, f64)> = None;
             for (oj, other) in groups.iter().enumerate() {
-                if oj == gi || !accepts(g, other, v) {
+                if oj == gi || !check.fits_with(other, v) {
                     continue;
                 }
                 let attach: f64 = other.iter().map(|&m| g.mutual_weight(v, m)).sum();
@@ -384,8 +389,10 @@ fn repair_step(g: &SwGraph, groups: &mut [Vec<NodeIdx>]) -> bool {
                 }
             }
             if let Some((oj, _)) = best {
-                groups[gi].retain(|&n| n != v);
                 groups[oj].push(v);
+                valid[oj] = true;
+                valid[gi] = check.fits(&without);
+                groups[gi] = without;
                 return true;
             }
         }
@@ -622,6 +629,56 @@ mod tests {
         assert_eq!(h1(&g, 3).unwrap().len(), 3);
         assert!(h2(&g, 2, BisectPolicy::LargestPart).is_err());
         assert!(h3(&g, 2, &ImportanceWeights::default()).is_err());
+    }
+
+    /// A chain whose `pc` has a timing triple it cannot meet even alone
+    /// (CT 6 in a 3-tick window), so no clustering holding it is valid.
+    fn unschedulable_singleton_graph() -> SwGraph {
+        let mut b = SwGraphBuilder::new();
+        let a = b.add_process("pa", attrs(1));
+        let bb = b.add_process("pb", attrs(2).with_timing(0, 20, 4));
+        let c = b.add_process("pc", attrs(3).with_timing(2, 5, 6));
+        let d = b.add_process("pd", attrs(4));
+        let e = b.add_process("pe", attrs(5));
+        b.add_influence(a, bb, 0.6).unwrap();
+        b.add_influence(bb, c, 0.4).unwrap();
+        b.add_influence(c, d, 0.5).unwrap();
+        b.add_influence(d, e, 0.3).unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn an_unschedulable_singleton_fails_with_the_same_counts() {
+        // The values the whole-partition implementation returned: H3
+        // reports every node as unplaced, H2 and H2 s–t report the cut's
+        // part count, and at target = n H3 reaches the final validation.
+        let g = unschedulable_singleton_graph();
+        let w = ImportanceWeights::default();
+        let infeasible =
+            |requested, reached| Err(AllocError::NoFeasibleClustering { requested, reached });
+        for t in 1..=4 {
+            assert_eq!(h3(&g, t, &w), infeasible(t, 5), "h3 target {t}");
+        }
+        assert_eq!(
+            h3(&g, 5, &w),
+            Err(AllocError::Unschedulable {
+                members: vec!["pc".into()]
+            })
+        );
+        for t in 1..=5 {
+            for policy in [BisectPolicy::LargestPart, BisectPolicy::HeaviestPart] {
+                assert_eq!(
+                    h2(&g, t, policy),
+                    infeasible(t, t),
+                    "h2 {policy:?} target {t}"
+                );
+            }
+            assert_eq!(
+                h2_source_target(&g, t, &w),
+                infeasible(t, t),
+                "h2 s-t target {t}"
+            );
+        }
     }
 
     #[test]

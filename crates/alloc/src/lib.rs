@@ -65,7 +65,7 @@ pub mod pipeline;
 pub mod replication;
 pub mod sw;
 
-pub use cluster::Clustering;
+pub use cluster::{Clustering, GroupCheck};
 pub use error::AllocError;
 pub use failover::{FailoverOutcome, ShedPolicy};
 pub use hw::{HwGraph, HwNode};

@@ -21,7 +21,7 @@
 use fcm_core::ImportanceWeights;
 use fcm_graph::NodeIdx;
 
-use crate::cluster::Clustering;
+use crate::cluster::{Clustering, GroupCheck};
 use crate::error::AllocError;
 use crate::hw::HwGraph;
 use crate::sw::SwGraph;
@@ -433,12 +433,11 @@ pub fn timing_refinement(g: &SwGraph, target: usize) -> Result<Clustering, Alloc
             n,
         )
     });
+    let check = GroupCheck::new(g);
     let mut groups: Vec<Vec<NodeIdx>> = Vec::new();
     'nodes: for v in order {
         for group in &mut groups {
-            let mut candidate = group.clone();
-            candidate.push(v);
-            if group_is_valid(g, &candidate) {
+            if check.fits_with(group, v) {
                 group.push(v);
                 continue 'nodes;
             }
@@ -453,23 +452,6 @@ pub fn timing_refinement(g: &SwGraph, target: usize) -> Result<Clustering, Alloc
         }
     }
     Clustering::new(g, groups)
-}
-
-fn group_is_valid(g: &SwGraph, group: &[NodeIdx]) -> bool {
-    let mut partition = vec![group.to_vec()];
-    let inside: Vec<bool> = {
-        let mut v = vec![false; g.node_count()];
-        for &m in group {
-            v[m.index()] = true;
-        }
-        v
-    };
-    partition.extend(
-        g.node_indices()
-            .filter(|n| !inside[n.index()])
-            .map(|n| vec![n]),
-    );
-    Clustering::new(g, partition).is_ok()
 }
 
 fn cluster_resources_ok(

@@ -66,38 +66,17 @@ impl Condensation {
     }
 }
 
-/// Contracts `groups` (a partition of the node set) into super-nodes.
-///
-/// Edges internal to a group vanish; edges between groups are combined
-/// per `rule`. Groups must be disjoint, non-empty, and cover every node.
+/// Checks that `groups` partition the node set `0..n` and returns, for
+/// each node, the index of the group that holds it. This is the check
+/// [`condense`] makes before contracting; callers that need only the
+/// check (not the Eq. 4 condensation) call it directly.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::NodeOutOfBounds`] if a group references a missing
-/// node, and [`GraphError::TooManyParts`] if the groups do not form a
+/// Returns [`GraphError::NodeOutOfBounds`] if a group references a node
+/// `>= n`, and [`GraphError::TooManyParts`] if the groups do not form a
 /// partition (a node missing or listed twice).
-///
-/// # Example
-///
-/// ```
-/// use fcm_graph::{DiGraph, NodeIdx, condense::{condense, CombineRule}};
-///
-/// let mut g: DiGraph<(), f64> = DiGraph::new();
-/// let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
-/// g.add_edge(n[0], n[2], 0.7);
-/// g.add_edge(n[1], n[2], 0.2);
-/// let c = condense(&g, &[vec![n[0], n[1]], vec![n[2]]], CombineRule::Probabilistic)?;
-/// // Eq. 4: 1 - (1-0.7)(1-0.2) = 0.76 — the value visible in the paper's Fig. 5.
-/// let w = *c.graph.edge_weight_between(NodeIdx(0), NodeIdx(1)).unwrap();
-/// assert!((w - 0.76).abs() < 1e-12);
-/// # Ok::<(), fcm_graph::GraphError>(())
-/// ```
-pub fn condense<N, E: Copy + Into<f64>>(
-    g: &DiGraph<N, E>,
-    groups: &[Vec<NodeIdx>],
-    rule: CombineRule,
-) -> Result<Condensation, GraphError> {
-    let n = g.node_count();
+pub fn partition_membership(n: usize, groups: &[Vec<NodeIdx>]) -> Result<Vec<usize>, GraphError> {
     let mut membership = vec![usize::MAX; n];
     for (gi, group) in groups.iter().enumerate() {
         for &v in group {
@@ -123,6 +102,39 @@ pub fn condense<N, E: Copy + Into<f64>>(
             nodes: n,
         });
     }
+    Ok(membership)
+}
+
+/// Contracts `groups` (a partition of the node set) into super-nodes.
+///
+/// Edges internal to a group vanish; edges between groups are combined
+/// per `rule`. Groups must be disjoint, non-empty, and cover every node.
+///
+/// # Errors
+///
+/// The errors of [`partition_membership`].
+///
+/// # Example
+///
+/// ```
+/// use fcm_graph::{DiGraph, NodeIdx, condense::{condense, CombineRule}};
+///
+/// let mut g: DiGraph<(), f64> = DiGraph::new();
+/// let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
+/// g.add_edge(n[0], n[2], 0.7);
+/// g.add_edge(n[1], n[2], 0.2);
+/// let c = condense(&g, &[vec![n[0], n[1]], vec![n[2]]], CombineRule::Probabilistic)?;
+/// // Eq. 4: 1 - (1-0.7)(1-0.2) = 0.76 — the value visible in the paper's Fig. 5.
+/// let w = *c.graph.edge_weight_between(NodeIdx(0), NodeIdx(1)).unwrap();
+/// assert!((w - 0.76).abs() < 1e-12);
+/// # Ok::<(), fcm_graph::GraphError>(())
+/// ```
+pub fn condense<N, E: Copy + Into<f64>>(
+    g: &DiGraph<N, E>,
+    groups: &[Vec<NodeIdx>],
+    rule: CombineRule,
+) -> Result<Condensation, GraphError> {
+    let membership = partition_membership(g.node_count(), groups)?;
 
     let mut out: DiGraph<Vec<NodeIdx>, f64> = DiGraph::with_capacity(groups.len());
     for group in groups {
@@ -232,6 +244,24 @@ mod tests {
         .is_err());
         // Unknown node.
         assert!(condense(&g, &[vec![NodeIdx(9)]], CombineRule::Sum).is_err());
+    }
+
+    #[test]
+    fn partition_membership_maps_nodes_to_groups() {
+        let (_, n) = fan_in();
+        let groups = [vec![n[3], n[0]], vec![n[1], n[2]]];
+        assert_eq!(partition_membership(4, &groups), Ok(vec![0, 1, 1, 0]));
+        assert_eq!(
+            partition_membership(4, &[vec![n[0], n[1]], vec![n[0], n[2], n[3]]]),
+            Err(GraphError::TooManyParts {
+                requested: 2,
+                nodes: 4
+            })
+        );
+        assert_eq!(
+            partition_membership(4, &[vec![NodeIdx(9)]]),
+            Err(GraphError::NodeOutOfBounds { index: 9, len: 4 })
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod influence_matrix;
 mod matrix;
 pub mod sparse;
 
-pub use condense::{condense, CombineRule, Condensation};
+pub use condense::{condense, partition_membership, CombineRule, Condensation};
 pub use digraph::{DiGraph, Edge, EdgeIdx, NodeIdx};
 pub use error::GraphError;
 pub use influence_matrix::{

@@ -23,6 +23,9 @@ for _ in $(seq 20); do
     cargo test -q --offline -p fcm-obs --lib >/dev/null
 done
 
+echo "== cargo fmt --all -- --check"
+cargo fmt --all -- --check
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -204,16 +207,27 @@ grep -q "C012" target/verify/check_broken.txt || {
     exit 1
 }
 
+# Diffs one table of the archived repro_output.txt against a fresh
+# full-scale run of it (minus `# ` wall-clock lines and blank lines).
+check_archived() {
+    local id=$1 archived fresh
+    archived=$(awk -v h="=== $id " 'index($0, h) == 1 {f = 1} f && /^=== / && index($0, h) != 1 {exit} f' \
+        repro_output.txt | grep -v '^# \|^$')
+    fresh=$(cargo run --release --offline -q -p fcm-bench --bin repro -- "$id" | grep -v '^# \|^$')
+    if [ "$archived" != "$fresh" ]; then
+        echo "FAIL: repro_output.txt $id section is stale — regenerate with" >&2
+        echo "      cargo run --release -p fcm-bench --bin repro > repro_output.txt" >&2
+        exit 1
+    fi
+}
+
 echo "== archived repro_output.txt is not stale (T1 section)"
-# PR 3 shipped a stale archive once; this guard re-runs T1 and diffs it
-# against the committed file (minus `# ` wall-clock lines).
-t1_archived=$(awk '/^=== T1 /{f=1} f && /^=== / && !/^=== T1 /{exit} f' repro_output.txt | grep -v '^# \|^$')
-t1_fresh=$(cargo run --release --offline -q -p fcm-bench --bin repro -- t1 | grep -v '^# \|^$')
-if [ "$t1_archived" != "$t1_fresh" ]; then
-    echo "FAIL: repro_output.txt T1 section is stale — regenerate with" >&2
-    echo "      cargo run --release -p fcm-bench --bin repro > repro_output.txt" >&2
-    exit 1
-fi
+check_archived T1
+
+echo "== archived repro_output.txt is not stale (E1 section, full scale)"
+# Every heuristic on every E1 model, so any change to a clustering
+# result shows here.
+check_archived E1
 
 serve_bin=target/release/fcm-serve
 servegen_bin=target/release/servegen
