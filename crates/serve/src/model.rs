@@ -1377,10 +1377,16 @@ fn check_weight(w: f64) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/mutations.rs"]
+mod mutations;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::Mutation;
     use fcm_graph::Matrix;
+    use fcm_substrate::Rng;
+    use mutations::random_mutation;
 
     fn add(name: &str, crit: u32, influences: &[(&str, f64)]) -> Mutation {
         Mutation::AddFcm {
@@ -1827,5 +1833,131 @@ mod tests {
         })
         .unwrap();
         assert_eq!(criticality(&m.graph, m.fcm("p8").unwrap()), 2);
+    }
+
+    fn fail(node: &str) -> Mutation {
+        Mutation::FailNode {
+            node: node.to_string(),
+        }
+    }
+
+    #[test]
+    fn fail_node_sheds_and_displaces_or_rejects_whole() {
+        // Three failures on `paper` exhaust the room for protected
+        // load: p7 is shed and the protected victims land on survivors.
+        let mut m = LiveModel::new("paper").unwrap();
+        m.apply(&fail("hw2")).unwrap();
+        m.apply(&fail("hw3")).unwrap();
+        let out = m.apply(&fail("hw0")).unwrap();
+        assert_eq!(
+            out.to_string_compact(),
+            r#"{"degraded":true,"failed":"hw0","moved":[["p1a","hw4"],["p3b","hw4"],["p6","hw5"]],"seq":3,"shed":["p7"]}"#
+        );
+        // A protected victim that fits nowhere rejects the whole
+        // failover and leaves the state byte-unchanged.
+        let mut m = LiveModel::new("avionics").unwrap();
+        let before = m.state_json().to_string_compact();
+        assert_eq!(
+            m.apply(&fail("hw0")).unwrap_err(),
+            r#"fail_node rejected: no feasible placement for protected "display""#
+        );
+        assert_eq!(m.state_json().to_string_compact(), before);
+    }
+
+    /// The live placement equals the one rebuilt from `host_of`
+    /// (members and admitted jobs; throughput within 1e-9 relative),
+    /// and failing any HW node live gives the same outcome as
+    /// `failover::remap` on the placed view.
+    fn assert_matches_from_scratch_twin(m: &LiveModel, step: usize) {
+        let rebuilt = rebuild_hosts(&m.graph, &m.hw, &m.host_of).unwrap();
+        for (h, (live, twin)) in m.hosts.iter().zip(&rebuilt).enumerate() {
+            let sorted = |mut v: Vec<usize>| {
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(
+                sorted(live.members.clone()),
+                sorted(twin.members.clone()),
+                "step {step}: hw{h} members"
+            );
+            let jobs = |a: &Admission| {
+                let mut j: Vec<(JobId, u64, u64, u64)> = a
+                    .jobs()
+                    .iter()
+                    .map(|j| (j.id, j.est, j.tcd, j.ct))
+                    .collect();
+                j.sort_unstable();
+                j
+            };
+            assert_eq!(
+                jobs(&live.admission),
+                jobs(&twin.admission),
+                "step {step}: hw{h} jobs"
+            );
+            let (a, b) = (live.throughput, twin.throughput);
+            assert!(
+                (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+                "step {step}: hw{h} throughput {a} vs {b}"
+            );
+        }
+        let (clustering, mapping) = m.placed_view().expect("fully placed");
+        for h in 0..m.hw.len() {
+            let applied = m.clone().apply(&fail(&m.hw_name(h)));
+            let remapped =
+                failover::remap(&m.graph, &clustering, &mapping, &m.hw, NodeIdx(h), m.shed);
+            match (applied, remapped) {
+                (Ok(out), Ok(r)) => {
+                    let moved = Json::array(r.placement.iter().filter_map(|&(v, dest)| {
+                        dest.map(|d| {
+                            Json::array([
+                                Json::from(m.fcm_name(v.index())),
+                                Json::from(m.hw_name(d.index())),
+                            ])
+                        })
+                    }));
+                    let shed =
+                        Json::array(r.shed.iter().map(|&v| Json::from(m.fcm_name(v.index()))));
+                    assert_eq!(out.get("moved"), Some(&moved), "step {step}: hw{h} moved");
+                    assert_eq!(out.get("shed"), Some(&shed), "step {step}: hw{h} shed");
+                    assert_eq!(
+                        out.get("degraded"),
+                        Some(&Json::Bool(r.degraded)),
+                        "step {step}: hw{h} degraded"
+                    );
+                }
+                (Err(_), Err(_)) => {}
+                (live, remap) => panic!("step {step}: hw{h} live {live:?} vs remap {remap:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn live_placement_matches_its_from_scratch_twin() {
+        for (model, seed) in [("paper", 0x91ace_u64), ("avionics", 0xa710)] {
+            let mut m = LiveModel::new(model).unwrap();
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut pool: Vec<String> = (0..m.fcm_count()).map(|v| m.fcm_name(v)).collect();
+            let mut fresh = 0;
+            let mut accepted = 0;
+            assert_matches_from_scratch_twin(&m, 0);
+            for step in 1..=200 {
+                let mutation = random_mutation(&mut rng, &pool, &mut fresh);
+                if matches!(
+                    mutation,
+                    Mutation::FailNode { .. } | Mutation::RestoreNode { .. }
+                ) || m.apply(&mutation).is_err()
+                {
+                    continue;
+                }
+                match &mutation {
+                    Mutation::AddFcm { name, .. } => pool.push(name.clone()),
+                    Mutation::RemoveFcm { name } => pool.retain(|n| n != name),
+                    _ => {}
+                }
+                accepted += 1;
+                assert_matches_from_scratch_twin(&m, step);
+            }
+            assert!(accepted >= 40, "{model}: only {accepted} accepted");
+        }
     }
 }
