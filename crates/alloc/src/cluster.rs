@@ -14,7 +14,8 @@ use fcm_graph::{condense, partition_membership, CombineRule, Condensation, NodeI
 use fcm_sched::{edf, Job, JobId, JobSet};
 
 use crate::error::AllocError;
-use crate::sw::{SwEdge, SwGraph};
+use crate::failover;
+use crate::sw::SwGraph;
 
 /// A partition of the SW graph's nodes into clusters, validated against
 /// the paper's combination constraints.
@@ -235,34 +236,21 @@ impl<'g> GroupCheck<'g> {
     }
 }
 
-/// First pair inside `group` that must stay separated (same-module
-/// replicas or a shared anti-affinity group), by name.
+/// First pair inside `group` that must stay separated
+/// ([`failover::separated`]), by name. Tagged pairs are looked for
+/// first: the tag test is cheap, and replicas made by `mark_replicas` or
+/// replica expansion carry tags, so such a group fails before any edge
+/// list is scanned.
 pub(crate) fn replica_conflict(g: &SwGraph, group: &[NodeIdx]) -> Option<(String, String)> {
-    for (k, &a) in group.iter().enumerate() {
-        for &b in &group[k + 1..] {
-            let na = g.node(a).expect("caller validates indices");
-            let nb = g.node(b).expect("caller validates indices");
-            if na.must_separate_from(nb) {
-                return Some((na.name.clone(), nb.name.clone()));
-            }
-        }
-    }
-    // Explicit 0-weight links also forbid combination even without tags.
-    for (k, &a) in group.iter().enumerate() {
-        for &b in &group[k + 1..] {
-            let linked = g
-                .out_edges(a)
-                .any(|(_, e)| e.to == b && matches!(e.weight, SwEdge::ReplicaLink))
-                || g.out_edges(b)
-                    .any(|(_, e)| e.to == a && matches!(e.weight, SwEdge::ReplicaLink));
-            if linked {
-                let na = g.node(a).expect("validated").name.clone();
-                let nb = g.node(b).expect("validated").name.clone();
-                return Some((na, nb));
-            }
-        }
-    }
-    None
+    let node = |n: NodeIdx| g.node(n).expect("caller validates indices");
+    let first = |apart: &dyn Fn(NodeIdx, NodeIdx) -> bool| {
+        group.iter().enumerate().find_map(|(k, &a)| {
+            let b = *group[k + 1..].iter().find(|&&b| apart(a, b))?;
+            Some((node(a).name.clone(), node(b).name.clone()))
+        })
+    };
+    first(&|a, b| node(a).must_separate_from(node(b)))
+        .or_else(|| first(&|a, b| failover::separated(g, a, b)))
 }
 
 /// Whether the merged timing constraints of `group` are EDF-schedulable

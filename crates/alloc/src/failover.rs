@@ -15,6 +15,12 @@
 //! first — a victim below the threshold is dropped when it fits nowhere,
 //! and a *critical* victim may displace below-threshold FCMs from a
 //! survivor. FCMs at or above the threshold are never shed.
+//!
+//! [`Placement`] is the one placement engine: [`remap`] builds it from a
+//! clustering and mapping and fails one node, and the online service
+//! keeps one live, placing, failing and restoring through it.
+
+use std::collections::BTreeSet;
 
 use fcm_graph::NodeIdx;
 use fcm_sched::{Admission, Job, JobId};
@@ -65,13 +71,373 @@ pub struct FailoverOutcome {
     pub degraded: bool,
 }
 
-/// Per-survivor placement state during the remap.
+/// Why a host assignment is not a valid [`Placement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidPlacement {
+    /// A SW node is hosted on a failed HW node.
+    OnDownNode {
+        /// The hosted SW node.
+        sw: NodeIdx,
+        /// The failed HW node.
+        hw: NodeIdx,
+    },
+    /// The members of a HW node are not EDF-feasible together.
+    Infeasible {
+        /// The overloaded HW node.
+        hw: NodeIdx,
+    },
+}
+
+/// Live placement of SW nodes on HW nodes: per HW node the members, an
+/// exact [`Admission`] controller (job id = SW node index) and the
+/// summed throughput, plus the set of failed HW nodes, which host
+/// nothing and receive nothing.
+#[derive(Debug, Clone)]
+pub struct Placement {
+    /// Per HW node, by index.
+    hosts: Vec<Host>,
+    /// Host per SW node, by index; `None` = unhosted (shed or unplaced).
+    host_of: Vec<Option<NodeIdx>>,
+    down: BTreeSet<NodeIdx>,
+}
+
+#[derive(Debug, Clone, Default)]
 struct Host {
-    hw: NodeIdx,
-    /// SW nodes currently hosted (original members plus placed victims).
     members: Vec<NodeIdx>,
     admission: Admission,
     throughput: f64,
+}
+
+impl Host {
+    /// A host carrying `members`; `None` when their jobs are not
+    /// EDF-feasible together.
+    fn new(g: &SwGraph, members: Vec<NodeIdx>) -> Option<Host> {
+        let jobs: Vec<Job> = members.iter().filter_map(|&m| timing_job(g, m)).collect();
+        let admission = Admission::with_baseline(&jobs)?;
+        let throughput = members.iter().map(|&m| throughput_of(g, m)).sum();
+        Some(Host {
+            members,
+            admission,
+            throughput,
+        })
+    }
+}
+
+impl Placement {
+    /// Builds the placement of `g` on `hw` from a host per SW node, with
+    /// the `down` HW nodes failed. Members are listed in SW index order.
+    ///
+    /// # Errors
+    ///
+    /// The first SW node hosted on a down node, else the first HW node
+    /// whose members' jobs are not EDF-feasible together.
+    ///
+    /// # Panics
+    ///
+    /// When a host is not a node of `hw`.
+    pub fn new(
+        g: &SwGraph,
+        hw: &HwGraph,
+        host_of: Vec<Option<NodeIdx>>,
+        down: BTreeSet<NodeIdx>,
+    ) -> Result<Placement, InvalidPlacement> {
+        let mut members = vec![Vec::new(); hw.len()];
+        for (v, &h) in host_of.iter().enumerate() {
+            if let Some(h) = h {
+                if down.contains(&h) {
+                    return Err(InvalidPlacement::OnDownNode {
+                        sw: NodeIdx(v),
+                        hw: h,
+                    });
+                }
+                members[h.index()].push(NodeIdx(v));
+            }
+        }
+        let hosts = members
+            .into_iter()
+            .enumerate()
+            .map(|(h, m)| Host::new(g, m).ok_or(InvalidPlacement::Infeasible { hw: NodeIdx(h) }))
+            .collect::<Result<_, _>>()?;
+        Ok(Placement {
+            hosts,
+            host_of,
+            down,
+        })
+    }
+
+    /// Host per SW node, by index; `None` = unhosted.
+    #[must_use]
+    pub fn host_of(&self) -> &[Option<NodeIdx>] {
+        &self.host_of
+    }
+
+    /// The failed HW nodes.
+    #[must_use]
+    pub fn down(&self) -> &BTreeSet<NodeIdx> {
+        &self.down
+    }
+
+    /// The SW nodes hosted on `h`.
+    #[must_use]
+    pub fn members(&self, h: NodeIdx) -> &[NodeIdx] {
+        &self.hosts[h.index()].members
+    }
+
+    /// The admission controller of `h`.
+    #[must_use]
+    pub fn admission(&self, h: NodeIdx) -> &Admission {
+        &self.hosts[h.index()].admission
+    }
+
+    /// The summed throughput of the members of `h`.
+    #[must_use]
+    pub fn throughput(&self, h: NodeIdx) -> f64 {
+        self.hosts[h.index()].throughput
+    }
+
+    fn up(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        (0..self.hosts.len())
+            .map(NodeIdx)
+            .filter(|h| !self.down.contains(h))
+    }
+
+    /// The best live host for `v`: among the up nodes that meet the hard
+    /// constraints and admit its job, the one with the lowest
+    /// (criticality co-location burden, resulting load, index). `None`
+    /// when no host fits.
+    #[must_use]
+    pub fn best_host(&self, g: &SwGraph, hw: &HwGraph, v: NodeIdx) -> Option<NodeIdx> {
+        let crit_v = criticality(g, v);
+        let job = timing_job(g, v);
+        let mut best: Option<(NodeIdx, HostScore)> = None;
+        for h in self.up() {
+            if !self.hard_constraints_ok(g, hw, h, v) || !admits(self.admission(h), job) {
+                continue;
+            }
+            let score = self.host_score(g, h, v, crit_v);
+            if best.is_none_or(|(_, s)| score < s) {
+                best = Some((h, score));
+            }
+        }
+        best.map(|(h, _)| h)
+    }
+
+    /// Commits `v` to host `h`, which must admit it. `v` may be the SW
+    /// node just added to `g`, one past the last the placement knows.
+    pub fn commit(&mut self, g: &SwGraph, v: NodeIdx, h: NodeIdx) {
+        let host = &mut self.hosts[h.index()];
+        if let Some(job) = timing_job(g, v) {
+            let ok = host.admission.try_admit(job);
+            debug_assert!(ok, "probe admitted but commit failed");
+        }
+        host.throughput += throughput_of(g, v);
+        host.members.push(v);
+        if v.index() == self.host_of.len() {
+            self.host_of.push(None);
+        }
+        self.host_of[v.index()] = Some(h);
+    }
+
+    /// Rebuilds the admission and throughput of `h` after its members'
+    /// attributes changed in `g`. Returns `false`, leaving the placement
+    /// untouched, when the members are no longer EDF-feasible together.
+    pub fn readmit(&mut self, g: &SwGraph, h: NodeIdx) -> bool {
+        let Some(host) = Host::new(g, self.members(h).to_vec()) else {
+            return false;
+        };
+        self.hosts[h.index()] = host;
+        true
+    }
+
+    /// Fails HW node `dead`: marks it down, evicts its members and
+    /// re-places them most critical first; `policy` governs shedding and
+    /// displacement.
+    ///
+    /// # Errors
+    ///
+    /// The first protected victim that fits nowhere, even by displacing
+    /// sheddable load. The placement is then left part-way, so callers
+    /// that must stay whole fail a clone.
+    pub fn fail(
+        &mut self,
+        g: &SwGraph,
+        hw: &HwGraph,
+        dead: NodeIdx,
+        policy: ShedPolicy,
+    ) -> Result<FailoverOutcome, NodeIdx> {
+        self.down.insert(dead);
+        let mut victims = std::mem::take(&mut self.hosts[dead.index()]).members;
+        for &v in &victims {
+            self.host_of[v.index()] = None;
+        }
+        by_criticality(g, &mut victims);
+        let mut placement = Vec::with_capacity(victims.len());
+        let mut shed = Vec::new();
+        for v in victims {
+            placement.push((v, self.place(g, hw, v, policy, &mut shed)?));
+        }
+        let moved = placement
+            .iter()
+            .filter_map(|&(v, d)| d.map(|_| v))
+            .collect();
+        shed.sort_unstable();
+        shed.dedup();
+        let degraded = !shed.is_empty();
+        Ok(FailoverOutcome {
+            placement,
+            moved,
+            shed,
+            degraded,
+        })
+    }
+
+    /// Brings `h` back up; `false` when it was not down. Its former
+    /// load stays where failover put it: re-place the unhosted with
+    /// [`Placement::place_unhosted`].
+    pub fn restore(&mut self, h: NodeIdx) -> bool {
+        self.down.remove(&h)
+    }
+
+    /// Places every unhosted SW node, most critical first, on its
+    /// [`Placement::best_host`]. Returns the placed `(sw, hw)` pairs and
+    /// the SW nodes that fit nowhere, both in placement order.
+    pub fn place_unhosted(
+        &mut self,
+        g: &SwGraph,
+        hw: &HwGraph,
+    ) -> (Vec<(NodeIdx, NodeIdx)>, Vec<NodeIdx>) {
+        let mut unhosted: Vec<NodeIdx> = (0..self.host_of.len())
+            .map(NodeIdx)
+            .filter(|v| self.host_of[v.index()].is_none())
+            .collect();
+        by_criticality(g, &mut unhosted);
+        let mut placed = Vec::new();
+        let mut unplaced = Vec::new();
+        for v in unhosted {
+            match self.best_host(g, hw, v) {
+                Some(h) => {
+                    self.commit(g, v, h);
+                    placed.push((v, h));
+                }
+                None => unplaced.push(v),
+            }
+        }
+        (placed, unplaced)
+    }
+
+    /// Places one victim on its best host. Failing that, an unprotected
+    /// victim is shed (`Ok(None)`) and a protected one displaces
+    /// sheddable members from the host needing the fewest displaced
+    /// (host score breaks ties); `Err(v)` when no host can take it.
+    /// Shed and displaced nodes are appended to `shed`.
+    fn place(
+        &mut self,
+        g: &SwGraph,
+        hw: &HwGraph,
+        v: NodeIdx,
+        policy: ShedPolicy,
+        shed: &mut Vec<NodeIdx>,
+    ) -> Result<Option<NodeIdx>, NodeIdx> {
+        if let Some(h) = self.best_host(g, hw, v) {
+            self.commit(g, v, h);
+            return Ok(Some(h));
+        }
+        let crit_v = criticality(g, v);
+        if policy.may_shed(crit_v) {
+            shed.push(v);
+            return Ok(None);
+        }
+        let mut best: Option<(NodeIdx, Vec<NodeIdx>, HostScore)> = None;
+        for h in self.up() {
+            if !self.hard_constraints_ok(g, hw, h, v) {
+                continue;
+            }
+            if let Some(displaced) = self.displacement_plan(g, hw, h, v, policy) {
+                let score = self.host_score(g, h, v, crit_v);
+                let better = best.as_ref().is_none_or(|(_, d, s)| {
+                    displaced.len() < d.len() || (displaced.len() == d.len() && score < *s)
+                });
+                if better {
+                    best = Some((h, displaced, score));
+                }
+            }
+        }
+        let (h, displaced, _) = best.ok_or(v)?;
+        for d in displaced {
+            let host = &mut self.hosts[h.index()];
+            host.members.retain(|&m| m != d);
+            host.admission.release(d.index() as JobId);
+            host.throughput -= throughput_of(g, d);
+            self.host_of[d.index()] = None;
+            shed.push(d);
+        }
+        self.commit(g, v, h);
+        Ok(Some(h))
+    }
+
+    /// The sheddable members of `h` (lowest criticality first) whose
+    /// removal lets `v` fit under capacity and admission; `None` when
+    /// even shedding everything allowed does not help.
+    fn displacement_plan(
+        &self,
+        g: &SwGraph,
+        hw: &HwGraph,
+        h: NodeIdx,
+        v: NodeIdx,
+        policy: ShedPolicy,
+    ) -> Option<Vec<NodeIdx>> {
+        let host = &self.hosts[h.index()];
+        let mut sheddable: Vec<NodeIdx> = host
+            .members
+            .iter()
+            .copied()
+            .filter(|&m| policy.may_shed(criticality(g, m)))
+            .collect();
+        sheddable.sort_by_key(|&m| (criticality(g, m), m));
+        let capacity = hw.node(h).expect("host exists").capacity;
+        let mut removed = Vec::new();
+        let mut admission = host.admission.clone();
+        let mut throughput = host.throughput;
+        for m in sheddable {
+            removed.push(m);
+            admission.release(m.index() as JobId);
+            throughput -= throughput_of(g, m);
+            let fits = throughput + throughput_of(g, v) <= capacity
+                && admits(&admission, timing_job(g, v));
+            if fits {
+                return Some(removed);
+            }
+        }
+        None
+    }
+
+    /// Anti-affinity, resources, pin and capacity — the constraints that
+    /// no amount of shedding relaxes (shedding only frees CPU time and
+    /// throughput; separation conflicts involve protected replicas too,
+    /// so they are treated as hard here and rechecked against live
+    /// members).
+    fn hard_constraints_ok(&self, g: &SwGraph, hw: &HwGraph, h: NodeIdx, v: NodeIdx) -> bool {
+        let node = hw.node(h).expect("host exists");
+        let sw = g.node(v).expect("placed node exists");
+        let host = &self.hosts[h.index()];
+        sw.required_resources.is_subset(&node.resources)
+            && sw.pinned_to.as_ref().is_none_or(|pin| pin == &node.name)
+            && !host.members.iter().any(|&m| separated(g, v, m))
+            && host.throughput + sw.attributes.throughput.0 <= node.capacity
+    }
+
+    fn host_score(&self, g: &SwGraph, h: NodeIdx, v: NodeIdx, crit_v: u32) -> HostScore {
+        // Criticality co-location burden: pairing two highly critical
+        // FCMs on one node is what the original heuristics avoid, so
+        // prefer the host minimising Σ min(crit_v, crit_member).
+        let host = &self.hosts[h.index()];
+        let burden: u64 = host
+            .members
+            .iter()
+            .map(|&m| u64::from(crit_v.min(criticality(g, m))))
+            .sum();
+        (burden, host.throughput + throughput_of(g, v), h.index())
+    }
 }
 
 /// Re-places the FCMs of the cluster hosted on `dead` onto the surviving
@@ -97,204 +463,49 @@ pub fn remap(
             index: dead.index(),
         });
     }
-    // The victims: members of the cluster hosted on the dead node.
-    let victim_cluster = mapping.iter().find(|&(_, h)| h == dead).map(|(ci, _)| ci);
-    let mut victims: Vec<NodeIdx> = match victim_cluster {
-        Some(ci) => clustering.clusters()[ci].clone(),
-        None => Vec::new(), // the dead node was idle
-    };
-    // Most critical first; index breaks ties deterministically.
-    victims.sort_by_key(|&v| (std::cmp::Reverse(criticality(g, v)), v));
-
-    // Survivor state: every live HW node, with the members of the
-    // cluster it already hosts (free nodes start empty).
-    let mut hosts: Vec<Host> = Vec::new();
-    for (h, _) in hw.nodes() {
-        if h == dead {
-            continue;
-        }
-        let members: Vec<NodeIdx> = mapping
-            .iter()
-            .find(|&(_, hosted_on)| hosted_on == h)
-            .map(|(ci, _)| clustering.clusters()[ci].clone())
-            .unwrap_or_default();
-        let jobs: Vec<Job> = members.iter().filter_map(|&m| timing_job(g, m)).collect();
-        let admission =
-            Admission::with_baseline(&jobs).ok_or_else(|| AllocError::NoFeasibleMapping {
-                reason: format!(
-                    "surviving node {} carries an infeasible baseline",
-                    hw.node(h).expect("iterated node").name
-                ),
-            })?;
-        let throughput = members.iter().map(|&m| throughput_of(g, m)).sum();
-        hosts.push(Host {
-            hw: h,
-            members,
-            admission,
-            throughput,
-        });
-    }
-
-    let mut placement = Vec::with_capacity(victims.len());
-    let mut moved = Vec::new();
-    let mut shed = Vec::new();
-    for &v in &victims {
-        match place(g, hw, &mut hosts, v, policy, &mut shed)? {
-            Some(h) => {
-                placement.push((v, Some(h)));
-                moved.push(v);
-            }
-            None => {
-                placement.push((v, None));
-                shed.push(v);
-            }
+    let mut host_of = vec![None; g.node_count()];
+    for (ci, h) in mapping.iter() {
+        for &v in &clustering.clusters()[ci] {
+            host_of[v.index()] = Some(h);
         }
     }
-    shed.sort_unstable();
-    shed.dedup();
-    let degraded = !shed.is_empty();
-    Ok(FailoverOutcome {
-        placement,
-        moved,
-        shed,
-        degraded,
-    })
+    let mut placement = Placement::new(g, hw, host_of, BTreeSet::new()).map_err(|e| {
+        let InvalidPlacement::Infeasible { hw: h } = e else {
+            unreachable!("no node is down yet")
+        };
+        AllocError::NoFeasibleMapping {
+            reason: format!(
+                "surviving node {} carries an infeasible baseline",
+                hw.node(h).expect("mapped node").name
+            ),
+        }
+    })?;
+    placement
+        .fail(g, hw, dead, policy)
+        .map_err(|v| unplaceable(g, v))
 }
 
-/// Places one victim, preferring hosts that minimise criticality
-/// co-location, then load, then index. Returns `Ok(None)` when the
-/// victim was shed, and an error when it fits nowhere and is protected.
-fn place(
-    g: &SwGraph,
-    hw: &HwGraph,
-    hosts: &mut [Host],
-    v: NodeIdx,
-    policy: ShedPolicy,
-    shed: &mut Vec<NodeIdx>,
-) -> Result<Option<NodeIdx>, AllocError> {
-    let crit_v = criticality(g, v);
-    // Pass 1: direct placement. Score = (criticality co-location burden,
-    // resulting throughput, hw index) — all deterministic.
-    let mut best: Option<(usize, (u64, f64, usize))> = None;
-    for (i, host) in hosts.iter().enumerate() {
-        if !hard_constraints_ok(g, hw, host, v) {
-            continue;
-        }
-        if !admits(&host.admission, timing_job(g, v)) {
-            continue;
-        }
-        let score = host_score(g, host, v, crit_v);
-        if best.is_none_or(|(_, s)| score_lt(score, s)) {
-            best = Some((i, score));
-        }
-    }
-    if let Some((i, _)) = best {
-        commit(g, &mut hosts[i], v);
-        return Ok(Some(hosts[i].hw));
-    }
-    // Pass 2 (degraded mode): a protected victim may displace sheddable
-    // members; an unprotected victim is simply shed.
-    if policy.may_shed(crit_v) {
-        return Ok(None);
-    }
-    if let ShedPolicy::ShedBelow { .. } = policy {
-        let mut best: Option<(usize, Vec<NodeIdx>, HostScore)> = None;
-        for (i, host) in hosts.iter().enumerate() {
-            if !hard_constraints_ok(g, hw, host, v) {
-                continue;
-            }
-            if let Some(displaced) = displacement_plan(g, hw, host, v, policy) {
-                let score = host_score(g, host, v, crit_v);
-                let better = match &best {
-                    None => true,
-                    Some((_, d, s)) => {
-                        displaced.len() < d.len()
-                            || (displaced.len() == d.len() && score_lt(score, *s))
-                    }
-                };
-                if better {
-                    best = Some((i, displaced, score));
-                }
-            }
-        }
-        if let Some((i, displaced, _)) = best {
-            for &d in &displaced {
-                let host = &mut hosts[i];
-                host.members.retain(|&m| m != d);
-                host.admission.release(d.index() as JobId);
-                host.throughput -= throughput_of(g, d);
-                shed.push(d);
-            }
-            commit(g, &mut hosts[i], v);
-            return Ok(Some(hosts[i].hw));
-        }
-    }
-    Err(AllocError::NoFeasibleMapping {
-        reason: format!(
-            "failover cannot re-place {} (criticality {crit_v}) on any survivor",
-            g.node(v).expect("victim exists").name
-        ),
-    })
-}
-
-/// The sheddable members (lowest criticality first) whose removal lets
-/// `v` fit on `host` under capacity and admission; `None` when even
-/// shedding everything allowed does not help.
-fn displacement_plan(
-    g: &SwGraph,
-    hw: &HwGraph,
-    host: &Host,
-    v: NodeIdx,
-    policy: ShedPolicy,
-) -> Option<Vec<NodeIdx>> {
-    let mut sheddable: Vec<NodeIdx> = host
-        .members
-        .iter()
-        .copied()
-        .filter(|&m| policy.may_shed(criticality(g, m)))
-        .collect();
-    sheddable.sort_by_key(|&m| (criticality(g, m), m));
-    let node = hw.node(host.hw).expect("host exists");
-    let mut removed = Vec::new();
-    let mut admission = host.admission.clone();
-    let mut throughput = host.throughput;
-    for m in sheddable {
-        removed.push(m);
-        admission.release(m.index() as JobId);
-        throughput -= throughput_of(g, m);
-        let fits = throughput + throughput_of(g, v) <= node.capacity
-            && admits(&admission, timing_job(g, v));
-        if fits {
-            return Some(removed);
-        }
-    }
-    None
-}
-
-/// Anti-affinity, resources, pin and capacity — the constraints that no
-/// amount of shedding relaxes (shedding only frees CPU time and
-/// throughput; separation conflicts involve protected replicas too, so
-/// they are treated as hard here and rechecked against live members).
-fn hard_constraints_ok(g: &SwGraph, hw: &HwGraph, host: &Host, v: NodeIdx) -> bool {
-    let node = hw.node(host.hw).expect("host exists");
+/// The error for a protected victim `v` that failover cannot re-place.
+#[must_use]
+pub fn unplaceable(g: &SwGraph, v: NodeIdx) -> AllocError {
     let sw = g.node(v).expect("victim exists");
-    if !sw.required_resources.is_subset(&node.resources) {
-        return false;
+    AllocError::NoFeasibleMapping {
+        reason: format!(
+            "failover cannot re-place {} (criticality {}) on any survivor",
+            sw.name, sw.attributes.criticality.0
+        ),
     }
-    if let Some(pin) = &sw.pinned_to {
-        if pin != &node.name {
-            return false;
-        }
-    }
-    if host.members.iter().any(|&m| separated(g, v, m)) {
-        return false;
-    }
-    host.throughput + sw.attributes.throughput.0 <= node.capacity
+}
+
+/// Sorts most critical first; index breaks ties deterministically.
+fn by_criticality(g: &SwGraph, nodes: &mut [NodeIdx]) {
+    nodes.sort_by_key(|&v| (std::cmp::Reverse(criticality(g, v)), v));
 }
 
 /// Whether `a` and `b` may never share a node: replica/separation tags,
 /// or an explicit 0-weight replica link in either direction.
-fn separated(g: &SwGraph, a: NodeIdx, b: NodeIdx) -> bool {
+#[must_use]
+pub fn separated(g: &SwGraph, a: NodeIdx, b: NodeIdx) -> bool {
     let na = g.node(a).expect("valid index");
     let nb = g.node(b).expect("valid index");
     if na.must_separate_from(nb) {
@@ -306,44 +517,14 @@ fn separated(g: &SwGraph, a: NodeIdx, b: NodeIdx) -> bool {
             .any(|(_, e)| e.to == a && matches!(e.weight, SwEdge::ReplicaLink))
 }
 
+/// Whether `admission` takes `job`; no timing constraint always fits.
 fn admits(admission: &Admission, job: Option<Job>) -> bool {
-    match job {
-        Some(job) => admission.would_admit(job),
-        None => true, // no timing constraint: always schedulable
-    }
+    job.is_none_or(|job| admission.would_admit(job))
 }
 
-fn commit(g: &SwGraph, host: &mut Host, v: NodeIdx) {
-    if let Some(job) = timing_job(g, v) {
-        let ok = host.admission.try_admit(job);
-        debug_assert!(ok, "probe admitted but commit failed");
-    }
-    host.throughput += throughput_of(g, v);
-    host.members.push(v);
-}
-
-/// Host preference score: (criticality co-location burden, load, index).
+/// Host preference score, compared lexicographically: (criticality
+/// co-location burden, load, index). Loads are finite.
 type HostScore = (u64, f64, usize);
-
-fn host_score(g: &SwGraph, host: &Host, v: NodeIdx, crit_v: u32) -> HostScore {
-    // Criticality co-location burden: pairing two highly critical FCMs
-    // on one node is what the original heuristics avoid, so prefer the
-    // host minimising Σ min(crit_v, crit_member).
-    let burden: u64 = host
-        .members
-        .iter()
-        .map(|&m| u64::from(crit_v.min(criticality(g, m))))
-        .sum();
-    let load = host.throughput + throughput_of(g, v);
-    (burden, load, host.hw.index())
-}
-
-fn score_lt(a: HostScore, b: HostScore) -> bool {
-    a.0.cmp(&b.0)
-        .then(a.1.partial_cmp(&b.1).expect("finite load"))
-        .then(a.2.cmp(&b.2))
-        .is_lt()
-}
 
 fn criticality(g: &SwGraph, n: NodeIdx) -> u32 {
     g.node(n).expect("valid index").attributes.criticality.0

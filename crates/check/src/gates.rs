@@ -135,12 +135,6 @@ pub fn install() {
     fcm_sim::model::set_preflight(Some(sim_preflight));
 }
 
-/// Removes both gates (tests that need an ungated pipeline).
-pub fn uninstall() {
-    fcm_alloc::pipeline::set_preflight(None);
-    fcm_sim::model::set_preflight(None);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,23 +26,22 @@
 //! before anything is committed: a rejected mutation leaves the model
 //! untouched and reports the rendered diagnostics.
 //!
-//! Placement is kept concrete per edit: each HW node carries the member
-//! list, an exact [`Admission`] controller, and its throughput load.
-//! `add_fcm` admission-probes and commits a host; `fail_node` re-places
-//! victims with the same scoring the failover path uses (criticality
-//! co-location burden, then load, then index) including the
-//! displacement pass for protected victims.
+//! Placement is a live [`failover::Placement`], the same engine
+//! `failover::remap` runs: `add_fcm` commits the FCM to its best host,
+//! `fail_node` fails a clone of the placement and commits it whole,
+//! `propose_placement` fails a clone and discards it, and
+//! `restore_node` re-places the unhosted.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fcm_alloc::failover::{self, ShedPolicy};
+use fcm_alloc::failover::{self, FailoverOutcome, InvalidPlacement, Placement, ShedPolicy};
 use fcm_alloc::pipeline;
 use fcm_alloc::sw::{SwEdge, SwGraph, SwNode};
 use fcm_alloc::{Clustering, HwGraph, Mapping};
 use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty, Severity};
 use fcm_core::AttributeSet;
 use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
-use fcm_sched::{Admission, Job, JobId};
+use fcm_sched::{Job, JobId};
 use fcm_substrate::Json;
 use fcm_workloads::{avionics, paper};
 
@@ -53,28 +52,6 @@ pub const STATE_SCHEMA: &str = "fcm-serve-state/v1";
 
 /// Names of the models a daemon can start from.
 pub const MODEL_NAMES: [&str; 2] = ["paper", "avionics"];
-
-/// Per-HW-node placement state (derived from the model; never
-/// serialized — rebuilt deterministically on resume).
-#[derive(Debug, Clone)]
-struct HostState {
-    /// Dense FCM indices hosted here.
-    members: Vec<usize>,
-    /// Exact EDF admission controller (job id = FCM dense index).
-    admission: Admission,
-    /// Summed throughput of the members.
-    throughput: f64,
-}
-
-impl HostState {
-    fn empty() -> HostState {
-        HostState {
-            members: Vec::new(),
-            admission: Admission::new(),
-            throughput: 0.0,
-        }
-    }
-}
 
 /// The long-lived mutable model behind the daemon.
 #[derive(Debug, Clone)]
@@ -88,10 +65,10 @@ pub struct LiveModel {
     /// Dense for the committed workloads; flips to CSR automatically
     /// when a session grows past the sparse-policy threshold.
     influence: InfluenceMatrix,
-    /// Host (HW index) per FCM; `None` = shed / unhosted.
-    host_of: Vec<Option<usize>>,
-    hosts: Vec<HostState>,
-    failed: BTreeSet<usize>,
+    /// Host per FCM, each HW node's members, admission and load, and
+    /// the failed HW nodes. Only the hosts and the failed set are
+    /// serialized; the rest is rebuilt on resume.
+    placement: Placement,
     shed: ShedPolicy,
     /// Accepted mutations (journal cursor).
     seq: u64,
@@ -109,186 +86,24 @@ pub struct LiveModel {
     cert: Option<Certification>,
 }
 
-fn timing_job(attrs: &AttributeSet, id: usize) -> Option<Job> {
-    attrs.timing.map(|t| t.to_job(id as JobId))
-}
-
-fn criticality(g: &SwGraph, v: usize) -> u32 {
-    g.node(NodeIdx(v))
-        .expect("valid index")
-        .attributes
-        .criticality
-        .0
-}
-
-fn throughput_of(g: &SwGraph, v: usize) -> f64 {
-    g.node(NodeIdx(v))
-        .expect("valid index")
-        .attributes
-        .throughput
-        .0
-}
-
-/// Whether `a` and `b` may never share a HW node (replica/separation
-/// tags or an explicit replica link either way).
-fn separated(g: &SwGraph, a: usize, b: usize) -> bool {
-    let (a, b) = (NodeIdx(a), NodeIdx(b));
-    let na = g.node(a).expect("valid index");
-    let nb = g.node(b).expect("valid index");
-    if na.must_separate_from(nb) {
-        return true;
-    }
-    g.out_edges(a)
-        .any(|(_, e)| e.to == b && matches!(e.weight, SwEdge::ReplicaLink))
-        || g.out_edges(b)
-            .any(|(_, e)| e.to == a && matches!(e.weight, SwEdge::ReplicaLink))
-}
-
-/// Anti-affinity, resources, pin and capacity (the constraints shedding
-/// never relaxes), mirroring the failover path.
-fn hard_constraints_ok(g: &SwGraph, hw: &HwGraph, hosts: &[HostState], h: usize, v: usize) -> bool {
-    let node = hw.node(NodeIdx(h)).expect("host exists");
-    let sw = g.node(NodeIdx(v)).expect("valid index");
-    if !sw.required_resources.is_subset(&node.resources) {
-        return false;
-    }
-    if let Some(pin) = &sw.pinned_to {
-        if pin != &node.name {
-            return false;
-        }
-    }
-    if hosts[h].members.iter().any(|&m| separated(g, v, m)) {
-        return false;
-    }
-    hosts[h].throughput + sw.attributes.throughput.0 <= node.capacity
-}
-
-/// Host preference score: (criticality co-location burden, load, index)
-/// — identical to the failover path's, so online placement and
-/// `propose_placement` agree.
-type HostScore = (u64, f64, usize);
-
-fn host_score(g: &SwGraph, host: &HostState, h: usize, v: usize, crit_v: u32) -> HostScore {
-    let burden: u64 = host
-        .members
-        .iter()
-        .map(|&m| u64::from(crit_v.min(criticality(g, m))))
-        .sum();
-    (burden, host.throughput + throughput_of(g, v), h)
-}
-
-fn score_lt(a: HostScore, b: HostScore) -> bool {
-    a.0.cmp(&b.0)
-        .then(a.1.partial_cmp(&b.1).expect("finite load"))
-        .then(a.2.cmp(&b.2))
-        .is_lt()
-}
-
-fn commit_to(g: &SwGraph, hosts: &mut [HostState], h: usize, v: usize) {
-    let attrs = &g.node(NodeIdx(v)).expect("valid index").attributes;
-    if let Some(job) = timing_job(attrs, v) {
-        let ok = hosts[h].admission.try_admit(job);
-        debug_assert!(ok, "probe admitted but commit failed");
-    }
-    hosts[h].throughput += attrs.throughput.0;
-    hosts[h].members.push(v);
-}
-
-/// Best feasible host for `v` among the non-failed nodes, or `None`.
-fn find_host(
+/// Builds the placement from a host per FCM, naming the first
+/// inconsistency in the snapshot's terms.
+fn build_placement(
     g: &SwGraph,
     hw: &HwGraph,
-    hosts: &[HostState],
-    failed: &BTreeSet<usize>,
-    v: usize,
-) -> Option<usize> {
-    let crit_v = criticality(g, v);
-    let attrs = &g.node(NodeIdx(v)).expect("valid index").attributes;
-    let mut best: Option<(usize, HostScore)> = None;
-    for h in 0..hosts.len() {
-        if failed.contains(&h) || !hard_constraints_ok(g, hw, hosts, h, v) {
-            continue;
+    host_of: Vec<Option<NodeIdx>>,
+    failed: BTreeSet<NodeIdx>,
+) -> Result<Placement, String> {
+    Placement::new(g, hw, host_of, failed).map_err(|e| match e {
+        InvalidPlacement::OnDownNode { sw, hw: h } => format!(
+            "snapshot fcm \"{}\" hosted on failed hw \"{}\"",
+            g.node(sw).expect("hosted fcm").name,
+            hw.node(h).expect("failed node").name
+        ),
+        InvalidPlacement::Infeasible { hw: h } => {
+            format!("infeasible job set on hw node {}", h.index())
         }
-        if let Some(job) = timing_job(attrs, v) {
-            if !hosts[h].admission.would_admit(job) {
-                continue;
-            }
-        }
-        let score = host_score(g, &hosts[h], h, v, crit_v);
-        if best.is_none_or(|(_, s)| score_lt(score, s)) {
-            best = Some((h, score));
-        }
-    }
-    best.map(|(h, _)| h)
-}
-
-/// The sheddable members (lowest criticality first) whose removal lets
-/// `v` fit on host `h`; `None` when even shedding everything allowed
-/// does not help. Mirrors the failover displacement plan.
-fn displacement_plan(
-    g: &SwGraph,
-    hw: &HwGraph,
-    hosts: &[HostState],
-    h: usize,
-    v: usize,
-    policy: ShedPolicy,
-) -> Option<Vec<usize>> {
-    let may_shed = |c: u32| match policy {
-        ShedPolicy::Never => false,
-        ShedPolicy::ShedBelow { critical_at } => c < critical_at,
-    };
-    let mut sheddable: Vec<usize> = hosts[h]
-        .members
-        .iter()
-        .copied()
-        .filter(|&m| may_shed(criticality(g, m)))
-        .collect();
-    sheddable.sort_by_key(|&m| (criticality(g, m), m));
-    let node = hw.node(NodeIdx(h)).expect("host exists");
-    let attrs = &g.node(NodeIdx(v)).expect("valid index").attributes;
-    let mut removed = Vec::new();
-    let mut admission = hosts[h].admission.clone();
-    let mut throughput = hosts[h].throughput;
-    for m in sheddable {
-        removed.push(m);
-        admission.release(m as JobId);
-        throughput -= throughput_of(g, m);
-        let admits = timing_job(attrs, v).is_none_or(|job| admission.would_admit(job));
-        if throughput + attrs.throughput.0 <= node.capacity && admits {
-            return Some(removed);
-        }
-    }
-    None
-}
-
-/// Rebuilds the per-host placement state from `host_of`. Member lists
-/// come out in dense order; every scoring/admission decision downstream
-/// is order-independent, so this matches incrementally-built state.
-fn rebuild_hosts(
-    g: &SwGraph,
-    hw: &HwGraph,
-    host_of: &[Option<usize>],
-) -> Result<Vec<HostState>, String> {
-    let mut hosts = vec![HostState::empty(); hw.len()];
-    for (v, host) in host_of.iter().enumerate() {
-        if let Some(h) = *host {
-            if h >= hosts.len() {
-                return Err(format!("fcm {v} hosted on unknown hw node {h}"));
-            }
-            hosts[h].members.push(v);
-        }
-    }
-    for (h, host) in hosts.iter_mut().enumerate() {
-        let jobs: Vec<Job> = host
-            .members
-            .iter()
-            .filter_map(|&m| timing_job(&g.node(NodeIdx(m)).expect("member exists").attributes, m))
-            .collect();
-        host.admission = Admission::with_baseline(&jobs)
-            .ok_or_else(|| format!("infeasible job set on hw node {h}"))?;
-        host.throughput = host.members.iter().map(|&m| throughput_of(g, m)).sum();
-    }
-    Ok(hosts)
+    })
 }
 
 /// The graph's edges as `(from, to, weight)` triples in global edge-id
@@ -332,41 +147,32 @@ impl LiveModel {
             .nodes()
             .map(|(n, sw)| (sw.name.clone(), n.index()))
             .collect();
-        let mut model = LiveModel {
+        // Initial placement: most critical first (index breaks ties), the
+        // same order failover uses, so every replica lands before the
+        // bulk fills the hosts up.
+        let mut placement =
+            build_placement(&graph, &hw, vec![None; graph.node_count()], BTreeSet::new())?;
+        let (_, unplaced) = placement.place_unhosted(&graph, &hw);
+        if let Some(v) = unplaced.first() {
+            return Err(format!(
+                "no feasible initial placement for {}",
+                graph.node(*v).expect("valid index").name
+            ));
+        }
+        Ok(LiveModel {
             name: model.to_string(),
             graph,
             index,
             influence,
-            host_of: Vec::new(),
-            hosts: vec![HostState::empty(); hw.len()],
+            placement,
             hw,
-            failed: BTreeSet::new(),
             shed: ShedPolicy::ShedBelow { critical_at: 3 },
             seq: 0,
             full_condenses: 1,
             contracts: ContractSet::new(),
             certifier: Certifier::new(),
             cert: None,
-        };
-        // Initial placement: most critical first (index breaks ties), the
-        // same order failover uses, so every replica lands before the
-        // bulk fills the hosts up.
-        let mut order: Vec<usize> = (0..model.graph.node_count()).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(criticality(&model.graph, v)), v));
-        model.host_of = vec![None; model.graph.node_count()];
-        for v in order {
-            let h = find_host(&model.graph, &model.hw, &model.hosts, &model.failed, v).ok_or_else(
-                || {
-                    format!(
-                        "no feasible initial placement for {}",
-                        model.graph.node(NodeIdx(v)).expect("valid index").name
-                    )
-                },
-            )?;
-            commit_to(&model.graph, &mut model.hosts, h, v);
-            model.host_of[v] = Some(h);
-        }
-        Ok(model)
+        })
     }
 
     /// Model name (`paper` / `avionics`).
@@ -414,16 +220,16 @@ impl LiveModel {
             .ok_or_else(|| format!("unknown fcm \"{name}\""))
     }
 
-    fn hw_by_name(&self, name: &str) -> Result<usize, String> {
+    fn hw_by_name(&self, name: &str) -> Result<NodeIdx, String> {
         self.hw
             .nodes()
             .find(|(_, n)| n.name == name)
-            .map(|(h, _)| h.index())
+            .map(|(h, _)| h)
             .ok_or_else(|| format!("unknown hw node \"{name}\""))
     }
 
-    fn hw_name(&self, h: usize) -> String {
-        self.hw.node(NodeIdx(h)).expect("valid index").name.clone()
+    fn hw_name(&self, h: NodeIdx) -> String {
+        self.hw.node(h).expect("valid index").name.clone()
     }
 
     /// Certifies a candidate (graph, influence, contracts) triple on a
@@ -583,7 +389,9 @@ impl LiveModel {
             ));
         }
         let v = new.index();
-        let h = find_host(&candidate, &self.hw, &self.hosts, &self.failed, v)
+        let h = self
+            .placement
+            .best_host(&candidate, &self.hw, new)
             .ok_or_else(|| format!("no feasible placement for \"{name}\""))?;
 
         // Candidate influence: incremental Eq. 4 — grow by a zero
@@ -611,8 +419,7 @@ impl LiveModel {
         self.contracts = contracts;
         self.certifier = certifier;
         self.cert = cert;
-        commit_to(&self.graph, &mut self.hosts, h, v);
-        self.host_of.push(Some(h));
+        self.placement.commit(&self.graph, new, h);
         self.index.insert(name.to_string(), v);
         Ok(Json::object()
             .set("fcm", name)
@@ -637,16 +444,17 @@ impl LiveModel {
                 next.add_edge(NodeIdx(remap[f]), NodeIdx(remap[t]), e.weight);
             }
         }
-        let host_of: Vec<Option<usize>> = self
-            .host_of
+        let host_of: Vec<Option<NodeIdx>> = self
+            .placement
+            .host_of()
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != v)
             .map(|(_, h)| *h)
             .collect();
         // Admission job ids are dense indices, which just shifted:
-        // rebuild the host state wholesale (removal is off the hot path).
-        let hosts = rebuild_hosts(&next, &self.hw, &host_of)?;
+        // rebuild the placement wholesale (removal is off the hot path).
+        let placement = build_placement(&next, &self.hw, host_of, self.placement.down().clone())?;
         let mut influence = self.influence.shrink_row_col(v);
         influence.rebalance();
         // The FCM's own contract leaves with it; survivors' caps naming
@@ -660,8 +468,7 @@ impl LiveModel {
         self.certifier = certifier;
         self.cert = cert;
         self.graph = next;
-        self.host_of = host_of;
-        self.hosts = hosts;
+        self.placement = placement;
         self.index = self
             .graph
             .nodes()
@@ -721,24 +528,25 @@ impl LiveModel {
             Dirty::Rows(&[v]),
         )?;
         // Re-validate the FCM's host under the new attributes: the
-        // rely-guarantee per-edit admission check.
-        if let Some(h) = self.host_of[v] {
-            let host_of = self.host_of.clone();
-            let hosts = rebuild_hosts(&candidate, &self.hw, &host_of).map_err(|_| {
-                format!(
+        // rely-guarantee per-edit admission check. Only this host's
+        // members changed, so only it can become infeasible.
+        if let Some(h) = self.placement.host_of()[v] {
+            let mut placement = self.placement.clone();
+            if !placement.readmit(&candidate, h) {
+                return Err(format!(
                     "set_attr would make {} EDF-infeasible on {}",
                     name,
                     self.hw_name(h)
-                )
-            })?;
-            let node = self.hw.node(NodeIdx(h)).expect("valid index");
-            if hosts[h].throughput > node.capacity {
+                ));
+            }
+            let node = self.hw.node(h).expect("valid index");
+            if placement.throughput(h) > node.capacity {
                 return Err(format!(
                     "set_attr would exceed {} capacity {}",
                     node.name, node.capacity
                 ));
             }
-            self.hosts = hosts;
+            self.placement = placement;
         }
         self.graph = candidate;
         self.certifier = certifier;
@@ -748,131 +556,73 @@ impl LiveModel {
 
     fn fail_node(&mut self, node: &str) -> Result<Json, String> {
         let h = self.hw_by_name(node)?;
-        if self.failed.contains(&h) {
+        if self.placement.down().contains(&h) {
             return Err(format!("hw node \"{node}\" is already failed"));
         }
-        // Work on candidates: the whole failover either commits or the
+        // Fail a candidate: the whole failover either commits or the
         // mutation is rejected (a protected victim fit nowhere).
-        let mut hosts = self.hosts.clone();
-        let mut host_of = self.host_of.clone();
-        let mut failed = self.failed.clone();
-        failed.insert(h);
-        let mut victims = std::mem::replace(&mut hosts[h], HostState::empty()).members;
-        victims.sort_by_key(|&v| (std::cmp::Reverse(criticality(&self.graph, v)), v));
-        for &v in &victims {
-            host_of[v] = None;
-        }
-        let mut moved: Vec<(usize, usize)> = Vec::new();
-        let mut shed: Vec<usize> = Vec::new();
-        let may_shed = |c: u32| match self.shed {
-            ShedPolicy::Never => false,
-            ShedPolicy::ShedBelow { critical_at } => c < critical_at,
-        };
-        for &v in &victims {
-            if let Some(dest) = find_host(&self.graph, &self.hw, &hosts, &failed, v) {
-                commit_to(&self.graph, &mut hosts, dest, v);
-                host_of[v] = Some(dest);
-                moved.push((v, dest));
-                continue;
-            }
-            if may_shed(criticality(&self.graph, v)) {
-                shed.push(v);
-                continue;
-            }
-            // Protected victim: displace sheddable load, as in failover
-            // (fewest displaced wins; host score breaks ties).
-            let crit_v = criticality(&self.graph, v);
-            let mut best: Option<(usize, Vec<usize>, HostScore)> = None;
-            for cand in 0..hosts.len() {
-                if failed.contains(&cand)
-                    || !hard_constraints_ok(&self.graph, &self.hw, &hosts, cand, v)
-                {
-                    continue;
-                }
-                if let Some(plan) =
-                    displacement_plan(&self.graph, &self.hw, &hosts, cand, v, self.shed)
-                {
-                    let score = host_score(&self.graph, &hosts[cand], cand, v, crit_v);
-                    let better = best.as_ref().is_none_or(|(_, b, s)| {
-                        plan.len() < b.len() || (plan.len() == b.len() && score_lt(score, *s))
-                    });
-                    if better {
-                        best = Some((cand, plan, score));
-                    }
-                }
-            }
-            let Some((dest, displaced, _)) = best else {
-                return Err(format!(
+        let mut placement = self.placement.clone();
+        let out = placement
+            .fail(&self.graph, &self.hw, h, self.shed)
+            .map_err(|v| {
+                format!(
                     "fail_node rejected: no feasible placement for protected \"{}\"",
-                    self.graph.node(NodeIdx(v)).expect("valid index").name
-                ));
-            };
-            for &d in &displaced {
-                hosts[dest].members.retain(|&m| m != d);
-                hosts[dest].admission.release(d as JobId);
-                hosts[dest].throughput -= throughput_of(&self.graph, d);
-                host_of[d] = None;
-                shed.push(d);
-            }
-            commit_to(&self.graph, &mut hosts, dest, v);
-            host_of[v] = Some(dest);
-            moved.push((v, dest));
-        }
-        shed.sort_unstable();
-        shed.dedup();
-        let degraded = !shed.is_empty();
-        self.hosts = hosts;
-        self.host_of = host_of;
-        self.failed = failed;
-        Ok(Json::object()
-            .set("degraded", degraded)
-            .set("failed", node)
-            .set(
-                "moved",
-                Json::array(moved.iter().map(|&(v, dest)| {
-                    Json::array([Json::from(self.fcm_name(v)), Json::from(self.hw_name(dest))])
-                })),
-            )
-            .set(
-                "shed",
-                Json::array(shed.iter().map(|&v| Json::from(self.fcm_name(v)))),
-            ))
+                    self.fcm_name(v.index())
+                )
+            })?;
+        self.placement = placement;
+        Ok(self.failover_json(&out).set("failed", node))
     }
 
     fn restore_node(&mut self, node: &str) -> Result<Json, String> {
         let h = self.hw_by_name(node)?;
-        if !self.failed.remove(&h) {
+        if !self.placement.restore(h) {
             return Err(format!("hw node \"{node}\" is not failed"));
         }
-        let mut unhosted: Vec<usize> = (0..self.host_of.len())
-            .filter(|&v| self.host_of[v].is_none())
-            .collect();
-        unhosted.sort_by_key(|&v| (std::cmp::Reverse(criticality(&self.graph, v)), v));
-        let mut placed: Vec<(usize, usize)> = Vec::new();
-        let mut unplaced: Vec<usize> = Vec::new();
-        for &v in &unhosted {
-            match find_host(&self.graph, &self.hw, &self.hosts, &self.failed, v) {
-                Some(dest) => {
-                    commit_to(&self.graph, &mut self.hosts, dest, v);
-                    self.host_of[v] = Some(dest);
-                    placed.push((v, dest));
-                }
-                None => unplaced.push(v),
-            }
-        }
+        let (placed, mut unplaced) = self.placement.place_unhosted(&self.graph, &self.hw);
         unplaced.sort_unstable();
         Ok(Json::object()
-            .set(
-                "placed",
-                Json::array(placed.iter().map(|&(v, dest)| {
-                    Json::array([Json::from(self.fcm_name(v)), Json::from(self.hw_name(dest))])
-                })),
-            )
+            .set("placed", self.pairs_json(&placed))
             .set("restored", node)
-            .set(
-                "unplaced",
-                Json::array(unplaced.iter().map(|&v| Json::from(self.fcm_name(v)))),
-            ))
+            .set("unplaced", self.names_json(&unplaced)))
+    }
+
+    /// The `degraded`/`moved`/`shed` fields of a failover outcome.
+    fn failover_json(&self, out: &FailoverOutcome) -> Json {
+        let moved: Vec<(NodeIdx, NodeIdx)> = out
+            .placement
+            .iter()
+            .filter_map(|&(v, dest)| dest.map(|d| (v, d)))
+            .collect();
+        Json::object()
+            .set("degraded", out.degraded)
+            .set("moved", self.pairs_json(&moved))
+            .set("shed", self.names_json(&out.shed))
+    }
+
+    /// `[[fcm, hw], ...]` by name.
+    fn pairs_json(&self, pairs: &[(NodeIdx, NodeIdx)]) -> Json {
+        Json::array(pairs.iter().map(|&(v, h)| {
+            Json::array([
+                Json::from(self.fcm_name(v.index())),
+                Json::from(self.hw_name(h)),
+            ])
+        }))
+    }
+
+    /// The failed HW nodes by name.
+    fn failed_json(&self) -> Json {
+        Json::array(
+            self.placement
+                .down()
+                .iter()
+                .map(|&h| Json::from(self.hw_name(h))),
+        )
+    }
+
+    /// `[fcm, ...]` by name.
+    fn names_json(&self, fcms: &[NodeIdx]) -> Json {
+        Json::array(fcms.iter().map(|&v| Json::from(self.fcm_name(v.index()))))
     }
 
     fn fcm_name(&self, v: usize) -> String {
@@ -983,17 +733,16 @@ impl LiveModel {
                 .set("node", node)
                 .set("reason", reason))
         };
-        if self.failed.contains(&h) {
+        if self.placement.down().contains(&h) {
             return verdict(false, "hw node is failed");
         }
-        let cap = self.hw.node(NodeIdx(h)).expect("valid index").capacity;
-        if self.hosts[h].throughput + throughput > cap {
+        let cap = self.hw.node(h).expect("valid index").capacity;
+        if self.placement.throughput(h) + throughput > cap {
             return verdict(false, "throughput capacity exceeded");
         }
         if let Some((est, tcd, ct)) = timing {
-            let probe = AttributeSet::default().with_timing(est, tcd, ct);
-            let job = timing_job(&probe, self.graph.node_count()).expect("just set");
-            if !self.hosts[h].admission.would_admit(job) {
+            let job = Job::new(self.graph.node_count() as JobId, est, tcd, ct);
+            if !self.placement.admission(h).would_admit(job) {
                 return verdict(false, "EDF admission rejected the timing constraint");
             }
         }
@@ -1004,17 +753,17 @@ impl LiveModel {
     /// — only available when every FCM is hosted (clusters must
     /// partition the graph).
     fn placed_view(&self) -> Option<(Clustering, Mapping)> {
-        if self.host_of.iter().any(Option::is_none) {
+        if self.placement.host_of().iter().any(Option::is_none) {
             return None;
         }
         let mut groups: Vec<Vec<NodeIdx>> = Vec::new();
         let mut assignment: Vec<NodeIdx> = Vec::new();
-        for (h, host) in self.hosts.iter().enumerate() {
-            if host.members.is_empty() {
-                continue;
+        for h in (0..self.hw.len()).map(NodeIdx) {
+            let members = self.placement.members(h);
+            if !members.is_empty() {
+                groups.push(members.to_vec());
+                assignment.push(h);
             }
-            groups.push(host.members.iter().map(|&v| NodeIdx(v)).collect());
-            assignment.push(NodeIdx(h));
         }
         let clustering = Clustering::new(&self.graph, groups).ok()?;
         Some((clustering, Mapping::from_assignment(assignment)))
@@ -1022,43 +771,18 @@ impl LiveModel {
 
     fn propose_placement(&self, node: &str) -> Result<Json, String> {
         let h = self.hw_by_name(node)?;
-        if !self.failed.is_empty() {
+        if !self.placement.down().is_empty() {
             return Err("propose_placement requires no already-failed hw nodes".to_string());
         }
-        let (clustering, mapping) = self
-            .placed_view()
-            .ok_or_else(|| "propose_placement requires a fully-placed model".to_string())?;
-        let out = failover::remap(
-            &self.graph,
-            &clustering,
-            &mapping,
-            &self.hw,
-            NodeIdx(h),
-            self.shed,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(Json::object()
-            .set("degraded", out.degraded)
-            .set(
-                "moved",
-                Json::array(out.placement.iter().filter_map(|&(v, dest)| {
-                    dest.map(|d| {
-                        Json::array([
-                            Json::from(self.fcm_name(v.index())),
-                            Json::from(self.hw_name(d.index())),
-                        ])
-                    })
-                })),
-            )
-            .set("node", node)
-            .set(
-                "shed",
-                Json::array(
-                    out.shed
-                        .iter()
-                        .map(|&v| Json::from(self.fcm_name(v.index()))),
-                ),
-            ))
+        if self.placed_view().is_none() {
+            return Err("propose_placement requires a fully-placed model".to_string());
+        }
+        let out = self
+            .placement
+            .clone()
+            .fail(&self.graph, &self.hw, h, self.shed)
+            .map_err(|v| failover::unplaceable(&self.graph, v).to_string())?;
+        Ok(self.failover_json(&out).set("node", node))
     }
 
     /// `(repr, nnz)` of the influence matrix — the cheap pre/post-apply
@@ -1113,14 +837,16 @@ impl LiveModel {
     }
 
     fn stats(&self) -> Json {
-        let unhosted = self.host_of.iter().filter(|h| h.is_none()).count();
+        let unhosted = self
+            .placement
+            .host_of()
+            .iter()
+            .filter(|h| h.is_none())
+            .count();
         Json::object()
             .set("certified", self.certified_json())
             .set("edges", self.graph.edge_count() as u64)
-            .set(
-                "failed",
-                Json::array(self.failed.iter().map(|&h| Json::from(self.hw_name(h)))),
-            )
+            .set("failed", self.failed_json())
             .set("fcms", self.graph.node_count() as u64)
             .set("full_condenses", self.full_condenses)
             .set("matrix", self.matrix_info())
@@ -1141,7 +867,8 @@ impl LiveModel {
                 .set("ft", u64::from(a.fault_tolerance.0))
                 .set(
                     "host",
-                    self.host_of[n.index()].map_or(Json::Null, |h| Json::from(self.hw_name(h))),
+                    self.placement.host_of()[n.index()]
+                        .map_or(Json::Null, |h| Json::from(self.hw_name(h))),
                 )
                 .set("name", sw.name.as_str())
                 .set("pin", sw.pinned_to.clone().map_or(Json::Null, Json::from))
@@ -1172,10 +899,7 @@ impl LiveModel {
         let influence = self.influence.to_state_json();
         let mut doc = Json::object()
             .set("edges", edges)
-            .set(
-                "failed",
-                Json::array(self.failed.iter().map(|&h| Json::from(self.hw_name(h)))),
-            )
+            .set("failed", self.failed_json())
             .set("fcms", fcms)
             .set("full_condenses", self.full_condenses)
             .set("influence", influence)
@@ -1212,17 +936,15 @@ impl LiveModel {
             "avionics" => avionics::platform(),
             other => return Err(format!("unknown model \"{other}\" in snapshot")),
         };
-        let hw_index: BTreeMap<String, usize> = hw
-            .nodes()
-            .map(|(h, n)| (n.name.clone(), h.index()))
-            .collect();
+        let hw_index: BTreeMap<String, NodeIdx> =
+            hw.nodes().map(|(h, n)| (n.name.clone(), h)).collect();
 
         let fcms = state
             .get("fcms")
             .and_then(Json::as_array)
             .ok_or_else(|| want("fcms"))?;
         let mut graph: SwGraph = SwGraph::new();
-        let mut host_of: Vec<Option<usize>> = Vec::with_capacity(fcms.len());
+        let mut host_of: Vec<Option<NodeIdx>> = Vec::with_capacity(fcms.len());
         for f in fcms {
             let fname = f
                 .get("name")
@@ -1333,7 +1055,7 @@ impl LiveModel {
             }
             None => ContractSet::new(),
         };
-        let hosts = rebuild_hosts(&graph, &hw, &host_of)?;
+        let placement = build_placement(&graph, &hw, host_of, failed)?;
         let index = graph
             .nodes()
             .map(|(ni, sw)| (sw.name.clone(), ni.index()))
@@ -1343,10 +1065,8 @@ impl LiveModel {
             graph,
             index,
             influence,
-            host_of,
-            hosts,
+            placement,
             hw,
-            failed,
             shed: ShedPolicy::ShedBelow { critical_at: 3 },
             seq,
             full_condenses,
@@ -1416,13 +1136,14 @@ mod tests {
         for name in MODEL_NAMES {
             let m = LiveModel::new(name).expect("committed model builds");
             assert_eq!(m.full_condenses(), 1, "{name}");
-            assert!(m.host_of.iter().all(Option::is_some), "{name} fully placed");
+            let host_of = m.placement.host_of();
+            assert!(host_of.iter().all(Option::is_some), "{name} fully placed");
             assert_eq!(m.influence, full_recompute(&m.graph), "{name} matrix");
             // Replicas landed on distinct nodes.
             for a in 0..m.graph.node_count() {
                 for b in a + 1..m.graph.node_count() {
-                    if separated(&m.graph, a, b) {
-                        assert_ne!(m.host_of[a], m.host_of[b], "{name}: {a} vs {b}");
+                    if failover::separated(&m.graph, NodeIdx(a), NodeIdx(b)) {
+                        assert_ne!(host_of[a], host_of[b], "{name}: {a} vs {b}");
                     }
                 }
             }
@@ -1572,8 +1293,9 @@ mod tests {
         // Every replica pair still separated.
         for a in 0..m.graph.node_count() {
             for b in a + 1..m.graph.node_count() {
-                if separated(&m.graph, a, b) && m.host_of[a].is_some() {
-                    assert_ne!(m.host_of[a], m.host_of[b]);
+                let host_of = m.placement.host_of();
+                if failover::separated(&m.graph, NodeIdx(a), NodeIdx(b)) && host_of[a].is_some() {
+                    assert_ne!(host_of[a], host_of[b]);
                 }
             }
         }
@@ -1832,7 +1554,8 @@ mod tests {
             timing: None,
         })
         .unwrap();
-        assert_eq!(criticality(&m.graph, m.fcm("p8").unwrap()), 2);
+        let p8 = m.graph.node(NodeIdx(m.fcm("p8").unwrap())).unwrap();
+        assert_eq!(p8.attributes.criticality.0, 2);
     }
 
     fn fail(node: &str) -> Mutation {
@@ -1864,24 +1587,57 @@ mod tests {
         assert_eq!(m.state_json().to_string_compact(), before);
     }
 
+    #[test]
+    fn from_state_rejects_an_fcm_hosted_on_a_failed_node() {
+        let mut m = LiveModel::new("paper").unwrap();
+        m.apply(&fail("hw0")).unwrap();
+        let text = m.state_json().to_string_compact();
+        // Hand-edit the first hosted FCM onto the failed node: no
+        // mutation sequence reaches this state.
+        let v = m
+            .placement
+            .host_of()
+            .iter()
+            .position(Option::is_some)
+            .unwrap();
+        let key = r#""host":""#;
+        let at = text.find(key).unwrap() + key.len();
+        let end = at + text[at..].find('"').unwrap();
+        let edited = format!("{}hw0{}", &text[..at], &text[end..]);
+        assert_eq!(
+            LiveModel::from_state(&Json::parse(&edited).unwrap()).unwrap_err(),
+            format!(
+                "snapshot fcm \"{}\" hosted on failed hw \"hw0\"",
+                m.fcm_name(v)
+            )
+        );
+        // The unedited state still loads.
+        assert!(LiveModel::from_state(&Json::parse(&text).unwrap()).is_ok());
+    }
+
     /// The live placement equals the one rebuilt from `host_of`
     /// (members and admitted jobs; throughput within 1e-9 relative),
     /// and failing any HW node live gives the same outcome as
     /// `failover::remap` on the placed view.
     fn assert_matches_from_scratch_twin(m: &LiveModel, step: usize) {
-        let rebuilt = rebuild_hosts(&m.graph, &m.hw, &m.host_of).unwrap();
-        for (h, (live, twin)) in m.hosts.iter().zip(&rebuilt).enumerate() {
-            let sorted = |mut v: Vec<usize>| {
+        let live = &m.placement;
+        let twin = Placement::new(
+            &m.graph,
+            &m.hw,
+            live.host_of().to_vec(),
+            live.down().clone(),
+        )
+        .unwrap();
+        for h in (0..m.hw.len()).map(NodeIdx) {
+            let members = |p: &Placement| {
+                let mut v = p.members(h).to_vec();
                 v.sort_unstable();
                 v
             };
-            assert_eq!(
-                sorted(live.members.clone()),
-                sorted(twin.members.clone()),
-                "step {step}: hw{h} members"
-            );
-            let jobs = |a: &Admission| {
-                let mut j: Vec<(JobId, u64, u64, u64)> = a
+            assert_eq!(members(live), members(&twin), "step {step}: {h:?} members");
+            let jobs = |p: &Placement| {
+                let mut j: Vec<(JobId, u64, u64, u64)> = p
+                    .admission(h)
                     .jobs()
                     .iter()
                     .map(|j| (j.id, j.est, j.tcd, j.ct))
@@ -1889,44 +1645,39 @@ mod tests {
                 j.sort_unstable();
                 j
             };
-            assert_eq!(
-                jobs(&live.admission),
-                jobs(&twin.admission),
-                "step {step}: hw{h} jobs"
-            );
-            let (a, b) = (live.throughput, twin.throughput);
+            assert_eq!(jobs(live), jobs(&twin), "step {step}: {h:?} jobs");
+            let (a, b) = (live.throughput(h), twin.throughput(h));
             assert!(
                 (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
-                "step {step}: hw{h} throughput {a} vs {b}"
+                "step {step}: {h:?} throughput {a} vs {b}"
             );
         }
         let (clustering, mapping) = m.placed_view().expect("fully placed");
-        for h in 0..m.hw.len() {
+        for h in (0..m.hw.len()).map(NodeIdx) {
             let applied = m.clone().apply(&fail(&m.hw_name(h)));
-            let remapped =
-                failover::remap(&m.graph, &clustering, &mapping, &m.hw, NodeIdx(h), m.shed);
+            let remapped = failover::remap(&m.graph, &clustering, &mapping, &m.hw, h, m.shed);
             match (applied, remapped) {
                 (Ok(out), Ok(r)) => {
                     let moved = Json::array(r.placement.iter().filter_map(|&(v, dest)| {
                         dest.map(|d| {
                             Json::array([
                                 Json::from(m.fcm_name(v.index())),
-                                Json::from(m.hw_name(d.index())),
+                                Json::from(m.hw_name(d)),
                             ])
                         })
                     }));
                     let shed =
                         Json::array(r.shed.iter().map(|&v| Json::from(m.fcm_name(v.index()))));
-                    assert_eq!(out.get("moved"), Some(&moved), "step {step}: hw{h} moved");
-                    assert_eq!(out.get("shed"), Some(&shed), "step {step}: hw{h} shed");
+                    assert_eq!(out.get("moved"), Some(&moved), "step {step}: {h:?} moved");
+                    assert_eq!(out.get("shed"), Some(&shed), "step {step}: {h:?} shed");
                     assert_eq!(
                         out.get("degraded"),
                         Some(&Json::Bool(r.degraded)),
-                        "step {step}: hw{h} degraded"
+                        "step {step}: {h:?} degraded"
                     );
                 }
                 (Err(_), Err(_)) => {}
-                (live, remap) => panic!("step {step}: hw{h} live {live:?} vs remap {remap:?}"),
+                (live, remap) => panic!("step {step}: {h:?} live {live:?} vs remap {remap:?}"),
             }
         }
     }

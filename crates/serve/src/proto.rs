@@ -138,8 +138,9 @@ pub enum Query {
         /// Throughput of the candidate.
         throughput: f64,
     },
-    /// Failover proposal for a HW node, via `fcm_alloc::failover::remap`
-    /// — computed, not applied.
+    /// Failover proposal for a HW node: `fail_node`'s dry run, failing
+    /// a clone of the live `fcm_alloc::failover::Placement` — computed,
+    /// not applied.
     ProposePlacement {
         /// HW node name.
         node: String,
