@@ -206,6 +206,18 @@ impl LiveModel {
         self.hw.len()
     }
 
+    /// The HW platform the model is placed on.
+    #[must_use]
+    pub fn hw(&self) -> &HwGraph {
+        &self.hw
+    }
+
+    /// The live placement (read-only, like [`LiveModel::graph`]).
+    #[must_use]
+    pub fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
     /// Full condensations performed by this model (stays 1 forever: the
     /// mutation path is exclusively incremental).
     #[must_use]
