@@ -20,16 +20,17 @@
 //! clustering and mapping and fails one node, and the online service
 //! keeps one live, placing, failing and restoring through it.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fcm_graph::NodeIdx;
 use fcm_sched::{Admission, Job, JobId};
 
 use crate::cluster::Clustering;
 use crate::error::AllocError;
-use crate::hw::HwGraph;
+use crate::hw::{HwGraph, HwNode};
 use crate::mapping::Mapping;
-use crate::sw::{SwEdge, SwGraph};
+use crate::sw::{SwEdge, SwGraph, SwNode};
 
 /// What to do when a victim FCM fits on no surviving node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +73,7 @@ pub struct FailoverOutcome {
 }
 
 /// Why a host assignment is not a valid [`Placement`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvalidPlacement {
     /// A SW node is hosted on a failed HW node.
     OnDownNode {
@@ -86,6 +87,41 @@ pub enum InvalidPlacement {
         /// The overloaded HW node.
         hw: NodeIdx,
     },
+    /// A SW node breaks a hard constraint of its HW node.
+    Breaks {
+        /// The SW node.
+        sw: NodeIdx,
+        /// Its HW node.
+        hw: NodeIdx,
+        /// The constraint it breaks.
+        constraint: HardConstraint,
+    },
+}
+
+/// A hard placement constraint, as one SW node breaks it on one HW node
+/// — what [`Placement::best_host`] never breaks and shedding never
+/// relaxes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HardConstraint {
+    /// The SW node needs this resource, which the HW node lacks.
+    Resource(String),
+    /// The SW node is pinned to this other HW node.
+    Pin(String),
+    /// The SW node shares the HW node with this replica or
+    /// anti-affinity peer.
+    Separation(NodeIdx),
+    /// The SW node's throughput takes the HW node past its capacity.
+    Capacity,
+}
+
+/// Which hard constraint a placement would break (details are looked up
+/// only when a placement is refused).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    Resource,
+    Pin,
+    Separation,
+    Capacity,
 }
 
 /// Live placement of SW nodes on HW nodes: per HW node the members, an
@@ -106,6 +142,12 @@ struct Host {
     members: Vec<NodeIdx>,
     admission: Admission,
     throughput: f64,
+    /// Members per replica group, per separation group and per
+    /// criticality: what the separation test and the co-location burden
+    /// read, in O(groups) instead of O(members).
+    replicas: BTreeMap<u32, u64>,
+    separations: BTreeMap<u32, u64>,
+    crits: BTreeMap<u32, u64>,
 }
 
 impl Host {
@@ -115,27 +157,131 @@ impl Host {
         let jobs: Vec<Job> = members.iter().filter_map(|&m| timing_job(g, m)).collect();
         let admission = Admission::with_baseline(&jobs)?;
         let throughput = members.iter().map(|&m| throughput_of(g, m)).sum();
-        Some(Host {
-            members,
+        let mut host = Host {
+            members: Vec::new(),
             admission,
             throughput,
-        })
+            ..Host::default()
+        };
+        for &m in &members {
+            host.count(g.node(m).expect("valid index"), true);
+        }
+        host.members = members;
+        Some(host)
+    }
+
+    /// Counts `sw` in (`join`) or out of the per-group tallies.
+    fn count(&mut self, sw: &SwNode, join: bool) {
+        fn tally(map: &mut BTreeMap<u32, u64>, key: u32, join: bool) {
+            let n = map.entry(key).or_insert(0);
+            if join {
+                *n += 1;
+            } else {
+                *n -= 1;
+                if *n == 0 {
+                    map.remove(&key);
+                }
+            }
+        }
+        if let Some(r) = sw.replica_group {
+            tally(&mut self.replicas, r, join);
+        }
+        if let Some(sg) = sw.separation_group {
+            tally(&mut self.separations, sg, join);
+        }
+        tally(&mut self.crits, sw.attributes.criticality.0, join);
+    }
+
+    /// Whether a member shares `sw`'s replica or separation tag.
+    fn has_tagged_peer(&self, sw: &SwNode) -> bool {
+        sw.replica_group
+            .is_some_and(|r| self.replicas.contains_key(&r))
+            || sw
+                .separation_group
+                .is_some_and(|sg| self.separations.contains_key(&sg))
+    }
+
+    /// The criticality co-location burden of adding a node of
+    /// criticality `crit_v`: Σ over members of min(crit_v, crit_m), as
+    /// exact integer arithmetic over the per-criticality counts.
+    fn burden(&self, crit_v: u32) -> u64 {
+        self.crits
+            .iter()
+            .map(|(&c, &k)| k * u64::from(crit_v.min(c)))
+            .sum()
     }
 }
 
 impl Placement {
     /// Builds the placement of `g` on `hw` from a host per SW node, with
     /// the `down` HW nodes failed. Members are listed in SW index order.
+    /// Every hard constraint [`Placement::best_host`] enforces must hold:
+    /// members join their host in SW index order and each must pass the
+    /// same predicate against the members before it.
     ///
     /// # Errors
     ///
     /// The first SW node hosted on a down node, else the first HW node
-    /// whose members' jobs are not EDF-feasible together.
+    /// whose members' jobs are not EDF-feasible together, else the first
+    /// member (HW node by HW node, in SW index order) that breaks a hard
+    /// constraint: a missing resource, a pin elsewhere, a replica or
+    /// anti-affinity peer on the node, or the node's capacity.
     ///
     /// # Panics
     ///
     /// When a host is not a node of `hw`.
     pub fn new(
+        g: &SwGraph,
+        hw: &HwGraph,
+        host_of: Vec<Option<NodeIdx>>,
+        down: BTreeSet<NodeIdx>,
+    ) -> Result<Placement, InvalidPlacement> {
+        let placement = Placement::build(g, hw, host_of, down)?;
+        for (h, host) in placement.hosts.iter().enumerate() {
+            let h = NodeIdx(h);
+            let node = hw.node(h).expect("host exists");
+            let mut before = Host::default();
+            for &v in &host.members {
+                let on_host = |u: NodeIdx| u < v && placement.host_of[u.index()] == Some(h);
+                if let Err(rule) = fits(g, node, &before, v, on_host) {
+                    let sw = g.node(v).expect("valid index");
+                    let constraint = match rule {
+                        Rule::Resource => HardConstraint::Resource(
+                            sw.required_resources
+                                .difference(&node.resources)
+                                .next()
+                                .expect("a resource is missing")
+                                .clone(),
+                        ),
+                        Rule::Pin => HardConstraint::Pin(sw.pinned_to.clone().expect("pinned")),
+                        Rule::Separation => HardConstraint::Separation(
+                            before
+                                .members
+                                .iter()
+                                .copied()
+                                .find(|&m| separated(g, v, m))
+                                .expect("a peer is on the node"),
+                        ),
+                        Rule::Capacity => HardConstraint::Capacity,
+                    };
+                    return Err(InvalidPlacement::Breaks {
+                        sw: v,
+                        hw: h,
+                        constraint,
+                    });
+                }
+                before.throughput += throughput_of(g, v);
+                before.count(sw_node(g, v), true);
+                before.members.push(v);
+            }
+        }
+        Ok(placement)
+    }
+
+    /// [`Placement::new`] without the hard-constraint checks: what
+    /// [`remap`] builds from a clustering and mapping that the mapping
+    /// layer has already validated.
+    fn build(
         g: &SwGraph,
         hw: &HwGraph,
         host_of: Vec<Option<NodeIdx>>,
@@ -204,7 +350,7 @@ impl Placement {
     /// The best live host for `v`: among the up nodes that meet the hard
     /// constraints and admit its job, the one with the lowest
     /// (criticality co-location burden, resulting load, index). `None`
-    /// when no host fits.
+    /// when no host fits. O(hosts · groups + degree of `v`).
     #[must_use]
     pub fn best_host(&self, g: &SwGraph, hw: &HwGraph, v: NodeIdx) -> Option<NodeIdx> {
         let crit_v = criticality(g, v);
@@ -231,6 +377,7 @@ impl Placement {
             debug_assert!(ok, "probe admitted but commit failed");
         }
         host.throughput += throughput_of(g, v);
+        host.count(sw_node(g, v), true);
         host.members.push(v);
         if v.index() == self.host_of.len() {
             self.host_of.push(None);
@@ -238,15 +385,37 @@ impl Placement {
         self.host_of[v.index()] = Some(h);
     }
 
-    /// Rebuilds the admission and throughput of `h` after its members'
-    /// attributes changed in `g`. Returns `false`, leaving the placement
-    /// untouched, when the members are no longer EDF-feasible together.
-    pub fn readmit(&mut self, g: &SwGraph, h: NodeIdx) -> bool {
-        let Some(host) = Host::new(g, self.members(h).to_vec()) else {
-            return false;
+    /// Re-admits the host of `v` after `v`'s attributes changed in `g`:
+    /// only that host's members changed, so only it can stop fitting.
+    /// Rebuilds its admission, throughput and counts; an unhosted `v` is
+    /// a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidPlacement::Infeasible`] when the members are no longer
+    /// EDF-feasible together, [`InvalidPlacement::Breaks`] with
+    /// [`HardConstraint::Capacity`] when they exceed the node's capacity.
+    /// The placement is then left untouched.
+    pub fn readmit(
+        &mut self,
+        g: &SwGraph,
+        hw: &HwGraph,
+        v: NodeIdx,
+    ) -> Result<(), InvalidPlacement> {
+        let Some(h) = self.host_of[v.index()] else {
+            return Ok(());
         };
+        let host =
+            Host::new(g, self.members(h).to_vec()).ok_or(InvalidPlacement::Infeasible { hw: h })?;
+        if host.throughput > hw.node(h).expect("host exists").capacity {
+            return Err(InvalidPlacement::Breaks {
+                sw: v,
+                hw: h,
+                constraint: HardConstraint::Capacity,
+            });
+        }
         self.hosts[h.index()] = host;
-        true
+        Ok(())
     }
 
     /// Fails HW node `dead`: marks it down, evicts its members and
@@ -368,6 +537,7 @@ impl Placement {
             host.members.retain(|&m| m != d);
             host.admission.release(d.index() as JobId);
             host.throughput -= throughput_of(g, d);
+            host.count(sw_node(g, d), false);
             self.host_of[d.index()] = None;
             shed.push(d);
         }
@@ -411,19 +581,18 @@ impl Placement {
         None
     }
 
-    /// Anti-affinity, resources, pin and capacity — the constraints that
-    /// no amount of shedding relaxes (shedding only frees CPU time and
-    /// throughput; separation conflicts involve protected replicas too,
-    /// so they are treated as hard here and rechecked against live
-    /// members).
+    /// Whether unhosted `v` meets every hard constraint on `h`, against
+    /// its live members.
     fn hard_constraints_ok(&self, g: &SwGraph, hw: &HwGraph, h: NodeIdx, v: NodeIdx) -> bool {
-        let node = hw.node(h).expect("host exists");
-        let sw = g.node(v).expect("placed node exists");
-        let host = &self.hosts[h.index()];
-        sw.required_resources.is_subset(&node.resources)
-            && sw.pinned_to.as_ref().is_none_or(|pin| pin == &node.name)
-            && !host.members.iter().any(|&m| separated(g, v, m))
-            && host.throughput + sw.attributes.throughput.0 <= node.capacity
+        let on_host = |u: NodeIdx| self.host_of.get(u.index()) == Some(&Some(h));
+        fits(
+            g,
+            hw.node(h).expect("host exists"),
+            &self.hosts[h.index()],
+            v,
+            on_host,
+        )
+        .is_ok()
     }
 
     fn host_score(&self, g: &SwGraph, h: NodeIdx, v: NodeIdx, crit_v: u32) -> HostScore {
@@ -431,13 +600,45 @@ impl Placement {
         // FCMs on one node is what the original heuristics avoid, so
         // prefer the host minimising Σ min(crit_v, crit_member).
         let host = &self.hosts[h.index()];
-        let burden: u64 = host
-            .members
-            .iter()
-            .map(|&m| u64::from(crit_v.min(criticality(g, m))))
-            .sum();
-        (burden, host.throughput + throughput_of(g, v), h.index())
+        (
+            host.burden(crit_v),
+            host.throughput + throughput_of(g, v),
+            h.index(),
+        )
     }
+}
+
+/// Anti-affinity, resources, pin and capacity — the constraints that no
+/// amount of shedding relaxes (shedding only frees CPU time and
+/// throughput; separation conflicts involve protected replicas too, so
+/// they are treated as hard here): `Err` names the first that `v` would
+/// break by joining `host` on `node`. `on_host(u)` says whether SW node
+/// `u` is among the host's members, for `v`'s replica links.
+fn fits(
+    g: &SwGraph,
+    node: &HwNode,
+    host: &Host,
+    v: NodeIdx,
+    on_host: impl Fn(NodeIdx) -> bool,
+) -> Result<(), Rule> {
+    let sw = sw_node(g, v);
+    if !sw.required_resources.is_subset(&node.resources) {
+        return Err(Rule::Resource);
+    }
+    if sw.pinned_to.as_ref().is_some_and(|pin| pin != &node.name) {
+        return Err(Rule::Pin);
+    }
+    let linked = g.out_edges(v).chain(g.in_edges(v)).any(|(_, e)| {
+        matches!(e.weight, SwEdge::ReplicaLink) && on_host(if e.from == v { e.to } else { e.from })
+    });
+    if host.has_tagged_peer(sw) || linked {
+        return Err(Rule::Separation);
+    }
+    let load = host.throughput + sw.attributes.throughput.0;
+    if load.partial_cmp(&node.capacity).is_none_or(Ordering::is_gt) {
+        return Err(Rule::Capacity);
+    }
+    Ok(())
 }
 
 /// Re-places the FCMs of the cluster hosted on `dead` onto the surviving
@@ -469,7 +670,7 @@ pub fn remap(
             host_of[v.index()] = Some(h);
         }
     }
-    let mut placement = Placement::new(g, hw, host_of, BTreeSet::new()).map_err(|e| {
+    let mut placement = Placement::build(g, hw, host_of, BTreeSet::new()).map_err(|e| {
         let InvalidPlacement::Infeasible { hw: h } = e else {
             unreachable!("no node is down yet")
         };
@@ -526,8 +727,12 @@ fn admits(admission: &Admission, job: Option<Job>) -> bool {
 /// co-location burden, load, index). Loads are finite.
 type HostScore = (u64, f64, usize);
 
+fn sw_node(g: &SwGraph, n: NodeIdx) -> &SwNode {
+    g.node(n).expect("valid index")
+}
+
 fn criticality(g: &SwGraph, n: NodeIdx) -> u32 {
-    g.node(n).expect("valid index").attributes.criticality.0
+    sw_node(g, n).attributes.criticality.0
 }
 
 fn throughput_of(g: &SwGraph, n: NodeIdx) -> f64 {
@@ -700,6 +905,72 @@ mod tests {
         assert_eq!(out.shed, vec![low]);
         assert!(out.degraded);
         assert_eq!(out.placement[0].1, Some(host_of(&m, &c, low)));
+    }
+
+    #[test]
+    fn new_refuses_every_broken_hard_constraint_and_names_it() {
+        // r_a/r_b replicas; `pinned` pinned to hw1; `radio` needs the
+        // radio on hw2; `heavy` carries 3 of hw0's capacity of 4.
+        let mut b = SwGraphBuilder::new();
+        let ra = b.add_process("r_a", attrs(9));
+        let rb = b.add_process("r_b", attrs(9));
+        let pinned = b.add_process("pinned", attrs(1));
+        let radio = b.add_process("radio", attrs(1));
+        let heavy = b.add_process("heavy", attrs(1).with_throughput(3.0));
+        b.mark_replicas(&[ra, rb]).unwrap();
+        b.pin_to_hw(pinned, "hw1").unwrap();
+        let mut g = b.build();
+        g.node_mut(radio)
+            .unwrap()
+            .required_resources
+            .insert("radio".to_string());
+        let hw = HwGraph::new(
+            vec![
+                HwNode::new("hw0").with_capacity(4.0),
+                HwNode::new("hw1"),
+                HwNode::new("hw2").with_resource("radio"),
+            ],
+            &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+        );
+        let place = |g: &SwGraph, hosts: [usize; 5]| {
+            Placement::new(
+                g,
+                &hw,
+                hosts.iter().map(|&h| Some(NodeIdx(h))).collect(),
+                BTreeSet::new(),
+            )
+        };
+        let breaks = |sw: NodeIdx, h: usize, constraint| {
+            Err(InvalidPlacement::Breaks {
+                sw,
+                hw: NodeIdx(h),
+                constraint,
+            })
+        };
+        assert!(place(&g, [0, 1, 1, 2, 0]).is_ok());
+        assert_eq!(
+            place(&g, [0, 0, 1, 2, 0]).map(|_| ()),
+            breaks(rb, 0, HardConstraint::Separation(ra))
+        );
+        assert_eq!(
+            place(&g, [0, 1, 2, 2, 0]).map(|_| ()),
+            breaks(pinned, 2, HardConstraint::Pin("hw1".to_string()))
+        );
+        assert_eq!(
+            place(&g, [0, 1, 1, 1, 0]).map(|_| ()),
+            breaks(radio, 1, HardConstraint::Resource("radio".to_string()))
+        );
+        g.node_mut(ra).unwrap().attributes.throughput.0 = 2.0;
+        assert_eq!(
+            place(&g, [0, 1, 1, 2, 0]).map(|_| ()),
+            breaks(heavy, 0, HardConstraint::Capacity)
+        );
+        // `remap` builds from a mapping the mapping layer validates and
+        // does not re-check it: hw0 is over capacity here, and failing
+        // it still re-places its load.
+        let c = Clustering::singletons(&g);
+        let m = Mapping::from_assignment([0, 1, 1, 2, 0].map(NodeIdx).to_vec());
+        assert!(remap(&g, &c, &m, &hw, NodeIdx(0), ShedPolicy::Never).is_ok());
     }
 
     #[test]

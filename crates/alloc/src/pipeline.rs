@@ -102,31 +102,63 @@ pub fn grow_row_col(m: &Matrix) -> Matrix {
     next
 }
 
-/// The Eq. 4 complement-product fold shared by both recombiners:
-/// returns the new row `gi` and column `gi` as dense value slices
-/// (`row[t] = 1 − Π(1 − w)` over `gi → t` edges, diagonal zero).
-/// Products accumulate in the order `edges` yields them — global
-/// edge-id order at every call site, the association `condense` uses.
+/// Sparse `(index, value)` entries of one matrix row or column.
+pub type Entries = Vec<(usize, f64)>;
+
+/// The Eq. 4 complement-product fold: row `gi` and column `gi` as
+/// ascending `(index, value)` lists without the diagonal
+/// (`row[t] = 1 − Π(1 − w)` over `gi → t` edges; exact zeros kept).
+/// Edges not incident to `gi` are skipped, so the caller may pass just
+/// the node's own out- and in-edges. Per entry, products accumulate in
+/// the order `edges` yields them — edge-id order at every call site,
+/// the association `condense` uses.
+#[must_use]
+pub fn eq4_incident(
+    edges: impl Iterator<Item = (usize, usize, f64)>,
+    gi: usize,
+) -> (Entries, Entries) {
+    let (mut comp_out, mut comp_in): (Entries, Entries) = (Vec::new(), Vec::new());
+    let fold = |comp: &mut Entries, t: usize, w: f64| match comp
+        .iter_mut()
+        .find(|(u, _)| *u == t)
+    {
+        Some((_, c)) => *c *= 1.0 - w,
+        None => comp.push((t, 1.0 - w)),
+    };
+    for (gu, gv, w) in edges {
+        if gu == gv {
+            continue;
+        }
+        if gu == gi {
+            fold(&mut comp_out, gv, w);
+        }
+        if gv == gi {
+            fold(&mut comp_in, gu, w);
+        }
+    }
+    let finish = |mut comp: Entries| {
+        comp.sort_unstable_by_key(|&(t, _)| t);
+        comp.into_iter().map(|(t, c)| (t, 1.0 - c)).collect()
+    };
+    (finish(comp_out), finish(comp_in))
+}
+
+/// [`eq4_incident`] scattered into dense length-`k` slices (zero where
+/// no edge lands) — the form the recombiners assign.
 fn eq4_fold(
     edges: impl Iterator<Item = (usize, usize, f64)>,
     gi: usize,
     k: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let mut comp_out = vec![1.0f64; k];
-    let mut comp_in = vec![1.0f64; k];
-    for (gu, gv, w) in edges {
-        if gu == gi {
-            comp_out[gv] *= 1.0 - w;
+    let (row, col) = eq4_incident(edges, gi);
+    let scatter = |entries: Entries| {
+        let mut dense = vec![0.0f64; k];
+        for (t, v) in entries {
+            dense[t] = v;
         }
-        if gv == gi {
-            comp_in[gu] *= 1.0 - w;
-        }
-    }
-    let mut row: Vec<f64> = comp_out.into_iter().map(|c| 1.0 - c).collect();
-    let mut col: Vec<f64> = comp_in.into_iter().map(|c| 1.0 - c).collect();
-    row[gi] = 0.0;
-    col[gi] = 0.0;
-    (row, col)
+        dense
+    };
+    (scatter(row), scatter(col))
 }
 
 /// Recombines row and column `gi` of `influence` via the paper's Eq. 4

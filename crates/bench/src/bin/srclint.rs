@@ -34,6 +34,11 @@
 //!   and `certify.rs`) — the C017+ rules and the incremental certifier
 //!   must stay O(degree) contract arithmetic; reaching for the O(n²)
 //!   series there would silently defeat the cache;
+//! * no whole-model copy (`self.graph.clone()`, `self.contracts.clone()`,
+//!   `self.certifier.clone()`) in the live model
+//!   (`crates/serve/src/model.rs`) — a mutation applies in place and
+//!   undoes what it touched; cloning the world per mutation would
+//!   silently make every mutation O(n) again;
 //! * diagnostic codes declared in `crates/check/src/rules.rs` are
 //!   unique.
 //!
@@ -139,6 +144,8 @@ fn main() -> ExitCode {
     let dense_zeros = format!("Matrix::{}", "zeros(");
     let series_call = format!("walk_{}", "series");
     let topk_call = format!("top_k_{}", "from");
+    let model_copies =
+        ["graph", "contracts", "certifier"].map(|f| format!("self.{f}.{}()", "clone"));
 
     let mut findings = Vec::new();
     let mut codes: Vec<(u16, String)> = Vec::new();
@@ -155,6 +162,7 @@ fn main() -> ExitCode {
         let in_rules = rel.ends_with("check/src/rules.rs");
         let in_cert_path =
             rel.ends_with("check/src/contract.rs") || rel.ends_with("check/src/certify.rs");
+        let in_live_model = rel.ends_with("serve/src/model.rs");
         for (i, line) in text.lines().enumerate() {
             let loc = format!("{}:{}", rel.display(), i + 1);
             let trimmed = line.trim_start();
@@ -213,6 +221,13 @@ fn main() -> ExitCode {
                 findings.push(format!(
                     "{loc}: exact series recompute on the certification path — C017+ must stay O(degree) contract arithmetic"
                 ));
+            }
+            if in_live_model {
+                if let Some(copy) = model_copies.iter().find(|c| line.contains(c.as_str())) {
+                    findings.push(format!(
+                        "{loc}: whole-model copy ({copy}) in the live model — apply in place and undo on rejection"
+                    ));
+                }
             }
             if in_rules {
                 if let Some(rest) = trimmed.strip_prefix(&code_decl) {

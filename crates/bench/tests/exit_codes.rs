@@ -211,3 +211,21 @@ fn srclint_is_clean_on_this_repo() {
     assert_eq!(code(&out), 0, "srclint findings:\n{text}");
     assert!(text.contains("0 finding(s)"), "{text}");
 }
+
+#[test]
+fn srclint_flags_a_whole_model_copy_in_the_live_model() {
+    let root = std::env::temp_dir().join(format!("srclint-copy-{}", std::process::id()));
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).unwrap();
+    let copy = format!("fn f(&self) {{ let g = self.graph.{}(); }}\n", "clone");
+    std::fs::write(src.join("model.rs"), &copy).unwrap();
+    let out = run(env!("CARGO_BIN_EXE_srclint"), &[root.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(code(&out), 1, "{text}");
+    assert!(text.contains("whole-model copy"), "{text}");
+    // The same line elsewhere is no finding.
+    std::fs::rename(src.join("model.rs"), src.join("other.rs")).unwrap();
+    let out = run(env!("CARGO_BIN_EXE_srclint"), &[root.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -167,7 +167,11 @@ impl Contract {
 /// in name order (so every fold over the set is deterministic).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContractSet {
-    contracts: Vec<Contract>,
+    /// Each contract with its [`Contract::fingerprint`], computed once
+    /// on insert (the set hands out contracts read-only).
+    contracts: Vec<(Contract, u64)>,
+    /// Wrapping sum of the fingerprints.
+    fingerprint_sum: u64,
 }
 
 impl ContractSet {
@@ -189,40 +193,68 @@ impl ContractSet {
         self.contracts.is_empty()
     }
 
-    /// Inserts a contract, replacing any previous one for the same FCM.
-    pub fn insert(&mut self, c: Contract) {
-        match self
-            .contracts
-            .binary_search_by(|x| x.fcm.as_str().cmp(&c.fcm))
-        {
-            Ok(i) => self.contracts[i] = c,
-            Err(i) => self.contracts.insert(i, c),
+    fn position(&self, fcm: &str) -> Result<usize, usize> {
+        self.contracts
+            .binary_search_by(|(x, _)| x.fcm.as_str().cmp(fcm))
+    }
+
+    /// Inserts a contract, returning the one it replaces for the same
+    /// FCM, if any.
+    pub fn insert(&mut self, c: Contract) -> Option<Contract> {
+        let fp = c.fingerprint();
+        self.fingerprint_sum = self.fingerprint_sum.wrapping_add(fp);
+        match self.position(&c.fcm) {
+            Ok(i) => {
+                let (old, old_fp) = std::mem::replace(&mut self.contracts[i], (c, fp));
+                self.fingerprint_sum = self.fingerprint_sum.wrapping_sub(old_fp);
+                Some(old)
+            }
+            Err(i) => {
+                self.contracts.insert(i, (c, fp));
+                None
+            }
         }
     }
 
-    /// Removes the contract for `fcm`, returning whether one existed.
-    pub fn remove(&mut self, fcm: &str) -> bool {
-        match self.contracts.binary_search_by(|x| x.fcm.as_str().cmp(fcm)) {
-            Ok(i) => {
-                self.contracts.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
+    /// Removes the contract for `fcm`, returning it when one existed.
+    pub fn remove(&mut self, fcm: &str) -> Option<Contract> {
+        let (old, fp) = self.contracts.remove(self.position(fcm).ok()?);
+        self.fingerprint_sum = self.fingerprint_sum.wrapping_sub(fp);
+        Some(old)
+    }
+
+    /// The wrapping sum of every contract's [`Contract::fingerprint`]:
+    /// O(1), so the incremental certifier can tell whether the set still
+    /// holds exactly the contracts it accounted for.
+    #[must_use]
+    pub fn fingerprint_sum(&self) -> u64 {
+        self.fingerprint_sum
     }
 
     /// The contract for `fcm`, when present.
     #[must_use]
     pub fn get(&self, fcm: &str) -> Option<&Contract> {
-        self.contracts
-            .binary_search_by(|x| x.fcm.as_str().cmp(fcm))
-            .ok()
-            .map(|i| &self.contracts[i])
+        self.get_fingerprinted(fcm).map(|(c, _)| c)
+    }
+
+    /// The contract for `fcm` with its [`Contract::fingerprint`].
+    #[must_use]
+    pub fn get_fingerprinted(&self, fcm: &str) -> Option<(&Contract, u64)> {
+        self.position(fcm).ok().map(|i| {
+            let (c, fp) = &self.contracts[i];
+            (c, *fp)
+        })
     }
 
     /// Iterates the contracts in name order.
     pub fn iter(&self) -> impl Iterator<Item = &Contract> + '_ {
-        self.contracts.iter()
+        self.contracts.iter().map(|(c, _)| c)
+    }
+
+    /// Iterates the contracts in name order, each with its
+    /// [`Contract::fingerprint`].
+    pub fn iter_fingerprinted(&self) -> impl Iterator<Item = (&Contract, u64)> + '_ {
+        self.contracts.iter().map(|(c, fp)| (c, *fp))
     }
 
     /// Canonical JSON document (`fcm-contracts/v1`).
@@ -230,7 +262,7 @@ impl ContractSet {
     pub fn to_json(&self) -> Json {
         Json::object().set("schema", CONTRACTS_SCHEMA).set(
             "contracts",
-            Json::Arr(self.contracts.iter().map(Contract::to_json).collect()),
+            Json::Arr(self.iter().map(Contract::to_json).collect()),
         )
     }
 
@@ -394,55 +426,44 @@ pub fn missing_diag(name: &str) -> Diagnostic {
     )
 }
 
-/// C021 (error half) — contracts or caps naming FCMs the model does not
-/// have are broken references, not partial adoption. Also reports
-/// whether every contract's own `fcm` resolved (cap targets excluded):
-/// combined with `set.len() == names.len()` that is exactly [`covers`]
-/// — a length-matched injection into the name set is a bijection — and
-/// it is what the certifier's per-pass hot path uses instead of the
-/// O(n log n) lookup loop in [`covers`].
-///
-/// The scan is a single merge walk: the set is name-sorted and the
-/// index's keys iterate sorted, so membership of every contract name
-/// costs O(n) comparisons total, not O(n log n) lookups.
+/// C021 (error half) — a contract naming an FCM the model does not have
+/// is a broken reference, not partial adoption.
 #[must_use]
-pub fn dangling_scan(
-    index: &BTreeMap<String, usize>,
-    set: &ContractSet,
-) -> (Vec<Diagnostic>, bool) {
+pub fn absent_fcm_diag(fcm: &str) -> Diagnostic {
+    Diagnostic::error(
+        Code(21),
+        format!("contracts/{fcm}"),
+        "contract names an FCM absent from the model".to_string(),
+    )
+}
+
+/// C021 (error half) — a per-edge cap naming an FCM the model does not
+/// have.
+#[must_use]
+pub fn absent_cap_diag(fcm: &str, target: &str) -> Diagnostic {
+    Diagnostic::error(
+        Code(21),
+        format!("contracts/{fcm}"),
+        format!("per-edge cap names unknown FCM {target}"),
+    )
+}
+
+/// Every [`absent_fcm_diag`] and [`absent_cap_diag`] of `set` against
+/// the model's name index.
+#[must_use]
+pub fn dangling_diags(index: &BTreeMap<String, usize>, set: &ContractSet) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut names_resolved = true;
-    let mut keys = index.keys();
-    let mut cursor = keys.next();
     for c in set.iter() {
-        while cursor.is_some_and(|k| k.as_str() < c.fcm.as_str()) {
-            cursor = keys.next();
-        }
-        if cursor.is_none_or(|k| *k != c.fcm) {
-            names_resolved = false;
-            out.push(Diagnostic::error(
-                Code(21),
-                format!("contracts/{}", c.fcm),
-                "contract names an FCM absent from the model".to_string(),
-            ));
+        if !index.contains_key(&c.fcm) {
+            out.push(absent_fcm_diag(&c.fcm));
         }
         for (target, _) in &c.caps {
             if !index.contains_key(target) {
-                out.push(Diagnostic::error(
-                    Code(21),
-                    format!("contracts/{}", c.fcm),
-                    format!("per-edge cap names unknown FCM {target}"),
-                ));
+                out.push(absent_cap_diag(&c.fcm, target));
             }
         }
     }
-    (out, names_resolved)
-}
-
-/// The diagnostics half of [`dangling_scan`].
-#[must_use]
-pub fn dangling_diags(index: &BTreeMap<String, usize>, set: &ContractSet) -> Vec<Diagnostic> {
-    dangling_scan(index, set).0
+    out
 }
 
 /// Whether the set covers exactly the model's FCMs — the precondition
@@ -513,11 +534,23 @@ pub fn certified_bound(set: &ContractSet, order: usize) -> CertifiedBound {
     let mut g = 0.0f64;
     let mut well_formed = true;
     for c in set.iter() {
-        if !c.guarantee.is_finite() || c.guarantee < 0.0 {
-            well_formed = false;
-        }
+        well_formed &= guarantee_well_formed(c.guarantee);
         g = g.max(c.guarantee);
     }
+    bound_from_max(g, well_formed, order)
+}
+
+/// Whether a guarantee is a finite bound ≥ 0 — what [`certified_bound`]
+/// requires of every guarantee before it certifies convergence.
+#[must_use]
+pub fn guarantee_well_formed(g: f64) -> bool {
+    g.is_finite() && g >= 0.0
+}
+
+/// The [`certified_bound`] of a set whose max guarantee (folded from
+/// `0.0`) is `g` and whose guarantees are all well formed or not.
+#[must_use]
+pub fn bound_from_max(g: f64, well_formed: bool, order: usize) -> CertifiedBound {
     let converges = well_formed && g < 1.0;
     if !converges {
         return CertifiedBound {

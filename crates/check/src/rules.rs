@@ -22,9 +22,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use fcm_alloc::sw::{SwEdge, SwNode};
 use fcm_alloc::ShedPolicy;
 use fcm_core::separation::DEFAULT_ORDER;
-use fcm_graph::{InfluenceMatrix, Matrix, SparseMatrix};
+use fcm_graph::{EdgeIdx, InfluenceMatrix, Matrix, NodeIdx, SparseMatrix};
 use fcm_sched::{Admission, Job};
 use fcm_substrate::pool::{par_map_threads, worker_count};
 
@@ -615,22 +616,26 @@ fn c008_factors(m: &SystemModel) -> Vec<Diagnostic> {
         }
     }
     if let Some(g) = &m.sw {
-        for (ei, e) in g.edges() {
-            let w = e.weight.influence();
-            let ok = match e.weight {
-                fcm_alloc::sw::SwEdge::ReplicaLink => true,
-                fcm_alloc::sw::SwEdge::Influence(_) => w.is_finite() && w > 0.0 && w <= 1.0,
-            };
-            if !ok {
-                out.push(Diagnostic::error(
-                    Code(8),
-                    format!("sw/edge[{}]", ei.index()),
-                    format!("influence {w} outside (0,1]"),
-                ));
-            }
-        }
+        out.extend(g.edges().filter_map(|(ei, e)| c008_sw_edge(ei, e.weight)));
     }
     out
+}
+
+/// C008's SW-edge half for one edge: an influence weight outside
+/// (0, 1]. Shared with the per-edit pre-flight gate.
+pub(crate) fn c008_sw_edge(ei: EdgeIdx, weight: SwEdge) -> Option<Diagnostic> {
+    let w = weight.influence();
+    let ok = match weight {
+        SwEdge::ReplicaLink => true,
+        SwEdge::Influence(_) => w.is_finite() && w > 0.0 && w <= 1.0,
+    };
+    (!ok).then(|| {
+        Diagnostic::error(
+            Code(8),
+            format!("sw/edge[{}]", ei.index()),
+            format!("influence {w} outside (0,1]"),
+        )
+    })
 }
 
 // C009 — stated influence matrix domain.
@@ -930,18 +935,9 @@ fn c014_admission(m: &SystemModel) -> Vec<Diagnostic> {
     let mut timing_ok = true;
     if let Some(g) = &m.sw {
         for (ni, n) in g.nodes() {
-            if let Some(t) = n.attributes.timing {
-                if !t.is_well_formed() {
-                    timing_ok = false;
-                    out.push(Diagnostic::error(
-                        Code(14),
-                        format!("sw/node[{}]", ni.index()),
-                        format!(
-                            "{}: timing ⟨{},{},{}⟩ is unsatisfiable in isolation",
-                            n.name, t.est, t.tcd, t.ct
-                        ),
-                    ));
-                }
+            if let Some(d) = c014_timing(ni, n) {
+                timing_ok = false;
+                out.push(d);
             }
         }
     }
@@ -979,6 +975,23 @@ fn c014_admission(m: &SystemModel) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// C014's isolation half for one SW node: a timing window its own
+/// computation time cannot fit. Shared with the per-edit pre-flight
+/// gate.
+pub(crate) fn c014_timing(ni: NodeIdx, n: &SwNode) -> Option<Diagnostic> {
+    let t = n.attributes.timing?;
+    (!t.is_well_formed()).then(|| {
+        Diagnostic::error(
+            Code(14),
+            format!("sw/node[{}]", ni.index()),
+            format!(
+                "{}: timing ⟨{},{},{}⟩ is unsatisfiable in isolation",
+                n.name, t.est, t.tcd, t.ct
+            ),
+        )
+    })
 }
 
 // C015 — degraded-mode shed soundness: a protected FCM must never fall

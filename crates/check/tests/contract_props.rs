@@ -14,15 +14,24 @@
 //!   bitwise identical to a from-scratch full pass;
 //! * **determinism** — contract-bearing reports are byte-identical
 //!   across `FCM_SWEEP_THREADS` settings (explicit 1- vs 4-thread runs).
+//!
+//! Two more pin the serve layer's O(degree) write path: random
+//! insert-row, remove-row and dirty-row sequences on a warm certifier
+//! (dense and CSR) equal a cold full pass byte for byte and bit for
+//! bit, and the per-edit pre-flight gate renders exactly what the full
+//! gate renders on any edit of a state the full gate passed.
 
-use fcm_alloc::sw::SwGraphBuilder;
+use fcm_alloc::sw::{SwEdge, SwGraph, SwGraphBuilder, SwNode};
 use fcm_check::contract::{certified_bound, synthesize};
+use fcm_check::gates::{check_sw_delta, check_sw_graph};
+use fcm_check::ContractSet;
 use fcm_check::{
     run_checks_with_threads, CertView, Certifier, Contract, Dirty, Severity, SystemModel,
 };
 use fcm_core::separation::DEFAULT_ORDER;
 use fcm_core::AttributeSet;
 use fcm_graph::sparse::SparseMatrix;
+use fcm_graph::{EdgeIdx, NodeIdx};
 use fcm_graph::{InfluenceMatrix, Matrix};
 use fcm_substrate::prop;
 use fcm_substrate::rng::Rng;
@@ -306,7 +315,7 @@ fn incremental_certifier_is_bitwise_identical_to_from_scratch() {
                     // Structural: a new FCM joins (the certifier must
                     // detect the shape change and fall back to full).
                     let name = format!("g{}", names.len());
-                    influence = influence.grow_row_col();
+                    influence.push_row_col(&[], &[]);
                     contracts.insert(Contract::new(name.clone(), 0.5, 9.0, 0));
                     names.push(name);
                     crits.push(rng.gen_range(0..8u32));
@@ -412,4 +421,319 @@ fn contract_reports_are_identical_across_thread_counts() {
             "json differs across thread counts"
         );
     }
+}
+
+/// `m` with a new row and column at `at` (`row`/`col` indexed over the
+/// grown matrix; the diagonal stays zero), in `m`'s representation.
+fn inserted(m: &InfluenceMatrix, at: usize, row: &[f64], col: &[f64]) -> InfluenceMatrix {
+    let (old, n) = (m.to_dense(), m.rows());
+    let src = |k: usize| {
+        if k < at {
+            Some(k)
+        } else {
+            (k > at).then(|| k - 1)
+        }
+    };
+    let mut d = Matrix::zeros(n + 1, n + 1);
+    for i in 0..=n {
+        for j in 0..=n {
+            d[(i, j)] = match (src(i), src(j)) {
+                (Some(a), Some(b)) => old[(a, b)],
+                (None, Some(_)) => row[j],
+                (Some(_), None) => col[i],
+                (None, None) => 0.0,
+            };
+        }
+    }
+    match m {
+        InfluenceMatrix::Dense(_) => InfluenceMatrix::Dense(d),
+        InfluenceMatrix::Sparse(_) => InfluenceMatrix::Sparse(SparseMatrix::from_dense(&d)),
+    }
+}
+
+/// A random contract for `name`: sometimes with caps (on live FCMs or
+/// on absent ones), sometimes with a guarantee ≥ 1, a NaN-free spread
+/// of relies and floors.
+fn random_contract(rng: &mut Rng, name: &str, names: &[String]) -> Contract {
+    let guarantee = match rng.gen_range(0..6u32) {
+        0 => 0.0,
+        1 => rng.gen_range(1.0..1.5),
+        _ => rng.gen_range(0.0..1.0),
+    };
+    let mut c = Contract::new(
+        name,
+        guarantee,
+        if rng.gen_bool(0.8) {
+            1e6
+        } else {
+            rng.gen_range(0.0..4.0)
+        },
+        rng.gen_range(0..6u32),
+    );
+    for _ in 0..rng.gen_range(0..3usize) {
+        let target = if rng.gen_bool(0.2) || names.is_empty() {
+            format!("absent{}", rng.gen_range(0..3u32))
+        } else {
+            names[rng.gen_range(0..names.len())].clone()
+        };
+        c = c.with_cap(target, rng.gen_range(0.0..0.6));
+    }
+    c
+}
+
+fn assert_warm_equals_cold(
+    warm: &mut Certifier,
+    dirty: &[usize],
+    (names, crits, influence, contracts): (&[String], &[u32], &InfluenceMatrix, &ContractSet),
+    what: &str,
+) {
+    let view = CertView {
+        model: "rows",
+        names,
+        crits,
+        influence,
+        contracts,
+    };
+    let inc = warm.certify(&view, Dirty::Rows(dirty), 1);
+    let cold = Certifier::new().certify(&view, Dirty::Full, 1);
+    assert_eq!(inc.report.render(), cold.report.render(), "{what}");
+    assert_eq!(
+        inc.report.to_json().to_string_compact(),
+        cold.report.to_json().to_string_compact(),
+        "{what}"
+    );
+    assert_eq!(inc.certified, cold.certified, "{what}");
+    for (a, b) in [
+        (inc.bound.influence_bound, cold.bound.influence_bound),
+        (inc.bound.separation_floor, cold.bound.separation_floor),
+        (inc.bound.max_guarantee, cold.bound.max_guarantee),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: bound");
+    }
+    assert_eq!(inc.bound.converges, cold.bound.converges, "{what}");
+}
+
+#[test]
+fn row_edits_on_a_warm_certifier_equal_a_cold_full_pass_dense_and_csr() {
+    for (case, sparse) in (0..12u64).map(|c| (c, c % 2 == 1)) {
+        let mut rng = Rng::seed_from_u64(0x1_5e27 + case);
+        let n0 = 3 + rng.gen_range(0..6usize);
+        let dense = random_matrix(&mut rng, n0);
+        let mut influence = if sparse {
+            InfluenceMatrix::Sparse(SparseMatrix::from_dense(&dense))
+        } else {
+            InfluenceMatrix::Dense(dense)
+        };
+        let (mut names, mut crits) = columns(n0, &mut rng);
+        let mut contracts = synthesize(&names, &crits, &influence);
+        let mut warm = Certifier::new();
+        let mut fresh = n0;
+        warm.certify(
+            &CertView {
+                model: "rows",
+                names: &names,
+                crits: &crits,
+                influence: &influence,
+                contracts: &contracts,
+            },
+            Dirty::Full,
+            1,
+        );
+        for step in 0..40 {
+            let n = names.len();
+            let mut dirty: Vec<usize> = Vec::new();
+            let what = match rng.gen_range(0..7u32) {
+                // Insert an FCM at a random row, with a random row and
+                // column; half of the time it brings a contract.
+                0 | 1 if n < 14 => {
+                    let at = rng.gen_range(0..=n);
+                    let pick = |rng: &mut Rng, k: usize| {
+                        if k == at || !rng.gen_bool(0.3) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..0.4)
+                        }
+                    };
+                    let row: Vec<f64> = (0..=n).map(|k| pick(&mut rng, k)).collect();
+                    let col: Vec<f64> = (0..=n).map(|k| pick(&mut rng, k)).collect();
+                    influence = inserted(&influence, at, &row, &col);
+                    let name = format!("g{fresh}");
+                    fresh += 1;
+                    names.insert(at, name.clone());
+                    crits.insert(at, rng.gen_range(0..8u32));
+                    if rng.gen_bool(0.5) {
+                        contracts.insert(random_contract(&mut rng, &name, &names));
+                    }
+                    warm.insert_row(at, &name);
+                    dirty = (0..=n).filter(|&k| col[k] != 0.0).collect();
+                    "insert"
+                }
+                // Remove an FCM; its contract usually leaves with it,
+                // sometimes stays behind and dangles.
+                2 if n > 2 => {
+                    let at = rng.gen_range(0..n);
+                    dirty = (0..n)
+                        .filter(|&k| k != at && influence.get(k, at).unwrap_or(0.0) != 0.0)
+                        .map(|k| k - usize::from(k > at))
+                        .collect();
+                    influence = influence.shrink_row_col(at);
+                    let name = names.remove(at);
+                    crits.remove(at);
+                    if rng.gen_bool(0.8) {
+                        contracts.remove(&name);
+                    }
+                    warm.remove_row(at);
+                    "remove"
+                }
+                3 => {
+                    let i = rng.gen_range(0..n);
+                    let col: Vec<f64> =
+                        (0..n).map(|j| influence.get(j, i).unwrap_or(0.0)).collect();
+                    let mut row: Vec<f64> =
+                        (0..n).map(|j| influence.get(i, j).unwrap_or(0.0)).collect();
+                    let j = (i + 1 + rng.gen_range(0..n - 1)) % n;
+                    row[j] = if rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..0.8)
+                    };
+                    influence.set_row_col(i, &row, &col);
+                    dirty.push(i);
+                    "row"
+                }
+                4 => {
+                    let i = rng.gen_range(0..n);
+                    crits[i] = rng.gen_range(0..8u32);
+                    dirty.push(i);
+                    "criticality"
+                }
+                5 => {
+                    let i = rng.gen_range(0..n);
+                    if rng.gen_bool(0.2) {
+                        contracts.remove(&names[i]);
+                    } else {
+                        contracts.insert(random_contract(&mut rng, &names[i], &names));
+                    }
+                    dirty.push(i);
+                    "contract"
+                }
+                // A contract for an FCM the model does not have comes or
+                // goes: no row to list, the certifier must notice.
+                _ => {
+                    let ghost = format!("absent{}", rng.gen_range(0..3u32));
+                    if contracts.remove(&ghost).is_none() {
+                        contracts.insert(random_contract(&mut rng, &ghost, &names));
+                    }
+                    "absent contract"
+                }
+            };
+            assert_warm_equals_cold(
+                &mut warm,
+                &dirty,
+                (&names, &crits, &influence, &contracts),
+                &format!("case {case} ({}) step {step}: {what}", influence.repr()),
+            );
+        }
+    }
+}
+
+/// A random SW graph that passes the full pre-flight gate.
+fn committed_graph(rng: &mut Rng, n: usize) -> SwGraph {
+    let mut g = SwGraph::new();
+    for i in 0..n {
+        let mut attrs = AttributeSet::default().with_criticality(rng.gen_range(0..4u32));
+        if rng.gen_bool(0.4) {
+            let ct = rng.gen_range(1..10u64);
+            attrs = attrs.with_timing(0, ct + rng.gen_range(0..50u64), ct);
+        }
+        g.add_node(SwNode::new(format!("s{i}"), attrs));
+    }
+    for _ in 0..2 * n {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            let weight = if rng.gen_bool(0.1) {
+                SwEdge::ReplicaLink
+            } else {
+                SwEdge::Influence(rng.gen_range(0.01..1.0))
+            };
+            g.add_edge(NodeIdx(a), NodeIdx(b), weight);
+        }
+    }
+    g
+}
+
+/// A timing window that is malformed one time in three.
+fn random_timing(rng: &mut Rng) -> Option<(u64, u64, u64)> {
+    match rng.gen_range(0..6u32) {
+        0 => Some((0, 3, 9)),
+        1 => Some((5, 5, 0)),
+        2 | 3 => None,
+        _ => Some((0, 40, rng.gen_range(1..20u64))),
+    }
+}
+
+/// An influence weight outside (0, 1] one time in four.
+fn random_weight(rng: &mut Rng) -> f64 {
+    match rng.gen_range(0..8u32) {
+        0 => 1.5,
+        1 => -0.25,
+        _ => rng.gen_range(0.01..1.0),
+    }
+}
+
+#[test]
+fn the_delta_gate_renders_what_the_full_gate_renders() {
+    prop::check(
+        "delta-gate-equals-full-gate",
+        prop::Config::with_cases(96),
+        |rng: &mut Rng, size: usize| {
+            let n = 2 + size % 12;
+            (committed_graph(rng, n), rng.gen_range(0..u64::MAX))
+        },
+        |(committed, seed)| {
+            if check_sw_graph(committed).has_errors() {
+                return Err("the generator made a state the gate rejects".to_string());
+            }
+            let mut rng = Rng::seed_from_u64(*seed);
+            let mut g = committed.clone();
+            let n = g.node_count();
+            let (nodes, edges): (Vec<NodeIdx>, Vec<EdgeIdx>) = if rng.gen_bool(0.5) {
+                // An add: a new node with out- and in-edges.
+                let mut attrs = AttributeSet::default();
+                if let Some((est, tcd, ct)) = random_timing(&mut rng) {
+                    attrs = attrs.with_timing(est, tcd, ct);
+                }
+                let v = g.add_node(SwNode::new("new", attrs));
+                let mut edges = Vec::new();
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let u = NodeIdx(rng.gen_range(0..n));
+                    let w = SwEdge::Influence(random_weight(&mut rng));
+                    edges.push(if rng.gen_bool(0.5) {
+                        g.add_edge(v, u, w)
+                    } else {
+                        g.add_edge(u, v, w)
+                    });
+                }
+                (vec![v], edges)
+            } else {
+                // An attribute edit of one node.
+                let v = NodeIdx(rng.gen_range(0..n));
+                let attrs = &mut g.node_mut(v).unwrap().attributes;
+                attrs.timing = random_timing(&mut rng).and_then(|(est, tcd, ct)| {
+                    AttributeSet::default().with_timing(est, tcd, ct).timing
+                });
+                (vec![v], Vec::new())
+            };
+            let delta = check_sw_delta(&g, &nodes, &edges);
+            let full = check_sw_graph(&g);
+            if delta.has_errors() != full.has_errors() || delta.render() != full.render() {
+                return Err(format!(
+                    "delta gate:\n{}full gate:\n{}",
+                    delta.render(),
+                    full.render()
+                ));
+            }
+            Ok(())
+        },
+    );
 }

@@ -170,6 +170,45 @@ impl<N, E> DiGraph<N, E> {
         Ok(idx)
     }
 
+    /// Removes the last node together with its edges and returns its
+    /// payload — the undo of an [`add_node`](Self::add_node) and the
+    /// edges added to the node right after it. Every edge of the node
+    /// must be among the trailing edges, so no other edge id shifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph is empty or an edge of the last node sits
+    /// before an edge that does not touch it.
+    pub fn pop_node(&mut self) -> N {
+        let v = NodeIdx(
+            self.nodes
+                .len()
+                .checked_sub(1)
+                .expect("pop_node on an empty graph"),
+        );
+        while let Some(e) = self.edges.last() {
+            if e.from != v && e.to != v {
+                break;
+            }
+            let e = self.edges.pop().expect("just seen");
+            // The edge is the newest one, so it is the last entry of its
+            // other endpoint's adjacency list.
+            if e.from != v {
+                self.out_adj[e.from.0].pop();
+            }
+            if e.to != v {
+                self.in_adj[e.to.0].pop();
+            }
+        }
+        let out = self.out_adj.pop().expect("one list per node");
+        let inc = self.in_adj.pop().expect("one list per node");
+        assert!(
+            out.iter().chain(&inc).all(|e| e.0 >= self.edges.len()),
+            "an edge of the popped node is not among the trailing edges"
+        );
+        self.nodes.pop().expect("checked non-empty")
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

@@ -347,22 +347,49 @@ impl InfluenceMatrix {
             .collect()
     }
 
-    /// Appends one all-zero row and column (serve admit hook), keeping
+    /// Appends row and column `n` in place (serve admit hook), keeping
     /// the representation; call [`rebalance`](Self::rebalance) after.
-    #[must_use]
-    pub fn grow_row_col(&self) -> InfluenceMatrix {
+    /// `row` holds the new row's `(column, value)` entries and `col` the
+    /// new column's `(row, value)` entries, each ascending and below
+    /// `n`; both representations end up with identical values (CSR
+    /// prunes the exact zeros).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or an index is not below
+    /// `n`.
+    pub fn push_row_col(&mut self, row: &[(usize, f64)], col: &[(usize, f64)]) {
         match self {
             InfluenceMatrix::Dense(m) => {
+                assert_eq!(m.rows(), m.cols(), "push_row_col needs a square matrix");
                 let n = m.rows();
-                let mut out = Matrix::zeros(n + 1, n + 1);
-                for i in 0..n {
-                    for j in 0..n {
-                        out[(i, j)] = m[(i, j)];
-                    }
+                m.grow_in_place();
+                for &(j, v) in row {
+                    assert!(j < n, "row index out of bounds");
+                    m[(n, j)] = v;
                 }
-                InfluenceMatrix::Dense(out)
+                for &(i, v) in col {
+                    assert!(i < n, "column index out of bounds");
+                    m[(i, n)] = v;
+                }
             }
-            InfluenceMatrix::Sparse(s) => InfluenceMatrix::Sparse(s.grow_row_col()),
+            InfluenceMatrix::Sparse(s) => s.push_row_col(row, col),
+        }
+    }
+
+    /// Removes the last row and column in place — the undo of
+    /// [`push_row_col`](Self::push_row_col), keeping the representation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or empty.
+    pub fn pop_row_col(&mut self) {
+        match self {
+            InfluenceMatrix::Dense(m) => {
+                assert_eq!(m.rows(), m.cols(), "pop_row_col needs a square matrix");
+                m.shrink_in_place();
+            }
+            InfluenceMatrix::Sparse(s) => s.pop_row_col(),
         }
     }
 
@@ -707,8 +734,19 @@ mod tests {
         let base = chain();
         let mut d = InfluenceMatrix::Dense(base.clone());
         let mut s = InfluenceMatrix::Sparse(SparseMatrix::from_dense(&base));
-        d = d.grow_row_col();
-        s = s.grow_row_col();
+        d.push_row_col(&[(2, 0.5)], &[(0, 0.25), (1, 0.0)]);
+        s.push_row_col(&[(2, 0.5)], &[(0, 0.25), (1, 0.0)]);
+        assert_eq!(d, s);
+        assert_eq!(
+            (d.get(3, 2), d.get(0, 3), d.get(1, 3)),
+            (Some(0.5), Some(0.25), Some(0.0))
+        );
+        d.pop_row_col();
+        s.pop_row_col();
+        assert_eq!(d, s);
+        assert_eq!(d, InfluenceMatrix::Dense(base.clone()));
+        d.push_row_col(&[], &[]);
+        s.push_row_col(&[], &[]);
         assert_eq!(d, s);
         let row = [0.0, 0.1, 0.2, 0.0];
         let col = [0.3, 0.0, 0.4, 0.0];

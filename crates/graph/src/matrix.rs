@@ -100,6 +100,35 @@ impl Matrix {
         m
     }
 
+    /// Appends one zero row and one zero column in place: the rows move
+    /// back within the one buffer.
+    pub(crate) fn grow_in_place(&mut self) {
+        let (r, c) = (self.rows, self.cols);
+        self.data.resize((r + 1) * (c + 1), 0.0);
+        for i in (0..r).rev() {
+            self.data.copy_within(i * c..i * c + c, i * (c + 1));
+            self.data[i * (c + 1) + c] = 0.0;
+        }
+        self.rows += 1;
+        self.cols += 1;
+    }
+
+    /// Drops the last row and the last column in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix has no row or no column.
+    pub(crate) fn shrink_in_place(&mut self) {
+        assert!(self.rows > 0 && self.cols > 0, "shrink of an empty matrix");
+        let (r, c) = (self.rows, self.cols);
+        for i in 1..r - 1 {
+            self.data.copy_within(i * c..i * c + c - 1, i * (c - 1));
+        }
+        self.data.truncate((r - 1) * (c - 1));
+        self.rows -= 1;
+        self.cols -= 1;
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -468,15 +468,89 @@ impl SparseMatrix {
         }
     }
 
-    /// Appends one all-zero row and column (the serve-path admit hook):
-    /// stored entries are untouched, only the shape grows.
-    #[must_use]
-    pub fn grow_row_col(&self) -> SparseMatrix {
-        let mut m = self.clone();
-        m.rows += 1;
-        m.cols += 1;
-        m.row_ptr.push(m.col_idx.len());
-        m
+    /// Appends row and column `n` in place (the serve-path admit hook).
+    /// `row` holds the new row's `(column, value)` entries and `col` the
+    /// new column's `(row, value)` entries, each ascending and below `n`;
+    /// exact zeros are pruned. The new column is the last, so each of
+    /// its entries lands at the end of its row: the splice moves the
+    /// stored entries once and reallocates nothing but the tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or an index is not below
+    /// `n`.
+    pub fn push_row_col(&mut self, row: &[(usize, f64)], col: &[(usize, f64)]) {
+        let n = self.rows;
+        assert_eq!(self.rows, self.cols, "push_row_col needs a square matrix");
+        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row ascending");
+        debug_assert!(col.windows(2).all(|w| w[0].0 < w[1].0), "column ascending");
+        let col: Vec<(usize, f64)> = col.iter().copied().filter(|&(_, v)| v != 0.0).collect();
+        let old = self.col_idx.len();
+        self.col_idx.resize(old + col.len(), 0);
+        self.vals.resize(old + col.len(), 0.0);
+        // Walk the rows bottom-up, moving each row's entries down by the
+        // number of column entries at or above it.
+        let mut shift = col.len();
+        let mut pending = col.iter().rev().peekable();
+        for r in (0..n).rev() {
+            if shift == 0 {
+                break;
+            }
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            if let Some(&(_, v)) = pending.next_if(|&&(cr, _)| cr == r) {
+                self.col_idx[hi + shift - 1] = n;
+                self.vals[hi + shift - 1] = v;
+                self.row_ptr[r + 1] += shift;
+                shift -= 1;
+            } else {
+                self.row_ptr[r + 1] += shift;
+            }
+            self.col_idx.copy_within(lo..hi, lo + shift);
+            self.vals.copy_within(lo..hi, lo + shift);
+        }
+        assert!(pending.next().is_none(), "column index out of bounds");
+        for &(c, v) in row {
+            assert!(c < n, "row index out of bounds");
+            if v != 0.0 {
+                self.col_idx.push(c);
+                self.vals.push(v);
+            }
+        }
+        self.row_ptr.push(self.col_idx.len());
+        self.rows += 1;
+        self.cols += 1;
+    }
+
+    /// Removes the last row and column in place — the undo of
+    /// [`push_row_col`](Self::push_row_col). O(nnz).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or empty.
+    pub fn pop_row_col(&mut self) {
+        assert_eq!(self.rows, self.cols, "pop_row_col needs a square matrix");
+        assert!(self.rows > 0, "pop_row_col on an empty matrix");
+        let last = self.rows - 1;
+        self.row_ptr.pop();
+        self.col_idx.truncate(self.row_ptr[last]);
+        self.vals.truncate(self.row_ptr[last]);
+        let mut w = 0;
+        for r in 0..last {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            self.row_ptr[r] = w;
+            for k in lo..hi {
+                if self.col_idx[k] != last {
+                    self.col_idx[w] = self.col_idx[k];
+                    self.vals[w] = self.vals[k];
+                    w += 1;
+                }
+            }
+        }
+        self.row_ptr[last] = w;
+        self.col_idx.truncate(w);
+        self.vals.truncate(w);
+        self.rows = last;
+        self.cols = last;
     }
 
     /// Removes row and column `hi`, shifting later indices down by one —
@@ -786,13 +860,33 @@ mod tests {
     }
 
     #[test]
-    fn grow_then_shrink_round_trips() {
+    fn push_then_pop_and_shrink_round_trip() {
         let m = SparseMatrix::from_triples(3, 3, [(0, 1, 0.5), (2, 0, 0.25)]);
-        let g = m.grow_row_col();
+        let mut g = m.clone();
+        g.push_row_col(&[], &[]);
         assert_eq!((g.rows(), g.cols()), (4, 4));
         assert_eq!(g.get(3, 0), Some(0.0));
         assert_eq!(g.get(0, 1), Some(0.5));
         assert_eq!(g.shrink_row_col(3), m);
+        g.pop_row_col();
+        assert_eq!(g, m);
+        // A spliced row and column land where the triples put them.
+        let mut p = m.clone();
+        p.push_row_col(&[(0, 0.125), (2, 0.0)], &[(0, 0.75), (1, 0.0), (2, 0.5)]);
+        let want = SparseMatrix::from_triples(
+            4,
+            4,
+            [
+                (0, 1, 0.5),
+                (0, 3, 0.75),
+                (2, 0, 0.25),
+                (2, 3, 0.5),
+                (3, 0, 0.125),
+            ],
+        );
+        assert_eq!(p, want);
+        p.pop_row_col();
+        assert_eq!(p, m);
         // Shrinking an interior index shifts later nodes down.
         let s = m.shrink_row_col(1);
         assert_eq!((s.rows(), s.nnz()), (2, 1));

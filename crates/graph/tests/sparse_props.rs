@@ -140,14 +140,26 @@ fn eq4_row_col_recombination_matches_across_representations() {
             d.set_row_col(*gi, row, col);
             s.set_row_col(*gi, row, col);
             prop_assert_eq!(&d, &s, "set_row_col diverged at gi={}", gi);
-            // Grow + shrink round-trips stay aligned too.
-            let (dg, sg) = (d.grow_row_col(), s.grow_row_col());
+            // Push + shrink round-trips stay aligned too.
+            let (mut dg, mut sg) = (d.clone(), s.clone());
+            let entries: Vec<(usize, f64)> = row
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| (j, v))
+                .filter(|&(j, _)| j % 2 == 0)
+                .collect();
+            dg.push_row_col(&entries, &entries);
+            sg.push_row_col(&entries, &entries);
             prop_assert_eq!(&dg, &sg);
             let n = dense.rows();
             prop_assert_eq!(dg.rows(), n + 1);
             let (ds, ss) = (dg.shrink_row_col(*gi), sg.shrink_row_col(*gi));
             prop_assert_eq!(&ds, &ss);
             prop_assert_eq!(ds.rows(), n);
+            dg.pop_row_col();
+            sg.pop_row_col();
+            prop_assert_eq!(&dg, &d);
+            prop_assert_eq!(&sg, &s);
             Ok(())
         },
     );

@@ -34,10 +34,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fcm_alloc::failover::{self, FailoverOutcome, InvalidPlacement, Placement, ShedPolicy};
+use fcm_alloc::failover::{
+    self, FailoverOutcome, HardConstraint, InvalidPlacement, Placement, ShedPolicy,
+};
 use fcm_alloc::pipeline;
 use fcm_alloc::sw::{SwEdge, SwGraph, SwNode};
-use fcm_alloc::{Clustering, HwGraph, Mapping};
+use fcm_alloc::{AllocError, Clustering, HwGraph, Mapping};
 use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty, Severity};
 use fcm_core::AttributeSet;
 use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
@@ -61,6 +63,10 @@ pub struct LiveModel {
     graph: SwGraph,
     /// FCM name → dense node index.
     index: BTreeMap<String, usize>,
+    /// FCM names and criticalities in node order: the certifier's view
+    /// columns, kept in step with the graph so no pass rebuilds them.
+    names: Vec<String>,
+    crits: Vec<u32>,
     /// Node-level Eq. 4 influence matrix, incrementally maintained.
     /// Dense for the committed workloads; flips to CSR automatically
     /// when a session grows past the sparse-policy threshold.
@@ -87,29 +93,57 @@ pub struct LiveModel {
 }
 
 /// Builds the placement from a host per FCM, naming the first
-/// inconsistency in the snapshot's terms.
+/// inconsistency in the snapshot's terms: the FCM, the HW node and the
+/// rule it breaks.
 fn build_placement(
     g: &SwGraph,
     hw: &HwGraph,
     host_of: Vec<Option<NodeIdx>>,
     failed: BTreeSet<NodeIdx>,
 ) -> Result<Placement, String> {
+    let fcm = |v: NodeIdx| &g.node(v).expect("hosted fcm").name;
+    let hw_name = |h: NodeIdx| &hw.node(h).expect("hw node").name;
     Placement::new(g, hw, host_of, failed).map_err(|e| match e {
         InvalidPlacement::OnDownNode { sw, hw: h } => format!(
             "snapshot fcm \"{}\" hosted on failed hw \"{}\"",
-            g.node(sw).expect("hosted fcm").name,
-            hw.node(h).expect("failed node").name
+            fcm(sw),
+            hw_name(h)
         ),
         InvalidPlacement::Infeasible { hw: h } => {
             format!("infeasible job set on hw node {}", h.index())
         }
+        InvalidPlacement::Breaks {
+            sw,
+            hw: h,
+            constraint,
+        } => {
+            let (rule, why) = match constraint {
+                HardConstraint::Resource(r) => ("resource", format!("it requires \"{r}\"")),
+                HardConstraint::Pin(pin) => ("pin", format!("it is pinned to \"{pin}\"")),
+                HardConstraint::Separation(peer) => (
+                    "separation",
+                    format!("it shares the node with \"{}\"", fcm(peer)),
+                ),
+                HardConstraint::Capacity => (
+                    "capacity",
+                    format!("capacity {}", hw.node(h).expect("hw node").capacity),
+                ),
+            };
+            format!(
+                "snapshot fcm \"{}\" on hw \"{}\" breaks the {rule} constraint: {why}",
+                fcm(sw),
+                hw_name(h)
+            )
+        }
     })
 }
 
-/// The graph's edges as `(from, to, weight)` triples in global edge-id
-/// order — the fold order of the bitwise contract.
-fn edge_triples(g: &SwGraph) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-    g.edges()
+/// The edges of `v` as `(from, to, weight)` triples, out-edges then
+/// in-edges, each in edge-id order — the fold order of the bitwise
+/// contract for `v`'s row and column.
+fn incident_triples(g: &SwGraph, v: NodeIdx) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    g.out_edges(v)
+        .chain(g.in_edges(v))
         .map(|(_, e)| (e.from.index(), e.to.index(), e.weight.influence()))
 }
 
@@ -143,10 +177,7 @@ impl LiveModel {
                 .influence_matrix(),
         );
 
-        let index = graph
-            .nodes()
-            .map(|(n, sw)| (sw.name.clone(), n.index()))
-            .collect();
+        let (index, names, crits) = fcm_columns(&graph);
         // Initial placement: most critical first (index breaks ties), the
         // same order failover uses, so every replica lands before the
         // bulk fills the hosts up.
@@ -163,6 +194,8 @@ impl LiveModel {
             name: model.to_string(),
             graph,
             index,
+            names,
+            crits,
             influence,
             placement,
             hw,
@@ -244,69 +277,70 @@ impl LiveModel {
         self.hw.node(h).expect("valid index").name.clone()
     }
 
-    /// Certifies a candidate (graph, influence, contracts) triple on a
-    /// clone of the verdict cache: the contract half of the mutation
-    /// gate. `Error` findings (a broken guarantee, rely, floor or cap,
-    /// a dangling name) reject the mutation; warnings (partial
-    /// coverage, a non-converging bound) pass — partial adoption never
-    /// blocks. Returns the advanced certifier and certification to
-    /// commit on success, so a rejected candidate never pollutes the
-    /// committed cache.
+    /// The contract half of the mutation gate, on the model as it now
+    /// stands: certifies with `dirty` rows re-verified (a cold cache —
+    /// the first contract — runs a full pass). `Error` findings (a
+    /// broken guarantee, rely, floor or cap, a dangling name) reject the
+    /// mutation; warnings (partial coverage, a non-converging bound)
+    /// pass — partial adoption never blocks. Returns the certification
+    /// for the caller to commit (`None` while no contracts are in use);
+    /// after a rejection the caller restores the model and calls
+    /// [`LiveModel::rewind_certifier`].
     fn gate_contracts(
-        &self,
+        &mut self,
         op: &str,
-        graph: &SwGraph,
-        influence: &InfluenceMatrix,
-        contracts: &ContractSet,
-        dirty: Dirty,
-    ) -> Result<(Certifier, Option<Certification>), String> {
-        if contracts.is_empty() {
-            return Ok((Certifier::new(), None));
+        dirty: &[usize],
+    ) -> Result<Option<Certification>, String> {
+        if self.contracts.is_empty() {
+            self.certifier = Certifier::new();
+            return Ok(None);
         }
-        let (names, crits) = fcm_columns(graph);
-        let view = CertView {
-            model: &self.name,
-            names: &names,
-            crits: &crits,
-            influence,
-            contracts,
-        };
-        // Single-threaded like the pre-flight gate: the certifier runs
-        // inside the writer thread, so nesting a fan-out buys nothing.
-        let mut certifier = self.certifier.clone();
-        let cert = certifier.certify(&view, dirty, 1);
+        let cert = self.certify(Dirty::Rows(dirty));
         if cert.report.has_errors() {
             return Err(format!(
                 "contracts rejected {op}: {}",
                 cert.report.error_lines()
             ));
         }
-        Ok((certifier, Some(cert)))
+        Ok(Some(cert))
+    }
+
+    /// Brings the verdict cache back in step with the restored model
+    /// after a rejected mutation: re-certifies the `dirty` rows and
+    /// drops the result (the committed certification never changed).
+    fn rewind_certifier(&mut self, dirty: &[usize]) {
+        if self.contracts.is_empty() {
+            self.certifier = Certifier::new();
+        } else {
+            self.certify(Dirty::Rows(dirty));
+        }
+    }
+
+    /// One certification pass over the model as it now stands.
+    /// Single-threaded like the pre-flight gate: the certifier runs
+    /// inside the writer thread, so nesting a fan-out buys nothing.
+    fn certify(&mut self, dirty: Dirty) -> Certification {
+        let view = CertView {
+            model: &self.name,
+            names: &self.names,
+            crits: &self.crits,
+            influence: &self.influence,
+            contracts: &self.contracts,
+        };
+        self.certifier.certify(&view, dirty, 1)
     }
 
     /// Re-certifies the committed state from a cold cache — the resume
     /// path (the verdict cache is derived state, never serialized).
     fn recertify_full(&mut self) {
-        if self.contracts.is_empty() {
-            self.certifier = Certifier::new();
-            self.cert = None;
-            return;
-        }
-        let (names, crits) = fcm_columns(&self.graph);
-        let view = CertView {
-            model: &self.name,
-            names: &names,
-            crits: &crits,
-            influence: &self.influence,
-            contracts: &self.contracts,
-        };
-        self.cert = Some(self.certifier.certify(&view, Dirty::Full, 1));
+        self.certifier = Certifier::new();
+        self.cert = (!self.contracts.is_empty()).then(|| self.certify(Dirty::Full));
     }
 
-    /// Applies one mutation: validate → gate-check a candidate → commit
-    /// with incremental re-analysis. On success the seq advances and the
-    /// op-specific response payload is returned; on error the model is
-    /// untouched.
+    /// Applies one mutation: validate → apply in place → gate-check the
+    /// touched part → commit, or undo exactly what was applied. On
+    /// success the seq advances and the op-specific response payload is
+    /// returned; on error the model is as it was.
     ///
     /// # Errors
     ///
@@ -375,67 +409,100 @@ impl LiveModel {
         if let Some((est, tcd, ct)) = timing {
             attrs = attrs.with_timing(est, tcd, ct);
         }
-        // Candidate graph: the mutation applied on a clone; committed
-        // only after the gate passes and a host admits the FCM.
-        let mut candidate = self.graph.clone();
-        let new = candidate.add_node(SwNode::new(name, attrs));
-        for (to, w) in influences {
-            let t = self.fcm(to)?;
-            check_weight(*w)?;
-            candidate
-                .try_add_edge(new, NodeIdx(t), SwEdge::Influence(*w))
-                .map_err(|e| e.to_string())?;
+        // Resolve every edge before touching the model.
+        let resolve = |edges: &[(String, f64)]| -> Result<Vec<(NodeIdx, f64)>, String> {
+            edges
+                .iter()
+                .map(|(other, w)| {
+                    let u = self.fcm(other)?;
+                    check_weight(*w)?;
+                    Ok((NodeIdx(u), *w))
+                })
+                .collect()
+        };
+        let (outs, ins) = (resolve(influences)?, resolve(influenced_by)?);
+
+        // Apply in place: the node and its edges are the graph's last,
+        // so a rejection pops them off again.
+        let v = self.graph.add_node(SwNode::new(name, attrs));
+        let mut edges = Vec::with_capacity(outs.len() + ins.len());
+        for &(t, w) in &outs {
+            edges.push(self.graph.add_edge(v, t, SwEdge::Influence(w)));
         }
-        for (from, w) in influenced_by {
-            let f = self.fcm(from)?;
-            check_weight(*w)?;
-            candidate
-                .try_add_edge(NodeIdx(f), new, SwEdge::Influence(*w))
-                .map_err(|e| e.to_string())?;
+        for &(f, w) in &ins {
+            edges.push(self.graph.add_edge(f, v, SwEdge::Influence(w)));
         }
-        let report = fcm_check::gates::check_sw_graph(&candidate);
+        let report = fcm_check::gates::check_sw_delta(&self.graph, &[v], &edges);
         if report.has_errors() {
+            self.graph.pop_node();
             return Err(format!(
                 "preflight rejected add_fcm: {}",
                 report.error_lines()
             ));
         }
-        let v = new.index();
-        let h = self
-            .placement
-            .best_host(&candidate, &self.hw, new)
-            .ok_or_else(|| format!("no feasible placement for \"{name}\""))?;
-
-        // Candidate influence: incremental Eq. 4 — grow by a zero
-        // row/column, then recombine only the new node's row and column
-        // (in the current representation; the policy re-check may flip
-        // it afterwards).
-        let mut influence = self.influence.grow_row_col();
-        pipeline::eq4_recombine_row_col_im(edge_triples(&candidate), v, &mut influence);
-        influence.rebalance();
-        let mut contracts = self.contracts.clone();
-        if let Some(c) = contract {
-            if c.fcm != name {
-                return Err(format!(
-                    "contract is for \"{}\", not the added fcm \"{name}\"",
-                    c.fcm
-                ));
-            }
-            contracts.insert(c.clone());
+        let Some(h) = self.placement.best_host(&self.graph, &self.hw, v) else {
+            self.graph.pop_node();
+            return Err(format!("no feasible placement for \"{name}\""));
+        };
+        if let Some(c) = contract.filter(|c| c.fcm != name) {
+            self.graph.pop_node();
+            return Err(format!(
+                "contract is for \"{}\", not the added fcm \"{name}\"",
+                c.fcm
+            ));
         }
-        let (certifier, cert) =
-            self.gate_contracts("add_fcm", &candidate, &influence, &contracts, Dirty::Full)?;
 
-        self.influence = influence;
-        self.graph = candidate;
-        self.contracts = contracts;
-        self.certifier = certifier;
+        // Incremental Eq. 4: fold the new row and column from the node's
+        // own edges and splice them in (the policy re-check may flip the
+        // representation afterwards).
+        let (row, col) = pipeline::eq4_incident(incident_triples(&self.graph, v), v.index());
+        self.influence.push_row_col(&row, &col);
+        self.influence.rebalance();
+        self.names.push(name.to_string());
+        self.crits.push(crit);
+        let displaced = contract.map(|c| self.contracts.insert(c.clone()));
+        // Dirty rows: the new one and its in-edge sources (their rows
+        // gained column `v`); the certifier adds the rows whose caps name
+        // the new FCM.
+        let sources: Vec<usize> = ins.iter().map(|&(f, _)| f.index()).collect();
+        self.certifier.insert_row(v.index(), name);
+        let cert = match self.gate_contracts("add_fcm", &[&sources[..], &[v.index()]].concat()) {
+            Ok(cert) => cert,
+            Err(e) => {
+                self.undo_add(name, displaced, &sources);
+                return Err(e);
+            }
+        };
         self.cert = cert;
-        self.placement.commit(&self.graph, new, h);
-        self.index.insert(name.to_string(), v);
+        self.placement.commit(&self.graph, v, h);
+        self.index.insert(name.to_string(), v.index());
         Ok(Json::object()
             .set("fcm", name)
             .set("host", self.hw_name(h).as_str()))
+    }
+
+    /// Undoes an add the contract gate rejected: the contract it
+    /// displaced (`displaced` is `Some` when the add carried one), the
+    /// columns, the matrix row and column, the node and its edges, and
+    /// the certifier's row; `sources` are the node's in-edge sources.
+    fn undo_add(&mut self, name: &str, displaced: Option<Option<Contract>>, sources: &[usize]) {
+        match displaced {
+            Some(Some(old)) => {
+                self.contracts.insert(old);
+            }
+            Some(None) => {
+                self.contracts.remove(name);
+            }
+            None => {}
+        }
+        self.names.pop();
+        self.crits.pop();
+        self.influence.pop_row_col();
+        self.influence.rebalance();
+        let v = self.graph.node_count() - 1;
+        self.graph.pop_node();
+        self.certifier.remove_row(v);
+        self.rewind_certifier(sources);
     }
 
     fn remove_fcm(&mut self, name: &str) -> Result<Json, String> {
@@ -465,27 +532,42 @@ impl LiveModel {
             .map(|(_, h)| *h)
             .collect();
         // Admission job ids are dense indices, which just shifted:
-        // rebuild the placement wholesale (removal is off the hot path).
+        // rebuild the placement wholesale until FCM slots stop shifting.
         let placement = build_placement(&next, &self.hw, host_of, self.placement.down().clone())?;
+        // The rows that lose their entry in column `v`.
+        let sources: Vec<usize> = self
+            .graph
+            .in_edges(NodeIdx(v))
+            .map(|(_, e)| e.from.index())
+            .collect();
         let mut influence = self.influence.shrink_row_col(v);
         influence.rebalance();
+        let kept_influence = std::mem::replace(&mut self.influence, influence);
+        let kept_name = self.names.remove(v);
+        let kept_crit = self.crits.remove(v);
         // The FCM's own contract leaves with it; survivors' caps naming
         // it would dangle (a C021 error), which rejects the removal.
-        let mut contracts = self.contracts.clone();
-        contracts.remove(name);
-        let (certifier, cert) =
-            self.gate_contracts("remove_fcm", &next, &influence, &contracts, Dirty::Full)?;
-        self.influence = influence;
-        self.contracts = contracts;
-        self.certifier = certifier;
+        let kept_contract = self.contracts.remove(name);
+        self.certifier.remove_row(v);
+        let dirty: Vec<usize> = sources.iter().map(|&u| remap[u]).collect();
+        let cert = match self.gate_contracts("remove_fcm", &dirty) {
+            Ok(cert) => cert,
+            Err(e) => {
+                self.influence = kept_influence;
+                self.names.insert(v, kept_name);
+                self.crits.insert(v, kept_crit);
+                if let Some(c) = kept_contract {
+                    self.contracts.insert(c);
+                }
+                self.certifier.insert_row(v, name);
+                self.rewind_certifier(&sources);
+                return Err(e);
+            }
+        };
         self.cert = cert;
         self.graph = next;
         self.placement = placement;
-        self.index = self
-            .graph
-            .nodes()
-            .map(|(n, sw)| (sw.name.clone(), n.index()))
-            .collect();
+        self.index = fcm_columns(&self.graph).0;
         Ok(Json::object().set("removed", name))
     }
 
@@ -502,7 +584,9 @@ impl LiveModel {
                 return Err("\"throughput\" must be finite and non-negative".to_string());
             }
         }
-        let mut attrs = self.graph.node(NodeIdx(v)).expect("valid index").attributes;
+        let node = NodeIdx(v);
+        let kept = self.graph.node(node).expect("valid index").attributes;
+        let mut attrs = kept;
         if let Some(c) = crit {
             attrs.criticality.0 = c;
         }
@@ -517,53 +601,52 @@ impl LiveModel {
                     .expect("just set")
             });
         }
-        let mut candidate = self.graph.clone();
-        candidate
-            .node_mut(NodeIdx(v))
-            .expect("valid index")
-            .attributes = attrs;
-        let report = fcm_check::gates::check_sw_graph(&candidate);
+        // Apply in place; every rejection below restores `kept`.
+        self.set_attributes(v, attrs);
+        let report = fcm_check::gates::check_sw_delta(&self.graph, &[node], &[]);
         if report.has_errors() {
+            self.set_attributes(v, kept);
             return Err(format!(
                 "preflight rejected set_attr: {}",
                 report.error_lines()
             ));
         }
-        // Contract gate on the candidate attributes: only row `v` is
-        // dirty (the state hash folds the criticality), so this is the
-        // O(degree) re-certification path.
-        let (certifier, cert) = self.gate_contracts(
-            "set_attr",
-            &candidate,
-            &self.influence,
-            &self.contracts,
-            Dirty::Rows(&[v]),
-        )?;
+        // Contract gate: only row `v` is dirty (the state hash folds the
+        // criticality), the O(degree) re-certification path.
+        let cert = match self.gate_contracts("set_attr", &[v]) {
+            Ok(cert) => cert,
+            Err(e) => {
+                self.set_attributes(v, kept);
+                self.rewind_certifier(&[v]);
+                return Err(e);
+            }
+        };
         // Re-validate the FCM's host under the new attributes: the
         // rely-guarantee per-edit admission check. Only this host's
-        // members changed, so only it can become infeasible.
-        if let Some(h) = self.placement.host_of()[v] {
-            let mut placement = self.placement.clone();
-            if !placement.readmit(&candidate, h) {
-                return Err(format!(
-                    "set_attr would make {} EDF-infeasible on {}",
-                    name,
-                    self.hw_name(h)
-                ));
-            }
-            let node = self.hw.node(h).expect("valid index");
-            if placement.throughput(h) > node.capacity {
-                return Err(format!(
-                    "set_attr would exceed {} capacity {}",
-                    node.name, node.capacity
-                ));
-            }
-            self.placement = placement;
+        // members changed, so only it can stop fitting.
+        if let Err(e) = self.placement.readmit(&self.graph, &self.hw, node) {
+            self.set_attributes(v, kept);
+            self.rewind_certifier(&[v]);
+            let h = self.placement.host_of()[v].expect("only a hosted fcm is re-admitted");
+            let hw = self.hw.node(h).expect("valid index");
+            return Err(match e {
+                InvalidPlacement::Infeasible { .. } => {
+                    format!("set_attr would make {name} EDF-infeasible on {}", hw.name)
+                }
+                _ => format!("set_attr would exceed {} capacity {}", hw.name, hw.capacity),
+            });
         }
-        self.graph = candidate;
-        self.certifier = certifier;
         self.cert = cert;
         Ok(Json::object().set("fcm", name))
+    }
+
+    /// Sets FCM `v`'s attributes in the graph and the criticality column.
+    fn set_attributes(&mut self, v: usize, attrs: AttributeSet) {
+        self.graph
+            .node_mut(NodeIdx(v))
+            .expect("valid index")
+            .attributes = attrs;
+        self.crits[v] = attrs.criticality.0;
     }
 
     fn fail_node(&mut self, node: &str) -> Result<Json, String> {
@@ -708,7 +791,7 @@ impl LiveModel {
 
     fn run_check(&self) -> Json {
         let (report, scope) = match self.placed_view() {
-            Some((c, m)) => (
+            Ok(Some((c, m))) => (
                 fcm_check::gates::check_placed_model(
                     &self.name,
                     &self.graph,
@@ -719,7 +802,11 @@ impl LiveModel {
                 ),
                 "placed",
             ),
-            None => (fcm_check::gates::check_sw_graph(&self.graph), "graph"),
+            Ok(None) => (fcm_check::gates::check_sw_graph(&self.graph), "graph"),
+            Err(why) => (
+                fcm_check::gates::check_unclustered_placement(&self.graph, &why),
+                "placed",
+            ),
         };
         Json::object()
             .set(
@@ -761,12 +848,19 @@ impl LiveModel {
         verdict(true, "feasible")
     }
 
+    /// Whether every FCM is hosted.
+    fn fully_placed(&self) -> bool {
+        self.placement.host_of().iter().all(Option::is_some)
+    }
+
     /// The current placement as a validated `(Clustering, Mapping)` pair
-    /// — only available when every FCM is hosted (clusters must
-    /// partition the graph).
-    fn placed_view(&self) -> Option<(Clustering, Mapping)> {
-        if self.placement.host_of().iter().any(Option::is_none) {
-            return None;
+    /// — `None` unless every FCM is hosted (clusters must partition the
+    /// graph), and the clustering's complaint when the hosts' member
+    /// sets do not form valid clusters, which the placement invariant
+    /// rules out.
+    fn placed_view(&self) -> Result<Option<(Clustering, Mapping)>, AllocError> {
+        if !self.fully_placed() {
+            return Ok(None);
         }
         let mut groups: Vec<Vec<NodeIdx>> = Vec::new();
         let mut assignment: Vec<NodeIdx> = Vec::new();
@@ -777,8 +871,8 @@ impl LiveModel {
                 assignment.push(h);
             }
         }
-        let clustering = Clustering::new(&self.graph, groups).ok()?;
-        Some((clustering, Mapping::from_assignment(assignment)))
+        let clustering = Clustering::new(&self.graph, groups)?;
+        Ok(Some((clustering, Mapping::from_assignment(assignment))))
     }
 
     fn propose_placement(&self, node: &str) -> Result<Json, String> {
@@ -786,7 +880,7 @@ impl LiveModel {
         if !self.placement.down().is_empty() {
             return Err("propose_placement requires no already-failed hw nodes".to_string());
         }
-        if self.placed_view().is_none() {
+        if !self.fully_placed() {
             return Err("propose_placement requires a fully-placed model".to_string());
         }
         let out = self
@@ -1067,15 +1161,23 @@ impl LiveModel {
             }
             None => ContractSet::new(),
         };
+        // Every committed state passed the full pre-flight gate, which is
+        // what lets a mutation gate only the part it touched.
+        let (graph, report) = fcm_check::gates::check_sw_graph_owned(graph);
+        if report.has_errors() {
+            return Err(format!(
+                "snapshot rejected by preflight: {}",
+                report.error_lines()
+            ));
+        }
         let placement = build_placement(&graph, &hw, host_of, failed)?;
-        let index = graph
-            .nodes()
-            .map(|(ni, sw)| (sw.name.clone(), ni.index()))
-            .collect();
+        let (index, names, crits) = fcm_columns(&graph);
         let mut model = LiveModel {
             name: name.to_string(),
             graph,
             index,
+            names,
+            crits,
             influence,
             placement,
             hw,
@@ -1091,8 +1193,12 @@ impl LiveModel {
     }
 }
 
-fn fcm_columns(g: &SwGraph) -> (Vec<String>, Vec<u32>) {
+/// The name index and the name and criticality columns of `g`.
+fn fcm_columns(g: &SwGraph) -> (BTreeMap<String, usize>, Vec<String>, Vec<u32>) {
     (
+        g.nodes()
+            .map(|(n, sw)| (sw.name.clone(), n.index()))
+            .collect(),
         g.nodes().map(|(_, sw)| sw.name.clone()).collect(),
         g.nodes()
             .map(|(_, sw)| sw.attributes.criticality.0)
@@ -1627,6 +1733,93 @@ mod tests {
         assert!(LiveModel::from_state(&Json::parse(&text).unwrap()).is_ok());
     }
 
+    /// `m`'s state with FCM `fcm`'s entry edited, loaded back.
+    fn load_edited(
+        m: &LiveModel,
+        fcm: &str,
+        edit: impl FnOnce(Json) -> Json,
+    ) -> Result<LiveModel, String> {
+        let state = m.state_json();
+        let mut edit = Some(edit);
+        let fcms: Vec<Json> = state
+            .get("fcms")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(
+                |f| match f.get("name").and_then(Json::as_str) == Some(fcm) {
+                    true => edit.take().expect("one entry per name")(f.clone()),
+                    false => f.clone(),
+                },
+            )
+            .collect();
+        assert!(edit.is_none(), "no fcm {fcm}");
+        LiveModel::from_state(&state.set("fcms", Json::Arr(fcms)))
+    }
+
+    #[test]
+    fn from_state_rejects_a_state_that_breaks_a_hard_constraint() {
+        let paper = LiveModel::new("paper").unwrap();
+        let host = |m: &LiveModel, fcm: &str| {
+            m.hw_name(m.placement.host_of()[m.fcm(fcm).unwrap()].unwrap())
+        };
+        // Two replicas co-hosted.
+        let at = host(&paper, "p1a");
+        assert_eq!(
+            load_edited(&paper, "p1b", |f| f.set("host", at.as_str())).unwrap_err(),
+            format!(
+                r#"snapshot fcm "p1b" on hw "{at}" breaks the separation constraint: it shares the node with "p1a""#
+            )
+        );
+        // An FCM off its pin.
+        let p8 = host(&paper, "p8");
+        let elsewhere = if p8 == "hw0" { "hw1" } else { "hw0" };
+        assert_eq!(
+            load_edited(&paper, "p8", |f| f.set("pin", elsewhere)).unwrap_err(),
+            format!(
+                r#"snapshot fcm "p8" on hw "{p8}" breaks the pin constraint: it is pinned to "{elsewhere}""#
+            )
+        );
+        // A required resource its host lacks.
+        let avionics = LiveModel::new("avionics").unwrap();
+        assert_eq!(host(&avionics, "display"), "hw0");
+        assert_eq!(
+            load_edited(&avionics, "display", |f| f.set("host", "hw2")).unwrap_err(),
+            r#"snapshot fcm "display" on hw "hw2" breaks the resource constraint: it requires "display""#
+        );
+        // A timing window the pre-flight gate rejects.
+        let err = load_edited(&paper, "p8", |f| {
+            f.set(
+                "timing",
+                Json::array([Json::from(0u64), Json::from(3u64), Json::from(9u64)]),
+            )
+        })
+        .unwrap_err();
+        assert!(
+            err.starts_with("snapshot rejected by preflight: error[C014]"),
+            "{err}"
+        );
+        // Capacity is unbounded on both committed platforms; `Placement::new`
+        // refuses an over-capacity host in its own unit tests. The unedited
+        // states load.
+        assert!(load_edited(&paper, "p8", |f| f).is_ok());
+        assert!(load_edited(&avionics, "display", |f| f).is_ok());
+    }
+
+    #[test]
+    fn check_reports_a_placement_that_forms_no_clustering() {
+        let m = LiveModel::new("paper").unwrap();
+        let why = AllocError::ReplicaConflict {
+            a: "p1a".to_string(),
+            b: "p1b".to_string(),
+        };
+        let report = fcm_check::gates::check_unclustered_placement(&m.graph, &why);
+        assert_eq!(
+            report.error_lines(),
+            "error[C012] mapping: the placement does not form a valid clustering: replicas p1a and p1b cannot be combined or co-located"
+        );
+    }
+
     /// The live placement equals the one rebuilt from `host_of`
     /// (members and admitted jobs; throughput within 1e-9 relative),
     /// and failing any HW node live gives the same outcome as
@@ -1664,7 +1857,10 @@ mod tests {
                 "step {step}: {h:?} throughput {a} vs {b}"
             );
         }
-        let (clustering, mapping) = m.placed_view().expect("fully placed");
+        let (clustering, mapping) = m
+            .placed_view()
+            .expect("hosts form clusters")
+            .expect("fully placed");
         for h in (0..m.hw.len()).map(NodeIdx) {
             let applied = m.clone().apply(&fail(&m.hw_name(h)));
             let remapped = failover::remap(&m.graph, &clustering, &mapping, &m.hw, h, m.shed);
