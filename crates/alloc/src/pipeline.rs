@@ -118,10 +118,7 @@ pub fn eq4_incident(
     gi: usize,
 ) -> (Entries, Entries) {
     let (mut comp_out, mut comp_in): (Entries, Entries) = (Vec::new(), Vec::new());
-    let fold = |comp: &mut Entries, t: usize, w: f64| match comp
-        .iter_mut()
-        .find(|(u, _)| *u == t)
-    {
+    let fold = |comp: &mut Entries, t: usize, w: f64| match comp.iter_mut().find(|(u, _)| *u == t) {
         Some((_, c)) => *c *= 1.0 - w,
         None => comp.push((t, 1.0 - w)),
     };

@@ -9,19 +9,24 @@
 //! * `incremental/{n}` — a warm certifier after a single-FCM edit (one
 //!   criticality toggled), re-verifying only the dirty row and reusing
 //!   every other cached verdict, exactly the `fcm-serve` `set_attr`
-//!   gating path.
+//!   gating path;
+//! * `insert/{n}` — a warm certifier after one appended FCM (a new empty
+//!   row with its contract, `Certifier::insert_row`), the `fcm-serve`
+//!   `add_fcm` gating path. Each sample appends another FCM, so the
+//!   model ends a few rows past `n`.
 //!
-//! Both run the global phase (dangling scan, rely entailment, bound
-//! fold, report sort) every pass — that O(n) tail is deliberately
-//! *inside* the timed region, so the speedup reported is the honest
-//! end-to-end ratio, not just the row-arithmetic ratio. The artefact's
+//! Every pass runs the global phase on the running aggregates and
+//! assembles the report; the fleet's contracts cover the model, so the
+//! O(n) C019 rely fold runs too, and it stays *inside* the timed region
+//! — the speedup reported is the honest end-to-end ratio, not just the
+//! row-arithmetic ratio. The artefact's
 //! `overhead` object carries `speedup_{n}` = full median / incremental
 //! median; the acceptance bound wants `speedup_10000` ≥ 10.
 //!
 //! Honors `FCM_BENCH_QUICK=1` (fewer samples, same grid) and
 //! `FCM_BENCH_DIR` like every other suite.
 
-use fcm_check::{CertView, Certifier, Dirty};
+use fcm_check::{CertView, Certifier, Contract, Dirty};
 use fcm_substrate::bench::Suite;
 use fcm_substrate::Json;
 use fcm_workloads::contracts::for_fleet;
@@ -40,8 +45,8 @@ fn main() {
             processes: n,
             ..SparseFleet::default()
         };
-        let influence = fleet.influence();
-        let (names, mut crits, contracts) = for_fleet(&fleet);
+        let mut influence = fleet.influence();
+        let (mut names, mut crits, mut contracts) = for_fleet(&fleet);
 
         suite.bench(&format!("full/{n}"), || {
             let view = CertView {
@@ -84,6 +89,27 @@ fn main() {
                 (1, n - 1),
                 "a single-FCM edit re-verifies exactly one row"
             );
+            cert.report.diagnostics.len()
+        });
+
+        // Appended names sort after every fleet name, so the contract
+        // set appends too.
+        suite.bench(&format!("insert/{n}"), || {
+            let name = format!("z{}", names.len());
+            influence.push_row_col(&[], &[]);
+            contracts.insert(Contract::new(name.clone(), 0.5, 1e9, 0));
+            certifier.insert_row(names.len(), &name);
+            names.push(name);
+            crits.push(1);
+            let view = CertView {
+                model: "fleet",
+                names: &names,
+                crits: &crits,
+                influence: &influence,
+                contracts: &contracts,
+            };
+            let cert = certifier.certify(&view, Dirty::Rows(&[]), 1);
+            assert_eq!(cert.verified, 1, "an append verifies its own row");
             cert.report.diagnostics.len()
         });
     }

@@ -557,8 +557,15 @@ fn row_edits_on_a_warm_certifier_equal_a_cold_full_pass_dense_and_csr() {
                     let row: Vec<f64> = (0..=n).map(|k| pick(&mut rng, k)).collect();
                     let col: Vec<f64> = (0..=n).map(|k| pick(&mut rng, k)).collect();
                     influence = inserted(&influence, at, &row, &col);
-                    let name = format!("g{fresh}");
-                    fresh += 1;
+                    // Sometimes an FCM that contracts or caps already
+                    // name: they resolve now.
+                    let absent = format!("absent{}", rng.gen_range(0..3u32));
+                    let name = if rng.gen_bool(0.3) && !names.contains(&absent) {
+                        absent
+                    } else {
+                        fresh += 1;
+                        format!("g{fresh}")
+                    };
                     names.insert(at, name.clone());
                     crits.insert(at, rng.gen_range(0..8u32));
                     if rng.gen_bool(0.5) {
@@ -621,6 +628,9 @@ fn row_edits_on_a_warm_certifier_equal_a_cold_full_pass_dense_and_csr() {
                 // goes: no row to list, the certifier must notice.
                 _ => {
                     let ghost = format!("absent{}", rng.gen_range(0..3u32));
+                    if names.contains(&ghost) {
+                        dirty.push(names.iter().position(|n| *n == ghost).expect("present"));
+                    }
                     if contracts.remove(&ghost).is_none() {
                         contracts.insert(random_contract(&mut rng, &ghost, &names));
                     }

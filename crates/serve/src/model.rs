@@ -3,12 +3,12 @@
 //!
 //! A [`LiveModel`] owns a mutable [`SwGraph`] together with the
 //! node-level influence matrix, maintained **incrementally** through the
-//! `fcm_alloc::pipeline` helpers: `add_fcm` grows the matrix by one
-//! zero row/column and recombines only that row/column via Eq. 4
-//! ([`pipeline::eq4_recombine_row_col`]); `remove_fcm` drops one
-//! row/column ([`pipeline::shrink_row_col`]). No mutation ever performs
-//! a full condensation — the one full condense happens at construction
-//! and is counted, so callers can assert the hot path stays incremental.
+//! `fcm_alloc::pipeline` helpers: `add_fcm` folds the new node's row and
+//! column from its own edges ([`pipeline::eq4_incident`]) and splices
+//! them into the matrix in place; `remove_fcm` drops one row/column. No
+//! mutation ever performs a full condensation — the one full condense
+//! happens at construction and is counted, so callers can assert the hot
+//! path stays incremental.
 //!
 //! # The bitwise contract
 //!
@@ -16,21 +16,32 @@
 //! `condense` over the current graph's singleton partition. This holds
 //! because (a) `add_fcm` only adds edges incident to the new node, so
 //! every other entry's edge bucket is untouched, and the new row/column
-//! folds complement products over the edge list in insertion order —
+//! folds complement products over the node's edges in edge-id order —
 //! the same association `condense` uses; (b) `remove_fcm` removes only
 //! edges incident to the removed node and preserves the relative order
-//! of the survivors. The protocol property tests pin this.
+//! of the survivors. The protocol property tests and the fleet-scale
+//! oracle (`tests/fleet_oracle.rs`) pin this.
 //!
-//! Every mutation is validated through the PR 5 pre-flight gate
-//! ([`fcm_check::gates::check_sw_graph`]) against a candidate graph
-//! before anything is committed: a rejected mutation leaves the model
-//! untouched and reports the rendered diagnostics.
+//! # Apply in place, undo on rejection
+//!
+//! A mutation is validated, applied to `self` in place and then gated on
+//! the part it touched: the per-edit pre-flight gate
+//! ([`fcm_check::gates::check_sw_delta`]) over the touched node and its
+//! new edges, the placement, and the incremental certifier over the
+//! dirty rows. A rejection undoes exactly what was applied — the node
+//! and its edges, the matrix row and column, the columns, the contract
+//! and the certifier's rows — and reports the rendered diagnostics, so
+//! the model is as it was. `add_fcm` and `set_attr` are O(degree +
+//! log n); `remove_fcm` still rebuilds the graph and the placement
+//! because the dense indices of later FCMs shift. The delta gate is
+//! sound because every entry path (`new`, `from_state`) runs the full
+//! gate once, so every committed state passed it.
 //!
 //! Placement is a live [`failover::Placement`], the same engine
 //! `failover::remap` runs: `add_fcm` commits the FCM to its best host,
-//! `fail_node` fails a clone of the placement and commits it whole,
-//! `propose_placement` fails a clone and discards it, and
-//! `restore_node` re-places the unhosted.
+//! `set_attr` re-admits the FCM's host, `fail_node` fails a clone of the
+//! placement and commits it whole, `propose_placement` fails a clone and
+//! discards it, and `restore_node` re-places the unhosted.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -6,7 +6,8 @@
 //! FCMs, and many also take `influenced_by` edges from live sources, so
 //! an add dirties the rows of other FCMs, not just its own. Contracts
 //! carry per-edge caps, and a share of every mutation kind is built to
-//! be rejected: a guarantee below the FCM's own row sum (C017), a cap
+//! be rejected: a guarantee below the FCM's own row sum, or an in-edge
+//! that pushes its source past the source's guarantee (C017), a cap
 //! below the capped edge (C018), a floor above the criticality (C020), a
 //! cap naming an FCM that is not there (C021), an unsatisfiable timing
 //! window (C014), an unknown name or a weight outside (0, 1]. The caller
@@ -48,12 +49,13 @@ impl Fleet {
         self.live[self.rng.gen_range(0usize..self.live.len())].clone()
     }
 
-    /// A live FCM that the stream added (never a paper FCM), if any.
+    /// A live FCM that the stream added with a plain contract (never a
+    /// paper FCM or a blocker), if any.
     fn pick_grown(&mut self) -> Option<String> {
         let grown: Vec<&String> = self
             .live
             .iter()
-            .filter(|n| !self.base.contains(n))
+            .filter(|n| !self.base.contains(n) && !self.blockers.contains(n))
             .collect();
         (!grown.is_empty()).then(|| grown[self.rng.gen_range(0usize..grown.len())].clone())
     }
@@ -89,7 +91,7 @@ impl Fleet {
                 if !self.base.is_empty() && self.rng.gen_bool(0.5) {
                     return self.remove_base();
                 }
-                let name = if !self.blockers.is_empty() && self.rng.gen_bool(0.8) {
+                let name = if !self.blockers.is_empty() {
                     self.blockers[self.rng.gen_range(0usize..self.blockers.len())].clone()
                 } else if self.rng.gen_bool(0.03) {
                     "ghost".to_string()
@@ -152,6 +154,15 @@ impl Fleet {
         match self.rng.gen_range(0u64..100) {
             0 => influences.push(("ghost".to_string(), 0.1)),
             1 => influences[0].1 = 1.5,
+            // A heavy in-edge pushes a contracted source past its
+            // guarantee: the C017 lands on the source's row.
+            2..=4 => {
+                if let Some(from) = self.pick_grown() {
+                    if influenced_by.iter().all(|(f, _)| *f != from) {
+                        influenced_by.push((from, 0.95));
+                    }
+                }
+            }
             _ => {}
         }
         let crit = self.rng.gen_range(0u32..4);
@@ -161,8 +172,10 @@ impl Fleet {
             _ => None,
         };
         let row_sum: f64 = influences.iter().map(|(_, w)| w).sum();
-        // Caps never name a paper FCM, so no cap blocks its removal.
-        let cappable = !self.base.contains(&influences[0].0);
+        // Caps never name a paper FCM or a blocker, so no cap keeps one
+        // from being removed.
+        let cappable =
+            !self.base.contains(&influences[0].0) && !self.blockers.contains(&influences[0].0);
         let contract = contracted.then(|| {
             let rng = &mut self.rng;
             let guarantee = match rng.gen_range(0u64..20) {
