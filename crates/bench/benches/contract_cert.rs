@@ -74,6 +74,7 @@ fn main() {
         };
         certifier.certify(&view, Dirty::Full, 1);
         let dirty = n / 2;
+        let crit = crits[dirty];
         suite.bench(&format!("incremental/{n}"), || {
             crits[dirty] ^= 1;
             let view = CertView {
@@ -91,13 +92,23 @@ fn main() {
             );
             cert.report.diagnostics.len()
         });
+        crits[dirty] = crit;
+        let view = CertView {
+            model: "fleet",
+            names: &names,
+            crits: &crits,
+            influence: &influence,
+            contracts: &contracts,
+        };
+        assert!(certifier.certify(&view, Dirty::Rows(&[dirty]), 1).certified);
 
         // Appended names sort after every fleet name, so the contract
-        // set appends too.
+        // set appends too. A zero guarantee leaves every other FCM's
+        // entailed interference, and so the C019 verdicts, as they were.
         suite.bench(&format!("insert/{n}"), || {
             let name = format!("z{}", names.len());
             influence.push_row_col(&[], &[]);
-            contracts.insert(Contract::new(name.clone(), 0.5, 1e9, 0));
+            contracts.insert(Contract::new(name.clone(), 0.0, 1e9, 0));
             certifier.insert_row(names.len(), &name);
             names.push(name);
             crits.push(1);
@@ -110,6 +121,7 @@ fn main() {
             };
             let cert = certifier.certify(&view, Dirty::Rows(&[]), 1);
             assert_eq!(cert.verified, 1, "an append verifies its own row");
+            assert!(cert.certified, "{}", cert.report.render());
             cert.report.diagnostics.len()
         });
     }
