@@ -185,13 +185,12 @@ pub struct Certification {
 pub struct Certifier {
     /// One slot per matrix row.
     slots: Vec<Slot>,
-    /// Name → row index. Rebuilt only when a full pass finds the names
-    /// changed (rebuilding it is the dominant O(n) cost at fleet scale);
-    /// the row edits keep it current.
+    /// Name → row index: rebuilt by a full pass, kept current by the
+    /// row edits.
     index: BTreeMap<String, usize>,
-    /// Wrapping sum of [`name_tag`] over the rows the index describes;
-    /// `None` while the cache is cold (the next pass is then a full one).
-    names_fp: Option<u64>,
+    /// Whether a pass has run since the cache was created; a cold cache
+    /// ignores row edits and its next pass is a full one.
+    warm: bool,
     /// Rows an edit left to verify: every pass verifies them.
     pending: Vec<usize>,
     /// Names whose contract the next pass must re-read: FCMs removed
@@ -218,12 +217,6 @@ fn state_hash(name: &str, crit: u32, row: u64) -> u64 {
         fnv::word(fnv::text(fnv::OFFSET, name), u64::from(crit)),
         row,
     )
-}
-
-/// One row's share of the name fingerprint: the name tagged with its
-/// position, so a summed fingerprint still sees a reordering.
-fn name_tag(name: &str, row: usize) -> u64 {
-    fnv::word(fnv::text(fnv::OFFSET, name), row as u64)
 }
 
 /// Maps an `f64` to a `u64` whose unsigned order is the float's total
@@ -296,10 +289,11 @@ impl Certifier {
     ///
     /// When `i` is past the last row.
     pub fn insert_row(&mut self, i: usize, name: &str) {
-        let Some(fp) = self.names_fp else { return };
+        if !self.warm {
+            return;
+        }
         assert!(i <= self.slots.len(), "insert_row past the last row");
-        let append = i == self.slots.len();
-        if !append {
+        if i < self.slots.len() {
             for row in self.index.values_mut().chain(&mut self.pending) {
                 *row += usize::from(*row >= i);
             }
@@ -313,11 +307,6 @@ impl Certifier {
         );
         self.index.insert(name.to_string(), i);
         self.pending.push(i);
-        self.names_fp = Some(if append {
-            fp.wrapping_add(name_tag(name, i))
-        } else {
-            self.index_fingerprint()
-        });
         // Caps naming the FCM resolve now.
         for (_, fcm) in refs_to(&self.cap_refs, name) {
             self.absent_caps.remove(&(fcm.clone(), name.to_string()));
@@ -339,7 +328,7 @@ impl Certifier {
     ///
     /// When `i` is not a row.
     pub fn remove_row(&mut self, i: usize) {
-        if self.names_fp.is_none() {
+        if !self.warm {
             return;
         }
         let slot = self.slots.remove(i);
@@ -357,7 +346,6 @@ impl Certifier {
         for row in self.index.values_mut().chain(&mut self.pending) {
             *row -= usize::from(*row > i);
         }
-        self.names_fp = Some(self.index_fingerprint());
         if let Some(held) = slot.contract {
             self.absent.insert(name.clone(), held);
         }
@@ -368,12 +356,6 @@ impl Certifier {
             }
         }
         self.recheck.push(name);
-    }
-
-    fn index_fingerprint(&self) -> u64 {
-        self.index
-            .iter()
-            .fold(0u64, |h, (name, &row)| h.wrapping_add(name_tag(name, row)))
     }
 
     /// Runs one certification pass over `view`, re-verifying the FCMs
@@ -387,7 +369,7 @@ impl Certifier {
         let n = view.names.len();
         assert_eq!(view.crits.len(), n, "one criticality per FCM");
         let verified = match dirty {
-            Dirty::Rows(rows) if self.names_fp.is_some() && self.slots.len() == n => {
+            Dirty::Rows(rows) if self.warm && self.slots.len() == n => {
                 self.pass_rows(view, rows, threads)
             }
             _ => self.pass_full(view, threads),
@@ -405,20 +387,13 @@ impl Certifier {
     /// Re-verifies every row and rebuilds every aggregate.
     fn pass_full(&mut self, view: &CertView, threads: usize) -> usize {
         let n = view.names.len();
-        let fp = view
+        self.index = view
             .names
             .iter()
             .enumerate()
-            .fold(0u64, |h, (i, s)| h.wrapping_add(name_tag(s, i)));
-        if self.names_fp != Some(fp) || self.slots.len() != n {
-            self.index = view
-                .names
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.clone(), i))
-                .collect();
-            self.names_fp = Some(fp);
-        }
+            .map(|(i, s)| (s.clone(), i))
+            .collect();
+        self.warm = true;
         self.slots.resize_with(n, Slot::default);
         self.pending.clear();
         self.recheck.clear();
