@@ -164,7 +164,7 @@ impl Host {
             ..Host::default()
         };
         for &m in &members {
-            host.count(g.node(m).expect("valid index"), true);
+            host.count(sw_node(g, m), true);
         }
         host.members = members;
         Some(host)
@@ -244,7 +244,7 @@ impl Placement {
             for &v in &host.members {
                 let on_host = |u: NodeIdx| u < v && placement.host_of[u.index()] == Some(h);
                 if let Err(rule) = fits(g, node, &before, v, on_host) {
-                    let sw = g.node(v).expect("valid index");
+                    let sw = sw_node(g, v);
                     let constraint = match rule {
                         Rule::Resource => HardConstraint::Resource(
                             sw.required_resources
