@@ -548,7 +548,8 @@ pub fn guarantee_well_formed(g: f64) -> bool {
 }
 
 /// The [`certified_bound`] of a set whose max guarantee (folded from
-/// `0.0`) is `g` and whose guarantees are all well formed or not.
+/// `0.0`) is `g`; `well_formed` says whether every guarantee is
+/// [`guarantee_well_formed`].
 #[must_use]
 pub fn bound_from_max(g: f64, well_formed: bool, order: usize) -> CertifiedBound {
     let converges = well_formed && g < 1.0;
