@@ -192,6 +192,17 @@ impl Host {
         tally(&mut self.crits, sw.attributes.criticality.0, join);
     }
 
+    /// Releases member `m`: its admission job, its group counts and its
+    /// share of the throughput. The throughput is re-summed over the
+    /// remaining members, never subtracted, so it reads bit for bit what
+    /// [`Host::new`] over the same members reads.
+    fn release(&mut self, g: &SwGraph, m: NodeIdx) {
+        self.members.retain(|&u| u != m);
+        self.admission.release(m.index() as JobId);
+        self.count(sw_node(g, m), false);
+        self.throughput = self.members.iter().map(|&u| throughput_of(g, u)).sum();
+    }
+
     /// Whether a member shares `sw`'s replica or separation tag.
     fn has_tagged_peer(&self, sw: &SwNode) -> bool {
         sw.replica_group
@@ -418,6 +429,24 @@ impl Placement {
         Ok(())
     }
 
+    /// Removes SW node `v`, which `g` still holds, and closes the index
+    /// gap the way [`fcm_graph::DiGraph::remove_node`] does: every later
+    /// SW node's index, in the host list, the members and the admission
+    /// job ids, drops by one. `v`'s host releases it and re-sums its
+    /// throughput; no other host changes. O(SW nodes), without a rebuild.
+    pub fn remove(&mut self, g: &SwGraph, v: NodeIdx) {
+        if let Some(h) = self.host_of.remove(v.index()) {
+            self.hosts[h.index()].release(g, v);
+        }
+        let cut = v.index() as JobId;
+        for host in &mut self.hosts {
+            for m in &mut host.members {
+                m.0 -= usize::from(*m > v);
+            }
+            host.admission.relabel(|id| id - JobId::from(id > cut));
+        }
+    }
+
     /// Fails HW node `dead`: marks it down, evicts its members and
     /// re-places them most critical first; `policy` governs shedding and
     /// displacement.
@@ -533,11 +562,7 @@ impl Placement {
         }
         let (h, displaced, _) = best.ok_or(v)?;
         for d in displaced {
-            let host = &mut self.hosts[h.index()];
-            host.members.retain(|&m| m != d);
-            host.admission.release(d.index() as JobId);
-            host.throughput -= throughput_of(g, d);
-            host.count(sw_node(g, d), false);
+            self.hosts[h.index()].release(g, d);
             self.host_of[d.index()] = None;
             shed.push(d);
         }
@@ -566,14 +591,12 @@ impl Placement {
         sheddable.sort_by_key(|&m| (criticality(g, m), m));
         let capacity = hw.node(h).expect("host exists").capacity;
         let mut removed = Vec::new();
-        let mut admission = host.admission.clone();
-        let mut throughput = host.throughput;
+        let mut host = host.clone();
         for m in sheddable {
             removed.push(m);
-            admission.release(m.index() as JobId);
-            throughput -= throughput_of(g, m);
-            let fits = throughput + throughput_of(g, v) <= capacity
-                && admits(&admission, timing_job(g, v));
+            host.release(g, m);
+            let fits = host.throughput + throughput_of(g, v) <= capacity
+                && admits(&host.admission, timing_job(g, v));
             if fits {
                 return Some(removed);
             }
@@ -905,6 +928,34 @@ mod tests {
         assert_eq!(out.shed, vec![low]);
         assert!(out.degraded);
         assert_eq!(out.placement[0].1, Some(host_of(&m, &c, low)));
+    }
+
+    #[test]
+    fn displacement_re_sums_the_hosts_throughput() {
+        // hw1 carries `keep` (0.1) and `low` (0.2); the critical victim
+        // from hw0 displaces `low`. Subtracting would leave
+        // 0.1 + 0.2 - 0.2 = 0.10000000000000003 on hw1.
+        let mut b = SwGraphBuilder::new();
+        let v = b.add_process("v", attrs(9).with_timing(0, 6, 4));
+        let keep = b.add_process("keep", attrs(9).with_throughput(0.1));
+        let low = b.add_process("low", attrs(1).with_throughput(0.2).with_timing(0, 6, 4));
+        let g = b.build();
+        let hw = HwGraph::complete(2);
+        let (hw0, hw1) = (NodeIdx(0), NodeIdx(1));
+        let mut p = Placement::new(
+            &g,
+            &hw,
+            vec![Some(hw0), Some(hw1), Some(hw1)],
+            BTreeSet::new(),
+        )
+        .unwrap();
+        let out = p
+            .fail(&g, &hw, hw0, ShedPolicy::ShedBelow { critical_at: 5 })
+            .unwrap();
+        assert_eq!(out.shed, vec![low]);
+        assert_eq!(p.host_of(), &[Some(hw1), Some(hw1), None]);
+        assert_eq!(p.members(hw1), &[keep, v]);
+        assert_eq!(p.throughput(hw1).to_bits(), 0.1f64.to_bits());
     }
 
     #[test]

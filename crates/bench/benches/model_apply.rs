@@ -9,14 +9,15 @@
 //! * `apply/add_fcm/{n}` — a fresh contracted FCM with two influence
 //!   edges and one `influenced_by` edge (so an existing row is dirtied);
 //! * `apply/set_attr/{n}` — a criticality toggle on a mid-fleet FCM;
-//! * `apply/remove_fcm/{n}` — removal of one of the FCMs the add case
-//!   added (the add case runs first and adds exactly as many as this
-//!   case removes, so the model is back at its grown size).
+//! * `apply/remove_fcm/{n}` — removal of a grown FCM from the middle of
+//!   the index order, so that every later FCM's index shifts (the add
+//!   case runs first and adds exactly as many as this case removes, so
+//!   the model is back at its grown size).
 //!
-//! The add and set_attr paths are O(degree + log n); removal still
-//! rebuilds the graph and the placement until FCM slots stop shifting.
-//! Honors `FCM_BENCH_QUICK=1` (fewer samples, same sizes) and
-//! `FCM_BENCH_DIR` like every other suite.
+//! The add and set_attr paths are O(degree + log n); removal edits the
+//! graph, the placement and the name index in place, shifting the
+//! indices past the removed FCM. Honors `FCM_BENCH_QUICK=1` (fewer
+//! samples, same sizes) and `FCM_BENCH_DIR` like every other suite.
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
@@ -94,8 +95,10 @@ fn main() {
             })
             .expect("set_attr is accepted")
         });
+        // Grown FCMs past the set_attr target, from the middle on.
+        let mut middle = names[n / 2 + 1..].iter();
         suite.bench(&format!("apply/remove_fcm/{n}"), || {
-            let name = added.pop().expect("the add case added one per sample");
+            let name = middle.next().expect("more grown FCMs than samples").clone();
             m.apply(&Mutation::RemoveFcm { name })
                 .expect("remove is accepted")
         });

@@ -39,6 +39,10 @@
 //!   (`crates/serve/src/model.rs`) — a mutation applies in place and
 //!   undoes what it touched; cloning the world per mutation would
 //!   silently make every mutation O(n) again;
+//! * no rebuild of the name index or the placement from the live
+//!   model's own state (a line calling `fcm_columns(` or
+//!   `build_placement(` that reads `self.`) in the same file — only the
+//!   entry paths build them, from locals; a mutation edits them in place;
 //! * diagnostic codes declared in `crates/check/src/rules.rs` are
 //!   unique.
 //!
@@ -146,6 +150,7 @@ fn main() -> ExitCode {
     let topk_call = format!("top_k_{}", "from");
     let model_copies =
         ["graph", "contracts", "certifier"].map(|f| format!("self.{f}.{}()", "clone"));
+    let model_rebuilds = ["fcm_columns", "build_placement"].map(|f| format!("{f}{}", "("));
 
     let mut findings = Vec::new();
     let mut codes: Vec<(u16, String)> = Vec::new();
@@ -227,6 +232,13 @@ fn main() -> ExitCode {
                     findings.push(format!(
                         "{loc}: whole-model copy ({copy}) in the live model — apply in place and undo on rejection"
                     ));
+                }
+                if let Some(call) = model_rebuilds.iter().find(|c| line.contains(c.as_str())) {
+                    if line.contains("self.") {
+                        findings.push(format!(
+                            "{loc}: live-state rebuild ({call}...self.) in the live model — edit the index and placement in place"
+                        ));
+                    }
                 }
             }
             if in_rules {

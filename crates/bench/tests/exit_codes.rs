@@ -229,3 +229,26 @@ fn srclint_flags_a_whole_model_copy_in_the_live_model() {
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn srclint_flags_a_live_state_rebuild_in_the_live_model() {
+    let root = std::env::temp_dir().join(format!("srclint-rebuild-{}", std::process::id()));
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).unwrap();
+    let scan = |text: &str| {
+        std::fs::write(src.join("model.rs"), text).unwrap();
+        run(env!("CARGO_BIN_EXE_srclint"), &[root.to_str().unwrap()])
+    };
+    for call in ["fcm_columns", "build_placement"] {
+        let out = scan(&format!(
+            "fn f(&mut self) {{ let x = {call}(&self.graph); }}\n"
+        ));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(code(&out), 1, "{text}");
+        assert!(text.contains("live-state rebuild"), "{text}");
+        // The entry paths build from locals: no finding.
+        let out = scan(&format!("fn g() {{ let x = {call}(&graph); }}\n"));
+        assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

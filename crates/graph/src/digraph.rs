@@ -6,11 +6,12 @@ use crate::error::GraphError;
 
 /// Stable index of a node inside a [`DiGraph`].
 ///
-/// Indices are assigned densely in insertion order and remain valid for the
-/// lifetime of the graph (nodes are never removed from a `DiGraph`; graph
-/// *reduction* is done by [condensation](mod@crate::condense) into a new graph,
-/// mirroring the paper's workflow where the original FCM graph is kept for
-/// traceability).
+/// Indices are assigned densely in insertion order. They stay valid until a
+/// node is removed ([`DiGraph::pop_node`], [`DiGraph::remove_node`]), which
+/// closes the gap: every later index drops by one. Graph *reduction* is
+/// done by [condensation](mod@crate::condense) into a new graph, mirroring
+/// the paper's workflow where the original FCM graph is kept for
+/// traceability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeIdx(pub usize);
 
@@ -207,6 +208,57 @@ impl<N, E> DiGraph<N, E> {
             "an edge of the popped node is not among the trailing edges"
         );
         self.nodes.pop().expect("checked non-empty")
+    }
+
+    /// Removes node `v` together with its edges and returns its payload.
+    /// Every later node and edge index drops past the gap, and the
+    /// survivors keep their relative node and edge order (and each
+    /// adjacency list its order): the graph equals one rebuilt by adding
+    /// the other nodes and then the other edges in index order.
+    /// O(nodes + edges · log degree(v)), without allocating per node.
+    ///
+    /// # Panics
+    ///
+    /// When `v` is out of bounds.
+    pub fn remove_node(&mut self, v: NodeIdx) -> N {
+        assert!(v.0 < self.nodes.len(), "remove_node out of bounds");
+        // The ids of `v`'s edges, sorted (no self-loops, so no duplicate).
+        let mut gone: Vec<usize> = self.out_adj[v.0]
+            .iter()
+            .chain(&self.in_adj[v.0])
+            .map(|e| e.0)
+            .collect();
+        gone.sort_unstable();
+        let shift = |u: &mut NodeIdx| {
+            if u.0 > v.0 {
+                u.0 -= 1;
+            }
+        };
+        self.edges.retain_mut(|e| {
+            let keep = e.from != v && e.to != v;
+            shift(&mut e.from);
+            shift(&mut e.to);
+            keep
+        });
+        self.out_adj.remove(v.0);
+        self.in_adj.remove(v.0);
+        let first = gone.first().copied().unwrap_or(usize::MAX);
+        for adj in self.out_adj.iter_mut().chain(self.in_adj.iter_mut()) {
+            // Adjacency lists ascend (edges are only appended or removed
+            // in order), so a list ending below the first removed edge
+            // neither loses nor renumbers an entry.
+            if adj.last().is_none_or(|e| e.0 < first) {
+                continue;
+            }
+            adj.retain_mut(|e| match gone.binary_search(&e.0) {
+                Ok(_) => false,
+                Err(below) => {
+                    e.0 -= below;
+                    true
+                }
+            });
+        }
+        self.nodes.remove(v.0)
     }
 
     /// Number of nodes.

@@ -68,6 +68,15 @@ impl Admission {
         }
     }
 
+    /// Renames every admitted job's id through `f`, keeping admission
+    /// order — for callers whose ids are dense indices that just shifted.
+    /// `f` must keep the admitted ids distinct.
+    pub fn relabel(&mut self, mut f: impl FnMut(JobId) -> JobId) {
+        for job in &mut self.jobs {
+            job.id = f(job.id);
+        }
+    }
+
     /// The admitted jobs, in admission order.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
@@ -148,6 +157,18 @@ mod tests {
         assert!(adm.release(1));
         assert!(!adm.release(1));
         assert!(adm.try_admit(Job::new(2, 0, 6, 3)));
+    }
+
+    #[test]
+    fn relabel_renames_ids_in_admission_order() {
+        let mut adm = Admission::new();
+        assert!(adm.try_admit(Job::new(4, 0, 9, 3)));
+        assert!(adm.try_admit(Job::new(1, 0, 9, 3)));
+        adm.relabel(|id| if id > 2 { id - 1 } else { id });
+        let ids: Vec<JobId> = adm.jobs().iter().map(|j| j.id).collect();
+        assert_eq!(ids, vec![3, 1]);
+        assert!(adm.release(3));
+        assert!(!adm.release(4));
     }
 
     #[test]

@@ -32,16 +32,20 @@
 //! and its edges, the matrix row and column, the columns, the contract
 //! and the certifier's rows — and reports the rendered diagnostics, so
 //! the model is as it was. `add_fcm` and `set_attr` are O(degree +
-//! log n); `remove_fcm` still rebuilds the graph and the placement
-//! because the dense indices of later FCMs shift. The delta gate is
-//! sound because every entry path (`new`, `from_state`) runs the full
-//! gate once, so every committed state passed it.
+//! log n). `remove_fcm` gates first and only then edits the graph
+//! ([`fcm_graph::DiGraph::remove_node`]), the placement
+//! ([`Placement::remove`]) and the name index in place, closing the
+//! index gap: O(n) integer shifts and memmoves, with no rebuild and no
+//! per-FCM allocation. The delta gate is sound because every entry
+//! path (`new`, `from_state`) runs the full gate once, so every
+//! committed state passed it.
 //!
 //! Placement is a live [`failover::Placement`], the same engine
 //! `failover::remap` runs: `add_fcm` commits the FCM to its best host,
-//! `set_attr` re-admits the FCM's host, `fail_node` fails a clone of the
-//! placement and commits it whole, `propose_placement` fails a clone and
-//! discards it, and `restore_node` re-places the unhosted.
+//! `remove_fcm` releases it from its host, `set_attr` re-admits the
+//! FCM's host, `fail_node` fails a clone of the placement and commits
+//! it whole, `propose_placement` fails a clone and discards it, and
+//! `restore_node` re-places the unhosted.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -518,37 +522,11 @@ impl LiveModel {
 
     fn remove_fcm(&mut self, name: &str) -> Result<Json, String> {
         let v = self.fcm(name)?;
-        // Rebuild the graph without `v`: survivors keep their relative
-        // node and edge order, so every remaining influence entry's edge
-        // bucket is untouched (the bitwise contract's removal half).
-        let mut next: SwGraph = SwGraph::new();
-        let mut remap = vec![usize::MAX; self.graph.node_count()];
-        for (n, sw) in self.graph.nodes() {
-            if n.index() != v {
-                remap[n.index()] = next.add_node(sw.clone()).index();
-            }
-        }
-        for (_, e) in self.graph.edges() {
-            let (f, t) = (e.from.index(), e.to.index());
-            if f != v && t != v {
-                next.add_edge(NodeIdx(remap[f]), NodeIdx(remap[t]), e.weight);
-            }
-        }
-        let host_of: Vec<Option<NodeIdx>> = self
-            .placement
-            .host_of()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != v)
-            .map(|(_, h)| *h)
-            .collect();
-        // Admission job ids are dense indices, which just shifted:
-        // rebuild the placement wholesale until FCM slots stop shifting.
-        let placement = build_placement(&next, &self.hw, host_of, self.placement.down().clone())?;
+        let node = NodeIdx(v);
         // The rows that lose their entry in column `v`.
         let sources: Vec<usize> = self
             .graph
-            .in_edges(NodeIdx(v))
+            .in_edges(node)
             .map(|(_, e)| e.from.index())
             .collect();
         let mut influence = self.influence.shrink_row_col(v);
@@ -560,7 +538,7 @@ impl LiveModel {
         // it would dangle (a C021 error), which rejects the removal.
         let kept_contract = self.contracts.remove(name);
         self.certifier.remove_row(v);
-        let dirty: Vec<usize> = sources.iter().map(|&u| remap[u]).collect();
+        let dirty: Vec<usize> = sources.iter().map(|&u| u - usize::from(u > v)).collect();
         let cert = match self.gate_contracts("remove_fcm", &dirty) {
             Ok(cert) => cert,
             Err(e) => {
@@ -576,9 +554,16 @@ impl LiveModel {
             }
         };
         self.cert = cert;
-        self.graph = next;
-        self.placement = placement;
-        self.index = fcm_columns(&self.graph).0;
+        // Accepted: these edits cannot fail. Survivors keep their
+        // relative node and edge order, so every remaining influence
+        // entry's edge bucket is untouched (the bitwise contract's
+        // removal half), and every later index drops by one.
+        self.placement.remove(&self.graph, node);
+        self.graph.remove_node(node);
+        self.index.remove(name);
+        for i in self.index.values_mut() {
+            *i -= usize::from(*i > v);
+        }
         Ok(Json::object().set("removed", name))
     }
 
