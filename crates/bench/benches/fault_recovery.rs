@@ -79,7 +79,7 @@ fn resume_point(len: usize) -> Json {
         model.apply(&m).expect("script mutation accepted");
         store.append(model.seq(), &m).expect("append");
     }
-    let reference = model.state_json().to_string_compact();
+    let reference = model.state_text();
     drop((store, model));
 
     let mut samples = Vec::with_capacity(RESUME_ITERS);
@@ -92,11 +92,7 @@ fn resume_point(len: usize) -> Json {
         }
         let ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(rec.replay.len(), len);
-        assert_eq!(
-            m.state_json().to_string_compact(),
-            reference,
-            "resume drifted"
-        );
+        assert_eq!(m.state_text(), reference, "resume drifted");
         samples.push(ns);
     }
     let _ = std::fs::remove_dir_all(&dir);

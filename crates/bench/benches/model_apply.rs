@@ -1,5 +1,6 @@
 //! `LiveModel::apply` on a grown model: the in-process cost of one
-//! mutation at fleet scale, without socket, journal or snapshot.
+//! mutation at fleet scale, without socket or journal, and the cost of
+//! one snapshot of that model.
 //!
 //! The paper model is grown to n ∈ {500, 3 000} FCMs the way the
 //! `fleet_evolve` workload grows it — each added FCM has zero
@@ -12,7 +13,10 @@
 //! * `apply/remove_fcm/{n}` — removal of a grown FCM from the middle of
 //!   the index order, so that every later FCM's index shifts (the add
 //!   case runs first and adds exactly as many as this case removes, so
-//!   the model is back at its grown size).
+//!   the model is back at its grown size);
+//! * `snapshot/{n}` — what the daemon's writer pays per snapshot:
+//!   `LiveModel::state_text` plus `Store::snapshot_text` into a temp
+//!   directory (envelope, write, fsync, rename, directory fsync).
 //!
 //! The add and set_attr paths are O(degree + log n); removal edits the
 //! graph, the placement and the name index in place, shifting the
@@ -21,6 +25,7 @@
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
+use fcm_serve::store::Store;
 use fcm_serve::LiveModel;
 use fcm_substrate::bench::Suite;
 use fcm_substrate::Rng;
@@ -103,6 +108,16 @@ fn main() {
                 .expect("remove is accepted")
         });
         assert_eq!(m.fcm_count(), n, "the model is back at its grown size");
+        let dir =
+            std::env::temp_dir().join(format!("fcm-bench-snapshot-{n}-{}", std::process::id()));
+        let mut store = Store::create_fresh(&dir).expect("temp state dir");
+        suite.bench(&format!("snapshot/{n}"), || {
+            store
+                .snapshot_text(m.seq(), &m.state_text())
+                .expect("snapshot is written")
+        });
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     suite.finish();
 }

@@ -188,15 +188,15 @@ fn reference_run(
     let inj = Arc::new(FaultInjector::tracing(&FaultPlan::none()));
     let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj))?;
     let mut model = LiveModel::new(model_name)?;
-    let mut states = vec![model.state_json().to_string_compact()];
+    let mut states = vec![model.state_text()];
     for (i, m) in session.iter().enumerate() {
         model
             .apply(m)
             .map_err(|e| format!("reference apply {i}: {e}"))?;
         store.append(model.seq(), m)?;
-        states.push(model.state_json().to_string_compact());
+        states.push(model.state_text());
         if (i + 1) % SNAPSHOT_EVERY == 0 {
-            store.snapshot(model.seq(), &model.state_json())?;
+            store.snapshot_text(model.seq(), states.last().expect("just pushed"))?;
         }
     }
     drop(store);
@@ -245,7 +245,9 @@ fn crash_case(
         }
         acked += 1;
         if (i + 1) % SNAPSHOT_EVERY == 0
-            && store.snapshot(model.seq(), &model.state_json()).is_err()
+            && store
+                .snapshot_text(model.seq(), &model.state_text())
+                .is_err()
         {
             // Died mid-snapshot; journal has everything.
             fcm_obs::recorder::record(
@@ -314,7 +316,7 @@ fn verify_prefix(recovered: &LiveModel, acked: usize, ref_states: &[String]) -> 
             ref_states.len() - 1
         ));
     }
-    let got = recovered.state_json().to_string_compact();
+    let got = recovered.state_text();
     if got != ref_states[n] {
         return Some(format!("state at seq {n} diverges from the reference"));
     }

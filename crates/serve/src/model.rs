@@ -59,6 +59,7 @@ use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty
 use fcm_core::AttributeSet;
 use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
 use fcm_sched::{Job, JobId};
+use fcm_substrate::json::write_escaped;
 use fcm_substrate::Json;
 use fcm_workloads::{avionics, paper};
 
@@ -957,63 +958,97 @@ impl LiveModel {
             .set("unhosted", unhosted as u64)
     }
 
-    /// The full canonical state: everything needed to reconstruct the
-    /// model bit-for-bit (substrate JSON emits `f64`s shortest-exact, so
-    /// matrix entries round-trip exactly).
+    /// The full canonical state as compact JSON text: everything needed
+    /// to reconstruct the model bit for bit (substrate JSON emits `f64`s
+    /// shortest-exact, so matrix entries round-trip exactly). This is the
+    /// one definition of the state format. It streams the document into
+    /// one `String`, each object's keys in the sorted order a [`Json`]
+    /// object emits, so a snapshot builds no tree.
     #[must_use]
-    pub fn state_json(&self) -> Json {
-        let fcms = Json::array(self.graph.nodes().map(|(n, sw)| {
-            let a = &sw.attributes;
-            Json::object()
-                .set("crit", a.criticality.0)
-                .set("ft", u64::from(a.fault_tolerance.0))
-                .set(
-                    "host",
-                    self.placement.host_of()[n.index()]
-                        .map_or(Json::Null, |h| Json::from(self.hw_name(h))),
-                )
-                .set("name", sw.name.as_str())
-                .set("pin", sw.pinned_to.clone().map_or(Json::Null, Json::from))
-                .set("rep", sw.replica_group.map_or(Json::Null, Json::from))
-                .set(
-                    "res",
-                    Json::array(sw.required_resources.iter().map(|r| Json::from(r.as_str()))),
-                )
-                .set("sec", u64::from(a.security.0))
-                .set("sep", sw.separation_group.map_or(Json::Null, Json::from))
-                .set("thr", a.throughput.0)
-                .set(
-                    "timing",
-                    a.timing.map_or(Json::Null, |t| {
-                        Json::array([Json::from(t.est), Json::from(t.tcd), Json::from(t.ct)])
-                    }),
-                )
-        }));
-        let edges = Json::array(self.graph.edges().map(|(_, e)| {
-            Json::array([
-                Json::from(e.from.index() as u64),
-                Json::from(e.to.index() as u64),
-                Json::from(e.weight.influence()),
-            ])
-        }));
-        // Dense emits the legacy array-of-rows byte-for-byte; CSR emits
-        // the `{"format":"csr",...}` object — both round-trip exactly.
-        let influence = self.influence.to_state_json();
-        let mut doc = Json::object()
-            .set("edges", edges)
-            .set("failed", self.failed_json())
-            .set("fcms", fcms)
-            .set("full_condenses", self.full_condenses)
-            .set("influence", influence)
-            .set("model", self.name.as_str())
-            .set("schema", STATE_SCHEMA)
-            .set("seq", self.seq);
+    pub fn state_text(&self) -> String {
+        // A byte estimate per FCM and per edge, above what a
+        // fleet-scale state takes (~270 bytes per FCM, edges and matrix
+        // included), so the string is not regrown.
+        let mut out = String::with_capacity(
+            256 * self.graph.node_count() + 32 * self.graph.edge_count() + 1024,
+        );
+        out.push('{');
         // Contracts ride along only once in use, so pre-contract
         // snapshots and contract-free sessions stay byte-identical.
         if !self.contracts.is_empty() {
-            doc = doc.set("contracts", self.contracts.to_json());
+            out.push_str("\"contracts\":");
+            self.contracts.to_json().write_compact(&mut out);
+            out.push(',');
         }
-        doc
+        out.push_str("\"edges\":");
+        write_list(&mut out, self.graph.edges(), |out, (_, e)| {
+            write_list(
+                out,
+                [
+                    Json::from(e.from.index() as u64),
+                    Json::from(e.to.index() as u64),
+                    Json::from(e.weight.influence()),
+                ],
+                |out, x| x.write_compact(out),
+            );
+        });
+        out.push_str(",\"failed\":");
+        self.failed_json().write_compact(&mut out);
+        out.push_str(",\"fcms\":");
+        write_list(&mut out, self.graph.nodes(), |out, (n, sw)| {
+            let a = &sw.attributes;
+            let host = self.placement.host_of()[n.index()]
+                .map(|h| self.hw.node(h).expect("valid index").name.as_str());
+            out.push_str("{\"crit\":");
+            Json::from(a.criticality.0).write_compact(out);
+            out.push_str(",\"ft\":");
+            Json::from(a.fault_tolerance.0).write_compact(out);
+            out.push_str(",\"host\":");
+            write_opt_str(out, host);
+            out.push_str(",\"name\":");
+            write_escaped(out, &sw.name);
+            out.push_str(",\"pin\":");
+            write_opt_str(out, sw.pinned_to.as_deref());
+            out.push_str(",\"rep\":");
+            Json::from(sw.replica_group).write_compact(out);
+            out.push_str(",\"res\":");
+            write_list(out, &sw.required_resources, |out, r| write_escaped(out, r));
+            out.push_str(",\"sec\":");
+            Json::from(a.security.0).write_compact(out);
+            out.push_str(",\"sep\":");
+            Json::from(sw.separation_group).write_compact(out);
+            out.push_str(",\"thr\":");
+            Json::from(a.throughput.0).write_compact(out);
+            out.push_str(",\"timing\":");
+            match a.timing {
+                Some(t) => write_list(out, [t.est, t.tcd, t.ct], |out, x| {
+                    Json::from(x).write_compact(out);
+                }),
+                None => out.push_str("null"),
+            }
+            out.push('}');
+        });
+        out.push_str(",\"full_condenses\":");
+        Json::from(self.full_condenses).write_compact(&mut out);
+        // Dense emits the legacy array-of-rows byte-for-byte; CSR emits
+        // the `{"format":"csr",...}` object — both round-trip exactly.
+        out.push_str(",\"influence\":");
+        self.influence.to_state_json().write_compact(&mut out);
+        out.push_str(",\"model\":");
+        write_escaped(&mut out, &self.name);
+        out.push_str(",\"schema\":");
+        write_escaped(&mut out, STATE_SCHEMA);
+        out.push_str(",\"seq\":");
+        Json::from(self.seq).write_compact(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// [`LiveModel::state_text`] parsed into a [`Json`] tree, for callers
+    /// that read fields out of the state.
+    #[must_use]
+    pub fn state_json(&self) -> Json {
+        Json::parse(&self.state_text()).expect("the state text is valid JSON")
     }
 
     /// Reconstructs a model from [`LiveModel::state_json`] output: the
@@ -1189,6 +1224,30 @@ impl LiveModel {
     }
 }
 
+/// Appends `items` to `out` as a JSON array, each written by `item`.
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// Appends a JSON string, or `null` for `None`.
+fn write_opt_str(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => write_escaped(out, s),
+        None => out.push_str("null"),
+    }
+}
+
 /// The name index and the name and criticality columns of `g`.
 fn fcm_columns(g: &SwGraph) -> (BTreeMap<String, usize>, Vec<String>, Vec<u32>) {
     (
@@ -1342,10 +1401,7 @@ mod tests {
         let restored = LiveModel::from_state(&state).unwrap();
         assert_eq!(restored.influence.repr(), "csr");
         assert_eq!(restored.influence, m.influence);
-        assert_eq!(
-            restored.state_json().to_string_compact(),
-            state.to_string_compact()
-        );
+        assert_eq!(restored.state_text(), state.to_string_compact());
         // Shrinking back below the threshold flips the matrix home.
         for i in 0..(64 - n0) {
             m.apply(&Mutation::RemoveFcm {
@@ -1360,7 +1416,7 @@ mod tests {
     #[test]
     fn rejected_mutations_leave_the_model_untouched() {
         let mut m = LiveModel::new("paper").unwrap();
-        let before = m.state_json().to_string_compact();
+        let before = m.state_text();
         assert!(m.apply(&add("p1a", 0, &[])).is_err()); // duplicate name
         assert!(m.apply(&add("y", 0, &[("p1a", 1.5)])).is_err()); // bad weight
         assert!(m.apply(&add("y", 0, &[("ghost", 0.5)])).is_err()); // unknown target
@@ -1374,7 +1430,7 @@ mod tests {
                 node: "hw9".to_string()
             })
             .is_err());
-        assert_eq!(m.state_json().to_string_compact(), before);
+        assert_eq!(m.state_text(), before);
         assert_eq!(m.seq(), 0);
     }
 
@@ -1427,19 +1483,13 @@ mod tests {
         .unwrap();
         let state = m.state_json();
         let restored = LiveModel::from_state(&state).unwrap();
-        assert_eq!(
-            restored.state_json().to_string_compact(),
-            state.to_string_compact()
-        );
+        assert_eq!(restored.state_text(), state.to_string_compact());
         // And the restored model keeps evolving identically.
         let mut a = m.clone();
         let mut b = restored;
         a.apply(&add("z", 1, &[])).unwrap();
         b.apply(&add("z", 1, &[])).unwrap();
-        assert_eq!(
-            a.state_json().to_string_compact(),
-            b.state_json().to_string_compact()
-        );
+        assert_eq!(a.state_text(), b.state_text());
     }
 
     fn add_contracted(name: &str, crit: u32, influences: &[(&str, f64)], c: Contract) -> Mutation {
@@ -1477,7 +1527,7 @@ mod tests {
 
         // A guarantee below the FCM's actual row sum rejects the add.
         let anchor = m.fcm_name(0);
-        let before = m.state_json().to_string_compact();
+        let before = m.state_text();
         let bad = add_contracted(
             "probe",
             3,
@@ -1486,11 +1536,7 @@ mod tests {
         );
         let err = m.apply(&bad).unwrap_err();
         assert!(err.contains("C017"), "{err}");
-        assert_eq!(
-            m.state_json().to_string_compact(),
-            before,
-            "rejection left no trace"
-        );
+        assert_eq!(m.state_text(), before, "rejection left no trace");
 
         // A satisfiable contract is accepted; partial coverage warns
         // but neither errors nor certifies.
@@ -1540,10 +1586,7 @@ mod tests {
         let state = m.state_json();
         assert!(state.get("contracts").is_some());
         let restored = LiveModel::from_state(&state).unwrap();
-        assert_eq!(
-            restored.state_json().to_string_compact(),
-            state.to_string_compact()
-        );
+        assert_eq!(restored.state_text(), state.to_string_compact());
         assert_eq!(
             restored.query(&Query::Certify).unwrap().get("warnings"),
             m.query(&Query::Certify).unwrap().get("warnings"),
@@ -1651,7 +1694,7 @@ mod tests {
     fn set_attr_guards_edf_feasibility() {
         let mut m = LiveModel::new("paper").unwrap();
         // An impossible window is rejected and leaves state untouched.
-        let before = m.state_json().to_string_compact();
+        let before = m.state_text();
         let err = m.apply(&Mutation::SetAttr {
             name: "p8".to_string(),
             criticality: None,
@@ -1659,7 +1702,7 @@ mod tests {
             timing: Some(Some((0, 1, 5))),
         });
         assert!(err.is_err());
-        assert_eq!(m.state_json().to_string_compact(), before);
+        assert_eq!(m.state_text(), before);
         // A criticality tweak goes through.
         m.apply(&Mutation::SetAttr {
             name: "p8".to_string(),
@@ -1693,19 +1736,19 @@ mod tests {
         // A protected victim that fits nowhere rejects the whole
         // failover and leaves the state byte-unchanged.
         let mut m = LiveModel::new("avionics").unwrap();
-        let before = m.state_json().to_string_compact();
+        let before = m.state_text();
         assert_eq!(
             m.apply(&fail("hw0")).unwrap_err(),
             r#"fail_node rejected: no feasible placement for protected "display""#
         );
-        assert_eq!(m.state_json().to_string_compact(), before);
+        assert_eq!(m.state_text(), before);
     }
 
     #[test]
     fn from_state_rejects_an_fcm_hosted_on_a_failed_node() {
         let mut m = LiveModel::new("paper").unwrap();
         m.apply(&fail("hw0")).unwrap();
-        let text = m.state_json().to_string_compact();
+        let text = m.state_text();
         // Hand-edit the first hosted FCM onto the failed node: no
         // mutation sequence reaches this state.
         let v = m

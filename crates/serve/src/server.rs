@@ -8,21 +8,25 @@
 //!   socket I/O happens outside the lock), so a connection pool reads
 //!   mostly in parallel.
 //! * **Mutations** are forwarded over a channel to the one writer
-//!   thread, which applies under the write lock, appends the journal,
-//!   and only then replies — *applied → journaled → acknowledged*. A
-//!   torn model is impossible: readers see the state before or after a
-//!   mutation, never mid-apply. Consecutive mutations on one session
-//!   pipeline to the writer and their in-order replies flush as a
-//!   batch, so the per-mutation cost is one apply, not two context
-//!   switches (see [`serve_client`]).
+//!   thread, which applies and appends the journal under the write
+//!   lock, and only then replies — *applied → journaled →
+//!   acknowledged*. A torn model is impossible: readers see the state
+//!   before or after a mutation, never mid-apply, and never a mutation
+//!   the journal does not yet hold (a failed append rolls it back, so
+//!   a read inside that window would see a state that never existed).
+//!   Consecutive mutations on one session pipeline to the writer and
+//!   their in-order replies flush as a batch, so the per-mutation cost
+//!   is one apply, not two context switches (see [`serve_client`]).
 //! * Every `snapshot_every` accepted mutations (and once more at
-//!   shutdown) the writer snapshots the state off the read lock.
+//!   shutdown) the writer snapshots the state: it writes the state text
+//!   under the read lock, so queries go on, and does the snapshot I/O
+//!   with no lock held.
 //!
 //! Bounded latency follows from the lock discipline: a query waits for
 //! at most one in-flight `apply` (incremental Eq. 4: O(n) row/column
-//! work, not O(n³) recondense) plus its own O(n·order) walk — never for
-//! journal or snapshot I/O, which the writer performs outside the write
-//! lock.
+//! work, not O(n³) recondense) and its journal append (one line written
+//! and flushed to the OS, no fsync) plus its own O(n·order) walk —
+//! never for snapshot I/O.
 //!
 //! # Degraded mode
 //!
@@ -635,8 +639,10 @@ impl WriterCtx {
 
     /// Armed → degraded: roll the model back to the durable prefix on
     /// disk (the mutation whose append failed was never acknowledged),
-    /// flag the status, and schedule the first re-arm probe.
-    fn enter_degraded(&mut self, model: &RwLock<LiveModel>) {
+    /// flag the status, and schedule the first re-arm probe. The caller
+    /// holds the model's write lock from the apply through this call,
+    /// so no reader sees the rolled-back mutation.
+    fn enter_degraded(&mut self, model: &mut LiveModel) {
         if let Some(s) = self.store.as_ref() {
             // Best-effort: if even reading the durable state fails the
             // in-memory model stays as-is (still consistent, possibly
@@ -644,7 +650,7 @@ impl WriterCtx {
             if let Ok(rolled) =
                 store::read_recovered(s.dir()).and_then(|rec| recover_model(&self.model_name, &rec))
             {
-                *model.write().expect("model lock") = rolled;
+                *model = rolled;
             }
         }
         self.status.enter_degraded();
@@ -652,7 +658,7 @@ impl WriterCtx {
             "degraded",
             Json::object()
                 .set("transitions", self.status.transitions())
-                .set("seq", model.read().expect("model lock").seq()),
+                .set("seq", model.seq()),
         );
         // A degraded transition is exactly the moment a post-mortem
         // wants the recent history: flush the flight recorder now,
@@ -732,26 +738,30 @@ fn writer_loop(
                 // that stays off the unobserved fast path.
                 let observe = ctx.bus.has_consumers();
                 let t0 = Instant::now();
-                let (result, briefs) = {
-                    let mut m = model.write().expect("model lock");
-                    let before = observe.then(|| m.matrix_brief());
-                    let result = m.apply(&mutation);
-                    let after = observe.then(|| m.matrix_brief());
-                    (result, before.zip(after))
-                };
+                let mut m = model.write().expect("model lock");
+                let before = observe.then(|| m.matrix_brief());
+                let result = m.apply(&mutation);
+                let briefs = before.zip(observe.then(|| m.matrix_brief()));
                 let apply_ns = t0.elapsed().as_nanos() as u64;
+                // The write lock is held until the journal has the
+                // mutation, or until a failed append is rolled back, so
+                // no query reads a state that is never acknowledged.
+                let appended = match (&result, ctx.store.as_mut()) {
+                    (Ok(_), Some(s)) => s.append(m.seq(), &mutation),
+                    _ => Ok(()),
+                };
+                if appended.is_err() {
+                    ctx.enter_degraded(&mut m);
+                }
+                drop(m);
                 fcm_obs::hist_record("serve.apply_ns", apply_ns);
                 fcm_obs::counter_add("serve.mutations", 1);
                 ctx.slo.lock().expect("slo lock").apply.record(apply_ns);
+                if let Err(e) = appended {
+                    let _ = reply.send(Err(format!("degraded: {e}")));
+                    continue;
+                }
                 if result.is_ok() {
-                    if let Some(s) = ctx.store.as_mut() {
-                        let seq = model.read().expect("model lock").seq();
-                        if let Err(e) = s.append(seq, &mutation) {
-                            ctx.enter_degraded(model);
-                            let _ = reply.send(Err(format!("degraded: {e}")));
-                            continue;
-                        }
-                    }
                     since_snapshot += 1;
                     ctx.accepted += 1;
                     // Build event payloads now (the reply consumes
@@ -844,9 +854,9 @@ fn write_snapshot(
     let t0 = Instant::now();
     let (seq, state) = {
         let m = model.read().expect("model lock");
-        (m.seq(), m.state_json())
+        (m.seq(), m.state_text())
     };
-    store.snapshot(seq, &state)?;
+    store.snapshot_text(seq, &state)?;
     fcm_obs::hist_record("serve.snapshot_ns", t0.elapsed().as_nanos() as u64);
     Ok(Some(seq))
 }
@@ -926,6 +936,19 @@ fn spawn_streamer(
     })
 }
 
+/// A session's read half, which shuts the socket down when dropped: a
+/// session that ends, by return or by panic (a poisoned model lock),
+/// hands its client EOF at once. Closing this handle alone would not:
+/// the accept loop's [`ClientSlot`] holds the socket open until it
+/// reaps the slot at the next accept.
+struct SessionStream(Stream);
+
+impl Drop for SessionStream {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 /// Back-pressure bound: a session never holds more un-acknowledged
 /// mutations than this before draining replies.
 const MAX_PIPELINE: usize = 1024;
@@ -947,8 +970,9 @@ const MAX_PIPELINE: usize = 1024;
 /// and every write (response batch or event line) is whole-line atomic.
 /// The ack for a `subscribe` is written *before* its streamer spawns,
 /// so the ack always precedes the first event line.
-fn serve_client(mut stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<WriterMsg>) {
-    let Ok(out) = stream.try_clone() else {
+fn serve_client(stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<WriterMsg>) {
+    let mut stream = SessionStream(stream);
+    let Ok(out) = stream.0.try_clone() else {
         return;
     };
     let out = Arc::new(Mutex::new(out));
@@ -1081,9 +1105,9 @@ fn serve_client(mut stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<W
         // nothing more queued, settle the batch before blocking (a
         // request/response client is waiting on those responses).
         if !pending.is_empty() {
-            let _ = stream.set_nonblocking(true);
-            let polled = stream.read(&mut chunk);
-            let _ = stream.set_nonblocking(false);
+            let _ = stream.0.set_nonblocking(true);
+            let polled = stream.0.read(&mut chunk);
+            let _ = stream.0.set_nonblocking(false);
             match polled {
                 Ok(0) => break,
                 Ok(n) => {
@@ -1099,7 +1123,7 @@ fn serve_client(mut stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<W
                 Err(_) => break,
             }
         }
-        match stream.read(&mut chunk) {
+        match stream.0.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1487,6 +1511,87 @@ mod tests {
         });
         assert_eq!(wins.get(&true), Some(&1), "{outcomes:?}");
         assert_eq!(wins.get(&false), Some(&1), "{outcomes:?}");
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn readers_never_see_a_mutation_whose_append_failed() {
+        // Mutation K's journal write fails (it is hit K - 1 of the site),
+        // so the writer rolls the model back to seq K - 1 by replaying
+        // the K - 1 journaled adds. A reader spinning on the model lock
+        // all the while must never see seq K. The lock alone decides
+        // this, not timing: a writer that released the lock before the
+        // append or the rollback leaves a window the reader only
+        // usually hits, the longer the replay the more often.
+        const K: u64 = 64;
+        let dir = std::env::temp_dir().join(format!("fcm-serve-dirty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(ServerConfig {
+            state_dir: Some(dir.clone()),
+            fault: FaultPlan::parse(&format!("journal.append.write:eio@{}", K - 1)).unwrap(),
+            ..ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper")
+        })
+        .unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let spinning = Arc::new(std::sync::Barrier::new(2));
+        let reader = {
+            let model = Arc::clone(&handle.model);
+            let (done, spinning) = (Arc::clone(&done), Arc::clone(&spinning));
+            std::thread::spawn(move || {
+                spinning.wait();
+                let (mut reads, mut max_seq) = (0u64, 0u64);
+                while !done.load(Ordering::SeqCst) {
+                    max_seq = max_seq.max(model.read().expect("model lock").seq());
+                    reads += 1;
+                }
+                (reads, max_seq)
+            })
+        };
+        let (mut out, mut lines, _) = open_session(handle.addr());
+        spinning.wait();
+        for i in 1..=K {
+            let add = format!(r#"{{"op":"add_fcm","name":"d{i}","influences":[["p8",0.01]]}}"#);
+            let r = send(&mut out, &mut lines, &add);
+            assert_eq!(r.get("ok") == Some(&Json::Bool(true)), i < K, "{i}: {r:?}");
+        }
+        done.store(true, Ordering::SeqCst);
+        let (reads, max_seq) = reader.join().expect("reader thread");
+        assert!(reads > 0);
+        assert!(
+            max_seq < K,
+            "a reader saw seq {max_seq}, whose append failed"
+        );
+        assert_eq!(handle.seq(), K - 1, "rolled back to the journal");
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_session_that_panics_closes_its_socket() {
+        let handle = start(ServerConfig::new(
+            Listen::Tcp("127.0.0.1:0".to_string()),
+            "paper",
+        ))
+        .unwrap();
+        let (mut out, mut lines, _) = open_session(handle.addr());
+        if let Stream::Tcp(s) = &out {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        }
+        // Poison the model lock: a thread panics while it holds it.
+        let model = Arc::clone(&handle.model);
+        let poisoner = std::thread::spawn(move || {
+            let _held = model.write().expect("model lock");
+            panic!("poisoning the model lock on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        // The query panics the session thread on the poisoned lock; its
+        // client must read EOF, not wait for a reply that never comes.
+        out.write_all(b"{\"op\":\"stats\"}\n").expect("write");
+        match lines.next() {
+            None => {}
+            Some(Err(e)) => panic!("the client hung instead of reading EOF: {e}"),
+            Some(Ok(line)) => panic!("a poisoned session answered: {line}"),
+        }
         handle.stop().unwrap();
     }
 }

@@ -5,7 +5,10 @@
 //!
 //! * `snapshot.json` — `{"schema":"fcm-serve-snapshot/v1","seq":N,
 //!   "state":{...},"written_unix_ms":T}` where `state` is
-//!   [`crate::LiveModel::state_json`] output. Written to a temp file in
+//!   [`crate::LiveModel::state_text`] output. The daemon's writer hands
+//!   [`Store::snapshot_text`] that text, and the envelope is written
+//!   around it, so a snapshot builds no `Json` tree and copies none
+//!   (DESIGN.md §9 gives the measured cost). Written to a temp file in
 //!   the same directory, fsynced, atomically renamed, and the parent
 //!   directory fsynced, so a crash never leaves a torn or unlinked
 //!   snapshot. Orphaned `snapshot.json.tmp` files from a crash between
@@ -58,6 +61,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use fcm_substrate::fault::{Fault, FaultInjector, FaultKind, FaultPlan};
+use fcm_substrate::json::write_escaped;
 use fcm_substrate::Json;
 
 use crate::proto::{self, Mutation};
@@ -236,24 +240,42 @@ impl Store {
         Ok(())
     }
 
-    /// Writes a snapshot of `state` at `seq`: temp file + fsync +
-    /// atomic rename + parent-directory fsync.
+    /// Writes a snapshot of `state` at `seq`; see
+    /// [`Store::snapshot_text`].
     ///
     /// # Errors
     ///
     /// Temp-file write, fsync, or rename failure.
     pub fn snapshot(&mut self, seq: u64, state: &Json) -> Result<(), String> {
+        self.snapshot_text(seq, &state.to_string_compact())
+    }
+
+    /// Writes a snapshot of the compact state text `state` (as
+    /// [`crate::LiveModel::state_text`] returns it) at `seq`: the
+    /// envelope is written around the text without re-parsing or
+    /// copying it into a tree, then temp file + fsync + atomic rename +
+    /// parent-directory fsync.
+    ///
+    /// # Errors
+    ///
+    /// Temp-file write, fsync, or rename failure.
+    pub fn snapshot_text(&mut self, seq: u64, state: &str) -> Result<(), String> {
         let written_unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64);
-        let doc = Json::object()
-            .set("schema", SNAPSHOT_SCHEMA)
-            .set("seq", seq)
-            .set("state", state.clone())
-            .set("written_unix_ms", written_unix_ms);
+        // The keys in the sorted order a `Json` object emits them.
+        let mut payload = String::with_capacity(state.len() + 128);
+        payload.push_str("{\"schema\":");
+        write_escaped(&mut payload, SNAPSHOT_SCHEMA);
+        payload.push_str(",\"seq\":");
+        Json::from(seq).write_compact(&mut payload);
+        payload.push_str(",\"state\":");
+        payload.push_str(state);
+        payload.push_str(",\"written_unix_ms\":");
+        Json::from(written_unix_ms).write_compact(&mut payload);
+        payload.push_str("}\n");
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let fin = self.dir.join(SNAPSHOT);
-        let payload = doc.to_string_compact() + "\n";
 
         let mut tmp_file = File::create(&tmp).map_err(|e| io_err("write snapshot", &tmp, &e))?;
         {
@@ -376,10 +398,12 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
             .get("seq")
             .and_then(Json::as_f64)
             .ok_or("snapshot missing \"seq\"")? as u64;
-        let state = json
-            .get("state")
-            .cloned()
-            .ok_or("snapshot missing \"state\"")?;
+        // Move the state out of the envelope rather than copy it.
+        let state = match json {
+            Json::Obj(mut doc) => doc.remove("state"),
+            _ => None,
+        }
+        .ok_or("snapshot missing \"state\"")?;
         Some((state, seq))
     } else {
         None
@@ -476,8 +500,8 @@ mod tests {
             assert_eq!(recovered.seq(), *seq);
         }
         assert_eq!(
-            recovered.state_json().to_string_compact(),
-            model.state_json().to_string_compact(),
+            recovered.state_text(),
+            model.state_text(),
             "replayed model is byte-identical"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -559,6 +583,31 @@ mod tests {
         store.append(2, &all[1]).unwrap();
         let rec = read_recovered(&dir).unwrap();
         assert_eq!(rec.replay.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_tree_and_text_snapshots_write_the_same_document() {
+        let dir = tmpdir("text");
+        let mut model = LiveModel::new("paper").unwrap();
+        model.apply(&ops()[1]).unwrap();
+        let mut store = Store::create_fresh(&dir).unwrap();
+        // The file up to its wall-clock stamp, the one byte range that
+        // differs between two snapshots of one state.
+        let unstamped = || {
+            let text = fs::read_to_string(dir.join(SNAPSHOT)).unwrap();
+            let stamp = text.rfind(",\"written_unix_ms\":").expect("stamped");
+            text[..stamp].to_string()
+        };
+        store.snapshot(model.seq(), &model.state_json()).unwrap();
+        let tree = unstamped();
+        store
+            .snapshot_text(model.seq(), &model.state_text())
+            .unwrap();
+        assert_eq!(unstamped(), tree);
+        let (state, seq) = read_recovered(&dir).unwrap().snapshot.unwrap();
+        assert_eq!(seq, 1);
+        assert_eq!(state.to_string_compact(), model.state_text());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,8 @@
 //! and then churned. At every `CHECK_EVERY`-th accepted mutation the
 //! live model is compared with two twins:
 //!
-//! * `LiveModel::from_state(state_json)`: the same state bytes, every
+//! * `LiveModel::from_state` of the parsed `state_text`: the same state
+//!   bytes (and the parsed tree re-emits them byte for byte), every
 //!   query answered byte-identically (the certifier's `dirty`/`reused`
 //!   counters excepted — they describe the last pass, not the state);
 //! * a from-scratch build: a full `condense` of the graph (bitwise-equal
@@ -19,7 +20,7 @@
 //! A third twin, resumed from the live state every `CHECK_EVERY`
 //! mutations, applies every mutation in lockstep and must decide it the
 //! same way with the same payload. Every rejected mutation must leave
-//! `state_json` and `certify` byte-identical.
+//! `state_text` and `certify` byte-identical.
 
 use std::collections::BTreeSet;
 
@@ -103,17 +104,18 @@ fn queries(m: &LiveModel) -> Vec<Query> {
 }
 
 fn assert_matches_twins(m: &LiveModel, step: usize) {
-    let state = m.state_json();
-    let text = state.to_string_compact();
+    let text = m.state_text();
+    let state = Json::parse(&text).expect("the state text parses");
+    assert_eq!(
+        state.to_string_compact(),
+        text,
+        "step {step}: the parsed state re-emits the state text"
+    );
 
     // Twin 1: resume from the state bytes.
     let resumed = LiveModel::from_state(&state)
         .unwrap_or_else(|e| panic!("step {step}: state does not load: {e}"));
-    assert_eq!(
-        resumed.state_json().to_string_compact(),
-        text,
-        "step {step}: state round trip"
-    );
+    assert_eq!(resumed.state_text(), text, "step {step}: state round trip");
     for q in queries(m) {
         assert_eq!(
             answer(m, &q),
@@ -246,7 +248,7 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
         if step % CHECK_EVERY == 0 {
             twin = LiveModel::from_state(&m.state_json()).expect("state loads");
         }
-        let (state, cert) = (m.state_json().to_string_compact(), certify_text(&m));
+        let (state, cert) = (m.state_text(), certify_text(&m));
         let outcome = m.apply(&mutation);
         let render = |r: &Result<Json, String>| match r {
             Ok(payload) => payload.to_string_compact(),
@@ -283,7 +285,7 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
             Err(e) => {
                 rejected += 1;
                 assert_eq!(
-                    m.state_json().to_string_compact(),
+                    m.state_text(),
                     state,
                     "step {step}: rejected {mutation:?} ({e}) changed the state"
                 );

@@ -119,8 +119,8 @@ fn journal_replay_reproduces_the_model_byte_identically() {
             replica.apply(&m).expect("accepted once, accepted again");
         }
         assert_eq!(
-            replica.state_json().to_string_compact(),
-            model.state_json().to_string_compact(),
+            replica.state_text(),
+            model.state_text(),
             "seed {seed}: replay diverged"
         );
     }
@@ -168,7 +168,7 @@ fn every_journal_byte_prefix_resumes_to_the_reference_trajectory() {
     ];
     let mut model = LiveModel::new("paper").expect("paper model");
     let mut store = Store::create_fresh(&dir).expect("fresh store");
-    let mut states = vec![model.state_json().to_string_compact()];
+    let mut states = vec![model.state_text()];
     for line in script {
         let (_, req) = proto::parse_line(line);
         let Ok(Request::Mutation(m)) = req else {
@@ -176,7 +176,7 @@ fn every_journal_byte_prefix_resumes_to_the_reference_trajectory() {
         };
         model.apply(&m).expect("script mutation accepted");
         store.append(model.seq(), &m).expect("append");
-        states.push(model.state_json().to_string_compact());
+        states.push(model.state_text());
     }
     drop(store);
     let journal = std::fs::read(dir.join("journal.jsonl")).expect("journal bytes");
@@ -206,7 +206,7 @@ fn every_journal_byte_prefix_resumes_to_the_reference_trajectory() {
             assert_eq!(recovered.seq(), *seq);
         }
         assert_eq!(
-            recovered.state_json().to_string_compact(),
+            recovered.state_text(),
             states[complete_lines],
             "prefix {cut}: recovered state off the reference trajectory"
         );

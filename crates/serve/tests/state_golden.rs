@@ -1,6 +1,6 @@
-//! Golden state bytes: `LiveModel::state_json().to_string_compact()` is
-//! pinned byte for byte on two states, so any rewrite of the state
-//! writer must reproduce every snapshot byte.
+//! Golden state bytes: `LiveModel::state_text()`, the text every
+//! snapshot embeds, is pinned byte for byte on two states, and so is
+//! `state_json().to_string_compact()`.
 //!
 //! * `state_paper.json`: the `paper` model after a fixed protocol script
 //!   (contracts with caps, a name that needs JSON escaping, a timing
@@ -134,9 +134,16 @@ fn csr_state() -> LiveModel {
     m
 }
 
+/// `m`'s state text equals the golden bytes, and so does the text of
+/// its parsed tree.
 fn assert_golden(m: &LiveModel, golden: &str, what: &str) {
-    let text = m.state_json().to_string_compact();
+    let text = m.state_text();
     let want = golden.strip_suffix('\n').expect("golden ends in a newline");
+    assert_eq!(
+        m.state_json().to_string_compact(),
+        text,
+        "{what}: the parsed tree re-emits the state text"
+    );
     if text != want {
         let at = text
             .bytes()

@@ -95,8 +95,15 @@ impl Json {
     #[must_use]
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact form to `out`: the one number and string
+    /// formatter, shared by [`Json::to_string_compact`] and by writers
+    /// that stream a document into a `String` without building a tree.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serialises with 2-space indentation (for committed artefacts whose
@@ -194,7 +201,9 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping exactly as
+/// the emitter does for keys and string values.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -471,6 +480,23 @@ mod tests {
         let back = Json::parse(&text).expect("parses");
         assert_eq!(back, j);
         assert_eq!(back.get(nasty).and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn write_compact_appends_what_to_string_compact_returns() {
+        let j = Json::object()
+            .set(
+                "n",
+                Json::array([Json::from(0.1), Json::from(3u64), Json::Null]),
+            )
+            .set("s", "q\"\u{01}");
+        let mut out = String::from("[");
+        j.write_compact(&mut out);
+        write_escaped(&mut out, "q\"\u{01}");
+        assert_eq!(
+            out,
+            format!("[{}{}", j.to_string_compact(), Json::from("q\"\u{01}"))
+        );
     }
 
     #[test]
