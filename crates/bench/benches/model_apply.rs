@@ -5,7 +5,7 @@
 //! The paper model is grown to n ∈ {500, 3 000} FCMs the way the
 //! `fleet_evolve` workload grows it — each added FCM has zero
 //! throughput, one or two influence edges to FCMs already present and a
-//! contract — and then three cases are timed, one `apply` per sample:
+//! contract — and then these cases are timed, one operation per sample:
 //!
 //! * `apply/add_fcm/{n}` — a fresh contracted FCM with two influence
 //!   edges and one `influenced_by` edge (so an existing row is dirtied);
@@ -14,6 +14,8 @@
 //!   the index order, so that every later FCM's index shifts (the add
 //!   case runs first and adds exactly as many as this case removes, so
 //!   the model is back at its grown size);
+//! * `state_text/{n}` — `LiveModel::state_text` alone: the state
+//!   document built in memory, no I/O;
 //! * `snapshot/{n}` — what the daemon's writer pays per snapshot:
 //!   `LiveModel::state_text` plus `Store::snapshot_text` into a temp
 //!   directory (envelope, write, fsync, rename, directory fsync).
@@ -108,6 +110,7 @@ fn main() {
                 .expect("remove is accepted")
         });
         assert_eq!(m.fcm_count(), n, "the model is back at its grown size");
+        suite.bench(&format!("state_text/{n}"), || m.state_text());
         let dir =
             std::env::temp_dir().join(format!("fcm-bench-snapshot-{n}-{}", std::process::id()));
         let mut store = Store::create_fresh(&dir).expect("temp state dir");

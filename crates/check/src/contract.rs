@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 
 use fcm_graph::{fnv, InfluenceMatrix};
+use fcm_substrate::json::{write_escaped, write_list, write_num};
 use fcm_substrate::Json;
 
 use crate::diag::{Code, Diagnostic, Severity};
@@ -107,6 +108,35 @@ impl Contract {
             doc = doc.set("caps", caps);
         }
         doc
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s compact text to `out`, byte
+    /// for byte, without building the tree. The caps are written in
+    /// their stored order, which is the target order a `Json` object
+    /// emits, since [`Contract::with_cap`] keeps them sorted and unique.
+    fn write_compact(&self, out: &mut String) {
+        out.push('{');
+        if !self.caps.is_empty() {
+            out.push_str("\"caps\":{");
+            for (i, (target, cap)) in self.caps.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(out, target);
+                out.push(':');
+                write_num(out, *cap);
+            }
+            out.push_str("},");
+        }
+        out.push_str("\"fcm\":");
+        write_escaped(out, &self.fcm);
+        out.push_str(",\"floor\":");
+        write_num(out, f64::from(self.floor));
+        out.push_str(",\"guarantee\":");
+        write_num(out, self.guarantee);
+        out.push_str(",\"rely\":");
+        write_num(out, self.rely);
+        out.push('}');
     }
 
     /// Parses and validates one contract.
@@ -264,6 +294,17 @@ impl ContractSet {
             "contracts",
             Json::Arr(self.iter().map(Contract::to_json).collect()),
         )
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s compact text to `out`, byte
+    /// for byte, without building a tree per contract: the snapshot
+    /// path.
+    pub fn write_compact(&self, out: &mut String) {
+        out.push_str("{\"contracts\":");
+        write_list(out, self.iter(), |out, c| c.write_compact(out));
+        out.push_str(",\"schema\":");
+        write_escaped(out, CONTRACTS_SCHEMA);
+        out.push('}');
     }
 
     /// Parses a contract-file document.

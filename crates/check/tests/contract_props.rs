@@ -34,6 +34,7 @@ use fcm_graph::sparse::SparseMatrix;
 use fcm_graph::{EdgeIdx, NodeIdx};
 use fcm_graph::{InfluenceMatrix, Matrix};
 use fcm_substrate::prop;
+use fcm_substrate::prop_assert_eq;
 use fcm_substrate::rng::Rng;
 use fcm_substrate::ToJson;
 
@@ -743,6 +744,69 @@ fn the_delta_gate_renders_what_the_full_gate_renders() {
                     full.render()
                 ));
             }
+            Ok(())
+        },
+    );
+}
+
+/// A short name mixing ASCII, characters JSON must escape, DEL and
+/// multibyte characters, so name and cap-target order and escaping are
+/// both exercised.
+fn random_text(rng: &mut Rng) -> String {
+    const ALPHABET: [char; 12] = [
+        'a', 'b', 'z', 'A', '0', '"', '\\', '\n', '\u{01}', '\u{7f}', 'é', '☃',
+    ];
+    (0..rng.gen_range(0..6usize))
+        .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+        .collect()
+}
+
+/// A bound for the writer property: fractional, integral, tiny or
+/// beyond the integer cut-off.
+fn random_bound(rng: &mut Rng) -> f64 {
+    match rng.gen_range(0..5u32) {
+        0 => f64::from(rng.gen_range(0..1000u32)),
+        1 => 1e9,
+        2 => 1e21,
+        3 => f64::MIN_POSITIVE / 4.0,
+        _ => rng.gen_range(0.0..2.0),
+    }
+}
+
+#[test]
+fn contract_set_write_compact_streams_the_to_json_bytes() {
+    prop::check_cases(
+        "contract_set_write_compact_streams_the_to_json_bytes",
+        64,
+        |rng, size| {
+            let with_caps = rng.gen_bool(0.5);
+            let mut set = ContractSet::new();
+            for _ in 0..rng.gen_range(0..=size.min(20)) {
+                let mut c = Contract::new(
+                    random_text(rng),
+                    random_bound(rng),
+                    random_bound(rng),
+                    if rng.gen_bool(0.1) {
+                        u32::MAX
+                    } else {
+                        rng.gen_range(0..6u32)
+                    },
+                );
+                if with_caps {
+                    for _ in 0..rng.gen_range(0..4usize) {
+                        c = c.with_cap(random_text(rng), random_bound(rng));
+                    }
+                }
+                set.insert(c);
+            }
+            set
+        },
+        |set| {
+            let mut streamed = String::from("[");
+            set.write_compact(&mut streamed);
+            let mut tree = String::from("[");
+            set.to_json().write_compact(&mut tree);
+            prop_assert_eq!(streamed, tree);
             Ok(())
         },
     );

@@ -26,6 +26,7 @@
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 use crate::DiGraph;
+use fcm_substrate::json::{write_list, write_num};
 use fcm_substrate::Json;
 
 /// Node count at which CSR is always selected.
@@ -499,6 +500,39 @@ impl InfluenceMatrix {
                     .set("row_ptr", Json::array(row_ptr.iter().map(|&p| p as u64)))
                     .set("rows", n as u64)
                     .set("vals", Json::array(vals.iter().copied()))
+            }
+        }
+    }
+
+    /// Appends [`to_state_json`](Self::to_state_json)'s compact text to
+    /// `out`, byte for byte, without building the tree: the snapshot
+    /// path, where the matrix is the largest part of the state.
+    pub fn write_state(&self, out: &mut String) {
+        match self {
+            InfluenceMatrix::Dense(m) => write_list(out, 0..m.rows(), |out, i| {
+                write_list(out, 0..m.cols(), |out, j| write_num(out, m[(i, j)]));
+            }),
+            InfluenceMatrix::Sparse(s) => {
+                // The object's keys in the sorted order `Json` emits.
+                let rows = 0..s.rows();
+                out.push_str("{\"col_idx\":");
+                let cols = rows.clone().flat_map(|i| s.row(i).0);
+                write_list(out, cols, |out, &c| write_num(out, c as f64));
+                out.push_str(",\"cols\":");
+                write_num(out, s.cols() as f64);
+                out.push_str(",\"format\":\"csr\",\"row_ptr\":[0");
+                let mut end = 0;
+                for i in rows.clone() {
+                    end += s.row(i).0.len();
+                    out.push(',');
+                    write_num(out, end as f64);
+                }
+                out.push_str("],\"rows\":");
+                write_num(out, s.rows() as f64);
+                out.push_str(",\"vals\":");
+                let vals = rows.flat_map(|i| s.row(i).1);
+                write_list(out, vals, |out, &v| write_num(out, v));
+                out.push('}');
             }
         }
     }

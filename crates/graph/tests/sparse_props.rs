@@ -236,3 +236,73 @@ fn state_json_round_trips_both_representations() {
         },
     );
 }
+
+/// A matrix entry for the serializer properties: mostly an influence
+/// weight, sometimes an integral, tiny, huge or non-finite value, so
+/// every branch of the number writer shows up in a matrix.
+fn state_value(rng: &mut Rng) -> f64 {
+    match rng.gen_range(0..10) {
+        0 => f64::from(rng.gen_range(1u32..4)),
+        1 => f64::from_bits(rng.gen_range(1u64..1 << 52)),
+        2 => 1e21 * rng.gen_range(1.0..10.0),
+        3 => [f64::NAN, f64::INFINITY, -1.5][rng.gen_range(0usize..3)],
+        _ => rng.gen_range(0.001..1.0),
+    }
+}
+
+#[test]
+fn write_state_streams_the_state_json_bytes() {
+    prop::check_cases(
+        "write_state_streams_the_state_json_bytes",
+        48,
+        |rng, size| {
+            // Density down to 0, so CSR cases with empty rows are common.
+            let most = sized_n(rng, size, 20);
+            let n = rng.gen_range(0..=most);
+            let density = rng.gen_range(0.0..0.4);
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    if rng.gen::<f64>() < density {
+                        m[(i, j)] = state_value(rng);
+                    }
+                }
+            }
+            m
+        },
+        |dense| {
+            let d = InfluenceMatrix::Dense(dense.clone());
+            let s = InfluenceMatrix::Sparse(SparseMatrix::from_dense(dense));
+            for im in [&d, &s] {
+                let mut streamed = String::from("prefix");
+                im.write_state(&mut streamed);
+                let mut tree = String::from("prefix");
+                im.to_state_json().write_compact(&mut tree);
+                prop_assert_eq!(streamed, tree, "{} bytes", im.repr());
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn write_state_streams_empty_and_rowless_matrices() {
+    let empty = Matrix::zeros(0, 0);
+    let blank = Matrix::zeros(5, 5);
+    for dense in [&empty, &blank] {
+        for im in [
+            InfluenceMatrix::Dense(dense.clone()),
+            InfluenceMatrix::Sparse(SparseMatrix::from_dense(dense)),
+        ] {
+            let mut streamed = String::new();
+            im.write_state(&mut streamed);
+            assert_eq!(streamed, im.to_state_json().to_string_compact());
+        }
+    }
+    let mut csr = String::new();
+    InfluenceMatrix::Sparse(SparseMatrix::from_dense(&empty)).write_state(&mut csr);
+    assert_eq!(
+        csr,
+        r#"{"col_idx":[],"cols":0,"format":"csr","row_ptr":[0],"rows":0,"vals":[]}"#
+    );
+}

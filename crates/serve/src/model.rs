@@ -59,7 +59,7 @@ use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty
 use fcm_core::AttributeSet;
 use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
 use fcm_sched::{Job, JobId};
-use fcm_substrate::json::write_escaped;
+use fcm_substrate::json::{write_escaped, write_list, write_num};
 use fcm_substrate::Json;
 use fcm_workloads::{avionics, paper};
 
@@ -898,7 +898,7 @@ impl LiveModel {
 
     /// The influence matrix's representation facts: which engine is
     /// serving queries, how many entries are stored, how full it is.
-    fn matrix_info(&self) -> Json {
+    pub(crate) fn matrix_info(&self) -> Json {
         Json::object()
             .set("density", self.influence.density())
             .set("nnz", self.influence.nnz() as u64)
@@ -961,9 +961,7 @@ impl LiveModel {
     /// The full canonical state as compact JSON text: everything needed
     /// to reconstruct the model bit for bit (substrate JSON emits `f64`s
     /// shortest-exact, so matrix entries round-trip exactly). This is the
-    /// one definition of the state format. It streams the document into
-    /// one `String`, each object's keys in the sorted order a [`Json`]
-    /// object emits, so a snapshot builds no tree.
+    /// one definition of the state format; see [`LiveModel::write_state`].
     #[must_use]
     pub fn state_text(&self) -> String {
         // A byte estimate per FCM and per edge, above what a
@@ -972,37 +970,47 @@ impl LiveModel {
         let mut out = String::with_capacity(
             256 * self.graph.node_count() + 32 * self.graph.edge_count() + 1024,
         );
+        self.write_state(&mut out);
+        out
+    }
+
+    /// Appends [`LiveModel::state_text`] to `out`. Every section is
+    /// written straight into `out`, each object's keys in the sorted
+    /// order a [`Json`] object emits, through the substrate's one number
+    /// and one string writer: no tree for the model, the contracts or
+    /// the influence matrix, and no `Json` value per field.
+    pub(crate) fn write_state(&self, out: &mut String) {
         out.push('{');
         // Contracts ride along only once in use, so pre-contract
         // snapshots and contract-free sessions stay byte-identical.
         if !self.contracts.is_empty() {
             out.push_str("\"contracts\":");
-            self.contracts.to_json().write_compact(&mut out);
+            self.contracts.write_compact(out);
             out.push(',');
         }
         out.push_str("\"edges\":");
-        write_list(&mut out, self.graph.edges(), |out, (_, e)| {
-            write_list(
-                out,
-                [
-                    Json::from(e.from.index() as u64),
-                    Json::from(e.to.index() as u64),
-                    Json::from(e.weight.influence()),
-                ],
-                |out, x| x.write_compact(out),
-            );
+        write_list(out, self.graph.edges(), |out, (_, e)| {
+            out.push('[');
+            write_num(out, e.from.index() as f64);
+            out.push(',');
+            write_num(out, e.to.index() as f64);
+            out.push(',');
+            write_num(out, e.weight.influence());
+            out.push(']');
         });
         out.push_str(",\"failed\":");
-        self.failed_json().write_compact(&mut out);
+        write_list(out, self.placement.down(), |out, &h| {
+            write_escaped(out, &self.hw.node(h).expect("valid index").name);
+        });
         out.push_str(",\"fcms\":");
-        write_list(&mut out, self.graph.nodes(), |out, (n, sw)| {
+        write_list(out, self.graph.nodes(), |out, (n, sw)| {
             let a = &sw.attributes;
             let host = self.placement.host_of()[n.index()]
                 .map(|h| self.hw.node(h).expect("valid index").name.as_str());
             out.push_str("{\"crit\":");
-            Json::from(a.criticality.0).write_compact(out);
+            write_num(out, f64::from(a.criticality.0));
             out.push_str(",\"ft\":");
-            Json::from(a.fault_tolerance.0).write_compact(out);
+            write_num(out, f64::from(a.fault_tolerance.0));
             out.push_str(",\"host\":");
             write_opt_str(out, host);
             out.push_str(",\"name\":");
@@ -1010,38 +1018,37 @@ impl LiveModel {
             out.push_str(",\"pin\":");
             write_opt_str(out, sw.pinned_to.as_deref());
             out.push_str(",\"rep\":");
-            Json::from(sw.replica_group).write_compact(out);
+            write_opt_num(out, sw.replica_group);
             out.push_str(",\"res\":");
             write_list(out, &sw.required_resources, |out, r| write_escaped(out, r));
             out.push_str(",\"sec\":");
-            Json::from(a.security.0).write_compact(out);
+            write_num(out, f64::from(a.security.0));
             out.push_str(",\"sep\":");
-            Json::from(sw.separation_group).write_compact(out);
+            write_opt_num(out, sw.separation_group);
             out.push_str(",\"thr\":");
-            Json::from(a.throughput.0).write_compact(out);
+            write_num(out, a.throughput.0);
             out.push_str(",\"timing\":");
             match a.timing {
                 Some(t) => write_list(out, [t.est, t.tcd, t.ct], |out, x| {
-                    Json::from(x).write_compact(out);
+                    write_num(out, x as f64);
                 }),
                 None => out.push_str("null"),
             }
             out.push('}');
         });
         out.push_str(",\"full_condenses\":");
-        Json::from(self.full_condenses).write_compact(&mut out);
+        write_num(out, self.full_condenses as f64);
         // Dense emits the legacy array-of-rows byte-for-byte; CSR emits
         // the `{"format":"csr",...}` object — both round-trip exactly.
         out.push_str(",\"influence\":");
-        self.influence.to_state_json().write_compact(&mut out);
+        self.influence.write_state(out);
         out.push_str(",\"model\":");
-        write_escaped(&mut out, &self.name);
+        write_escaped(out, &self.name);
         out.push_str(",\"schema\":");
-        write_escaped(&mut out, STATE_SCHEMA);
+        write_escaped(out, STATE_SCHEMA);
         out.push_str(",\"seq\":");
-        Json::from(self.seq).write_compact(&mut out);
+        write_num(out, self.seq as f64);
         out.push('}');
-        out
     }
 
     /// [`LiveModel::state_text`] parsed into a [`Json`] tree, for callers
@@ -1224,26 +1231,18 @@ impl LiveModel {
     }
 }
 
-/// Appends `items` to `out` as a JSON array, each written by `item`.
-fn write_list<T>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-    mut item: impl FnMut(&mut String, T),
-) {
-    out.push('[');
-    for (i, x) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item(out, x);
-    }
-    out.push(']');
-}
-
 /// Appends a JSON string, or `null` for `None`.
 fn write_opt_str(out: &mut String, s: Option<&str>) {
     match s {
         Some(s) => write_escaped(out, s),
+        None => out.push_str("null"),
+    }
+}
+
+/// Appends a JSON number, or `null` for `None`.
+fn write_opt_num(out: &mut String, n: Option<u32>) {
+    match n {
+        Some(n) => write_num(out, f64::from(n)),
         None => out.push_str("null"),
     }
 }
@@ -1956,6 +1955,45 @@ mod tests {
                 assert_matches_from_scratch_twin(&m, step);
             }
             assert!(accepted >= 40, "{model}: only {accepted} accepted");
+        }
+    }
+
+    #[test]
+    fn the_streamed_dump_line_is_the_rendered_dump_tree() {
+        for (model, seed) in [("paper", 0xd0_u64), ("avionics", 0xd1)] {
+            let mut m = LiveModel::new(model).unwrap();
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut pool: Vec<String> = (0..m.fcm_count()).map(|v| m.fcm_name(v)).collect();
+            let mut fresh = 0;
+            for step in 0..120 {
+                let mutation = random_mutation(&mut rng, &pool, &mut fresh);
+                if m.apply(&mutation).is_ok() {
+                    match &mutation {
+                        Mutation::AddFcm { name, .. } => pool.push(name.clone()),
+                        Mutation::RemoveFcm { name } => pool.retain(|n| n != name),
+                        _ => {}
+                    }
+                }
+                if step % 10 != 0 {
+                    continue;
+                }
+                let tree = m.query(&Query::Dump);
+                for id in [None, Some(Json::from(7u64)), Some(Json::from("d\"1"))] {
+                    let streamed =
+                        crate::proto::render_dump(id.as_ref(), &m.matrix_info(), |out| {
+                            m.write_state(out);
+                        });
+                    assert_eq!(
+                        streamed,
+                        crate::proto::render_response(id.as_ref(), &tree),
+                        "{model} step {step}"
+                    );
+                }
+            }
+            assert!(
+                !m.contracts.is_empty(),
+                "{model}: the walk loaded contracts"
+            );
         }
     }
 }

@@ -26,7 +26,10 @@
 //! property tests), which is what makes journal replay reproduce a
 //! byte-identical model.
 
+use std::collections::BTreeMap;
+
 use fcm_check::Contract;
+use fcm_substrate::json::write_escaped;
 use fcm_substrate::Json;
 
 /// Protocol schema tag, sent in the hello line on connect.
@@ -487,28 +490,70 @@ pub fn mutation_to_json(m: &Mutation) -> Json {
 
 /// Renders one response line (newline-terminated): `payload` fields plus
 /// `"ok"`, or `"ok": false` with the error; the request `"id"` is echoed
-/// when present.
+/// when present. The payload's fields are written where they stand,
+/// merged with `"id"` and `"ok"` in key order, so no response copies its
+/// payload.
 #[must_use]
 pub fn render_response(id: Option<&Json>, result: &Result<Json, String>) -> String {
-    let mut obj = match result {
-        Ok(payload) => payload.clone().set("ok", true),
+    let error;
+    let payload = match result {
+        Ok(payload) => payload,
         Err(e) => {
             // Convention: errors beginning with the `degraded:` marker
             // come from the read-only degraded mode (journal failure);
             // clients get a machine-checkable `"degraded": true` field
             // so they can distinguish "retry later" from "bad request".
-            let mut obj = Json::object().set("error", e.as_str()).set("ok", false);
+            let mut obj = Json::object().set("error", e.as_str());
             if e.starts_with("degraded:") {
                 obj = obj.set("degraded", true);
             }
-            obj
+            error = obj;
+            &error
         }
     };
+    let Json::Obj(fields) = payload else {
+        panic!("a response payload is an object, got {payload:?}");
+    };
+    let ok = Json::Bool(result.is_ok());
+    let mut entries: BTreeMap<&str, &Json> = fields.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    entries.insert("ok", &ok);
     if let Some(id) = id {
-        obj = obj.set("id", id.clone());
+        entries.insert("id", id);
     }
-    let mut line = obj.to_string_compact();
-    line.push('\n');
+    let mut line = String::from("{");
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        write_escaped(&mut line, k);
+        line.push(':');
+        v.write_compact(&mut line);
+    }
+    line.push_str("}\n");
+    line
+}
+
+/// Renders the `dump` response line, `{"id":…,"matrix":…,"ok":true,
+/// "state":…}`, with `state` writing the state text straight into the
+/// line: the bytes [`render_response`] gives for the `dump` query's
+/// tree, without parsing the state back or copying it.
+#[must_use]
+pub(crate) fn render_dump(
+    id: Option<&Json>,
+    matrix: &Json,
+    state: impl FnOnce(&mut String),
+) -> String {
+    let mut line = String::from("{");
+    if let Some(id) = id {
+        line.push_str("\"id\":");
+        id.write_compact(&mut line);
+        line.push(',');
+    }
+    line.push_str("\"matrix\":");
+    matrix.write_compact(&mut line);
+    line.push_str(",\"ok\":true,\"state\":");
+    state(&mut line);
+    line.push_str("}\n");
     line
 }
 
@@ -524,4 +569,57 @@ pub fn hello(model: &str, fcms: usize, hw: usize, seq: u64) -> String {
         .to_string_compact();
     line.push('\n');
     line
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rendering before the payload was written in place: a copy
+    /// of the payload with `"ok"` and `"id"` set on it.
+    fn render_by_copy(id: Option<&Json>, result: &Result<Json, String>) -> String {
+        let mut obj = match result {
+            Ok(payload) => payload.clone().set("ok", true),
+            Err(e) => {
+                let mut obj = Json::object().set("error", e.as_str()).set("ok", false);
+                if e.starts_with("degraded:") {
+                    obj = obj.set("degraded", true);
+                }
+                obj
+            }
+        };
+        if let Some(id) = id {
+            obj = obj.set("id", id.clone());
+        }
+        let mut line = obj.to_string_compact();
+        line.push('\n');
+        line
+    }
+
+    #[test]
+    fn responses_render_as_a_copy_with_id_and_ok_set_would() {
+        let payloads = [
+            Json::object(),
+            Json::object().set("a", 1u64).set("z", "x"),
+            Json::object().set("id", "shadowed").set("ok", false),
+            Json::object()
+                .set("hz", Json::array([0.5, 2.0]))
+                .set("i", Json::Null)
+                .set("idx", 3u64)
+                .set("o", true)
+                .set("okay", Json::object().set("n", 1u64)),
+        ];
+        let mut results: Vec<Result<Json, String>> = payloads.into_iter().map(Ok).collect();
+        results.push(Err("unknown fcm \"q\"".to_string()));
+        results.push(Err("degraded: journal append failed".to_string()));
+        for id in [None, Some(Json::from(7u64)), Some(Json::from("req\n9"))] {
+            for result in &results {
+                assert_eq!(
+                    render_response(id.as_ref(), result),
+                    render_by_copy(id.as_ref(), result),
+                    "{id:?} {result:?}"
+                );
+            }
+        }
+    }
 }

@@ -949,6 +949,15 @@ impl Drop for SessionStream {
     }
 }
 
+/// Records one answered query, timed from `t0`, in the query histogram,
+/// the query counter and the rolling SLO window.
+fn record_query(shared: &Shared, t0: Instant) {
+    let query_ns = t0.elapsed().as_nanos() as u64;
+    fcm_obs::hist_record("serve.query_ns", query_ns);
+    fcm_obs::counter_add("serve.queries", 1);
+    shared.slo.lock().expect("slo lock").query.record(query_ns);
+}
+
 /// Back-pressure bound: a session never holds more un-acknowledged
 /// mutations than this before draining replies.
 const MAX_PIPELINE: usize = 1024;
@@ -1041,6 +1050,24 @@ fn serve_client(stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<Write
                         spawn_streamer(Arc::clone(&out), Arc::clone(&sub), Arc::clone(&shared.bus));
                     subs.push((sub, streamer));
                 }
+                Ok(Request::Query(Query::Dump)) => {
+                    if !flush_pending(&mut pending, &out) {
+                        break 'session;
+                    }
+                    // The state is written straight into the response
+                    // line: no tree, no re-parse.
+                    let t0 = Instant::now();
+                    let response = {
+                        let m = shared.model.read().expect("model lock");
+                        proto::render_dump(id.as_ref(), &m.matrix_info(), |out| {
+                            m.write_state(out);
+                        })
+                    };
+                    record_query(shared, t0);
+                    if !write_locked(&out, response.as_bytes()) {
+                        break 'session;
+                    }
+                }
                 parsed => {
                     // Order + read-your-writes: settle the pipelined
                     // mutations before answering anything else.
@@ -1071,10 +1098,7 @@ fn serve_client(stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<Write
                             let is_stats = matches!(q, Query::Stats);
                             let t0 = Instant::now();
                             let mut r = shared.model.read().expect("model lock").query(&q);
-                            let query_ns = t0.elapsed().as_nanos() as u64;
-                            fcm_obs::hist_record("serve.query_ns", query_ns);
-                            fcm_obs::counter_add("serve.queries", 1);
-                            shared.slo.lock().expect("slo lock").query.record(query_ns);
+                            record_query(shared, t0);
                             if is_stats {
                                 // Durability status rides along in stats;
                                 // Json objects are BTreeMaps, so key

@@ -5,10 +5,14 @@
 //!
 //! * `snapshot.json` — `{"schema":"fcm-serve-snapshot/v1","seq":N,
 //!   "state":{...},"written_unix_ms":T}` where `state` is
-//!   [`crate::LiveModel::state_text`] output. The daemon's writer hands
-//!   [`Store::snapshot_text`] that text, and the envelope is written
-//!   around it, so a snapshot builds no `Json` tree and copies none
-//!   (DESIGN.md §9 gives the measured cost). Written to a temp file in
+//!   [`crate::LiveModel::state_text`] output. That text is streamed
+//!   field by field through the substrate's one number and one string
+//!   writer (`fcm_substrate::json::{write_num, write_escaped}`), the
+//!   contracts and the influence matrix included, so no `Json` value is
+//!   built for any part of the state. The daemon's writer hands
+//!   [`Store::snapshot_text`] that text and the envelope is written
+//!   around it, one copy of the text (DESIGN.md §9 gives the measured
+//!   cost). Written to a temp file in
 //!   the same directory, fsynced, atomically renamed, and the parent
 //!   directory fsynced, so a crash never leaves a torn or unlinked
 //!   snapshot. Orphaned `snapshot.json.tmp` files from a crash between
@@ -61,7 +65,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use fcm_substrate::fault::{Fault, FaultInjector, FaultKind, FaultPlan};
-use fcm_substrate::json::write_escaped;
+use fcm_substrate::json::{write_escaped, write_num};
 use fcm_substrate::Json;
 
 use crate::proto::{self, Mutation};
@@ -252,8 +256,8 @@ impl Store {
 
     /// Writes a snapshot of the compact state text `state` (as
     /// [`crate::LiveModel::state_text`] returns it) at `seq`: the
-    /// envelope is written around the text without re-parsing or
-    /// copying it into a tree, then temp file + fsync + atomic rename +
+    /// envelope is written around the text, which is copied once and
+    /// never parsed, then temp file + fsync + atomic rename +
     /// parent-directory fsync.
     ///
     /// # Errors
@@ -268,11 +272,11 @@ impl Store {
         payload.push_str("{\"schema\":");
         write_escaped(&mut payload, SNAPSHOT_SCHEMA);
         payload.push_str(",\"seq\":");
-        Json::from(seq).write_compact(&mut payload);
+        write_num(&mut payload, seq as f64);
         payload.push_str(",\"state\":");
         payload.push_str(state);
         payload.push_str(",\"written_unix_ms\":");
-        Json::from(written_unix_ms).write_compact(&mut payload);
+        write_num(&mut payload, written_unix_ms as f64);
         payload.push_str("}\n");
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let fin = self.dir.join(SNAPSHOT);

@@ -119,18 +119,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    if *n == n.trunc() && n.abs() < 9.0e15 {
-                        let _ = fmt::Write::write_fmt(out, format_args!("{}", *n as i64));
-                    } else {
-                        let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-                    }
-                } else {
-                    // JSON has no NaN/Inf; null is the least-bad encoding.
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -201,10 +190,71 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Appends `n` to `out` as a JSON number: the one number formatter,
+/// shared by [`Json`] emission and by writers that stream a document
+/// without building a tree. An integral value below 9e15 in magnitude
+/// prints as an integer (`-0.0` as `0`), any other finite value in
+/// Rust's shortest round-trip `f64` form, and NaN or ±∞ as `null`.
+pub fn write_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        // JSON has no NaN/Inf; null is the least-bad encoding.
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 9.0e15 {
+        write_int(out, n as i64);
+    } else {
+        let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+    }
+}
+
+/// Appends the decimal digits of `v` (with a leading `-` when
+/// negative), without going through `fmt`.
+fn write_int(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `items` to `out` as a compact JSON array, each item written
+/// by `item`.
+pub fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
 /// Appends `s` to `out` as a quoted JSON string, escaping exactly as
-/// the emitter does for keys and string values.
+/// the emitter does for keys and string values. A string with no quote,
+/// backslash or control character, the usual case, is copied whole
+/// (every byte of a multibyte UTF-8 character is ≥ 0x80, so none needs
+/// an escape).
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

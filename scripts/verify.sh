@@ -399,6 +399,14 @@ grep -q '"name":"degraded"' target/verify/serve_state_deg/flight.jsonl || {
 echo "== bench artefact schema (scripts/check_bench_schema.sh)"
 scripts/check_bench_schema.sh
 
+echo "== model_apply bench, quick (apply, state_text and snapshot at 500/3000 FCMs)"
+# Runs the bench that records the live model's apply and snapshot
+# costs, so it keeps building and running. Its artefact goes under
+# target/verify; the committed BENCH_model_apply.json is left alone.
+# The bench runs from its package directory, hence the absolute path.
+FCM_BENCH_QUICK=1 FCM_BENCH_DIR="$PWD/target/verify" \
+    cargo bench --offline -p fcm-bench --bench model_apply
+
 echo "== dependency hermeticity"
 if grep -En 'rand|serde|crossbeam|parking_lot|bytes|proptest|criterion' \
     Cargo.toml crates/*/Cargo.toml; then
