@@ -59,12 +59,6 @@ pub enum AllocError {
         /// The offending value.
         value: f64,
     },
-    /// An installed pre-flight hook (see [`crate::pipeline::set_preflight`])
-    /// rejected the SW graph before the pipeline ran.
-    PreflightFailed {
-        /// The rendered diagnostic lines, one per line.
-        summary: String,
-    },
     /// An underlying graph error.
     Graph(GraphError),
     /// An underlying FCM-model error.
@@ -101,9 +95,6 @@ impl fmt::Display for AllocError {
                     f,
                     "influence {value} must lie in (0, 1]; weight 0 is reserved for replica links"
                 )
-            }
-            AllocError::PreflightFailed { summary } => {
-                write!(f, "pre-flight model check failed:\n{summary}")
             }
             AllocError::Graph(e) => write!(f, "graph error: {e}"),
             AllocError::Fcm(e) => write!(f, "fcm error: {e}"),

@@ -30,77 +30,12 @@
 //! heuristic's merge path flows through the same engine.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, Matrix, NodeIdx};
-use fcm_substrate::Mutex;
+use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, NodeIdx};
 
 use crate::cluster::{is_schedulable, member_names, replica_conflict, Clustering};
 use crate::error::AllocError;
 use crate::sw::SwGraph;
-
-/// A pre-flight hook validating a SW graph before a pipeline run.
-///
-/// Static-analysis layers above this crate install one (see
-/// [`set_preflight`]); the allocation layer itself depends on nothing
-/// above it, so the hook is how design-time model checking guards
-/// [`CondensePipeline::run_policy`] without inverting the crate
-/// layering (the same pattern as the substrate pool's counter hook).
-/// The `Err` payload is the rendered diagnostic list.
-pub type Preflight = fn(&SwGraph) -> Result<(), String>;
-
-static PREFLIGHT_ON: AtomicBool = AtomicBool::new(false);
-static PREFLIGHT: Mutex<Option<Preflight>> = Mutex::new(None);
-
-/// Installs (or removes, with `None`) the process-wide pre-flight hook.
-/// While no hook is installed a pipeline run costs one relaxed atomic
-/// load extra.
-pub fn set_preflight(hook: Option<Preflight>) {
-    *PREFLIGHT.lock() = hook;
-    PREFLIGHT_ON.store(hook.is_some(), Ordering::Release);
-}
-
-/// Runs the installed pre-flight hook, if any.
-fn run_preflight(g: &SwGraph) -> Result<(), AllocError> {
-    if PREFLIGHT_ON.load(Ordering::Acquire) {
-        if let Some(hook) = *PREFLIGHT.lock() {
-            hook(g).map_err(|summary| AllocError::PreflightFailed { summary })?;
-        }
-    }
-    Ok(())
-}
-
-/// Returns `m` without row and column `hi` (O(k²) copy; surviving
-/// entries are carried over bitwise). The matrix-shrink half of an
-/// incremental cluster removal or merge.
-#[must_use]
-pub fn shrink_row_col(m: &Matrix, hi: usize) -> Matrix {
-    let k = m.rows();
-    let mut next = Matrix::zeros(k - 1, k - 1);
-    for a in 0..k - 1 {
-        let sa = a + usize::from(a >= hi);
-        for b in 0..k - 1 {
-            let sb = b + usize::from(b >= hi);
-            next[(a, b)] = m[(sa, sb)];
-        }
-    }
-    next
-}
-
-/// Returns `m` with one zero row and column appended — the matrix-grow
-/// half of an incremental cluster (or node) addition; the new row and
-/// column are then filled by [`eq4_recombine_row_col`].
-#[must_use]
-pub fn grow_row_col(m: &Matrix) -> Matrix {
-    let k = m.rows();
-    let mut next = Matrix::zeros(k + 1, k + 1);
-    for a in 0..k {
-        for b in 0..k {
-            next[(a, b)] = m[(a, b)];
-        }
-    }
-    next
-}
 
 /// Sparse `(index, value)` entries of one matrix row or column.
 pub type Entries = Vec<(usize, f64)>;
@@ -164,24 +99,7 @@ fn eq4_fold(
 /// with intra-cluster edges already skipped. Folding the complement
 /// products in that exact order is the association `condense` uses,
 /// which is what makes an incrementally-maintained matrix bitwise-equal
-/// to a full recompute (see the module docs).
-pub fn eq4_recombine_row_col(
-    edges: impl Iterator<Item = (usize, usize, f64)>,
-    gi: usize,
-    influence: &mut Matrix,
-) {
-    let k = influence.rows();
-    let (row, col) = eq4_fold(edges, gi, k);
-    for t in 0..k {
-        influence[(gi, t)] = row[t];
-        if t != gi {
-            influence[(t, gi)] = col[t];
-        }
-    }
-}
-
-/// [`eq4_recombine_row_col`] on a storage-polymorphic
-/// [`InfluenceMatrix`]: the identical fold feeds
+/// to a full recompute (see the module docs). The fold feeds
 /// [`InfluenceMatrix::set_row_col`], so dense and CSR pipelines carry
 /// the same values (CSR prunes the exact zeros).
 pub fn eq4_recombine_row_col_im(
@@ -376,15 +294,12 @@ impl<'g> CondensePipeline<'g> {
     /// # Errors
     ///
     /// [`AllocError::NoFeasibleClustering`] when the policy plans nothing
-    /// or no planned merge is feasible (no progress in a round);
-    /// [`AllocError::PreflightFailed`] when an installed pre-flight hook
-    /// (see [`set_preflight`]) rejects the SW graph before any merge.
+    /// or no planned merge is feasible (no progress in a round).
     pub fn run_policy(
         &mut self,
         target: usize,
         policy: &mut dyn CondensePolicy,
     ) -> Result<(), AllocError> {
-        run_preflight(self.g)?;
         while self.len() > target {
             let before = self.len();
             let mut batch = policy.plan_round(self, target);
@@ -471,7 +386,7 @@ impl<'g> CondensePipeline<'g> {
     }
 
     /// Recombines row and column `gi` of the influence matrix from the
-    /// SW edges via Eq. 4 (see [`eq4_recombine_row_col`]): intra-cluster
+    /// SW edges via Eq. 4 (see [`eq4_recombine_row_col_im`]): intra-cluster
     /// edges are skipped, everything else is folded in global edge-id
     /// order.
     fn recombine_row_col(&mut self, gi: usize) {
@@ -576,6 +491,7 @@ mod tests {
     use super::*;
     use crate::sw::SwGraphBuilder;
     use fcm_core::AttributeSet;
+    use fcm_graph::Matrix;
 
     fn attrs(c: u32) -> AttributeSet {
         AttributeSet::default().with_criticality(c)

@@ -51,12 +51,6 @@ impl SwNode {
         }
     }
 
-    /// Adds a required resource tag (builder style).
-    pub fn with_required_resource(mut self, tag: impl Into<String>) -> Self {
-        self.required_resources.insert(tag.into());
-        self
-    }
-
     /// The §5.1 importance: a weighted sum of the attribute values.
     pub fn importance(&self, weights: &ImportanceWeights) -> f64 {
         self.attributes.importance(weights)

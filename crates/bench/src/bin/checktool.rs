@@ -75,7 +75,6 @@ fn main() -> ExitCode {
         names = models::MODEL_NAMES.iter().map(|s| s.to_string()).collect();
     }
 
-    fcm_check::gates::install();
     let mut selected = Vec::new();
     for name in &names {
         match models::model_by_name(name) {

@@ -278,7 +278,6 @@ fn main() {
 /// error diagnostics must never reach the experiment drivers, so a
 /// failed check exits 2 (the run is rejected before it starts).
 fn run_check_mode(selected: &[&str]) -> ! {
-    fcm_check::gates::install();
     let ids: Vec<String> = if selected.is_empty() {
         EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect()
     } else {

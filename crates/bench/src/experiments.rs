@@ -1007,7 +1007,7 @@ pub fn e12(scale: Scale) -> String {
 
 /// E14: node-failure recovery policy sweep. The expanded avionics suite
 /// on its 6-cabinet platform, swept over the HW fault rate × the four
-/// [`RecoveryPolicy`] levels of the repairable reliability model. The
+/// [`RecoveryPolicy`](fcm_eval::reliability::RecoveryPolicy) levels of the repairable reliability model. The
 /// policies share each trial's fault world (common random numbers), so
 /// mission failure is monotone non-increasing down the policy column at
 /// every fault rate — exactly, not just in expectation.

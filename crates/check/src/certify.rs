@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fcm_core::separation::DEFAULT_ORDER;
 use fcm_graph::{fnv, InfluenceMatrix};
-use fcm_substrate::pool::{par_map_threads, worker_count};
+use fcm_substrate::pool::par_map_threads;
 
 use crate::contract::{
     absent_cap_diag, absent_fcm_diag, bound_from_max, cap_diags, certified_bound, convergence_diag,
@@ -375,13 +375,6 @@ impl Certifier {
             _ => self.pass_full(view, threads),
         };
         self.assemble(view, verified)
-    }
-
-    /// [`Certifier::certify`] with the default pool width — what the
-    /// offline tools use; the serve layer passes 1 (it certifies inside
-    /// its own writer thread).
-    pub fn certify_pooled(&mut self, view: &CertView, dirty: Dirty) -> Certification {
-        self.certify(view, dirty, worker_count())
     }
 
     /// Re-verifies every row and rebuilds every aggregate.

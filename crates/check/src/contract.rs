@@ -68,15 +68,6 @@ impl Contract {
         self
     }
 
-    /// The cap on the outgoing edge to `target`, when one is declared.
-    #[must_use]
-    pub fn cap_to(&self, target: &str) -> Option<f64> {
-        self.caps
-            .binary_search_by(|(t, _)| t.as_str().cmp(target))
-            .ok()
-            .map(|i| self.caps[i].1)
-    }
-
     /// A deterministic fingerprint of every field, by exact bit pattern —
     /// one half of the certifier's `(state hash, contract hash)` cache
     /// key.
@@ -659,7 +650,7 @@ pub fn synthesize(names: &[String], crits: &[u32], mat: &InfluenceMatrix) -> Con
     out
 }
 
-/// [`synthesize`] over a [`SystemModel`]'s SW graph and influence
+/// [`synthesize`] over a [`SystemModel`](crate::model::SystemModel)'s SW graph and influence
 /// matrix — `None` when either is absent or their shapes disagree.
 #[must_use]
 pub fn synthesize_for_model(m: &crate::model::SystemModel) -> Option<ContractSet> {

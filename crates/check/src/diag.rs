@@ -189,8 +189,8 @@ impl Report {
         out
     }
 
-    /// Just the `Error` lines, newline-joined — the payload pre-flight
-    /// gates attach to their `PreflightFailed` errors.
+    /// Just the `Error` lines, newline-joined — the message a caller
+    /// rejects a model with when its gate finds errors.
     #[must_use]
     pub fn error_lines(&self) -> String {
         self.diagnostics

@@ -19,8 +19,8 @@
 //!   compositional C017–C022 rule family's shared arithmetic;
 //! * [`certify`] — the incremental [`certify::Certifier`] with its
 //!   (row-hash, contract-hash)-keyed verdict cache;
-//! * [`gates`] — pre-flight hooks into `fcm-alloc::pipeline` and
-//!   `fcm-sim` setup ([`gates::install`]).
+//! * [`gates`] — the gates callers run before they use a model: a
+//!   whole SW graph, one edit of it, or a placed live model.
 //!
 //! The check catalog is documented as a table in DESIGN.md §8 (contracts
 //! in §13); the `checktool` and `repro --check` binaries in

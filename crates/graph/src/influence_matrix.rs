@@ -252,24 +252,6 @@ impl InfluenceMatrix {
         h
     }
 
-    /// The dense matrix when this is the dense representation.
-    #[must_use]
-    pub fn as_dense(&self) -> Option<&Matrix> {
-        match self {
-            InfluenceMatrix::Dense(m) => Some(m),
-            InfluenceMatrix::Sparse(_) => None,
-        }
-    }
-
-    /// The CSR matrix when this is the sparse representation.
-    #[must_use]
-    pub fn as_sparse(&self) -> Option<&SparseMatrix> {
-        match self {
-            InfluenceMatrix::Dense(_) => None,
-            InfluenceMatrix::Sparse(s) => Some(s),
-        }
-    }
-
     /// Materialises a dense copy (bitwise, regardless of
     /// representation).
     #[must_use]

@@ -240,8 +240,8 @@ impl SparseMatrix {
     }
 
     /// Truncated walk series `Σ_{k=1..order} P^k` (paper Eq. 3) on the
-    /// default pool width — see [`walk_series_threads`]
-    /// (SparseMatrix::walk_series_threads).
+    /// default pool width — see
+    /// [`walk_series_threads`](SparseMatrix::walk_series_threads).
     ///
     /// # Panics
     ///
@@ -554,7 +554,7 @@ impl SparseMatrix {
     }
 
     /// Removes row and column `hi`, shifting later indices down by one —
-    /// the sparse counterpart of the dense pipeline's `shrink_row_col`.
+    /// the CSR half of [`crate::InfluenceMatrix::shrink_row_col`].
     ///
     /// # Panics
     ///

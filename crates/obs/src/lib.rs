@@ -7,7 +7,7 @@
 //! crate supplies that model for the whole workspace, on top of
 //! `fcm-substrate` and nothing else:
 //!
-//! * [`span`] — hierarchical span tracing: per-thread bounded rings,
+//! * [`span`](mod@span) — hierarchical span tracing: per-thread bounded rings,
 //!   parent/child ids, deterministic static names, monotonic
 //!   nanosecond timestamps; O(1) per span;
 //! * [`metrics`] — a registry of counters, gauges, and log-linear

@@ -219,7 +219,7 @@ pub fn search(set: &JobSet, budget: usize) -> Result<Option<NonPreemptiveSchedul
 
 /// Whether the union of several job sets is non-preemptively feasible on
 /// one processor — the non-preemptive counterpart of
-/// [`edf::co_schedulable`](crate::edf::co_schedulable).
+/// [`edf::co_schedulable`].
 ///
 /// # Errors
 ///

@@ -961,7 +961,8 @@ impl LiveModel {
     /// The full canonical state as compact JSON text: everything needed
     /// to reconstruct the model bit for bit (substrate JSON emits `f64`s
     /// shortest-exact, so matrix entries round-trip exactly). This is the
-    /// one definition of the state format; see [`LiveModel::write_state`].
+    /// one definition of the state format (written by the private
+    /// `write_state`).
     #[must_use]
     pub fn state_text(&self) -> String {
         // A byte estimate per FCM and per edge, above what a

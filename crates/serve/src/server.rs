@@ -16,7 +16,7 @@
 //!   a read inside that window would see a state that never existed).
 //!   Consecutive mutations on one session pipeline to the writer and
 //!   their in-order replies flush as a batch, so the per-mutation cost
-//!   is one apply, not two context switches (see [`serve_client`]).
+//!   is one apply, not two context switches (see `serve_client`).
 //! * Every `snapshot_every` accepted mutations (and once more at
 //!   shutdown) the writer snapshots the state: it writes the state text
 //!   under the read lock, so queries go on, and does the snapshot I/O

@@ -36,12 +36,6 @@ pub enum SimError {
     },
     /// A campaign was configured with zero trials.
     NoTrials,
-    /// An installed pre-flight hook (see [`crate::model::set_preflight`])
-    /// rejected the built system spec.
-    PreflightFailed {
-        /// The rendered diagnostic lines, one per line.
-        summary: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -62,9 +56,6 @@ impl fmt::Display for SimError {
                 write!(f, "task {task} has zero computation time or period")
             }
             SimError::NoTrials => write!(f, "campaign requires at least one trial"),
-            SimError::PreflightFailed { summary } => {
-                write!(f, "pre-flight model check failed:\n{summary}")
-            }
         }
     }
 }

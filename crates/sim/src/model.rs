@@ -7,44 +7,10 @@
 //! paper's fault factors (global variables, shared memory, message
 //! channels).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use fcm_core::{FactorKind, IsolationTechnique, Probability};
 use fcm_sched::Time;
-use fcm_substrate::Mutex;
 
 use crate::error::SimError;
-
-/// A pre-flight hook validating a built [`SystemSpec`] before it is
-/// handed to the engine.
-///
-/// Static-analysis layers above this crate install one (see
-/// [`set_preflight`]) — the simulator itself depends on nothing above
-/// it, so the hook is how design-time model checking guards
-/// [`SystemSpecBuilder::build`] without inverting the crate layering.
-/// The `Err` payload is the rendered diagnostic list.
-pub type Preflight = fn(&SystemSpec) -> Result<(), String>;
-
-static PREFLIGHT_ON: AtomicBool = AtomicBool::new(false);
-static PREFLIGHT: Mutex<Option<Preflight>> = Mutex::new(None);
-
-/// Installs (or removes, with `None`) the process-wide pre-flight hook.
-/// While no hook is installed a spec build costs one relaxed atomic
-/// load extra.
-pub fn set_preflight(hook: Option<Preflight>) {
-    *PREFLIGHT.lock() = hook;
-    PREFLIGHT_ON.store(hook.is_some(), Ordering::Release);
-}
-
-/// Runs the installed pre-flight hook, if any.
-fn run_preflight(spec: &SystemSpec) -> Result<(), SimError> {
-    if PREFLIGHT_ON.load(Ordering::Acquire) {
-        if let Some(hook) = *PREFLIGHT.lock() {
-            hook(spec).map_err(|summary| SimError::PreflightFailed { summary })?;
-        }
-    }
-    Ok(())
-}
 
 /// Index of a task within a [`SystemSpec`].
 pub type TaskId = usize;
@@ -383,9 +349,7 @@ impl SystemSpecBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownProcessor`] when the platform is empty
-    /// but tasks exist, or [`SimError::PreflightFailed`] when an
-    /// installed pre-flight hook (see [`set_preflight`]) rejects the
-    /// finished spec.
+    /// but tasks exist.
     pub fn build(self) -> Result<SystemSpec, SimError> {
         if self.processors == 0 && !self.tasks.is_empty() {
             return Err(SimError::UnknownProcessor {
@@ -393,16 +357,14 @@ impl SystemSpecBuilder {
                 count: 0,
             });
         }
-        let spec = SystemSpec {
+        Ok(SystemSpec {
             processors: self.processors,
             policy: self.policy,
             tasks: self.tasks,
             media: self.media,
             watchdog: self.watchdog,
             retry: self.retry,
-        };
-        run_preflight(&spec)?;
-        Ok(spec)
+        })
     }
 }
 

@@ -9,14 +9,14 @@
 //!
 //! ```no_run
 //! use fcm_substrate::bench::Suite;
-//! let mut suite = Suite::new("substrate");
+//! let mut suite = Suite::new("rng");
 //! suite.bench("shuffle_1k", || {
 //!     let mut rng = fcm_substrate::rng::Rng::seed_from_u64(7);
 //!     let mut v: Vec<u32> = (0..1000).collect();
 //!     rng.shuffle(&mut v);
 //!     v
 //! });
-//! suite.finish(); // prints a table, writes BENCH_substrate.json
+//! suite.finish(); // prints a table, writes BENCH_rng.json
 //! ```
 
 use std::hint::black_box;

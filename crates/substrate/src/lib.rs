@@ -12,7 +12,7 @@
 //! | [`json`] | `serde` | a `Json` value with builder API, escaping emitter, round-trip parser |
 //! | [`bytes`] | `bytes` | an immutable cheap-clone byte string |
 //! | [`prop`] | `proptest` | seeded property harness, bisection shrinking, `FCM_PROP_SEED` replay |
-//! | [`bench`] | `criterion` | warmup + timed iterations, median/p95, `BENCH_*.json` artefacts |
+//! | [`bench`](mod@bench) | `criterion` | warmup + timed iterations, median/p95, `BENCH_*.json` artefacts |
 //! | [`fault`] | `fail`/failpoints | deterministic fault plans for named IO sites, crash latch, site tracing |
 //!
 //! The dependability argument (after De Florio's survey of application-

@@ -29,6 +29,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches intra-doc links left dangling by a rename or a deletion.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== repro smoke (T1)"
 out=$(cargo run --release --offline -q -p fcm-bench --bin repro -- t1)
 echo "$out" | grep -q "Table 1" || {
