@@ -1007,10 +1007,11 @@ pub fn e12(scale: Scale) -> String {
 
 /// E14: node-failure recovery policy sweep. The expanded avionics suite
 /// on its 6-cabinet platform, swept over the HW fault rate × the four
-/// [`RecoveryPolicy`](fcm_eval::reliability::RecoveryPolicy) levels of the repairable reliability model. The
-/// policies share each trial's fault world (common random numbers), so
-/// mission failure is monotone non-increasing down the policy column at
-/// every fault rate — exactly, not just in expectation.
+/// [`RecoveryPolicy`](fcm_eval::reliability::RecoveryPolicy) levels of
+/// the repairable reliability model. The policies share each trial's
+/// fault world (common random numbers), so mission failure is monotone
+/// non-increasing down the policy column at every fault rate — exactly,
+/// not just in expectation.
 pub fn e14(scale: Scale) -> Table {
     use fcm_eval::{RecoveryPolicy, RepairableModel};
     let (ex, _) = avionics::expanded_suite();

@@ -650,8 +650,9 @@ pub fn synthesize(names: &[String], crits: &[u32], mat: &InfluenceMatrix) -> Con
     out
 }
 
-/// [`synthesize`] over a [`SystemModel`](crate::model::SystemModel)'s SW graph and influence
-/// matrix — `None` when either is absent or their shapes disagree.
+/// [`synthesize`] over a [`SystemModel`](crate::model::SystemModel)'s
+/// SW graph and influence matrix — `None` when either is absent or
+/// their shapes disagree.
 #[must_use]
 pub fn synthesize_for_model(m: &crate::model::SystemModel) -> Option<ContractSet> {
     let (g, mat) = (m.sw.as_ref()?, m.influence.as_ref()?);

@@ -3,11 +3,12 @@
 //!
 //! There are no hooks: each caller that relies on a sound model calls
 //! its gate itself. The serve layer's `LiveModel` gates a whole graph
-//! with [`check_sw_graph_owned`] when it is built or restored, and each
-//! mutation's touched nodes and edges with [`check_sw_delta`]; its
-//! `check` query reports through [`check_placed_model`] and
-//! [`check_unclustered_placement`]. The `checktool` and `repro --check`
-//! binaries run the whole catalog through [`crate::rules::run_checks`].
+//! with [`check_sw_graph`] when it is built and [`check_sw_graph_owned`]
+//! when it is restored, and each mutation's touched nodes and edges
+//! with [`check_sw_delta`]; its `check` query reports through
+//! [`check_placed_model`] and [`check_unclustered_placement`]. The
+//! `checktool` and `repro --check` binaries run the whole catalog
+//! through [`crate::rules::run_checks`].
 
 use fcm_alloc::{AllocError, SwGraph};
 use fcm_graph::{EdgeIdx, NodeIdx};

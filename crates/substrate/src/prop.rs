@@ -3,7 +3,8 @@
 //! Replaces `proptest` for this workspace's suites. A property is a pair
 //! of closures: a *generator* `Fn(&mut Rng, usize) -> T` that builds a
 //! random case at a given size budget, and a *predicate*
-//! `Fn(&T) -> Result<(), String>` (use [`prop_assert!`](crate::prop_assert) /
+//! `Fn(&T) -> Result<(), String>` (use
+//! [`prop_assert!`](crate::prop_assert) /
 //! [`prop_assert_eq!`](crate::prop_assert_eq) inside it).
 //!
 //! The runner draws `cases` cases with sizes ramping from small to
