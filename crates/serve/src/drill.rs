@@ -289,7 +289,7 @@ fn crash_case(
 
 fn rebuild(model_name: &str, rec: &store::Recovered) -> Result<LiveModel, String> {
     let mut model = match &rec.snapshot {
-        Some((state, _)) => LiveModel::from_state(state)?,
+        Some((state, _)) => LiveModel::from_state_text(state)?,
         None => LiveModel::new(model_name)?,
     };
     for (seq, m) in &rec.replay {
@@ -407,6 +407,7 @@ mod tests {
             "snapshot.tmp.fsync",
             "snapshot.rename",
             "snapshot.dir.fsync",
+            "journal.retire",
         ] {
             assert!(trace.iter().any(|s| s == site), "session never hits {site}");
         }

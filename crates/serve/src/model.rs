@@ -59,7 +59,7 @@ use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty
 use fcm_core::AttributeSet;
 use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
 use fcm_sched::{Job, JobId};
-use fcm_substrate::json::{write_escaped, write_list, write_num};
+use fcm_substrate::json::{write_escaped, write_list, write_num, Reader};
 use fcm_substrate::Json;
 use fcm_workloads::{avionics, paper};
 
@@ -1059,15 +1059,61 @@ impl LiveModel {
         Json::parse(&self.state_text()).expect("the state text is valid JSON")
     }
 
-    /// Reconstructs a model from [`LiveModel::state_json`] output: the
-    /// snapshot-load half of `--resume`. The influence matrix is read
-    /// back verbatim (no recondensation — the full-condense count is
-    /// carried over), and host state is rebuilt deterministically.
+    /// [`LiveModel::from_state_text`] of a state tree, for callers that
+    /// hold the state as [`Json`].
     ///
     /// # Errors
     ///
-    /// A malformed or internally inconsistent state object.
+    /// As [`LiveModel::from_state_text`].
     pub fn from_state(state: &Json) -> Result<LiveModel, String> {
+        LiveModel::from_state_text(&state.to_string_compact())
+    }
+
+    /// Reconstructs a model from [`LiveModel::state_text`] output: the
+    /// snapshot-load half of `--resume`, and the one state decoder. The
+    /// influence matrix is read back verbatim (no recondensation — the
+    /// full-condense count is carried over), and host state is rebuilt
+    /// deterministically.
+    ///
+    /// The text is read with a pull reader: `fcms` and `edges`, the bulk
+    /// of a large state, stream straight into the graph, and only the
+    /// other sections are read as [`Json`] subtrees. Keys may come in
+    /// any order and with any whitespace, and unknown keys are passed
+    /// over, as in a parsed tree. The checks run after the read, in one
+    /// fixed order, so the error a bad state reports does not depend on
+    /// where its keys sit.
+    ///
+    /// # Errors
+    ///
+    /// Text that is not JSON, or a malformed or internally inconsistent
+    /// state object.
+    pub fn from_state_text(text: &str) -> Result<LiveModel, String> {
+        let syntax = |e: String| format!("corrupt snapshot state: {e}");
+        let mut r = Reader::new(text);
+        let mut fcms = None;
+        let mut edges = None;
+        // The small sections, as the tree's object would hold them.
+        let mut rest = BTreeMap::new();
+        if r.peek() == Some(b'{') {
+            r.begin_object().map_err(syntax)?;
+            while let Some(key) = r.next_key().map_err(syntax)? {
+                match &*key {
+                    "fcms" => fcms = read_fcms(&mut r).map_err(syntax)?,
+                    "edges" => edges = read_edges(&mut r).map_err(syntax)?,
+                    "contracts" | "failed" | "full_condenses" | "influence" | "model"
+                    | "schema" | "seq" => {
+                        rest.insert(key.into_owned(), r.value().map_err(syntax)?);
+                    }
+                    _ => r.skip().map_err(syntax)?,
+                }
+            }
+        } else {
+            // Valid JSON but no object, so no schema.
+            r.skip().map_err(syntax)?;
+        }
+        r.finish().map_err(syntax)?;
+        let state = Json::Obj(rest);
+
         let want = |key: &str| format!("snapshot state missing \"{key}\"");
         if state.get("schema").and_then(Json::as_str) != Some(STATE_SCHEMA) {
             return Err(format!("snapshot state is not {STATE_SCHEMA}"));
@@ -1084,74 +1130,31 @@ impl LiveModel {
         let hw_index: BTreeMap<String, NodeIdx> =
             hw.nodes().map(|(h, n)| (n.name.clone(), h)).collect();
 
-        let fcms = state
-            .get("fcms")
-            .and_then(Json::as_array)
-            .ok_or_else(|| want("fcms"))?;
-        let mut graph: SwGraph = SwGraph::new();
-        let mut host_of: Vec<Option<NodeIdx>> = Vec::with_capacity(fcms.len());
-        for f in fcms {
-            let fname = f
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| want("fcms[].name"))?;
-            let num = |key: &str| {
-                f.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("snapshot fcm \"{fname}\" missing \"{key}\""))
-            };
-            let mut attrs = AttributeSet::default()
-                .with_criticality(num("crit")? as u32)
-                .with_throughput(num("thr")?)
-                .with_security(num("sec")? as u8)
-                .with_fault_tolerance(fcm_core::FaultTolerance(num("ft")? as u8));
-            if let Some(t) = f.get("timing").filter(|t| !matches!(t, Json::Null)) {
-                let arr = t
-                    .as_array()
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| want("timing"))?;
-                let g = |i: usize| {
-                    arr[i]
-                        .as_f64()
-                        .map(|x| x as u64)
-                        .ok_or_else(|| want("timing"))
-                };
-                attrs = attrs.with_timing(g(0)?, g(1)?, g(2)?);
-            }
-            let n = graph.add_node(SwNode::new(fname, attrs));
-            let sw = graph.node_mut(n).expect("just added");
-            sw.replica_group = f.get("rep").and_then(Json::as_f64).map(|x| x as u32);
-            sw.separation_group = f.get("sep").and_then(Json::as_f64).map(|x| x as u32);
-            sw.pinned_to = f.get("pin").and_then(Json::as_str).map(str::to_string);
-            if let Some(res) = f.get("res").and_then(Json::as_array) {
-                for r in res {
-                    if let Some(tag) = r.as_str() {
-                        sw.required_resources.insert(tag.to_string());
-                    }
-                }
-            }
-            host_of.push(match f.get("host") {
-                Some(Json::Str(h)) => Some(
-                    *hw_index
-                        .get(h)
-                        .ok_or_else(|| format!("snapshot fcm \"{fname}\" on unknown hw \"{h}\""))?,
-                ),
-                _ => None,
+        let FcmsRead {
+            mut graph,
+            hosts,
+            bad,
+        } = fcms.ok_or_else(|| want("fcms"))?;
+        // The FCMs before the first bad one each name a host; an unknown
+        // one is reported first, as a walk in array order meets it first.
+        let mut host_of: Vec<Option<NodeIdx>> = Vec::with_capacity(hosts.len());
+        for (v, host) in hosts.iter().enumerate() {
+            host_of.push(match host {
+                Some(h) => Some(*hw_index.get(h).ok_or_else(|| {
+                    format!(
+                        "snapshot fcm \"{}\" on unknown hw \"{h}\"",
+                        graph.node(NodeIdx(v)).expect("one host per node").name
+                    )
+                })?),
+                None => None,
             });
         }
+        if let Some(e) = bad {
+            return Err(e);
+        }
 
-        let edges = state
-            .get("edges")
-            .and_then(Json::as_array)
-            .ok_or_else(|| want("edges"))?;
-        for e in edges {
-            let t = e
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or_else(|| want("edges[]"))?;
-            let f = t[0].as_f64().ok_or_else(|| want("edges[]"))? as usize;
-            let to = t[1].as_f64().ok_or_else(|| want("edges[]"))? as usize;
-            let w = t[2].as_f64().ok_or_else(|| want("edges[]"))?;
+        let EdgesRead { triples, malformed } = edges.ok_or_else(|| want("edges"))?;
+        for (f, to, w) in triples {
             if f >= graph.node_count() || to >= graph.node_count() {
                 return Err("snapshot edge endpoint out of range".to_string());
             }
@@ -1161,6 +1164,9 @@ impl LiveModel {
                 SwEdge::Influence(w)
             };
             graph.add_edge(NodeIdx(f), NodeIdx(to), weight);
+        }
+        if malformed {
+            return Err(want("edges[]"));
         }
 
         let influence = state
@@ -1230,6 +1236,168 @@ impl LiveModel {
         model.recertify_full();
         Ok(model)
     }
+}
+
+/// The state's `fcms` array as read: the FCMs up to the first one that
+/// does not decode, as graph nodes, with the host each names (looked up
+/// once the state's model is known), and that first error.
+struct FcmsRead {
+    graph: SwGraph,
+    hosts: Vec<Option<String>>,
+    bad: Option<String>,
+}
+
+/// Reads the `fcms` value: `None` when it is not an array. Only a
+/// syntax error is returned as an error.
+fn read_fcms(r: &mut Reader<'_>) -> Result<Option<FcmsRead>, String> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Ok(None);
+    }
+    let mut read = FcmsRead {
+        graph: SwGraph::new(),
+        hosts: Vec::new(),
+        bad: None,
+    };
+    r.begin_array()?;
+    while r.next_item()? {
+        if read.bad.is_some() {
+            r.skip()?;
+            continue;
+        }
+        match read_fcm(r)? {
+            Ok((node, host)) => {
+                read.graph.add_node(node);
+                read.hosts.push(host);
+            }
+            Err(e) => read.bad = Some(e),
+        }
+    }
+    Ok(Some(read))
+}
+
+/// Reads one `fcms[]` entry into a node and the host it names. The outer
+/// error is a syntax error; the inner one, an entry that does not
+/// decode, checked in the order of the tree decoder this replaced.
+#[allow(clippy::type_complexity)]
+fn read_fcm(r: &mut Reader<'_>) -> Result<Result<(SwNode, Option<String>), String>, String> {
+    let want = |key: &str| format!("snapshot state missing \"{key}\"");
+    if r.peek() != Some(b'{') {
+        r.skip()?;
+        return Ok(Err(want("fcms[].name")));
+    }
+    let string = |j: Json| match j {
+        Json::Str(s) => Some(s),
+        _ => None,
+    };
+    let (mut name, mut pin, mut host) = (None, None, None);
+    let (mut crit, mut thr, mut sec, mut ft, mut rep, mut sep) =
+        (None, None, None, None, None, None);
+    let (mut timing, mut res) = (Json::Null, Json::Null);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "name" => name = string(r.value()?),
+            "pin" => pin = string(r.value()?),
+            "host" => host = string(r.value()?),
+            "crit" => crit = r.value()?.as_f64(),
+            "thr" => thr = r.value()?.as_f64(),
+            "sec" => sec = r.value()?.as_f64(),
+            "ft" => ft = r.value()?.as_f64(),
+            "rep" => rep = r.value()?.as_f64(),
+            "sep" => sep = r.value()?.as_f64(),
+            "timing" => timing = r.value()?,
+            "res" => res = r.value()?,
+            _ => r.skip()?,
+        }
+    }
+    let Some(fname) = name else {
+        return Ok(Err(want("fcms[].name")));
+    };
+    let num = |x: Option<f64>, key: &str| {
+        x.ok_or_else(|| format!("snapshot fcm \"{fname}\" missing \"{key}\""))
+    };
+    let attrs = (|| {
+        let mut attrs = AttributeSet::default()
+            .with_criticality(num(crit, "crit")? as u32)
+            .with_throughput(num(thr, "thr")?)
+            .with_security(num(sec, "sec")? as u8)
+            .with_fault_tolerance(fcm_core::FaultTolerance(num(ft, "ft")? as u8));
+        if !matches!(timing, Json::Null) {
+            let arr = timing
+                .as_array()
+                .filter(|a| a.len() == 3)
+                .ok_or_else(|| want("timing"))?;
+            let g = |i: usize| {
+                arr[i]
+                    .as_f64()
+                    .map(|x| x as u64)
+                    .ok_or_else(|| want("timing"))
+            };
+            attrs = attrs.with_timing(g(0)?, g(1)?, g(2)?);
+        }
+        Ok(attrs)
+    })();
+    let attrs = match attrs {
+        Ok(attrs) => attrs,
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut sw = SwNode::new(fname, attrs);
+    sw.replica_group = rep.map(|x| x as u32);
+    sw.separation_group = sep.map(|x| x as u32);
+    sw.pinned_to = pin;
+    for tag in res
+        .as_array()
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(Json::as_str)
+    {
+        sw.required_resources.insert(tag.to_string());
+    }
+    Ok(Ok((sw, host)))
+}
+
+/// The state's `edges` array as read: the `(from, to, weight)` triples
+/// up to the first malformed edge, and whether there is one.
+struct EdgesRead {
+    triples: Vec<(usize, usize, f64)>,
+    malformed: bool,
+}
+
+/// Reads the `edges` value: `None` when it is not an array. Only a
+/// syntax error is returned as an error.
+fn read_edges(r: &mut Reader<'_>) -> Result<Option<EdgesRead>, String> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Ok(None);
+    }
+    let mut read = EdgesRead {
+        triples: Vec::new(),
+        malformed: false,
+    };
+    r.begin_array()?;
+    while r.next_item()? {
+        if read.malformed || r.peek() != Some(b'[') {
+            r.skip()?;
+            read.malformed = true;
+            continue;
+        }
+        let mut t = [None; 3];
+        let mut len = 0;
+        r.begin_array()?;
+        while r.next_item()? {
+            let x = r.value()?.as_f64();
+            if let Some(slot) = t.get_mut(len) {
+                *slot = x;
+            }
+            len += 1;
+        }
+        match (len, t) {
+            (3, [Some(f), Some(to), Some(w)]) => read.triples.push((f as usize, to as usize, w)),
+            _ => read.malformed = true,
+        }
+    }
+    Ok(Some(read))
 }
 
 /// Appends a JSON string, or `null` for `None`.

@@ -432,7 +432,7 @@ impl Drop for Handle {
 /// Shared by `--resume` startup and the degraded-mode rollback.
 fn recover_model(name: &str, recovered: &Recovered) -> Result<LiveModel, String> {
     let mut model = match &recovered.snapshot {
-        Some((state, _)) => LiveModel::from_state(state)?,
+        Some((state, _)) => LiveModel::from_state_text(state)?,
         None => LiveModel::new(name)?,
     };
     if model.name() != name {
@@ -1323,13 +1323,15 @@ mod tests {
             dump.get("state").unwrap().to_string_compact()
         };
 
-        // Durable run through part 1, then discard the snapshot so the
-        // resume is forced through journal-only replay (the kill -9 path
-        // scripts/verify.sh drives end-to-end).
+        // Durable run through part 1 with every snapshot failing, so no
+        // snapshot retires the journal and the resume is forced through
+        // journal-only replay (the kill -9 path scripts/verify.sh drives
+        // end-to-end).
         {
             let h = start(ServerConfig {
                 state_dir: Some(dir.clone()),
                 snapshot_every: 2,
+                fault: FaultPlan::parse("snapshot.tmp.write:eio").unwrap(),
                 ..ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper")
             })
             .unwrap();
@@ -1342,7 +1344,7 @@ mod tests {
             }
             drop(h);
         }
-        std::fs::remove_file(dir.join("snapshot.json")).expect("snapshot existed");
+        assert!(!dir.join("snapshot.json").exists(), "every snapshot failed");
         // Resume and finish.
         let resumed = {
             let h = start(ServerConfig {
@@ -1373,6 +1375,91 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_journal_without_its_snapshot_is_refused() {
+        // Seqs 1 and 2 are covered by a snapshot that retired their
+        // lines; seq 3 is journaled after it. With the snapshot gone the
+        // journal starts at seq 3, which a fresh model cannot reach.
+        let dir = std::env::temp_dir().join(format!("fcm-serve-retired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = Store::create_fresh(&dir).unwrap();
+        let mut model = LiveModel::new("paper").unwrap();
+        for (i, line) in [
+            r#"{"op":"fail_node","node":"hw2"}"#,
+            r#"{"op":"restore_node","node":"hw2"}"#,
+            r#"{"op":"set_attr","name":"p8","criticality":2}"#,
+        ]
+        .iter()
+        .enumerate()
+        {
+            let Ok(Request::Mutation(m)) = proto::parse_line(line).1 else {
+                panic!("{line} is a mutation")
+            };
+            model.apply(&m).unwrap();
+            store.append(model.seq(), &m).unwrap();
+            if i == 1 {
+                store
+                    .snapshot_text(model.seq(), &model.state_text())
+                    .unwrap();
+            }
+        }
+        drop(store);
+        std::fs::remove_file(dir.join("snapshot.json")).unwrap();
+        let err = start(ServerConfig {
+            state_dir: Some(dir.clone()),
+            resume: true,
+            ..ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper")
+        })
+        .err()
+        .expect("a journal that starts past seq 1 is refused");
+        assert_eq!(err, "journal replay drift: expected seq 3, model at 1");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_retirement_never_degrades_the_daemon() {
+        let dir = std::env::temp_dir().join(format!("fcm-serve-noretire-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = |fault: FaultPlan, resume: bool| ServerConfig {
+            state_dir: Some(dir.clone()),
+            resume,
+            snapshot_every: 2,
+            fault,
+            ..ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), "paper")
+        };
+        let h = start(config(
+            FaultPlan::parse("journal.retire:eio").unwrap(),
+            false,
+        ))
+        .unwrap();
+        let (mut out, mut lines, _) = open_session(h.addr());
+        for req in [
+            r#"{"op":"fail_node","node":"hw2"}"#,
+            r#"{"op":"restore_node","node":"hw2"}"#,
+            r#"{"op":"set_attr","name":"p8","criticality":2}"#,
+        ] {
+            let r = send(&mut out, &mut lines, req);
+            assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+        }
+        let r = send(&mut out, &mut lines, r#"{"op":"snapshot"}"#);
+        assert_eq!(r.get("snapshotted"), Some(&Json::Bool(true)), "{r:?}");
+        let stats = send(&mut out, &mut lines, r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("degraded"), Some(&Json::Bool(false)));
+        assert_eq!(
+            stats.get("faults_injected").and_then(Json::as_f64),
+            Some(2.0),
+            "both retirements failed"
+        );
+        h.stop().expect("a failed retirement is no shutdown error");
+        let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        assert_eq!(journal.lines().count(), 3, "nothing was retired");
+        let h = start(config(FaultPlan::none(), true)).unwrap();
+        assert_eq!(h.seq(), 3);
+        h.stop().unwrap();
+        assert!(std::fs::read(dir.join("journal.jsonl")).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rejected_mutations_do_not_reach_the_journal() {
         let dir = std::env::temp_dir().join(format!("fcm-serve-rej-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1394,11 +1481,13 @@ mod tests {
             r#"{"op":"set_attr","name":"p8","criticality":2}"#,
         );
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        h.stop().unwrap();
+        // Read before the stop: its snapshot retires the journal. The
+        // append is flushed before the ack, so the line is there.
         let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
         let lines: Vec<&str> = journal.lines().collect();
         assert_eq!(lines.len(), 1, "only the accepted mutation was journaled");
         assert!(lines[0].contains("set_attr"));
+        h.stop().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

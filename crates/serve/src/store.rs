@@ -59,13 +59,13 @@
 //! `state` object so state comparisons stay byte-exact.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use fcm_substrate::fault::{Fault, FaultInjector, FaultKind, FaultPlan};
-use fcm_substrate::json::{write_escaped, write_num};
+use fcm_substrate::json::{write_escaped, write_num, Reader};
 use fcm_substrate::Json;
 
 use crate::proto::{self, Mutation};
@@ -89,8 +89,10 @@ pub struct Store {
 /// What resume recovered from disk.
 #[derive(Debug)]
 pub struct Recovered {
-    /// Snapshot `state` object and its seq, when a snapshot existed.
-    pub snapshot: Option<(Json, u64)>,
+    /// Snapshot `state` text and its seq, when a snapshot existed. The
+    /// text is the `state` value exactly as the file holds it, for
+    /// [`crate::LiveModel::from_state_text`].
+    pub snapshot: Option<(String, u64)>,
     /// Journal suffix to replay: `(seq, mutation)` with seq ascending,
     /// already filtered to entries newer than the snapshot.
     pub replay: Vec<(u64, Mutation)>,
@@ -130,7 +132,10 @@ impl Store {
             fs::remove_file(&snap).map_err(|e| io_err("remove stale snapshot", &snap, &e))?;
         }
         let jpath = dir.join(JOURNAL);
-        let journal = File::create(&jpath).map_err(|e| io_err("create journal", &jpath, &e))?;
+        let journal = open_journal(&jpath).map_err(|e| io_err("create journal", &jpath, &e))?;
+        journal
+            .set_len(0)
+            .map_err(|e| io_err("create journal", &jpath, &e))?;
         Ok(Store {
             dir: dir.to_path_buf(),
             journal,
@@ -165,11 +170,7 @@ impl Store {
         let recovered = read_recovered(dir)?;
         let jpath = dir.join(JOURNAL);
         truncate_torn_tail(&jpath)?;
-        let journal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&jpath)
-            .map_err(|e| io_err("append journal", &jpath, &e))?;
+        let journal = open_journal(&jpath).map_err(|e| io_err("append journal", &jpath, &e))?;
         Ok((
             Store {
                 dir: dir.to_path_buf(),
@@ -236,11 +237,7 @@ impl Store {
         }
         let jpath = self.dir.join(JOURNAL);
         truncate_torn_tail(&jpath)?;
-        self.journal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&jpath)
-            .map_err(|e| io_err("append journal", &jpath, &e))?;
+        self.journal = open_journal(&jpath).map_err(|e| io_err("append journal", &jpath, &e))?;
         Ok(())
     }
 
@@ -258,7 +255,12 @@ impl Store {
     /// [`crate::LiveModel::state_text`] returns it) at `seq`: the
     /// envelope is written around the text, which is copied once and
     /// never parsed, then temp file + fsync + atomic rename +
-    /// parent-directory fsync.
+    /// parent-directory fsync. Once the snapshot is durable the journal
+    /// is retired (truncated to empty): the caller snapshots the state
+    /// of its last appended line, so the snapshot covers every line.
+    /// A failed retirement is not an error: the snapshot is durable,
+    /// resume passes over the covered lines, and the next snapshot
+    /// retires them.
     ///
     /// # Errors
     ///
@@ -310,7 +312,13 @@ impl Store {
             File::open(&self.dir)
                 .and_then(|d| d.sync_all())
                 .map_err(|e| io_err("fsync state dir", &self.dir, &e))
-        })
+        })?;
+        let _ = self.gated("journal.retire", || {
+            self.journal
+                .set_len(0)
+                .map_err(|e| io_err("retire journal", &self.dir.join(JOURNAL), &e))
+        });
+        Ok(())
     }
 
     /// A byte write through the injector: torn kinds transfer a strict
@@ -358,25 +366,51 @@ fn remove_orphan_tmp(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Opens (creating) the journal for appending. Append mode puts every
+/// write at the end of the file, wherever a retirement or a repair left
+/// it, so no write lands past the end and leaves a hole.
+fn open_journal(jpath: &Path) -> std::io::Result<File> {
+    OpenOptions::new().create(true).append(true).open(jpath)
+}
+
+/// Bytes read per step while looking back from the journal's end for its
+/// last newline.
+const TAIL_BLOCK: u64 = 4096;
+
 /// Physically truncates a torn (newline-less) final segment so appends
-/// continue from a complete line.
+/// continue from a complete line. Reads back from the end of the file
+/// only as far as its last newline.
 fn truncate_torn_tail(jpath: &Path) -> Result<(), String> {
     if !jpath.exists() {
         return Ok(());
     }
-    let bytes = fs::read(jpath).map_err(|e| io_err("read journal", jpath, &e))?;
-    if bytes.is_empty() || bytes.ends_with(b"\n") {
-        return Ok(());
-    }
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-    let f = OpenOptions::new()
+    let err = |e: std::io::Error| io_err("repair journal", jpath, &e);
+    let mut f = OpenOptions::new()
+        .read(true)
         .write(true)
         .open(jpath)
-        .map_err(|e| io_err("repair journal", jpath, &e))?;
-    f.set_len(keep as u64)
-        .map_err(|e| io_err("repair journal", jpath, &e))?;
-    f.sync_all()
-        .map_err(|e| io_err("repair journal", jpath, &e))
+        .map_err(err)?;
+    let len = f.metadata().map_err(err)?.len();
+    let mut end = len;
+    let mut buf = [0u8; TAIL_BLOCK as usize];
+    let keep = loop {
+        if end == 0 {
+            break 0;
+        }
+        let start = end.saturating_sub(TAIL_BLOCK);
+        let block = &mut buf[..(end - start) as usize];
+        f.seek(SeekFrom::Start(start)).map_err(err)?;
+        f.read_exact(block).map_err(err)?;
+        if end == len && block.last() == Some(&b'\n') {
+            return Ok(());
+        }
+        if let Some(p) = block.iter().rposition(|&b| b == b'\n') {
+            break start + p as u64 + 1;
+        }
+        end = start;
+    };
+    f.set_len(keep).map_err(err)?;
+    f.sync_all().map_err(err)
 }
 
 /// Read-only recovery of the durable state in `dir`: snapshot plus the
@@ -394,21 +428,7 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
     let snapshot = if snap_path.exists() {
         let text =
             fs::read_to_string(&snap_path).map_err(|e| io_err("read snapshot", &snap_path, &e))?;
-        let json = Json::parse(&text).map_err(|e| format!("corrupt snapshot: {e}"))?;
-        if json.get("schema").and_then(Json::as_str) != Some(SNAPSHOT_SCHEMA) {
-            return Err(format!("snapshot is not {SNAPSHOT_SCHEMA}"));
-        }
-        let seq = json
-            .get("seq")
-            .and_then(Json::as_f64)
-            .ok_or("snapshot missing \"seq\"")? as u64;
-        // Move the state out of the envelope rather than copy it.
-        let state = match json {
-            Json::Obj(mut doc) => doc.remove("state"),
-            _ => None,
-        }
-        .ok_or("snapshot missing \"state\"")?;
-        Some((state, seq))
+        Some(read_snapshot(text)?)
     } else {
         None
     };
@@ -438,18 +458,61 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("journal line {} missing \"seq\"", lineno + 1))?
                 as u64;
+            // A line the snapshot covers, left by a retirement that did
+            // not happen: its mutation is never decoded.
+            if seq <= base_seq {
+                continue;
+            }
             let m = entry
                 .get("mutation")
                 .ok_or_else(|| format!("journal line {} missing \"mutation\"", lineno + 1))?;
             let mutation = proto::mutation_from_json(m)
                 .map_err(|e| format!("journal line {}: {e}", lineno + 1))?;
-            if seq > base_seq {
-                replay.push((seq, mutation));
-            }
+            replay.push((seq, mutation));
         }
     }
     replay.sort_by_key(|&(s, _)| s);
     Ok(Recovered { snapshot, replay })
+}
+
+/// The `state` text and the seq of a snapshot file's text. The envelope
+/// is read with a pull reader that checks the whole file as
+/// [`Json::parse`] would and passes over the state without building it;
+/// the state's own decoder reads it once more.
+fn read_snapshot(mut text: String) -> Result<(String, u64), String> {
+    let corrupt = |e: String| format!("corrupt snapshot: {e}");
+    let mut r = Reader::new(&text);
+    let (mut schema, mut seq, mut state) = (None, None, None);
+    if r.peek() == Some(b'{') {
+        r.begin_object().map_err(corrupt)?;
+        while let Some(key) = r.next_key().map_err(corrupt)? {
+            match &*key {
+                "schema" => schema = Some(r.value().map_err(corrupt)?),
+                "seq" => seq = Some(r.value().map_err(corrupt)?),
+                "state" => {
+                    let start = r.peek().map(|_| r.pos());
+                    r.skip().map_err(corrupt)?;
+                    state = start.map(|start| start..r.pos());
+                }
+                _ => r.skip().map_err(corrupt)?,
+            }
+        }
+    } else {
+        r.skip().map_err(corrupt)?;
+    }
+    r.finish().map_err(corrupt)?;
+    if schema.as_ref().and_then(Json::as_str) != Some(SNAPSHOT_SCHEMA) {
+        return Err(format!("snapshot is not {SNAPSHOT_SCHEMA}"));
+    }
+    let seq = seq
+        .as_ref()
+        .and_then(Json::as_f64)
+        .ok_or("snapshot missing \"seq\"")? as u64;
+    let state = state.ok_or("snapshot missing \"state\"")?;
+    // Keep the state's bytes in the file's buffer rather than copy them.
+    text.truncate(state.end);
+    text.drain(..state.start);
+    Ok((text, seq))
 }
 
 #[cfg(test)]
@@ -498,7 +561,7 @@ mod tests {
         let (state, snap_seq) = rec.snapshot.expect("snapshot written");
         assert_eq!(snap_seq, 1);
         assert_eq!(rec.replay.len(), 2, "only the post-snapshot suffix");
-        let mut recovered = LiveModel::from_state(&state).unwrap();
+        let mut recovered = LiveModel::from_state_text(&state).unwrap();
         for (seq, m) in &rec.replay {
             recovered.apply(m).unwrap();
             assert_eq!(recovered.seq(), *seq);
@@ -611,7 +674,111 @@ mod tests {
         assert_eq!(unstamped(), tree);
         let (state, seq) = read_recovered(&dir).unwrap().snapshot.unwrap();
         assert_eq!(seq, 1);
-        assert_eq!(state.to_string_compact(), model.state_text());
+        assert_eq!(state, model.state_text());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The paper model with `ops()` applied and journaled through
+    /// `store`, snapshotting after the `snap_at`-th.
+    fn journaled(store: &mut Store, snap_at: usize) -> LiveModel {
+        let mut model = LiveModel::new("paper").unwrap();
+        for (i, m) in ops().iter().enumerate() {
+            model.apply(m).unwrap();
+            store.append(model.seq(), m).unwrap();
+            if i + 1 == snap_at {
+                store
+                    .snapshot_text(model.seq(), &model.state_text())
+                    .unwrap();
+            }
+        }
+        model
+    }
+
+    fn journal_bytes(dir: &Path) -> Vec<u8> {
+        fs::read(dir.join(JOURNAL)).unwrap()
+    }
+
+    #[test]
+    fn a_snapshot_retires_the_journal_and_appends_restart_at_offset_0() {
+        let dir = tmpdir("retire");
+        let mut store = Store::create_fresh(&dir).unwrap();
+        let model = journaled(&mut store, 2);
+        // Line 3 alone: the snapshot at seq 2 retired lines 1 and 2, and
+        // the next append landed at offset 0, not past a hole.
+        let journal = journal_bytes(&dir);
+        assert!(!journal.contains(&0), "NUL hole in {journal:?}");
+        assert_eq!(String::from_utf8(journal).unwrap().lines().count(), 1);
+        drop(store);
+        let (mut store, rec) = Store::open_resume(&dir).unwrap();
+        assert_eq!(rec.snapshot.as_ref().map(|s| s.1), Some(2));
+        assert_eq!(rec.replay.len(), 1);
+        // A resumed store retires and appends the same way.
+        store
+            .snapshot_text(model.seq(), &model.state_text())
+            .unwrap();
+        assert!(journal_bytes(&dir).is_empty());
+        store.append(4, &ops()[0]).unwrap();
+        let journal = journal_bytes(&dir);
+        assert!(journal.starts_with(b"{\"mutation\""), "{journal:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_retirement_loses_nothing_and_the_next_snapshot_retries() {
+        let dir = tmpdir("retire-fail");
+        let inj = Arc::new(FaultInjector::new(
+            &FaultPlan::parse("journal.retire:eio@0").unwrap(),
+        ));
+        let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj)).unwrap();
+        let model = journaled(&mut store, 3);
+        assert_eq!(inj.injected(), 1, "the retirement failed");
+        // The snapshot is durable and covers all three lines, which stay.
+        let rec = read_recovered(&dir).unwrap();
+        let (state, seq) = rec.snapshot.unwrap();
+        assert_eq!((state.as_str(), seq), (model.state_text().as_str(), 3));
+        assert!(rec.replay.is_empty(), "covered lines are passed over");
+        assert_eq!(
+            journal_bytes(&dir).iter().filter(|&&b| b == b'\n').count(),
+            3
+        );
+        // The next snapshot retires them.
+        store
+            .snapshot_text(model.seq(), &model.state_text())
+            .unwrap();
+        assert!(journal_bytes(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_at_the_retirement_resumes_with_the_covered_lines_skipped() {
+        let dir = tmpdir("retire-crash");
+        let inj = Arc::new(FaultInjector::new(
+            &FaultPlan::parse("journal.retire:crash").unwrap(),
+        ));
+        let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj)).unwrap();
+        let mut model = LiveModel::new("paper").unwrap();
+        let all = ops();
+        for m in &all[..2] {
+            model.apply(m).unwrap();
+            store.append(model.seq(), m).unwrap();
+        }
+        store
+            .snapshot_text(model.seq(), &model.state_text())
+            .unwrap();
+        assert!(inj.crashed());
+        // The process is dead: the next append never reaches the disk.
+        model.apply(&all[2]).unwrap();
+        assert!(store.append(model.seq(), &all[2]).is_err());
+        drop(store);
+        let (_store, rec) = Store::open_resume(&dir).unwrap();
+        let (state, seq) = rec.snapshot.unwrap();
+        assert_eq!(seq, 2);
+        assert!(rec.replay.is_empty(), "lines 1 and 2 are covered");
+        let mut at_2 = LiveModel::new("paper").unwrap();
+        for m in &all[..2] {
+            at_2.apply(m).unwrap();
+        }
+        assert_eq!(state, at_2.state_text());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -53,6 +53,7 @@ fn matrix_covers_all_write_flush_rename_sites() {
         "snapshot.tmp.fsync",
         "snapshot.rename",
         "snapshot.dir.fsync",
+        "journal.retire",
     ] {
         assert!(
             report.cases.iter().any(|c| c.site == site),

@@ -7,7 +7,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use fcm_serve::proto::{self, Request};
 use fcm_serve::server::{start, Listen, ServerConfig};
+use fcm_serve::store::read_recovered;
+use fcm_serve::LiveModel;
 use fcm_substrate::fault::FaultPlan;
 use fcm_substrate::Json;
 
@@ -135,20 +138,35 @@ fn rearm_restores_durability_after_the_fault_clears() {
         Some(1.0),
         "re-armed daemon journals from the durable prefix"
     );
-    h.stop().expect("clean stop");
-
-    // The accepted mutation is really on disk: exactly one journal line.
+    // The accepted mutation is really on disk: exactly one journal line
+    // (read before the stop, whose snapshot retires the journal).
     let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
     assert_eq!(journal.lines().count(), 1, "{journal}");
     assert!(journal.contains("set_attr"));
+    h.stop().expect("clean stop");
+
+    // After the stop the durable state is that one mutation applied.
+    let rec = read_recovered(&dir).expect("durable state reads");
+    assert!(rec.replay.is_empty(), "the snapshot covers the journal");
+    let (state, seq) = rec.snapshot.expect("shutdown snapshot");
+    assert_eq!(seq, 1);
+    let mut want = LiveModel::new("paper").unwrap();
+    let (_, req) = proto::parse_line(MUTATE);
+    let Ok(Request::Mutation(m)) = req else {
+        panic!("MUTATE is a mutation")
+    };
+    want.apply(&m).unwrap();
+    let got = LiveModel::from_state_text(&state).expect("snapshot loads");
+    assert_eq!(got.state_text(), want.state_text());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fault_free_plan_behaves_identically_to_no_plan() {
     // `FaultPlan::none()` must be byte-identical to pre-fault behaviour:
-    // same responses, same journal bytes (modulo nothing — the journal
-    // carries no timestamps).
+    // same responses, same journal bytes before the stop (modulo nothing
+    // — the journal carries no timestamps), and the same snapshot state
+    // after it.
     let run = |fault: FaultPlan, tag: &str| {
         let dir = state_dir(tag);
         let h = start(ServerConfig {
@@ -168,13 +186,16 @@ fn fault_free_plan_behaves_identically_to_no_plan() {
             transcript.push_str(&send(&mut s, req).to_string_compact());
             transcript.push('\n');
         }
-        h.stop().expect("clean stop");
         let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        h.stop().expect("clean stop");
+        let snapshot = read_recovered(&dir).expect("durable state reads").snapshot;
         let _ = std::fs::remove_dir_all(&dir);
-        (transcript, journal)
+        (transcript, journal, snapshot.expect("shutdown snapshot"))
     };
-    let (t_none, j_none) = run(FaultPlan::none(), "none");
-    let (t_empty, j_empty) = run(FaultPlan::parse("").unwrap(), "empty");
+    let (t_none, j_none, s_none) = run(FaultPlan::none(), "none");
+    let (t_empty, j_empty, s_empty) = run(FaultPlan::parse("").unwrap(), "empty");
     assert_eq!(t_none, t_empty, "transcripts diverge");
     assert_eq!(j_none, j_empty, "journal bytes diverge");
+    assert_eq!(j_none.lines().count(), 3, "{j_none}");
+    assert_eq!(s_none, s_empty, "snapshot states diverge");
 }

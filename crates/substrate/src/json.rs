@@ -10,6 +10,7 @@
 //! Numbers are `f64` (JSON's native model); integers up to 2⁵³ round-trip
 //! exactly, which covers every counter in this workspace.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -431,16 +432,24 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    scan_string(bytes, pos).map(Cow::into_owned)
+}
+
+/// Scans the string at `pos`: borrowed from the input when it has no
+/// escape, the usual case, so a reader that only compares or skips it
+/// allocates nothing.
+fn scan_string<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
     expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+    let mut out: Option<String> = None;
     loop {
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(out.map_or(Cow::Borrowed(""), Cow::Owned));
             }
             Some(b'\\') => {
+                let out = out.get_or_insert_with(String::new);
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -467,15 +476,197 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the run up to the next quote or backslash. Both
+                // Take the run up to the next quote or backslash. Both
                 // are ASCII, so the run ends on a char boundary; decoding
                 // only the run keeps the parse linear in the input.
                 let start = *pos;
                 while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
                     *pos += 1;
                 }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                match &mut out {
+                    Some(out) => out.push_str(run),
+                    // A whole string with no escape is the run itself.
+                    None if bytes.get(*pos) == Some(&b'"') => {
+                        *pos += 1;
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    None => out = Some(run.to_string()),
+                }
             }
+        }
+    }
+}
+
+// ------------------------------------------------------------- pull reader
+
+/// A pull reader over one JSON document, for decoders that stream a
+/// large document into their own structures instead of building a
+/// [`Json`] tree of it. It runs the tree parser's own string, number,
+/// literal and whitespace scanners, and it accepts and rejects exactly
+/// what [`Json::parse`] does, with the same messages at the same byte
+/// offsets.
+///
+/// An object is read as [`Reader::begin_object`], then
+/// [`Reader::next_key`] until it returns `None`, with one value read
+/// after each key; an array as [`Reader::begin_array`], then
+/// [`Reader::next_item`] until it returns `false`, with one value read
+/// after each `true`. A value is read with [`Reader::value`] (a [`Json`]
+/// subtree), [`Reader::skip`], or a nested container.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// A container was just opened, so the next key or item takes no
+    /// separator.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
+            fresh: false,
+        }
+    }
+
+    /// The byte offset of the next unread byte.
+    #[must_use]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The first byte of the next value, past any whitespace.
+    pub fn peek(&mut self) -> Option<u8> {
+        skip_ws(self.bytes, &mut self.pos);
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Enters the object the next value must be.
+    ///
+    /// # Errors
+    ///
+    /// The next value does not start with `{`.
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        skip_ws(self.bytes, &mut self.pos);
+        expect(self.bytes, &mut self.pos, b'{')?;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// The next key of the innermost open object, or `None` at its end.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, as [`Json::parse`] reports it.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        skip_ws(self.bytes, &mut self.pos);
+        let first = std::mem::take(&mut self.fresh);
+        match self.bytes.get(self.pos) {
+            Some(b'}') => {
+                self.pos += 1;
+                return Ok(None);
+            }
+            Some(b',') if !first => self.pos += 1,
+            _ if !first => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            _ => {}
+        }
+        skip_ws(self.bytes, &mut self.pos);
+        let key = scan_string(self.bytes, &mut self.pos)?;
+        skip_ws(self.bytes, &mut self.pos);
+        expect(self.bytes, &mut self.pos, b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enters the array the next value must be.
+    ///
+    /// # Errors
+    ///
+    /// The next value does not start with `[`.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        skip_ws(self.bytes, &mut self.pos);
+        expect(self.bytes, &mut self.pos, b'[')?;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Whether the innermost open array has another item; `false` at
+    /// its end.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, as [`Json::parse`] reports it.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        skip_ws(self.bytes, &mut self.pos);
+        let first = std::mem::take(&mut self.fresh);
+        match self.bytes.get(self.pos) {
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if !first => Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            _ => Ok(true),
+        }
+    }
+
+    /// The next value as a [`Json`] subtree.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, as [`Json::parse`] reports it.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.fresh = false;
+        parse_value(self.bytes, &mut self.pos)
+    }
+
+    /// Checks and passes over the next value without building it.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, as [`Json::parse`] reports it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Some(b'"') => {
+                scan_string(self.bytes, &mut self.pos)?;
+            }
+            _ => {
+                parse_value(self.bytes, &mut self.pos)?;
+            }
+        }
+        self.fresh = false;
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the value read.
+    ///
+    /// # Errors
+    ///
+    /// Trailing data, reported as [`Json::parse`] reports it.
+    pub fn finish(&mut self) -> Result<(), String> {
+        skip_ws(self.bytes, &mut self.pos);
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
         }
     }
 }
@@ -585,6 +776,77 @@ mod tests {
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    /// `text` through a [`Reader`]: the whole value skipped, or read
+    /// key by key and item by item with every scalar taken as a value.
+    fn read_all(text: &str, skipping: bool) -> Result<(), String> {
+        fn walk(r: &mut Reader<'_>) -> Result<(), String> {
+            match r.peek() {
+                Some(b'{') => {
+                    r.begin_object()?;
+                    while r.next_key()?.is_some() {
+                        walk(r)?;
+                    }
+                    Ok(())
+                }
+                Some(b'[') => {
+                    r.begin_array()?;
+                    while r.next_item()? {
+                        walk(r)?;
+                    }
+                    Ok(())
+                }
+                _ => r.value().map(drop),
+            }
+        }
+        let mut r = Reader::new(text);
+        if skipping {
+            r.skip()?;
+        } else {
+            walk(&mut r)?;
+        }
+        r.finish()
+    }
+
+    #[test]
+    fn the_reader_accepts_and_rejects_what_parse_does() {
+        let doc = r#" {"a": [1, -2.5e3, "x\"y", {"b": null}, []], "c": {}, "d": [true, false], "e": "é"} "#;
+        let mut cases: Vec<String> = (0..=doc.len())
+            .filter(|&i| doc.is_char_boundary(i))
+            .map(|i| doc[..i].to_string())
+            .collect();
+        for (i, _) in doc.char_indices() {
+            for b in [
+                "{", "}", "[", "]", ",", ":", "\"", "\\", " ", "1", "x", "-", ".",
+            ] {
+                let end = i + doc[i..].chars().next().map_or(0, char::len_utf8);
+                cases.push(format!("{}{b}{}", &doc[..i], &doc[end..]));
+            }
+        }
+        for text in &cases {
+            let want = Json::parse(text).map(drop);
+            assert_eq!(read_all(text, true), want, "skip: {text}");
+            assert_eq!(read_all(text, false), want, "walk: {text}");
+        }
+    }
+
+    #[test]
+    fn the_reader_borrows_plain_keys_and_reports_offsets() {
+        let text = r#"{"plain": 1, "esc\"aped": [2]}"#;
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert!(matches!(
+            r.next_key().unwrap(),
+            Some(Cow::Borrowed("plain"))
+        ));
+        assert_eq!(r.value().unwrap(), Json::Num(1.0));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("esc\"aped"));
+        let start = r.peek().map(|_| r.pos()).unwrap();
+        r.skip().unwrap();
+        assert_eq!(&text[start..r.pos()], "[2]");
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
