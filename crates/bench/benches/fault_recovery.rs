@@ -5,6 +5,10 @@
 //! * **Cold resume** — `Store::open_resume` + full journal replay onto
 //!   a fresh model, at several journal lengths. This is the recovery
 //!   half of every crash-matrix case, measured instead of asserted.
+//! * **Resume after a long history** — 10^4 and 10^5 accepted
+//!   `set_attr`s with a snapshot every 64, then `Store::open_resume`,
+//!   the snapshot load and the replay of what follows it. Each snapshot
+//!   retires the journal, so this costs the same at either length.
 //! * **Re-arm latency** — a daemon whose first journal writes fail
 //!   (`journal.*:eio@0..2`) enters degraded mode on the first mutation;
 //!   the sample is the wall time from that trip until a mutation is
@@ -17,7 +21,7 @@
 use std::time::Instant;
 
 use fcm_serve::gen::{self, percentile_ns};
-use fcm_serve::proto::{self, Request};
+use fcm_serve::proto::{self, Mutation, Request};
 use fcm_serve::server::{start, Listen, ServerConfig};
 use fcm_serve::store::Store;
 use fcm_serve::LiveModel;
@@ -26,6 +30,10 @@ use fcm_substrate::Json;
 
 /// Journal lengths (accepted mutations) for the cold-resume points.
 const RESUME_LENS: [usize; 3] = [16, 128, 512];
+/// Accepted mutations before the resume-after-history points.
+const HISTORY_LENS: [usize; 2] = [10_000, 100_000];
+/// The daemon's default snapshot cadence.
+const SNAPSHOT_EVERY: usize = 64;
 const RESUME_ITERS: usize = 30;
 const REARM_ITERS: usize = 8;
 
@@ -111,6 +119,65 @@ fn resume_point(len: usize) -> Json {
     )
 }
 
+/// Runs `len` accepted `set_attr`s with a snapshot every
+/// `SNAPSHOT_EVERY`, as the daemon's writer does, then times
+/// resume-and-load `RESUME_ITERS` times.
+fn history_point(len: usize) -> Json {
+    let dir = std::env::temp_dir().join(format!("fcm-bench-history-{len}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut model = LiveModel::new("paper").expect("paper model");
+    let mut store = Store::create_fresh(&dir).expect("fresh store");
+    for i in 0..len {
+        let m = Mutation::SetAttr {
+            name: "p8".to_string(),
+            criticality: Some(2 + (i % 2) as u32),
+            throughput: None,
+            timing: None,
+        };
+        model.apply(&m).expect("set_attr accepted");
+        store.append(model.seq(), &m).expect("append");
+        if (i + 1) % SNAPSHOT_EVERY == 0 {
+            store
+                .snapshot_text(model.seq(), &model.state_text())
+                .expect("snapshot");
+        }
+    }
+    let reference = model.state_text();
+    drop((store, model));
+
+    let mut samples = Vec::with_capacity(RESUME_ITERS);
+    let mut replayed = 0;
+    for _ in 0..RESUME_ITERS {
+        let t0 = Instant::now();
+        let (_store, rec) = Store::open_resume(&dir).expect("resume");
+        let (state, _) = rec.snapshot.as_ref().expect("a snapshot was written");
+        let mut m = LiveModel::from_state_text(state).expect("snapshot loads");
+        for (_, mu) in &rec.replay {
+            m.apply(mu).expect("replay applies");
+        }
+        let ns = t0.elapsed().as_nanos() as u64;
+        assert_eq!(m.state_text(), reference, "resume drifted");
+        replayed = rec.replay.len();
+        samples.push(ns);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "resume after {len:>6} mutations: p50 {:>9} ns  p95 {:>9} ns",
+        percentile_ns(&samples, 50.0),
+        percentile_ns(&samples, 95.0),
+    );
+    entry(
+        format!("paper/resume_after_history@{len}"),
+        &samples,
+        &[
+            ("model", Json::from("paper")),
+            ("history_mutations", Json::from(len as u64)),
+            ("snapshot_every", Json::from(SNAPSHOT_EVERY as u64)),
+            ("replayed", Json::from(replayed as u64)),
+        ],
+    )
+}
+
 /// One `run_script` round-trip; returns the mutation's response line.
 fn drive(target: &Listen) -> String {
     let mut buf = Vec::new();
@@ -156,6 +223,7 @@ fn rearm_sample(iter: usize) -> u64 {
 
 fn main() {
     let mut benchmarks: Vec<Json> = RESUME_LENS.iter().map(|&len| resume_point(len)).collect();
+    benchmarks.extend(HISTORY_LENS.iter().map(|&len| history_point(len)));
 
     let rearm: Vec<u64> = (0..REARM_ITERS).map(rearm_sample).collect();
     println!(

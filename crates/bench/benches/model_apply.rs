@@ -18,7 +18,9 @@
 //!   document built in memory, no I/O;
 //! * `snapshot/{n}` — what the daemon's writer pays per snapshot:
 //!   `LiveModel::state_text` plus `Store::snapshot_text` into a temp
-//!   directory (envelope, write, fsync, rename, directory fsync).
+//!   directory (envelope, write, fsync, rename, directory fsync);
+//! * `load/{n}` — the snapshot half of `--resume`: `read_recovered` of
+//!   that directory plus `LiveModel::from_state_text` of its state.
 //!
 //! The add and set_attr paths are O(degree + log n); removal edits the
 //! graph, the placement and the name index in place, shifting the
@@ -27,7 +29,7 @@
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
-use fcm_serve::store::Store;
+use fcm_serve::store::{read_recovered, Store};
 use fcm_serve::LiveModel;
 use fcm_substrate::bench::Suite;
 use fcm_substrate::Rng;
@@ -120,6 +122,15 @@ fn main() {
                 .expect("snapshot is written")
         });
         drop(store);
+        let want = m.state_text();
+        suite.bench(&format!("load/{n}"), || {
+            let rec = read_recovered(&dir).expect("snapshot reads");
+            let (state, _) = rec.snapshot.expect("a snapshot was written");
+            LiveModel::from_state_text(&state).expect("snapshot loads")
+        });
+        let rec = read_recovered(&dir).expect("snapshot reads");
+        let loaded = LiveModel::from_state_text(&rec.snapshot.expect("snapshot").0);
+        assert_eq!(loaded.expect("snapshot loads").state_text(), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
     suite.finish();

@@ -37,7 +37,7 @@
 //! ([`Placement::remove`]) and the name index in place, closing the
 //! index gap: O(n) integer shifts and memmoves, with no rebuild and no
 //! per-FCM allocation. The delta gate is sound because every entry
-//! path (`new`, `from_state`) runs the full gate once, so every
+//! path (`new`, `from_state_text`) runs the full gate once, so every
 //! committed state passed it.
 //!
 //! Placement is a live [`failover::Placement`], the same engine
@@ -1114,14 +1114,13 @@ impl LiveModel {
         r.finish().map_err(syntax)?;
         let state = Json::Obj(rest);
 
-        let want = |key: &str| format!("snapshot state missing \"{key}\"");
         if state.get("schema").and_then(Json::as_str) != Some(STATE_SCHEMA) {
             return Err(format!("snapshot state is not {STATE_SCHEMA}"));
         }
         let name = state
             .get("model")
             .and_then(Json::as_str)
-            .ok_or_else(|| want("model"))?;
+            .ok_or_else(|| missing("model"))?;
         let hw = match name {
             "paper" => paper::hw_platform(),
             "avionics" => avionics::platform(),
@@ -1134,7 +1133,7 @@ impl LiveModel {
             mut graph,
             hosts,
             bad,
-        } = fcms.ok_or_else(|| want("fcms"))?;
+        } = fcms.ok_or_else(|| missing("fcms"))?;
         // The FCMs before the first bad one each name a host; an unknown
         // one is reported first, as a walk in array order meets it first.
         let mut host_of: Vec<Option<NodeIdx>> = Vec::with_capacity(hosts.len());
@@ -1153,7 +1152,7 @@ impl LiveModel {
             return Err(e);
         }
 
-        let EdgesRead { triples, malformed } = edges.ok_or_else(|| want("edges"))?;
+        let EdgesRead { triples, malformed } = edges.ok_or_else(|| missing("edges"))?;
         for (f, to, w) in triples {
             if f >= graph.node_count() || to >= graph.node_count() {
                 return Err("snapshot edge endpoint out of range".to_string());
@@ -1166,13 +1165,13 @@ impl LiveModel {
             graph.add_edge(NodeIdx(f), NodeIdx(to), weight);
         }
         if malformed {
-            return Err(want("edges[]"));
+            return Err(missing("edges[]"));
         }
 
         let influence = state
             .get("influence")
             .and_then(InfluenceMatrix::from_state_json)
-            .ok_or_else(|| want("influence"))?;
+            .ok_or_else(|| missing("influence"))?;
         let n = graph.node_count();
         if influence.rows() != n || influence.cols() != n {
             return Err("snapshot influence matrix has wrong dimensions".to_string());
@@ -1182,9 +1181,9 @@ impl LiveModel {
         for h in state
             .get("failed")
             .and_then(Json::as_array)
-            .ok_or_else(|| want("failed"))?
+            .ok_or_else(|| missing("failed"))?
         {
-            let hname = h.as_str().ok_or_else(|| want("failed[]"))?;
+            let hname = h.as_str().ok_or_else(|| missing("failed[]"))?;
             failed.insert(
                 *hw_index
                     .get(hname)
@@ -1195,11 +1194,11 @@ impl LiveModel {
         let seq = state
             .get("seq")
             .and_then(Json::as_f64)
-            .ok_or_else(|| want("seq"))? as u64;
+            .ok_or_else(|| missing("seq"))? as u64;
         let full_condenses = state
             .get("full_condenses")
             .and_then(Json::as_f64)
-            .ok_or_else(|| want("full_condenses"))? as u64;
+            .ok_or_else(|| missing("full_condenses"))? as u64;
         let contracts = match state.get("contracts") {
             Some(doc) => {
                 ContractSet::from_json(doc).map_err(|e| format!("snapshot contracts: {e}"))?
@@ -1265,7 +1264,11 @@ fn read_fcms(r: &mut Reader<'_>) -> Result<Option<FcmsRead>, String> {
             r.skip()?;
             continue;
         }
-        match read_fcm(r)? {
+        let entry = match read_fcm(r)? {
+            Some(fields) => fields.into_node(),
+            None => Err(missing("fcms[].name")),
+        };
+        match entry {
             Ok((node, host)) => {
                 read.graph.add_node(node);
                 read.hosts.push(host);
@@ -1276,85 +1279,97 @@ fn read_fcms(r: &mut Reader<'_>) -> Result<Option<FcmsRead>, String> {
     Ok(Some(read))
 }
 
-/// Reads one `fcms[]` entry into a node and the host it names. The outer
-/// error is a syntax error; the inner one, an entry that does not
-/// decode, checked in the order of the tree decoder this replaced.
-#[allow(clippy::type_complexity)]
-fn read_fcm(r: &mut Reader<'_>) -> Result<Result<(SwNode, Option<String>), String>, String> {
-    let want = |key: &str| format!("snapshot state missing \"{key}\"");
+/// The fields of one `fcms[]` entry as read, before any check; a field
+/// of the wrong type reads as absent, as a tree lookup would find it.
+#[derive(Default)]
+struct FcmFields {
+    name: Option<String>,
+    pin: Option<String>,
+    host: Option<String>,
+    crit: Option<f64>,
+    thr: Option<f64>,
+    sec: Option<f64>,
+    ft: Option<f64>,
+    rep: Option<f64>,
+    sep: Option<f64>,
+    timing: Option<Json>,
+    res: Option<Json>,
+}
+
+/// Reads one `fcms[]` entry: `None` when it is not an object. Only a
+/// syntax error is returned as an error.
+fn read_fcm(r: &mut Reader<'_>) -> Result<Option<FcmFields>, String> {
     if r.peek() != Some(b'{') {
         r.skip()?;
-        return Ok(Err(want("fcms[].name")));
+        return Ok(None);
     }
     let string = |j: Json| match j {
         Json::Str(s) => Some(s),
         _ => None,
     };
-    let (mut name, mut pin, mut host) = (None, None, None);
-    let (mut crit, mut thr, mut sec, mut ft, mut rep, mut sep) =
-        (None, None, None, None, None, None);
-    let (mut timing, mut res) = (Json::Null, Json::Null);
+    let mut f = FcmFields::default();
     r.begin_object()?;
     while let Some(key) = r.next_key()? {
         match &*key {
-            "name" => name = string(r.value()?),
-            "pin" => pin = string(r.value()?),
-            "host" => host = string(r.value()?),
-            "crit" => crit = r.value()?.as_f64(),
-            "thr" => thr = r.value()?.as_f64(),
-            "sec" => sec = r.value()?.as_f64(),
-            "ft" => ft = r.value()?.as_f64(),
-            "rep" => rep = r.value()?.as_f64(),
-            "sep" => sep = r.value()?.as_f64(),
-            "timing" => timing = r.value()?,
-            "res" => res = r.value()?,
+            "name" => f.name = string(r.value()?),
+            "pin" => f.pin = string(r.value()?),
+            "host" => f.host = string(r.value()?),
+            "crit" => f.crit = r.value()?.as_f64(),
+            "thr" => f.thr = r.value()?.as_f64(),
+            "sec" => f.sec = r.value()?.as_f64(),
+            "ft" => f.ft = r.value()?.as_f64(),
+            "rep" => f.rep = r.value()?.as_f64(),
+            "sep" => f.sep = r.value()?.as_f64(),
+            "timing" => f.timing = Some(r.value()?),
+            "res" => f.res = Some(r.value()?),
             _ => r.skip()?,
         }
     }
-    let Some(fname) = name else {
-        return Ok(Err(want("fcms[].name")));
-    };
-    let num = |x: Option<f64>, key: &str| {
-        x.ok_or_else(|| format!("snapshot fcm \"{fname}\" missing \"{key}\""))
-    };
-    let attrs = (|| {
+    Ok(Some(f))
+}
+
+impl FcmFields {
+    /// The node these fields describe and the host it names, checked in
+    /// a fixed order: the name, the four attributes, then the timing.
+    fn into_node(self) -> Result<(SwNode, Option<String>), String> {
+        let fname = self.name.ok_or_else(|| missing("fcms[].name"))?;
+        let num = |x: Option<f64>, key: &str| {
+            x.ok_or_else(|| format!("snapshot fcm \"{fname}\" missing \"{key}\""))
+        };
         let mut attrs = AttributeSet::default()
-            .with_criticality(num(crit, "crit")? as u32)
-            .with_throughput(num(thr, "thr")?)
-            .with_security(num(sec, "sec")? as u8)
-            .with_fault_tolerance(fcm_core::FaultTolerance(num(ft, "ft")? as u8));
-        if !matches!(timing, Json::Null) {
-            let arr = timing
+            .with_criticality(num(self.crit, "crit")? as u32)
+            .with_throughput(num(self.thr, "thr")?)
+            .with_security(num(self.sec, "sec")? as u8)
+            .with_fault_tolerance(fcm_core::FaultTolerance(num(self.ft, "ft")? as u8));
+        if let Some(t) = self.timing.filter(|t| !matches!(t, Json::Null)) {
+            let arr = t
                 .as_array()
                 .filter(|a| a.len() == 3)
-                .ok_or_else(|| want("timing"))?;
+                .ok_or_else(|| missing("timing"))?;
             let g = |i: usize| {
                 arr[i]
                     .as_f64()
                     .map(|x| x as u64)
-                    .ok_or_else(|| want("timing"))
+                    .ok_or_else(|| missing("timing"))
             };
             attrs = attrs.with_timing(g(0)?, g(1)?, g(2)?);
         }
-        Ok(attrs)
-    })();
-    let attrs = match attrs {
-        Ok(attrs) => attrs,
-        Err(e) => return Ok(Err(e)),
-    };
-    let mut sw = SwNode::new(fname, attrs);
-    sw.replica_group = rep.map(|x| x as u32);
-    sw.separation_group = sep.map(|x| x as u32);
-    sw.pinned_to = pin;
-    for tag in res
-        .as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(Json::as_str)
-    {
-        sw.required_resources.insert(tag.to_string());
+        let mut sw = SwNode::new(fname, attrs);
+        sw.replica_group = self.rep.map(|x| x as u32);
+        sw.separation_group = self.sep.map(|x| x as u32);
+        sw.pinned_to = self.pin;
+        if let Some(res) = self.res.as_ref().and_then(Json::as_array) {
+            for tag in res.iter().filter_map(Json::as_str) {
+                sw.required_resources.insert(tag.to_string());
+            }
+        }
+        Ok((sw, self.host))
     }
-    Ok(Ok((sw, host)))
+}
+
+/// The error for a state key that is absent or of the wrong type.
+fn missing(key: &str) -> String {
+    format!("snapshot state missing \"{key}\"")
 }
 
 /// The state's `edges` array as read: the `(from, to, weight)` triples

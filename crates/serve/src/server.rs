@@ -37,7 +37,10 @@
 //! structured `degraded:` error (rendered with `"degraded": true`),
 //! queries keep serving from the rolled-back state, and seeded
 //! bounded-exponential-backoff probes (`Store::probe`) try to re-arm
-//! durability. The writer queue is bounded ([`ServerConfig::queue_bound`]),
+//! durability. The rollback holds the model write lock, so queries
+//! wait for it; it costs one snapshot load plus at most
+//! `snapshot_every` journal lines, because each durable snapshot
+//! retires the journal. The writer queue is bounded ([`ServerConfig::queue_bound`]),
 //! so a stalled disk back-pressures producers instead of growing an
 //! unbounded backlog. The armed → degraded → re-arming state machine is
 //! specified in DESIGN.md §10 and surfaced in `stats` (`degraded`,

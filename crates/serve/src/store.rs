@@ -18,22 +18,42 @@
 //!   snapshot. Orphaned `snapshot.json.tmp` files from a crash between
 //!   write and rename are removed on startup.
 //! * `journal.jsonl` — one `{"mutation":{...},"seq":N}` line per
-//!   accepted mutation, in canonical [`crate::proto::mutation_to_json`]
-//!   form, written whole-line to the OS. The writer appends *after*
+//!   accepted mutation since the last durable snapshot, in canonical
+//!   [`crate::proto::mutation_to_json`] form, written whole-line to the
+//!   OS through an append-mode handle. The writer appends *after*
 //!   applying and *before* replying, so every acknowledged mutation is
 //!   durable.
 //!
+//! **Retirement.** Once a snapshot at seq k is durable (after the
+//! rename and the directory fsync), [`Store::snapshot_text`] truncates
+//! the journal to empty. That is exact because the one writer snapshots
+//! the state of its last appended line, so every line is at or below k.
+//! A crash or a failure before the truncation leaves covered lines
+//! behind; recovery reads their `seq` and passes over them without
+//! decoding the mutation, and the next snapshot retires them. The
+//! journal therefore holds at most the lines since the last durable
+//! snapshot plus those a failed retirement left. Deleting
+//! `snapshot.json` by hand after a retirement leaves a journal that
+//! starts past seq 1: its replay is refused as drift, and an empty one
+//! resumes as a fresh model.
+//!
 //! Recovery (`--resume`) loads the snapshot (if any), then replays the
-//! journal suffix with `seq > snapshot.seq`. A *torn tail* — a final
-//! journal segment with no trailing newline, the only artefact a
-//! mid-write crash can leave — is silently dropped and truncated away
-//! (crash-consistent: its mutation was never acknowledged). A
-//! newline-*terminated* line that fails to parse is real corruption and
-//! is reported with its line number (exit-code-2 class). Mutations are
-//! deterministic functions of model state, so replay reconstructs the
-//! crashed model byte-identically — `scripts/verify.sh` pins this with
-//! a `dump` byte-compare against a straight-through run, and
-//! `crashdrill` pins it at every enumerated IO site.
+//! journal suffix with `seq > snapshot.seq`. It costs one snapshot load
+//! plus at most `--snapshot-every` lines, whatever the uptime: the
+//! envelope is read with [`fcm_substrate::json::Reader`], which passes
+//! over the state without building it, and
+//! [`crate::LiveModel::from_state_text`] decodes the state text. A
+//! *torn tail* — a final journal segment with no trailing newline, the
+//! only artefact a mid-write crash can leave — is silently dropped and
+//! truncated away (crash-consistent: its mutation was never
+//! acknowledged); the repair reads the journal back from its end only
+//! as far as its last newline. A newline-*terminated* line that fails
+//! to parse is real corruption and is reported with its line number
+//! (exit-code-2 class). Mutations are deterministic functions of model
+//! state, so replay reconstructs the crashed model byte-identically —
+//! `scripts/verify.sh` pins this with a `dump` byte-compare against a
+//! straight-through run, and `crashdrill` pins it at every enumerated
+//! IO site.
 //!
 //! ## IO-site catalog
 //!
@@ -46,6 +66,7 @@
 //! | `snapshot.tmp.fsync` | fsync of the temp file before rename |
 //! | `snapshot.rename` | atomic rename onto `snapshot.json` |
 //! | `snapshot.dir.fsync` | fsync of the state directory after rename |
+//! | `journal.retire` | truncation of the journal once the snapshot is durable |
 //!
 //! Every site consults the store's [`FaultInjector`] first; the
 //! production plan is [`FaultPlan::none`], whose passive path is a
@@ -391,6 +412,9 @@ fn truncate_torn_tail(jpath: &Path) -> Result<(), String> {
         .open(jpath)
         .map_err(err)?;
     let len = f.metadata().map_err(err)?.len();
+    if len == 0 {
+        return Ok(());
+    }
     let mut end = len;
     let mut buf = [0u8; TAIL_BLOCK as usize];
     let keep = loop {
@@ -509,7 +533,7 @@ fn read_snapshot(mut text: String) -> Result<(String, u64), String> {
         .and_then(Json::as_f64)
         .ok_or("snapshot missing \"seq\"")? as u64;
     let state = state.ok_or("snapshot missing \"state\"")?;
-    // Keep the state's bytes in the file's buffer rather than copy them.
+    // Cut the file's buffer down to the state rather than copy it.
     text.truncate(state.end);
     text.drain(..state.start);
     Ok((text, seq))
@@ -780,6 +804,94 @@ mod tests {
         }
         assert_eq!(state, at_2.state_text());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A run of `ops()` mutations with snapshots at random points and
+    /// one injected `eio` rule over a snapshot or retirement site.
+    #[derive(Debug)]
+    struct RetireCase {
+        mutations: usize,
+        snapshot_odds: f64,
+        site: &'static str,
+        from: u64,
+        len: u64,
+        seed: u64,
+    }
+
+    #[test]
+    fn the_journal_holds_only_what_the_last_retirement_left() {
+        const SITES: [&str; 5] = [
+            "snapshot.tmp.write",
+            "snapshot.tmp.fsync",
+            "snapshot.rename",
+            "snapshot.dir.fsync",
+            "journal.retire",
+        ];
+        fcm_substrate::prop::check(
+            "the_journal_holds_only_what_the_last_retirement_left",
+            fcm_substrate::prop::Config {
+                cases: 32,
+                max_size: 40,
+                ..fcm_substrate::prop::Config::default()
+            },
+            |rng, size| RetireCase {
+                mutations: size,
+                snapshot_odds: rng.gen_range(0.1f64..0.6),
+                site: SITES[rng.gen_range(0usize..SITES.len())],
+                from: rng.gen_range(0u64..4),
+                len: rng.gen_range(1u64..6),
+                seed: rng.next_u64(),
+            },
+            |c| {
+                let dir = tmpdir(&format!("retire-prop-{}", c.seed));
+                let plan = format!("{}:eio@{}..{}", c.site, c.from, c.from + c.len);
+                let inj = Arc::new(FaultInjector::new(&FaultPlan::parse(&plan).unwrap()));
+                let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj)).unwrap();
+                let mut rng = fcm_substrate::Rng::seed_from_u64(c.seed);
+                let mut model = LiveModel::new("paper").unwrap();
+                // Lines appended since the last retirement, and since
+                // the last snapshot that returned Ok (one that failed at
+                // the directory fsync was renamed into place already and
+                // may cover more).
+                let (mut unretired, mut uncovered) = (0usize, 0usize);
+                for i in 0..c.mutations {
+                    let m = &ops()[i % 3];
+                    model.apply(m).unwrap();
+                    store.append(model.seq(), m).unwrap();
+                    unretired += 1;
+                    uncovered += 1;
+                    if rng.gen_bool(c.snapshot_odds) {
+                        let injected = inj.injected();
+                        if store
+                            .snapshot_text(model.seq(), &model.state_text())
+                            .is_ok()
+                        {
+                            uncovered = 0;
+                            if inj.injected() == injected {
+                                unretired = 0;
+                            }
+                        }
+                    }
+                    let journal = journal_bytes(&dir);
+                    let lines = journal.iter().filter(|&&b| b == b'\n').count();
+                    fcm_substrate::prop_assert_eq!(lines, unretired);
+                    let rec = read_recovered(&dir)?;
+                    fcm_substrate::prop_assert!(rec.replay.len() <= uncovered);
+                    let mut resumed = match &rec.snapshot {
+                        Some((state, _)) => LiveModel::from_state_text(state)?,
+                        None => LiveModel::new("paper")?,
+                    };
+                    for (seq, m) in &rec.replay {
+                        resumed.apply(m)?;
+                        fcm_substrate::prop_assert_eq!(resumed.seq(), *seq);
+                    }
+                    fcm_substrate::prop_assert_eq!(resumed.state_text(), model.state_text());
+                }
+                drop(store);
+                let _ = fs::remove_dir_all(&dir);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and then churned. At every `CHECK_EVERY`-th accepted mutation the
 //! live model is compared with two twins:
 //!
-//! * `LiveModel::from_state` of the parsed `state_text`: the same state
+//! * `LiveModel::from_state_text` of the `state_text`: the same state
 //!   bytes (and the parsed tree re-emits them byte for byte), every
 //!   query answered byte-identically (the certifier's `dirty`/`reused`
 //!   counters excepted — they describe the last pass, not the state);
@@ -113,7 +113,7 @@ fn assert_matches_twins(m: &LiveModel, step: usize) {
     );
 
     // Twin 1: resume from the state bytes.
-    let resumed = LiveModel::from_state(&state)
+    let resumed = LiveModel::from_state_text(&text)
         .unwrap_or_else(|e| panic!("step {step}: state does not load: {e}"));
     assert_eq!(resumed.state_text(), text, "step {step}: state round trip");
     for q in queries(m) {
@@ -234,7 +234,7 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
     let (mut accepted, mut rejected, mut checks) = (0usize, 0usize, 0usize);
     let mut saw_csr = false;
     let mut saw_covered = false;
-    let mut twin = LiveModel::from_state(&m.state_json()).expect("state loads");
+    let mut twin = LiveModel::from_state_text(&m.state_text()).expect("state loads");
     for step in 0..GROW + CHURN {
         let mutation = if step < GROW {
             fleet.grow()
@@ -246,7 +246,7 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
         // carries across a rejection or a long history shows up as a
         // different decision or payload.
         if step % CHECK_EVERY == 0 {
-            twin = LiveModel::from_state(&m.state_json()).expect("state loads");
+            twin = LiveModel::from_state_text(&m.state_text()).expect("state loads");
         }
         let (state, cert) = (m.state_text(), certify_text(&m));
         let outcome = m.apply(&mutation);

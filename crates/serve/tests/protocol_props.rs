@@ -26,7 +26,7 @@ use fcm_serve::proto::{self, Mutation, Request};
 use fcm_serve::server::{start, Listen, ServerConfig};
 use fcm_serve::store::Store;
 use fcm_serve::LiveModel;
-use fcm_substrate::{Json, Rng};
+use fcm_substrate::{prop, prop_assert_eq, Json, Rng};
 
 #[path = "support/mutations.rs"]
 mod mutations;
@@ -152,6 +152,123 @@ fn incremental_matrix_stays_bitwise_equal_to_full_condense() {
             }
         }
     }
+}
+
+/// `json` as compact text with every object's keys in reverse order.
+fn write_reversed(json: &Json, out: &mut String) {
+    match json {
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_reversed(item, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(map) => {
+            out.push('{');
+            for (i, (k, v)) in map.iter().rev().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                Json::from(k.as_str()).write_compact(out);
+                out.push(':');
+                write_reversed(v, out);
+            }
+            out.push('}');
+        }
+        scalar => scalar.write_compact(out),
+    }
+}
+
+/// `state` with an unknown key at the top level and in every FCM entry.
+fn with_unknown_keys(state: &Json) -> Json {
+    let unknown = || Json::object().set("x", Json::array([Json::from(1u8), Json::Null]));
+    let fcms = state.get("fcms").and_then(Json::as_array).unwrap_or(&[]);
+    let fcms = Json::array(fcms.iter().map(|f| f.clone().set("zz_unknown", unknown())));
+    state.clone().set("fcms", fcms).set("aa_unknown", unknown())
+}
+
+/// The state's compact, pretty and key-reversed forms, each loaded.
+fn load_forms(state: &Json) -> [Result<String, String>; 3] {
+    let mut reversed = String::new();
+    write_reversed(state, &mut reversed);
+    [
+        state.to_string_compact(),
+        state.to_string_pretty(),
+        reversed,
+    ]
+    .map(|text| LiveModel::from_state_text(&text).map(|m| m.state_text()))
+}
+
+/// One random state and one random damage to it: which key to drop or
+/// retype, in the top level or in one FCM entry.
+#[derive(Debug)]
+struct StateCase {
+    seed: u64,
+    steps: usize,
+    in_fcm: bool,
+    pick: usize,
+    retype: bool,
+}
+
+#[test]
+fn state_text_loads_the_same_in_any_key_order_and_layout() {
+    prop::check(
+        "state_text_loads_the_same_in_any_key_order_and_layout",
+        prop::Config {
+            cases: 24,
+            max_size: 80,
+            ..prop::Config::default()
+        },
+        |rng, size| StateCase {
+            seed: rng.next_u64(),
+            steps: size,
+            in_fcm: rng.gen_bool(0.5),
+            pick: rng.gen_range(0usize..64),
+            retype: rng.gen_bool(0.5),
+        },
+        |c| {
+            let (model, _) = random_run(c.seed, c.steps);
+            let want = model.state_text();
+            let state = with_unknown_keys(&model.state_json());
+            for got in load_forms(&state) {
+                prop_assert_eq!(got, Ok(want.clone()));
+            }
+            // A damaged state reports one outcome in every form.
+            let damage = |obj: &Json| -> Json {
+                let Json::Obj(map) = obj else {
+                    return obj.clone();
+                };
+                let mut map = map.clone();
+                let key = map.keys().nth(c.pick % map.len().max(1)).cloned();
+                if let Some(key) = key {
+                    match c.retype {
+                        true => map.insert(key, Json::from("x")),
+                        false => map.remove(&key),
+                    };
+                }
+                Json::Obj(map)
+            };
+            let damaged = if c.in_fcm {
+                let fcms = state.get("fcms").and_then(Json::as_array).unwrap_or(&[]);
+                let at = c.pick % fcms.len().max(1);
+                let fcms = fcms
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| if i == at { damage(f) } else { f.clone() });
+                state.clone().set("fcms", Json::array(fcms))
+            } else {
+                damage(&state)
+            };
+            let [compact, pretty, reversed] = load_forms(&damaged);
+            prop_assert_eq!(&pretty, &compact);
+            prop_assert_eq!(&reversed, &compact);
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -326,6 +326,11 @@ wait_for_socket target/verify/serve_r.sock
 kill -TERM "$serve_pid"
 set +e; wait "$serve_pid"; set -e
 rm -f target/verify/serve_r.sock
+# The drain's final snapshot covers every line, so it retired the journal.
+if [ ! -f target/verify/serve_state_ref/journal.jsonl ] || [ -s target/verify/serve_state_ref/journal.jsonl ]; then
+    echo "FAIL: journal.jsonl not retired by the SIGTERM drain's snapshot" >&2
+    exit 1
+fi
 # Crash drill: part 1, kill -9 (no drain, no final snapshot), --resume,
 # part 2. Acked mutations are journaled before the ack, so the dump at
 # the end of part 2 must match the reference byte-for-byte.
