@@ -622,7 +622,6 @@ impl<'a> Reader<'a> {
     ///
     /// A syntax error, as [`Json::parse`] reports it.
     pub fn value(&mut self) -> Result<Json, String> {
-        self.fresh = false;
         parse_value(self.bytes, &mut self.pos)
     }
 
@@ -652,7 +651,6 @@ impl<'a> Reader<'a> {
                 parse_value(self.bytes, &mut self.pos)?;
             }
         }
-        self.fresh = false;
         Ok(())
     }
 
