@@ -1,6 +1,6 @@
 //! `LiveModel::apply` on a grown model: the in-process cost of one
 //! mutation at fleet scale, without socket or journal, and the cost of
-//! one snapshot of that model.
+//! one snapshot of that model and of loading it back.
 //!
 //! The paper model is grown to n ∈ {500, 3 000} FCMs the way the
 //! `fleet_evolve` workload grows it — each added FCM has zero

@@ -408,7 +408,7 @@ grep -q '"name":"degraded"' target/verify/serve_state_deg/flight.jsonl || {
 echo "== bench artefact schema (scripts/check_bench_schema.sh)"
 scripts/check_bench_schema.sh
 
-echo "== model_apply bench, quick (apply, state_text and snapshot at 500/3000 FCMs)"
+echo "== model_apply bench, quick (apply, state_text, snapshot and load at 500/3000 FCMs)"
 # Runs the bench that records the live model's apply and snapshot
 # costs, so it keeps building and running. Its artefact goes under
 # target/verify; the committed BENCH_model_apply.json is left alone.
