@@ -13,7 +13,6 @@
 use fcm_bench::experiments::{self, Scale};
 use fcm_bench::models;
 use fcm_substrate::bench::Suite;
-use fcm_substrate::Json;
 
 fn main() {
     let mut suite = Suite::new("check_overhead");
@@ -28,24 +27,9 @@ fn main() {
     });
     suite.bench("e1/quick", || experiments::e1(Scale::QUICK).to_string());
 
-    let median = |name: &str| {
-        suite
-            .results()
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.median_ns)
-            .expect("benchmark ran")
-    };
-    let (gate, e1) = (median("check/all_models"), median("e1/quick"));
+    let (gate, e1) = (suite.median("check/all_models"), suite.median("e1/quick"));
     let ratio = if e1 > 0.0 { gate / e1 } else { 0.0 };
     println!("gate cost vs E1: {:.3}% (target < 2%)", ratio * 100.0);
-
-    let overhead = Json::object().set("gate_vs_e1", ratio);
-    let artifact = suite.to_artifact().set("overhead", overhead);
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_check_overhead.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    suite.overhead("gate_vs_e1", ratio);
+    suite.finish();
 }

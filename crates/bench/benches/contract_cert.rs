@@ -23,22 +23,19 @@
 //! `overhead` object carries `speedup_{n}` = full median / incremental
 //! median; the acceptance bound wants `speedup_10000` ≥ 10.
 //!
-//! Honors `FCM_BENCH_QUICK=1` (fewer samples, same grid) and
-//! `FCM_BENCH_DIR` like every other suite.
+//! A quick run takes fewer samples over the same grid.
 
 use fcm_check::{CertView, Certifier, Contract, Dirty};
 use fcm_substrate::bench::Suite;
-use fcm_substrate::Json;
 use fcm_workloads::contracts::for_fleet;
 use fcm_workloads::fleet::SparseFleet;
 
 const SIZES: [usize; 3] = [256, 2_048, 10_000];
 
 fn main() {
-    let quick = std::env::var("FCM_BENCH_QUICK").is_ok_and(|v| v == "1");
-
     let mut suite = Suite::new("contract_cert");
-    suite.sample_size(if quick { 3 } else { 10 }).warmup(1);
+    let samples = if suite.is_quick() { 3 } else { 10 };
+    suite.sample_size(samples).warmup(1);
 
     for n in SIZES {
         let fleet = SparseFleet {
@@ -126,30 +123,12 @@ fn main() {
         });
     }
 
-    let median = |name: &str| {
-        suite
-            .results()
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.median_ns)
-            .expect("benchmark ran")
-    };
-    let mut overhead = Json::object();
     for n in SIZES {
-        let (full, inc) = (
-            median(&format!("full/{n}")),
-            median(&format!("incremental/{n}")),
-        );
+        let full = suite.median(&format!("full/{n}"));
+        let inc = suite.median(&format!("incremental/{n}"));
         let speedup = if inc > 0.0 { full / inc } else { 0.0 };
         println!("n={n}: full {full:.0} ns, incremental {inc:.0} ns, speedup {speedup:.1}x");
-        overhead = overhead.set(&format!("speedup_{n}"), speedup);
+        suite.overhead(&format!("speedup_{n}"), speedup);
     }
-
-    let artifact = suite.to_artifact().set("overhead", overhead);
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_contract_cert.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    suite.finish();
 }

@@ -14,19 +14,19 @@
 //!   the sample is the wall time from that trip until a mutation is
 //!   accepted again (seeded-backoff probes at `rearm_base_ms = 5`).
 //!
-//! The artefact (`BENCH_fault_recovery.json`, `fcm-bench/v1`) records
-//! nearest-rank percentiles per point. Socket use stays confined to
-//! `crates/serve` — the re-arm driver goes through `gen::run_script`.
+//! Each point records its samples with `p99_ns` beside the usual
+//! statistics. Socket use stays confined to `crates/serve` — the re-arm
+//! driver goes through `gen::run_script`.
 
 use std::time::Instant;
 
-use fcm_serve::gen::{self, percentile_ns};
+use fcm_serve::gen;
 use fcm_serve::proto::{self, Mutation, Request};
 use fcm_serve::server::{start, Listen, ServerConfig};
 use fcm_serve::store::Store;
 use fcm_serve::LiveModel;
+use fcm_substrate::bench::Suite;
 use fcm_substrate::fault::FaultPlan;
-use fcm_substrate::Json;
 
 /// Journal lengths (accepted mutations) for the cold-resume points.
 const RESUME_LENS: [usize; 3] = [16, 128, 512];
@@ -38,28 +38,6 @@ const RESUME_ITERS: usize = 30;
 const REARM_ITERS: usize = 8;
 
 const MUTATE: &str = "{\"op\":\"set_attr\",\"name\":\"p8\",\"criticality\":2}";
-
-fn entry(name: String, samples: &[u64], extra: &[(&str, Json)]) -> Json {
-    assert!(!samples.is_empty(), "{name}: no samples recorded");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let mean = sorted.iter().sum::<u64>() as f64 / n as f64;
-    let mut j = Json::object()
-        .set("name", name)
-        .set("iters", n as u64)
-        .set("min_ns", sorted[0] as f64)
-        .set("mean_ns", mean)
-        .set("median_ns", percentile_ns(&sorted, 50.0) as f64)
-        .set("p95_ns", percentile_ns(&sorted, 95.0) as f64)
-        .set("max_ns", sorted[n - 1] as f64)
-        .set("p50_ns", percentile_ns(&sorted, 50.0) as f64)
-        .set("p99_ns", percentile_ns(&sorted, 99.0) as f64);
-    for (k, v) in extra {
-        j = j.set(k, v.clone());
-    }
-    j
-}
 
 /// Accepted mutation #i of the synthetic session: a fail/restore pair
 /// on the paper model's `hw2` plus criticality toggles on `p8`.
@@ -73,7 +51,7 @@ fn script_line(i: usize) -> String {
 
 /// Builds a journal of `len` accepted mutations, then times
 /// resume-and-replay `RESUME_ITERS` times.
-fn resume_point(len: usize) -> Json {
+fn resume_point(suite: &mut Suite, len: usize) {
     let dir = std::env::temp_dir().join(format!("fcm-bench-resume-{len}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut model = LiveModel::new("paper").expect("paper model");
@@ -104,25 +82,16 @@ fn resume_point(len: usize) -> Json {
         samples.push(ns);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "resume {len:>4} mutations: p50 {:>9} ns  p95 {:>9} ns",
-        percentile_ns(&samples, 50.0),
-        percentile_ns(&samples, 95.0),
-    );
-    entry(
-        format!("paper/resume_replay@{len}"),
-        &samples,
-        &[
-            ("model", Json::from("paper")),
-            ("journal_mutations", Json::from(len as u64)),
-        ],
-    )
+    suite
+        .record(&format!("paper/resume_replay@{len}"), &samples)
+        .with("model", "paper")
+        .with("journal_mutations", len as u64);
 }
 
 /// Runs `len` accepted `set_attr`s with a snapshot every
 /// `SNAPSHOT_EVERY`, as the daemon's writer does, then times
 /// resume-and-load `RESUME_ITERS` times.
-fn history_point(len: usize) -> Json {
+fn history_point(suite: &mut Suite, len: usize) {
     let dir = std::env::temp_dir().join(format!("fcm-bench-history-{len}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut model = LiveModel::new("paper").expect("paper model");
@@ -161,21 +130,12 @@ fn history_point(len: usize) -> Json {
         samples.push(ns);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "resume after {len:>6} mutations: p50 {:>9} ns  p95 {:>9} ns",
-        percentile_ns(&samples, 50.0),
-        percentile_ns(&samples, 95.0),
-    );
-    entry(
-        format!("paper/resume_after_history@{len}"),
-        &samples,
-        &[
-            ("model", Json::from("paper")),
-            ("history_mutations", Json::from(len as u64)),
-            ("snapshot_every", Json::from(SNAPSHOT_EVERY as u64)),
-            ("replayed", Json::from(replayed as u64)),
-        ],
-    )
+    suite
+        .record(&format!("paper/resume_after_history@{len}"), &samples)
+        .with("model", "paper")
+        .with("history_mutations", len as u64)
+        .with("snapshot_every", SNAPSHOT_EVERY as u64)
+        .with("replayed", replayed as u64);
 }
 
 /// One `run_script` round-trip; returns the mutation's response line.
@@ -222,32 +182,17 @@ fn rearm_sample(iter: usize) -> u64 {
 }
 
 fn main() {
-    let mut benchmarks: Vec<Json> = RESUME_LENS.iter().map(|&len| resume_point(len)).collect();
-    benchmarks.extend(HISTORY_LENS.iter().map(|&len| history_point(len)));
-
+    let mut suite = Suite::new("fault_recovery");
+    for len in RESUME_LENS {
+        resume_point(&mut suite, len);
+    }
+    for len in HISTORY_LENS {
+        history_point(&mut suite, len);
+    }
     let rearm: Vec<u64> = (0..REARM_ITERS).map(rearm_sample).collect();
-    println!(
-        "re-arm after journal.*:eio@0..2: p50 {:>9} ns  max {:>9} ns",
-        percentile_ns(&rearm, 50.0),
-        rearm.iter().max().copied().unwrap_or(0),
-    );
-    benchmarks.push(entry(
-        "paper/rearm_latency".to_string(),
-        &rearm,
-        &[
-            ("model", Json::from("paper")),
-            ("rearm_base_ms", Json::from(5u64)),
-        ],
-    ));
-
-    let artifact = Json::object()
-        .set("suite", "fault_recovery")
-        .set("schema", "fcm-bench/v1")
-        .set("benchmarks", Json::Arr(benchmarks));
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_fault_recovery.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    suite
+        .record("paper/rearm_latency", &rearm)
+        .with("model", "paper")
+        .with("rearm_base_ms", 5u64);
+    suite.finish();
 }

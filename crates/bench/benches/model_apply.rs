@@ -24,8 +24,8 @@
 //!
 //! The add and set_attr paths are O(degree + log n); removal edits the
 //! graph, the placement and the name index in place, shifting the
-//! indices past the removed FCM. Honors `FCM_BENCH_QUICK=1` (fewer
-//! samples, same sizes) and `FCM_BENCH_DIR` like every other suite.
+//! indices past the removed FCM. A quick run takes fewer samples at
+//! the same sizes.
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
@@ -74,9 +74,8 @@ fn grown(n: usize, rng: &mut Rng) -> (LiveModel, Vec<String>) {
 }
 
 fn main() {
-    let quick = std::env::var("FCM_BENCH_QUICK").is_ok_and(|v| v == "1");
     let mut suite = Suite::new("model_apply");
-    let (warmup, samples) = if quick { (1, 10) } else { (3, 30) };
+    let (warmup, samples) = if suite.is_quick() { (1, 10) } else { (3, 30) };
     suite.sample_size(samples).warmup(warmup);
 
     for n in SIZES {

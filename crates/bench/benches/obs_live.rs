@@ -24,7 +24,7 @@
 //! estimator for "what does this mode cost when nothing else
 //! interferes".
 //!
-//! The artefact (`BENCH_obs_live.json`, `fcm-bench/v1`) records all
+//! The artefact (`BENCH_obs_live.json`) records all
 //! modes plus an `overhead` object: `recorder_pct` (always-on cost) and
 //! `serve_latency_pct` (full plane, 4 subscribers). Acceptance: both
 //! **under 3%**. The recorder bound is asserted unconditionally — it is
@@ -36,9 +36,9 @@
 //! measurement reflects the host, not the plane, and the artefact
 //! records it without gating on it.
 
-use fcm_serve::gen::{self, percentile_ns, LoadConfig, LoadReport};
+use fcm_serve::gen::{self, LoadConfig, LoadReport};
 use fcm_serve::server::{start, Listen, ServerConfig};
-use fcm_substrate::Json;
+use fcm_substrate::bench::{percentile, Suite};
 
 const MODEL: &str = "paper";
 const RATE: u64 = 10_000;
@@ -123,34 +123,6 @@ fn run_mode(mode: Mode) -> LoadReport {
     report
 }
 
-fn entry(mode: Mode, report: &LoadReport) -> Json {
-    let mut sorted = report.mutation_ns.clone();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    assert!(n > 0, "{}: no samples recorded", mode.name());
-    #[allow(clippy::cast_precision_loss)]
-    let mean = sorted.iter().sum::<u64>() as f64 / n as f64;
-    #[allow(clippy::cast_precision_loss)]
-    Json::object()
-        .set(
-            "name",
-            format!("paper/serve_mutation@10000/{}", mode.name()),
-        )
-        .set("iters", n as u64)
-        .set("min_ns", sorted[0] as f64)
-        .set("mean_ns", mean)
-        .set("median_ns", percentile_ns(&sorted, 50.0) as f64)
-        .set("p95_ns", percentile_ns(&sorted, 95.0) as f64)
-        .set("p99_ns", percentile_ns(&sorted, 99.0) as f64)
-        .set("max_ns", sorted[n - 1] as f64)
-        .set("model", MODEL)
-        .set("offered_rps", RATE)
-        .set("recorder", mode.recorder())
-        .set("subscribers", mode.subscribers() as u64)
-        .set("events_delivered", report.events_delivered)
-        .set("events_dropped", report.events_dropped)
-}
-
 #[allow(clippy::cast_precision_loss)]
 fn pct(base_p50: u64, mode_p50: u64) -> f64 {
     (mode_p50 as f64 - base_p50 as f64) / base_p50 as f64 * 100.0
@@ -169,7 +141,7 @@ fn main() {
     for round in 0..ROUNDS {
         for (i, &mode) in MODES.iter().enumerate() {
             let r = run_mode(mode);
-            let p50 = percentile_ns(&r.mutation_ns, 50.0);
+            let p50 = percentile(&r.mutation_ns, 0.5).expect("mutations ran");
             println!(
                 "round {round} {:<14} p50 {:>8} ns  ({} events)",
                 mode.name(),
@@ -187,7 +159,6 @@ fn main() {
     };
     let recorder_pct = per_round(1);
     let subscribed_pct = per_round(2);
-    let base_p50 = reports[0].iter().map(|&(_, p)| p).min().expect("rounds");
     println!(
         "overhead (best round): recorder {recorder_pct:+.2}% | recorder+{SUBSCRIBERS}subs {subscribed_pct:+.2}%"
     );
@@ -213,40 +184,32 @@ fn main() {
     }
 
     // Artefact entries: each mode's best round by median.
-    let benchmarks = MODES
-        .iter()
-        .zip(&reports)
-        .map(|(&mode, rounds)| {
-            let (report, _) = rounds
-                .iter()
-                .min_by_key(|&&(_, p50)| p50)
-                .expect("at least one round");
-            entry(mode, report)
-        })
-        .collect();
-    let mode_p50 = |i: usize| -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        let p = reports[i].iter().map(|&(_, p)| p).min().expect("rounds") as f64;
-        p
-    };
-    let artifact = Json::object()
-        .set("suite", "obs_live")
-        .set("schema", "fcm-bench/v1")
-        .set("benchmarks", Json::Arr(benchmarks))
-        .set(
-            "overhead",
-            Json::object()
-                .set("recorder_pct", recorder_pct)
-                .set("serve_latency_pct", subscribed_pct)
-                .set("baseline_p50_ns", base_p50 as f64)
-                .set("recorder_p50_ns", mode_p50(1))
-                .set("subscribed_p50_ns", mode_p50(2))
-                .set("cores", cores as u64),
-        );
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_obs_live.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    let mut suite = Suite::new("obs_live");
+    for (&mode, rounds) in MODES.iter().zip(&reports) {
+        let (report, _) = rounds
+            .iter()
+            .min_by_key(|&&(_, p50)| p50)
+            .expect("at least one round");
+        suite
+            .record(
+                &format!("paper/serve_mutation@10000/{}", mode.name()),
+                &report.mutation_ns,
+            )
+            .with("model", MODEL)
+            .with("offered_rps", RATE)
+            .with("recorder", mode.recorder())
+            .with("subscribers", mode.subscribers() as u64)
+            .with("events_delivered", report.events_delivered)
+            .with("events_dropped", report.events_dropped);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let mode_p50 = |i: usize| reports[i].iter().map(|&(_, p)| p).min().expect("rounds") as f64;
+    suite
+        .overhead("recorder_pct", recorder_pct)
+        .overhead("serve_latency_pct", subscribed_pct)
+        .overhead("baseline_p50_ns", mode_p50(0))
+        .overhead("recorder_p50_ns", mode_p50(1))
+        .overhead("subscribed_p50_ns", mode_p50(2))
+        .overhead("cores", cores as f64);
+    suite.finish();
 }

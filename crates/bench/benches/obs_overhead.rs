@@ -14,7 +14,6 @@
 
 use fcm_bench::experiments::{self, Scale};
 use fcm_substrate::bench::Suite;
-use fcm_substrate::Json;
 
 fn main() {
     let scale = Scale::QUICK;
@@ -36,23 +35,12 @@ fn main() {
     let (spans, _) = fcm_obs::span::drain();
     let metrics = fcm_obs::metrics::drain();
 
-    let median = |name: &str| {
-        suite
-            .results()
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.median_ns)
-            .expect("benchmark ran")
-    };
-    let mut overhead = Json::object();
     for exp in ["e1", "e14"] {
-        let (off, on) = (
-            median(&format!("{exp}/obs_off")),
-            median(&format!("{exp}/obs_on")),
-        );
+        let off = suite.median(&format!("{exp}/obs_off"));
+        let on = suite.median(&format!("{exp}/obs_on"));
         let ratio = if off > 0.0 { on / off - 1.0 } else { 0.0 };
         println!("overhead {exp}: {:.2}% (target < 5%)", ratio * 100.0);
-        overhead = overhead.set(exp, ratio);
+        suite.overhead(exp, ratio);
     }
     println!(
         "recorded while enabled: {} spans, {} counters, {} histograms",
@@ -60,14 +48,5 @@ fn main() {
         metrics.counters.len(),
         metrics.hists.len()
     );
-
-    // Suite::finish would write the plain artefact; this bench appends
-    // the overhead object first, so write it by hand.
-    let artifact = suite.to_artifact().set("overhead", overhead);
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_obs_overhead.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    suite.finish();
 }

@@ -10,16 +10,11 @@
 //! large cells (1k / 10k / 50k) are sparse-only and recorded as
 //! `"oracle": "skipped"`. Each artefact entry also carries the cell's
 //! `n`, `nnz` and `density` so `check_bench_schema` can validate the
-//! grid and readers can relate time to problem size.
-//!
-//! The artefact is assembled by hand (Suite's `to_artifact` has no
-//! per-entry metadata hook) but keeps the exact `fcm-bench/v1` layout,
-//! pretty-printed with a trailing newline, honouring `$FCM_BENCH_DIR`
-//! and `FCM_BENCH_QUICK=1` like every other suite.
+//! grid and readers can relate time to problem size. A quick run drops
+//! the 50k cell.
 
 use fcm_graph::SparseMatrix;
-use fcm_substrate::bench::Suite;
-use fcm_substrate::json::{Json, ToJson};
+use fcm_substrate::bench::{Stats, Suite};
 use fcm_workloads::fleet::SparseFleet;
 
 /// Walk-series truncation order (matches `matrix_kernel`).
@@ -75,77 +70,44 @@ fn assert_bitwise_oracle(n: usize, m: &SparseMatrix) {
     }
 }
 
-/// Times the cell's two kernels and records one metadata tuple per
-/// timed entry, in `Suite::results` order.
-fn run_cell(
-    suite: &mut Suite,
-    meta: &mut Vec<(usize, usize, f64, &'static str)>,
-    n: usize,
-    m: &SparseMatrix,
-    oracle: &'static str,
-) {
-    let (nnz, density) = (m.nnz(), m.density());
-    suite.bench(&format!("walk_series/{n}"), || {
+/// Times the cell's two kernels, tagging each entry with the cell's
+/// size and oracle verdict.
+fn run_cell(suite: &mut Suite, n: usize, m: &SparseMatrix, oracle: &str) {
+    let (nnz, density) = (m.nnz() as u64, m.density());
+    let tag = |s: &mut Stats| {
+        s.with("n", n as u64)
+            .with("nnz", nnz)
+            .with("density", density)
+            .with("oracle", oracle);
+    };
+    tag(suite.bench(&format!("walk_series/{n}"), || {
         m.walk_series(ORDER, EPSILON)
-    });
-    meta.push((n, nnz, density, oracle));
-    suite.bench(&format!("top_k/{n}"), || {
+    }));
+    tag(suite.bench(&format!("top_k/{n}"), || {
         m.top_k_from(0, TOP_K, ORDER, EPSILON)
-    });
-    meta.push((n, nnz, density, oracle));
+    }));
 }
 
 fn main() {
-    let quick = std::env::var("FCM_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let large_ns: &[usize] = if quick {
+    let mut suite = Suite::new("sparse_kernel");
+    let large_ns: &[usize] = if suite.is_quick() {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 50_000]
     };
-
-    let mut suite = Suite::new("sparse_kernel");
-    suite.sample_size(if quick { 3 } else { 10 });
-    let mut meta: Vec<(usize, usize, f64, &'static str)> = Vec::new();
+    let samples = if suite.is_quick() { 3 } else { 10 };
+    suite.sample_size(samples);
 
     for n in [64usize, 128, 256, 512] {
         let m = fleet_matrix(n);
         assert_bitwise_oracle(n, &m);
-        run_cell(&mut suite, &mut meta, n, &m, "bitwise-equal");
+        run_cell(&mut suite, n, &m, "bitwise-equal");
     }
 
     suite.sample_size(3);
     for &n in large_ns {
         let m = fleet_matrix(n);
-        run_cell(&mut suite, &mut meta, n, &m, "skipped");
+        run_cell(&mut suite, n, &m, "skipped");
     }
-
-    assert_eq!(
-        suite.results().len(),
-        meta.len(),
-        "metadata tracks results 1:1"
-    );
-    let benchmarks: Vec<Json> = suite
-        .results()
-        .iter()
-        .zip(&meta)
-        .map(|(stats, &(n, nnz, density, oracle))| {
-            stats
-                .to_json()
-                .set("n", n as u64)
-                .set("nnz", nnz as u64)
-                .set("density", density)
-                .set("oracle", oracle)
-        })
-        .collect();
-    let artifact = Json::object()
-        .set("suite", "sparse_kernel")
-        .set("schema", "fcm-bench/v1")
-        .set("benchmarks", Json::Arr(benchmarks));
-
-    let dir = std::env::var("FCM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_sparse_kernel.json");
-    let mut text = artifact.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("write bench artifact");
-    println!("wrote {}", path.display());
+    suite.finish();
 }

@@ -150,57 +150,6 @@ fn repro_check_gate_passes_on_committed_workloads() {
     assert!(text.contains("avionics:"), "{text}");
 }
 
-/// Path to a sibling crate's binary in the same target profile dir, or
-/// `None` when it has not been built (CARGO_BIN_EXE_* only covers this
-/// crate's own bins; `scripts/verify.sh` builds everything first, so
-/// the serve coverage always runs there).
-fn workspace_bin(name: &str) -> Option<std::path::PathBuf> {
-    let me = std::env::current_exe().ok()?;
-    // target/<profile>/deps/<test-bin> → target/<profile>/<name>
-    let profile_dir = me.parent()?.parent()?;
-    let candidate = profile_dir.join(name);
-    candidate.is_file().then_some(candidate)
-}
-
-#[test]
-fn serve_binaries_follow_the_contract() {
-    let Some(serve) = workspace_bin("fcm-serve") else {
-        eprintln!("skipping: fcm-serve not built in this profile");
-        return;
-    };
-    let Some(gen) = workspace_bin("servegen") else {
-        eprintln!("skipping: servegen not built in this profile");
-        return;
-    };
-    let serve = serve.to_str().unwrap().to_string();
-    let gen = gen.to_str().unwrap().to_string();
-
-    for bin in [&serve, &gen] {
-        assert_eq!(code(&run(bin, &["--help"])), 0, "{bin} --help must exit 0");
-        assert_eq!(
-            code(&run(bin, &["--no-such-flag"])),
-            2,
-            "{bin} rejects unknown flags with 2"
-        );
-    }
-    // Unwritable snapshot path: environment failure → 2.
-    let out = run(
-        &serve,
-        &[
-            "--model",
-            "paper",
-            "--tcp",
-            "127.0.0.1:0",
-            "--state-dir",
-            "/proc/fcm-serve-cannot-write-here",
-        ],
-    );
-    assert_eq!(code(&out), 2, "unwritable state dir must exit 2");
-    // Unknown model: findings → 1.
-    let out = run(&serve, &["--model", "bogus", "--tcp", "127.0.0.1:0"]);
-    assert_eq!(code(&out), 1, "unknown model is findings-class");
-}
-
 #[test]
 fn srclint_is_clean_on_this_repo() {
     // The test binary runs from the crate directory; point srclint at

@@ -35,6 +35,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
 
+use fcm_substrate::bench::percentile;
 use fcm_substrate::{Json, Rng};
 
 use crate::server::{connect, Listen};
@@ -90,18 +91,6 @@ pub struct LoadReport {
     pub events_delivered: u64,
     /// Events dropped (overwrite-oldest) across all subscribers.
     pub events_dropped: u64,
-}
-
-/// Exact percentile (nearest-rank) over an unsorted sample; 0 when empty.
-#[must_use]
-pub fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1]
 }
 
 /// Replays `script` (one request per line; blank lines and `#` comments
@@ -524,6 +513,8 @@ pub fn report_json(config: &LoadConfig, r: &LoadReport) -> Json {
     } else {
         r.sent as f64 / (r.elapsed_ns as f64 / 1e9)
     };
+    // An empty sample (no queries in a mutation-only run) reads 0.
+    let pct = |ns: &[u64], q| percentile(ns, q).unwrap_or(0);
     Json::object()
         .set("achieved_rps", achieved)
         .set("clients", config.clients as u64)
@@ -531,13 +522,13 @@ pub fn report_json(config: &LoadConfig, r: &LoadReport) -> Json {
         .set("events_delivered", r.events_delivered)
         .set("events_dropped", r.events_dropped)
         .set("subscribers", config.subscribers as u64)
-        .set("mutation_p50_ns", percentile_ns(&r.mutation_ns, 50.0))
-        .set("mutation_p99_ns", percentile_ns(&r.mutation_ns, 99.0))
+        .set("mutation_p50_ns", pct(&r.mutation_ns, 0.5))
+        .set("mutation_p99_ns", pct(&r.mutation_ns, 0.99))
         .set("mutations", r.mutation_ns.len() as u64)
         .set("offered_rps", config.rate)
         .set("queries", r.query_ns.len() as u64)
-        .set("query_p50_ns", percentile_ns(&r.query_ns, 50.0))
-        .set("query_p99_ns", percentile_ns(&r.query_ns, 99.0))
+        .set("query_p50_ns", pct(&r.query_ns, 0.5))
+        .set("query_p99_ns", pct(&r.query_ns, 0.99))
         .set("seed", config.seed)
         .set("sent", r.sent)
 }
@@ -546,16 +537,6 @@ pub fn report_json(config: &LoadConfig, r: &LoadReport) -> Json {
 mod tests {
     use super::*;
     use crate::server::{start, Listen, ServerConfig};
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_ns(&v, 50.0), 50);
-        assert_eq!(percentile_ns(&v, 99.0), 99);
-        assert_eq!(percentile_ns(&v, 100.0), 100);
-        assert_eq!(percentile_ns(&[7], 99.0), 7);
-        assert_eq!(percentile_ns(&[], 50.0), 0);
-    }
 
     #[test]
     fn request_mix_is_deterministic_per_seed() {

@@ -1153,9 +1153,17 @@ impl LiveModel {
         }
 
         let EdgesRead { triples, malformed } = edges.ok_or_else(|| missing("edges"))?;
+        let fcms = graph.node_count();
+        let index = |x: f64| {
+            (x >= 0.0 && x.fract() == 0.0 && x < fcms as f64)
+                .then_some(x as usize)
+                .ok_or_else(|| format!("snapshot edge endpoint {x} is not an fcm index"))
+        };
         for (f, to, w) in triples {
-            if f >= graph.node_count() || to >= graph.node_count() {
-                return Err("snapshot edge endpoint out of range".to_string());
+            let (f, to) = (index(f)?, index(to)?);
+            if f == to {
+                let name = &graph.node(NodeIdx(f)).expect("index checked").name;
+                return Err(format!("snapshot edge is a self-loop on fcm \"{name}\""));
             }
             let weight = if w == 0.0 {
                 SwEdge::ReplicaLink
@@ -1375,7 +1383,7 @@ fn missing(key: &str) -> String {
 /// The state's `edges` array as read: the `(from, to, weight)` triples
 /// up to the first malformed edge, and whether there is one.
 struct EdgesRead {
-    triples: Vec<(usize, usize, f64)>,
+    triples: Vec<(f64, f64, f64)>,
     malformed: bool,
 }
 
@@ -1408,7 +1416,7 @@ fn read_edges(r: &mut Reader<'_>) -> Result<Option<EdgesRead>, String> {
             len += 1;
         }
         match (len, t) {
-            (3, [Some(f), Some(to), Some(w)]) => read.triples.push((f as usize, to as usize, w)),
+            (3, [Some(f), Some(to), Some(w)]) => read.triples.push((f, to, w)),
             _ => read.malformed = true,
         }
     }

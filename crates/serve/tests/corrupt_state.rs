@@ -3,7 +3,8 @@
 //!
 //! 1. **Pinned refusals.** Each hand-made corruption of a snapshot (a
 //!    truncated file, garbage, a wrong `schema`, a missing `seq` or
-//!    `state`, an FCM without `crit`, an FCM on an unknown HW node)
+//!    `state`, an FCM without `crit`, an FCM on an unknown HW node, an
+//!    edge endpoint that is negative, fractional or a self-loop)
 //!    makes resume return a structured error with a pinned message, and
 //!    makes `fcm-serve --resume` exit 2 with that message.
 //! 2. **Fuzzed images.** Random truncations and byte flips of a
@@ -121,6 +122,21 @@ fn corruptions() -> Vec<(&'static str, String, &'static str)> {
             "host",
             edit(&text, host, "\"host\":\"hw99\""),
             "snapshot fcm \"p1a\" on unknown hw \"hw99\"",
+        ),
+        (
+            "edge-negative",
+            edit(&text, "\"edges\":[[0,", "\"edges\":[[-1,"),
+            "snapshot edge endpoint -1 is not an fcm index",
+        ),
+        (
+            "edge-fraction",
+            edit(&text, "\"edges\":[[0,", "\"edges\":[[0.9,"),
+            "snapshot edge endpoint 0.9 is not an fcm index",
+        ),
+        (
+            "edge-self-loop",
+            edit(&text, "\"edges\":[[0,1,", "\"edges\":[[1e0,1,"),
+            "snapshot edge is a self-loop on fcm \"p1b\"",
         ),
     ]
 }

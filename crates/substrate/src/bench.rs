@@ -6,6 +6,9 @@
 //! iteration. A whole suite serialises to `BENCH_<suite>.json` via the
 //! in-tree [`crate::json`] emitter, starting the benchmark trajectory the
 //! ROADMAP asks for — every future perf PR appends a comparable artefact.
+//! It is the only writer of those files: samples timed elsewhere (load
+//! round trips, resumes) go in through [`Suite::record`], and every
+//! percentile comes from [`percentile`].
 //!
 //! ```no_run
 //! use fcm_substrate::bench::Suite;
@@ -41,35 +44,64 @@ pub struct Stats {
     pub p95_ns: f64,
     /// Maximum observed.
     pub max_ns: f64,
+    /// Further fields of this entry (problem size, offered rate, …),
+    /// written after the statistics.
+    pub extra: Vec<(String, Json)>,
+}
+
+/// The `q`-quantile of `samples` (`q` in `[0, 1]`): the sample at rank
+/// `round((n − 1)·q)` in ascending order, or `None` when there are no
+/// samples. This is the one percentile rule behind every `Stats`
+/// figure; load reports outside the harness call it too.
+#[must_use]
+pub fn percentile(samples: &[u64], q: f64) -> Option<u64> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    (!sorted.is_empty()).then(|| at(&sorted, q))
+}
+
+/// The rank-`round((n − 1)·q)` sample of the non-empty `sorted`.
+fn at(sorted: &[u64], q: f64) -> u64 {
+    sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
 }
 
 impl Stats {
-    fn from_samples(name: String, mut samples: Vec<f64>) -> Stats {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    fn from_samples(name: String, mut samples: Vec<u64>) -> Stats {
+        assert!(!samples.is_empty(), "{name}: no samples recorded");
+        samples.sort_unstable();
         let n = samples.len();
-        let pct = |q: f64| samples[(((n - 1) as f64) * q).round() as usize];
         Stats {
             name,
             iters: n as u32,
-            min_ns: samples[0],
-            mean_ns: samples.iter().sum::<f64>() / n as f64,
-            median_ns: pct(0.50),
-            p95_ns: pct(0.95),
-            max_ns: samples[n - 1],
+            min_ns: samples[0] as f64,
+            mean_ns: samples.iter().map(|&s| s as f64).sum::<f64>() / n as f64,
+            median_ns: at(&samples, 0.50) as f64,
+            p95_ns: at(&samples, 0.95) as f64,
+            max_ns: samples[n - 1] as f64,
+            extra: Vec::new(),
         }
+    }
+
+    /// Adds the field `key` to this entry's artefact object.
+    pub fn with(&mut self, key: &str, value: impl Into<Json>) -> &mut Stats {
+        self.extra.push((key.to_string(), value.into()));
+        self
     }
 }
 
 impl ToJson for Stats {
     fn to_json(&self) -> Json {
-        Json::object()
+        let stats = Json::object()
             .set("name", self.name.as_str())
             .set("iters", self.iters)
             .set("min_ns", self.min_ns)
             .set("mean_ns", self.mean_ns)
             .set("median_ns", self.median_ns)
             .set("p95_ns", self.p95_ns)
-            .set("max_ns", self.max_ns)
+            .set("max_ns", self.max_ns);
+        self.extra
+            .iter()
+            .fold(stats, |j, (k, v)| j.set(k, v.clone()))
     }
 }
 
@@ -79,7 +111,9 @@ pub struct Suite {
     name: String,
     warmup_iters: u32,
     sample_size: u32,
+    quick: bool,
     results: Vec<Stats>,
+    overhead: Option<Json>,
     quiet: bool,
 }
 
@@ -87,7 +121,8 @@ impl Suite {
     /// Creates a suite named `name` (artefact `BENCH_<name>.json`).
     ///
     /// Defaults: 3 warmup iterations, 30 timed samples. Honour
-    /// `FCM_BENCH_QUICK=1` by cutting samples to 10 for CI smoke runs.
+    /// `FCM_BENCH_QUICK=1` by cutting samples to 10 for CI smoke runs;
+    /// [`Suite::is_quick`] tells a bench to shrink its own grid too.
     #[must_use]
     pub fn new(name: &str) -> Suite {
         let quick = std::env::var("FCM_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -95,9 +130,17 @@ impl Suite {
             name: name.to_string(),
             warmup_iters: 3,
             sample_size: if quick { 10 } else { 30 },
+            quick,
             results: Vec::new(),
+            overhead: None,
             quiet: false,
         }
+    }
+
+    /// Whether this is a `FCM_BENCH_QUICK=1` smoke run.
+    #[must_use]
+    pub fn is_quick(&self) -> bool {
+        self.quick
     }
 
     /// Sets the number of timed samples per benchmark.
@@ -118,9 +161,10 @@ impl Suite {
         self
     }
 
-    /// Times `f`, recording one sample per call. The return value is
+    /// Times `f`, recording one sample per call, and returns the entry
+    /// so the caller can attach fields. The return value of `f` is
     /// passed through [`black_box`] so the work is not optimised away.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &mut Stats {
         for _ in 0..self.warmup_iters {
             black_box(f());
         }
@@ -128,9 +172,26 @@ impl Suite {
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
             black_box(f());
-            samples.push(t0.elapsed().as_nanos() as f64);
+            samples.push(t0.elapsed().as_nanos() as u64);
         }
-        let stats = Stats::from_samples(name.to_string(), samples);
+        self.push(Stats::from_samples(name.to_string(), samples))
+    }
+
+    /// Records nanosecond samples timed outside the harness (a load
+    /// run's round trips, a resume, a re-arm) under `name`. These are
+    /// latency distributions, so the entry also carries `p99_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples_ns` is empty.
+    pub fn record(&mut self, name: &str, samples_ns: &[u64]) -> &mut Stats {
+        let mut stats = Stats::from_samples(name.to_string(), samples_ns.to_vec());
+        let p99 = percentile(samples_ns, 0.99).expect("samples are non-empty");
+        stats.with("p99_ns", p99 as f64);
+        self.push(stats)
+    }
+
+    fn push(&mut self, stats: Stats) -> &mut Stats {
         if !self.quiet {
             println!(
                 "{:<44} median {:>12}  p95 {:>12}  ({} iters)",
@@ -141,6 +202,7 @@ impl Suite {
             );
         }
         self.results.push(stats);
+        self.results.last_mut().expect("just pushed")
     }
 
     /// The collected statistics so far.
@@ -149,16 +211,42 @@ impl Suite {
         &self.results
     }
 
+    /// The median of the entry named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no entry has that name.
+    #[must_use]
+    pub fn median(&self, name: &str) -> f64 {
+        self.results
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no benchmark named {name}"))
+            .median_ns
+    }
+
+    /// Sets `key` in the artefact's top-level `overhead` object, the
+    /// suite's derived figures (ratios, speedups).
+    pub fn overhead(&mut self, key: &str, value: f64) -> &mut Suite {
+        let overhead = self.overhead.take().unwrap_or_else(Json::object);
+        self.overhead = Some(overhead.set(key, value));
+        self
+    }
+
     /// The suite as a JSON artefact value.
     #[must_use]
     pub fn to_artifact(&self) -> Json {
-        Json::object()
+        let artifact = Json::object()
             .set("suite", self.name.as_str())
             .set("schema", "fcm-bench/v1")
             .set(
                 "benchmarks",
                 Json::Arr(self.results.iter().map(ToJson::to_json).collect()),
-            )
+            );
+        match &self.overhead {
+            Some(overhead) => artifact.set("overhead", overhead.clone()),
+            None => artifact,
+        }
     }
 
     /// Writes `BENCH_<suite>.json` into `dir` and returns the path.
@@ -230,7 +318,8 @@ mod tests {
         let mut suite = Suite::new("test_artifact");
         suite.quiet().sample_size(3).warmup(0);
         suite.bench("noop", || 1u8);
-        suite.bench("noop2", || 2u8);
+        suite.record("load", &[30, 10, 20]).with("n", 3u64);
+        suite.overhead("ratio", 0.5);
         let j = suite.to_artifact();
         let back = Json::parse(&j.to_string_pretty()).expect("parses");
         assert_eq!(back, j);
@@ -242,6 +331,14 @@ mod tests {
         assert_eq!(benches.len(), 2);
         assert_eq!(benches[0].get("name").and_then(Json::as_str), Some("noop"));
         assert!(benches[0].get("median_ns").and_then(Json::as_f64).is_some());
+        assert!(benches[0].get("p99_ns").is_none());
+        let load = &benches[1];
+        for (key, want) in [("median_ns", 20.0), ("p99_ns", 30.0), ("n", 3.0)] {
+            assert_eq!(load.get(key).and_then(Json::as_f64), Some(want), "{key}");
+        }
+        assert_eq!(suite.median("load"), 20.0);
+        let ratio = back.get("overhead").and_then(|o| o.get("ratio"));
+        assert_eq!(ratio.and_then(Json::as_f64), Some(0.5));
     }
 
     #[test]
@@ -260,11 +357,16 @@ mod tests {
 
     #[test]
     fn percentiles_of_known_samples() {
-        let s = Stats::from_samples("known".into(), (1..=100).map(f64::from).collect());
+        let s = Stats::from_samples("known".into(), (1..=100).collect());
         assert_eq!(s.min_ns, 1.0);
         assert_eq!(s.max_ns, 100.0);
         assert_eq!(s.median_ns, 51.0); // nearest-rank at (n-1)*0.5 rounded
         assert_eq!(s.p95_ns, 95.0);
         assert!((s.mean_ns - 50.5).abs() < 1e-9);
+        let shuffled: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(percentile(&shuffled, 0.5), Some(51));
+        assert_eq!(percentile(&shuffled, 0.99), Some(99));
+        assert_eq!(percentile(&[7], 0.99), Some(7));
+        assert_eq!(percentile(&[], 0.5), None);
     }
 }

@@ -408,13 +408,21 @@ grep -q '"name":"degraded"' target/verify/serve_state_deg/flight.jsonl || {
 echo "== bench artefact schema (scripts/check_bench_schema.sh)"
 scripts/check_bench_schema.sh
 
-echo "== model_apply bench, quick (apply, state_text, snapshot and load at 500/3000 FCMs)"
-# Runs the bench that records the live model's apply and snapshot
-# costs, so it keeps building and running. Its artefact goes under
-# target/verify; the committed BENCH_model_apply.json is left alone.
-# The bench runs from its package directory, hence the absolute path.
-FCM_BENCH_QUICK=1 FCM_BENCH_DIR="$PWD/target/verify" \
-    cargo bench --offline -p fcm-bench --bench model_apply
+echo "== quick bench runs, schema-checked"
+# model_apply records the live model's apply and snapshot costs. The
+# other five cover every artefact shape Suite writes: plain entries,
+# an overhead object (check_overhead, obs_overhead, contract_cert),
+# per-entry fields (sparse_kernel) and recorded samples
+# (fault_recovery). The artefacts go under target/verify; the committed
+# BENCH_*.json files are left alone. Benches run from their package
+# directory, hence the absolute path.
+fresh=()
+for bench in model_apply contract_cert sparse_kernel fault_recovery check_overhead obs_overhead; do
+    FCM_BENCH_QUICK=1 FCM_BENCH_DIR="$PWD/target/verify" \
+        cargo bench --offline -p fcm-bench --bench "$bench"
+    fresh+=("target/verify/BENCH_$bench.json")
+done
+cargo run --release --offline -q -p fcm-bench --bin check_bench_schema -- "${fresh[@]}"
 
 echo "== dependency hermeticity"
 if grep -En 'rand|serde|crossbeam|parking_lot|bytes|proptest|criterion' \

@@ -19,7 +19,7 @@
 //! | [`alloc`] | `fcm-alloc` | SW/HW graphs, replica expansion, heuristics H1–H3, mapping approaches A/B |
 //! | [`eval`] | `fcm-eval` | mapping quality metrics, mission reliability, strategy comparison |
 //! | [`workloads`] | `fcm-workloads` | the paper's §6 example, random graphs, an avionics suite |
-//! | [`check`] | `fcm-check` | design-time static analyzer: diagnostics `C001`–`C016` over the whole model |
+//! | [`check`] | `fcm-check` | design-time static analyzer: diagnostics `C001`–`C022` over the whole model |
 //!
 //! # Quickstart
 //!
