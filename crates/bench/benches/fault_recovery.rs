@@ -2,12 +2,14 @@
 //! *back* to full service after the two failure modes the crash matrix
 //! and degraded-mode tests pin.
 //!
-//! * **Cold resume** — `Store::open_resume` + full journal replay onto
-//!   a fresh model, at several journal lengths. This is the recovery
+//! * **Cold resume** — `Store::open_resume` + `Recovered::into_model`,
+//!   a full journal replay onto a fresh model, at several journal
+//!   lengths. This is the recovery
 //!   half of every crash-matrix case, measured instead of asserted.
 //! * **Resume after a long history** — 10^4 and 10^5 accepted
-//!   `set_attr`s with a snapshot every 64, then `Store::open_resume`,
-//!   the snapshot load and the replay of what follows it. Each snapshot
+//!   `set_attr`s with a snapshot every 64, then `Store::open_resume`
+//!   (which loads the snapshot) and `Recovered::into_model` (which
+//!   replays what follows it). Each snapshot
 //!   retires the journal, so this costs the same at either length.
 //! * **Re-arm latency** — a daemon whose first journal writes fail
 //!   (`journal.*:eio@0..2`) enters degraded mode on the first mutation;
@@ -72,12 +74,9 @@ fn resume_point(suite: &mut Suite, len: usize) {
     for _ in 0..RESUME_ITERS {
         let t0 = Instant::now();
         let (_store, rec) = Store::open_resume(&dir).expect("resume");
-        let mut m = LiveModel::new("paper").expect("paper model");
-        for (_, mu) in &rec.replay {
-            m.apply(mu).expect("replay applies");
-        }
+        assert_eq!(rec.replay_len(), len);
+        let m = rec.into_model("paper").expect("replay applies");
         let ns = t0.elapsed().as_nanos() as u64;
-        assert_eq!(rec.replay.len(), len);
         assert_eq!(m.state_text(), reference, "resume drifted");
         samples.push(ns);
     }
@@ -119,14 +118,11 @@ fn history_point(suite: &mut Suite, len: usize) {
     for _ in 0..RESUME_ITERS {
         let t0 = Instant::now();
         let (_store, rec) = Store::open_resume(&dir).expect("resume");
-        let (state, _) = rec.snapshot.as_ref().expect("a snapshot was written");
-        let mut m = LiveModel::from_state_text(state).expect("snapshot loads");
-        for (_, mu) in &rec.replay {
-            m.apply(mu).expect("replay applies");
-        }
+        assert!(rec.snapshot_seq().is_some(), "a snapshot was written");
+        replayed = rec.replay_len();
+        let m = rec.into_model("paper").expect("replay applies");
         let ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(m.state_text(), reference, "resume drifted");
-        replayed = rec.replay.len();
         samples.push(ns);
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -20,7 +20,8 @@
 //!   `LiveModel::state_text` plus `Store::snapshot_text` into a temp
 //!   directory (envelope, write, fsync, rename, directory fsync);
 //! * `load/{n}` — the snapshot half of `--resume`: `read_recovered` of
-//!   that directory plus `LiveModel::from_state_text` of its state.
+//!   that directory (which reads the snapshot and decodes its state in
+//!   one pass) plus `Recovered::into_model`.
 //!
 //! The add and set_attr paths are O(degree + log n); removal edits the
 //! graph, the placement and the name index in place, shifting the
@@ -122,14 +123,13 @@ fn main() {
         });
         drop(store);
         let want = m.state_text();
-        suite.bench(&format!("load/{n}"), || {
-            let rec = read_recovered(&dir).expect("snapshot reads");
-            let (state, _) = rec.snapshot.expect("a snapshot was written");
-            LiveModel::from_state_text(&state).expect("snapshot loads")
-        });
-        let rec = read_recovered(&dir).expect("snapshot reads");
-        let loaded = LiveModel::from_state_text(&rec.snapshot.expect("snapshot").0);
-        assert_eq!(loaded.expect("snapshot loads").state_text(), want);
+        let load = || {
+            read_recovered(&dir)
+                .and_then(|rec| rec.into_model("paper"))
+                .expect("snapshot loads")
+        };
+        suite.bench(&format!("load/{n}"), load);
+        assert_eq!(load().state_text(), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
     suite.finish();

@@ -16,11 +16,13 @@
 //!    session in a fresh directory under [`FaultPlan::crash_at_hit`]
 //!    `(k)` — and, for byte-write sites, a second *torn* variant that
 //!    dies mid-write, leaving a partial line or partial temp file.
-//! 3. **Resume + verify.** Recover with the production resume path and
-//!    assert the recovered state (a) lost no acknowledged mutation and
-//!    (b) is byte-identical to the reference state at the recovered
-//!    seq — i.e. recovery always lands exactly *on* the reference
-//!    trajectory, never beside it.
+//! 3. **Resume + verify.** Recover with the code `--resume` runs
+//!    ([`Store::open_resume`], then
+//!    [`crate::store::Recovered::into_model`]) and assert the recovered
+//!    state (a) lost no acknowledged mutation and (b) is byte-identical
+//!    to the reference state at the recovered seq — i.e. recovery
+//!    always lands exactly *on* the reference trajectory, never beside
+//!    it.
 //!
 //! The recovered seq may exceed the acknowledged count by at most the
 //! one mutation whose journal line hit the disk before the crash killed
@@ -40,7 +42,7 @@ use fcm_substrate::Json;
 
 use crate::model::LiveModel;
 use crate::proto::Mutation;
-use crate::store::{self, Store};
+use crate::store::Store;
 
 /// Snapshot period of the golden session: small enough that the matrix
 /// crosses several snapshot boundaries.
@@ -264,18 +266,16 @@ fn crash_case(
     drop(store);
     drop(model);
 
-    // Resume exactly as `--resume` would: open, recover, replay.
-    let failure = match Store::open_resume(&dir) {
-        Err(e) => Some(format!("resume failed: {e}")),
-        Ok((_store, rec)) => match rebuild(model_name, &rec) {
-            Err(e) => Some(format!("rebuild failed: {e}")),
-            Ok(recovered) => verify_prefix(&recovered, acked, ref_states),
-        },
-    };
-    let recovered_seq = match failure {
-        None => recovered_seq_of(&dir, model_name),
-        Some(_) => 0,
-    };
+    // Resume exactly as `--resume` does: open, then the one recovery
+    // path from the recovered state to a model.
+    let (recovered_seq, failure) =
+        match Store::open_resume(&dir).and_then(|(_, rec)| rec.into_model(model_name)) {
+            Err(e) => (0, Some(format!("resume failed: {e}"))),
+            Ok(recovered) => (
+                recovered.seq(),
+                verify_prefix(&recovered, acked, ref_states),
+            ),
+        };
     let _ = fs::remove_dir_all(&dir);
     Ok(CrashCase {
         hit: k,
@@ -285,22 +285,6 @@ fn crash_case(
         recovered_seq,
         failure,
     })
-}
-
-fn rebuild(model_name: &str, rec: &store::Recovered) -> Result<LiveModel, String> {
-    let mut model = match &rec.snapshot {
-        Some((state, _)) => LiveModel::from_state_text(state)?,
-        None => LiveModel::new(model_name)?,
-    };
-    for (seq, m) in &rec.replay {
-        model
-            .apply(m)
-            .map_err(|e| format!("replay seq {seq}: {e}"))?;
-        if model.seq() != *seq {
-            return Err(format!("replay drift at seq {seq} (model {})", model.seq()));
-        }
-    }
-    Ok(model)
 }
 
 fn verify_prefix(recovered: &LiveModel, acked: usize, ref_states: &[String]) -> Option<String> {
@@ -321,12 +305,6 @@ fn verify_prefix(recovered: &LiveModel, acked: usize, ref_states: &[String]) -> 
         return Some(format!("state at seq {n} diverges from the reference"));
     }
     None
-}
-
-fn recovered_seq_of(dir: &std::path::Path, model_name: &str) -> u64 {
-    store::read_recovered(dir)
-        .and_then(|rec| rebuild(model_name, &rec))
-        .map_or(0, |m| m.seq())
 }
 
 /// Runs the full crash-point matrix for `model_name`.

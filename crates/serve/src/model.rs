@@ -1069,19 +1069,12 @@ impl LiveModel {
         LiveModel::from_state_text(&state.to_string_compact())
     }
 
-    /// Reconstructs a model from [`LiveModel::state_text`] output: the
-    /// snapshot-load half of `--resume`, and the one state decoder. The
-    /// influence matrix is read back verbatim (no recondensation — the
-    /// full-condense count is carried over), and host state is rebuilt
-    /// deterministically.
-    ///
-    /// The text is read with a pull reader: `fcms` and `edges`, the bulk
-    /// of a large state, stream straight into the graph, and only the
-    /// other sections are read as [`Json`] subtrees. Keys may come in
-    /// any order and with any whitespace, and unknown keys are passed
-    /// over, as in a parsed tree. The checks run after the read, in one
-    /// fixed order, so the error a bad state reports does not depend on
-    /// where its keys sit.
+    /// Reconstructs a model from [`LiveModel::state_text`] output, the
+    /// one state decoder: its read phase over the text, a check that
+    /// nothing follows the state, then its build phase, which runs every
+    /// check in one fixed order. A snapshot file's state is decoded by
+    /// the same two phases, the read phase in place in the envelope
+    /// ([`crate::store::read_recovered`]).
     ///
     /// # Errors
     ///
@@ -1090,28 +1083,67 @@ impl LiveModel {
     pub fn from_state_text(text: &str) -> Result<LiveModel, String> {
         let syntax = |e: String| format!("corrupt snapshot state: {e}");
         let mut r = Reader::new(text);
-        let mut fcms = None;
-        let mut edges = None;
-        // The small sections, as the tree's object would hold them.
-        let mut rest = BTreeMap::new();
+        let state = StateRead::read(&mut r).map_err(syntax)?;
+        r.finish().map_err(syntax)?;
+        state.build()
+    }
+}
+
+/// A state object as read, before any check: the read phase of the
+/// state decoder.
+///
+/// `fcms` and `edges`, the bulk of a large state, stream straight into
+/// the graph, and only the other sections are read as [`Json`] subtrees.
+/// Keys may come in any order and with any whitespace, and unknown keys
+/// are passed over, as in a parsed tree. The checks run in
+/// [`StateRead::build`], in one fixed order, so the error a bad state
+/// reports does not depend on where its keys sit.
+pub(crate) struct StateRead {
+    fcms: Option<FcmsRead>,
+    edges: Option<EdgesRead>,
+    /// The small sections, as the tree's object would hold them.
+    rest: BTreeMap<String, Json>,
+}
+
+impl StateRead {
+    /// Reads the next value of `r` as a state. Only a syntax error is
+    /// returned as an error, in the reader's own words, so the caller
+    /// names the document it sits in.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<StateRead, String> {
+        let mut read = StateRead {
+            fcms: None,
+            edges: None,
+            rest: BTreeMap::new(),
+        };
         if r.peek() == Some(b'{') {
-            r.begin_object().map_err(syntax)?;
-            while let Some(key) = r.next_key().map_err(syntax)? {
+            r.begin_object()?;
+            while let Some(key) = r.next_key()? {
                 match &*key {
-                    "fcms" => fcms = read_fcms(&mut r).map_err(syntax)?,
-                    "edges" => edges = read_edges(&mut r).map_err(syntax)?,
+                    "fcms" => read.fcms = read_fcms(r)?,
+                    "edges" => read.edges = read_edges(r)?,
                     "contracts" | "failed" | "full_condenses" | "influence" | "model"
                     | "schema" | "seq" => {
-                        rest.insert(key.into_owned(), r.value().map_err(syntax)?);
+                        read.rest.insert(key.into_owned(), r.value()?);
                     }
-                    _ => r.skip().map_err(syntax)?,
+                    _ => r.skip()?,
                 }
             }
         } else {
             // Valid JSON but no object, so no schema.
-            r.skip().map_err(syntax)?;
+            r.skip()?;
         }
-        r.finish().map_err(syntax)?;
+        Ok(read)
+    }
+
+    /// The model the state describes. The influence matrix is taken
+    /// verbatim (no recondensation — the full-condense count is carried
+    /// over), and host state is rebuilt deterministically.
+    ///
+    /// # Errors
+    ///
+    /// A malformed or internally inconsistent state object.
+    pub(crate) fn build(self) -> Result<LiveModel, String> {
+        let StateRead { fcms, edges, rest } = self;
         let state = Json::Obj(rest);
 
         if state.get("schema").and_then(Json::as_str) != Some(STATE_SCHEMA) {
@@ -1199,14 +1231,16 @@ impl LiveModel {
             );
         }
 
-        let seq = state
-            .get("seq")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| missing("seq"))? as u64;
-        let full_condenses = state
-            .get("full_condenses")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| missing("full_condenses"))? as u64;
+        let count = |key: &str| {
+            let x = state
+                .get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| missing(key))?;
+            as_count(x)
+                .ok_or_else(|| format!("snapshot state {key} {x} is not a non-negative integer"))
+        };
+        let seq = count("seq")?;
+        let full_condenses = count("full_condenses")?;
         let contracts = match state.get("contracts") {
             Some(doc) => {
                 ContractSet::from_json(doc).map_err(|e| format!("snapshot contracts: {e}"))?
@@ -1378,6 +1412,12 @@ impl FcmFields {
 /// The error for a state key that is absent or of the wrong type.
 fn missing(key: &str) -> String {
     format!("snapshot state missing \"{key}\"")
+}
+
+/// `x` as a seq or a tally: `None` unless it is a non-negative integer
+/// that a `u64` holds.
+pub(crate) fn as_count(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64).then_some(x as u64)
 }
 
 /// The state's `edges` array as read: the `(from, to, weight)` triples

@@ -37,12 +37,13 @@
 //! structured `degraded:` error (rendered with `"degraded": true`),
 //! queries keep serving from the rolled-back state, and seeded
 //! bounded-exponential-backoff probes (`Store::probe`) try to re-arm
-//! durability. The rollback holds the model write lock, so queries
-//! wait for it; it costs one snapshot load plus at most
-//! `snapshot_every` journal lines, because each durable snapshot
-//! retires the journal. The writer queue is bounded ([`ServerConfig::queue_bound`]),
-//! so a stalled disk back-pressures producers instead of growing an
-//! unbounded backlog. The armed → degraded → re-arming state machine is
+//! durability. The rollback takes the `--resume` path
+//! ([`store::read_recovered`], then [`store::Recovered::into_model`])
+//! and holds the model write lock, so queries wait for it; it costs
+//! one snapshot load plus at most `snapshot_every` journal lines,
+//! because each durable snapshot retires the journal. The writer queue
+//! is bounded (4096 messages), so a stalled disk back-pressures
+//! producers instead of growing an unbounded backlog. The armed → degraded → re-arming state machine is
 //! specified in DESIGN.md §10 and surfaced in `stats` (`degraded`,
 //! `degraded_transitions`, `faults_injected`, `rearm_attempts`).
 //!
@@ -69,7 +70,11 @@ use fcm_substrate::{Json, Rng};
 use crate::events::{EventBus, PopBatch, Subscriber, DEFAULT_SUB_QUEUE};
 use crate::model::LiveModel;
 use crate::proto::{self, Query, Request};
-use crate::store::{self, Recovered, Store};
+use crate::store::{self, Store};
+
+/// Writer-queue bound: producers block (back-pressure) once this many
+/// messages are in flight to the writer thread.
+const QUEUE_BOUND: usize = 4096;
 
 /// Where the daemon listens (or a client connects).
 #[derive(Debug, Clone)]
@@ -93,9 +98,6 @@ pub struct ServerConfig {
     pub resume: bool,
     /// Snapshot period in accepted mutations (0 = only at shutdown).
     pub snapshot_every: u64,
-    /// Writer-queue bound: producers block (back-pressure) once this
-    /// many messages are in flight to the writer thread.
-    pub queue_bound: usize,
     /// Fault plan for the durability path ([`FaultPlan::none`] in
     /// production — the injector is then a single passive bool load).
     pub fault: FaultPlan,
@@ -117,7 +119,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with production defaults: no durability, no fault
-    /// injection, queue bound 4096, re-arm base 100 ms.
+    /// injection, re-arm base 100 ms.
     #[must_use]
     pub fn new(listen: Listen, model: &str) -> ServerConfig {
         ServerConfig {
@@ -126,7 +128,6 @@ impl ServerConfig {
             state_dir: None,
             resume: false,
             snapshot_every: 0,
-            queue_bound: 4096,
             fault: FaultPlan::none(),
             rearm_base_ms: 100,
             sub_queue: DEFAULT_SUB_QUEUE,
@@ -430,35 +431,6 @@ impl Drop for Handle {
     }
 }
 
-/// Rebuilds a model from recovered durable state: snapshot (or a fresh
-/// model when none) plus journal-suffix replay with seq-drift checks.
-/// Shared by `--resume` startup and the degraded-mode rollback.
-fn recover_model(name: &str, recovered: &Recovered) -> Result<LiveModel, String> {
-    let mut model = match &recovered.snapshot {
-        Some((state, _)) => LiveModel::from_state_text(state)?,
-        None => LiveModel::new(name)?,
-    };
-    if model.name() != name {
-        return Err(format!(
-            "state dir holds model \"{}\" but \"{}\" was requested",
-            model.name(),
-            name
-        ));
-    }
-    for (seq, m) in &recovered.replay {
-        model
-            .apply(m)
-            .map_err(|e| format!("journal replay seq {seq} rejected: {e}"))?;
-        if model.seq() != *seq {
-            return Err(format!(
-                "journal replay drift: expected seq {seq}, model at {}",
-                model.seq()
-            ));
-        }
-    }
-    Ok(model)
-}
-
 /// Builds the model per config: fresh, or recovered from the state
 /// directory (snapshot + journal-suffix replay).
 fn build_model(
@@ -473,8 +445,7 @@ fn build_model(
         )),
         (Some(dir), true) => {
             let (store, recovered) = Store::open_resume_with(dir, Arc::clone(inj))?;
-            let model = recover_model(&config.model, &recovered)?;
-            Ok((model, Some(store)))
+            Ok((recovered.into_model(&config.model)?, Some(store)))
         }
     }
 }
@@ -520,7 +491,7 @@ pub fn start(config: ServerConfig) -> Result<Handle, String> {
 
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Arc<Mutex<Vec<ClientSlot>>> = Arc::new(Mutex::new(Vec::new()));
-    let (writer_tx, writer_rx) = mpsc::sync_channel::<WriterMsg>(config.queue_bound.max(1));
+    let (writer_tx, writer_rx) = mpsc::sync_channel::<WriterMsg>(QUEUE_BOUND);
     let bus = Arc::new(EventBus::new());
     let slo = Arc::new(Mutex::new(SloWindows::new(config.slo_window)));
     let shared = Arc::new(Shared {
@@ -651,7 +622,7 @@ impl WriterCtx {
             // in-memory model stays as-is (still consistent, possibly
             // one unacknowledged mutation ahead of the journal).
             if let Ok(rolled) =
-                store::read_recovered(s.dir()).and_then(|rec| recover_model(&self.model_name, &rec))
+                store::read_recovered(s.dir()).and_then(|rec| rec.into_model(&self.model_name))
             {
                 *model = rolled;
             }

@@ -39,11 +39,20 @@
 //!
 //! Recovery (`--resume`) loads the snapshot (if any), then replays the
 //! journal suffix with `seq > snapshot.seq`. It costs one snapshot load
-//! plus at most `--snapshot-every` lines, whatever the uptime: the
-//! envelope is read with [`fcm_substrate::json::Reader`], which passes
-//! over the state without building it, and
-//! [`crate::LiveModel::from_state_text`] decodes the state text. A
-//! *torn tail* — a final journal segment with no trailing newline, the
+//! plus at most `--snapshot-every` lines, whatever the uptime. The
+//! snapshot is read once: the envelope's pull reader
+//! ([`fcm_substrate::json::Reader`]) runs the state decoder's read
+//! phase in place where it meets `"state"`, and the decoder builds the
+//! model only once the envelope has passed its checks. There is one
+//! path from a state directory to a model, [`read_recovered`] then
+//! [`Recovered::into_model`]: `--resume`, the degraded-mode rollback,
+//! the crash matrix and the recovery benches all take it. Every seq on
+//! disk (the envelope's, the state's and each journal line's) must be a
+//! non-negative integer, and the envelope's must equal the state's;
+//! anything else is refused, since a wrong base seq would pass over
+//! journal lines the snapshot does not cover.
+//!
+//! A *torn tail* — a final journal segment with no trailing newline, the
 //! only artefact a mid-write crash can leave — is silently dropped and
 //! truncated away (crash-consistent: its mutation was never
 //! acknowledged); the repair reads the journal back from its end only
@@ -89,6 +98,7 @@ use fcm_substrate::fault::{Fault, FaultInjector, FaultKind, FaultPlan};
 use fcm_substrate::json::{write_escaped, write_num, Reader};
 use fcm_substrate::Json;
 
+use crate::model::{as_count, LiveModel, StateRead};
 use crate::proto::{self, Mutation};
 
 /// Snapshot-file schema tag.
@@ -107,16 +117,64 @@ pub struct Store {
     inj: Arc<FaultInjector>,
 }
 
-/// What resume recovered from disk.
+/// What resume recovered from disk; [`Recovered::into_model`] turns it
+/// into the model.
 #[derive(Debug)]
 pub struct Recovered {
-    /// Snapshot `state` text and its seq, when a snapshot existed. The
-    /// text is the `state` value exactly as the file holds it, for
-    /// [`crate::LiveModel::from_state_text`].
-    pub snapshot: Option<(String, u64)>,
+    /// The snapshot's model, decoded and checked, when a snapshot
+    /// existed; its seq is the snapshot's.
+    snapshot: Option<LiveModel>,
     /// Journal suffix to replay: `(seq, mutation)` with seq ascending,
     /// already filtered to entries newer than the snapshot.
-    pub replay: Vec<(u64, Mutation)>,
+    replay: Vec<(u64, Mutation)>,
+}
+
+impl Recovered {
+    /// The seq of the snapshot, when there is one.
+    #[must_use]
+    pub fn snapshot_seq(&self) -> Option<u64> {
+        self.snapshot.as_ref().map(LiveModel::seq)
+    }
+
+    /// How many journal lines the replay applies.
+    #[must_use]
+    pub fn replay_len(&self) -> usize {
+        self.replay.len()
+    }
+
+    /// The recovered model: the snapshot's, or a fresh `name` model when
+    /// there is no snapshot, with the journal suffix replayed onto it.
+    ///
+    /// # Errors
+    ///
+    /// The snapshot holds another model than `name`, a replayed
+    /// mutation is rejected, or a replayed line's seq is not the next
+    /// one (drift).
+    pub fn into_model(self, name: &str) -> Result<LiveModel, String> {
+        let mut model = match self.snapshot {
+            Some(model) => model,
+            None => LiveModel::new(name)?,
+        };
+        if model.name() != name {
+            return Err(format!(
+                "state dir holds model \"{}\" but \"{}\" was requested",
+                model.name(),
+                name
+            ));
+        }
+        for (seq, m) in &self.replay {
+            model
+                .apply(m)
+                .map_err(|e| format!("journal replay seq {seq} rejected: {e}"))?;
+            if model.seq() != *seq {
+                return Err(format!(
+                    "journal replay drift: expected seq {seq}, model at {}",
+                    model.seq()
+                ));
+            }
+        }
+        Ok(model)
+    }
 }
 
 fn io_err(what: &str, path: &Path, e: &std::io::Error) -> String {
@@ -165,9 +223,9 @@ impl Store {
     }
 
     /// Opens an existing state directory with fault injection disabled,
-    /// returning whatever snapshot and journal suffix survive; a torn
-    /// journal tail is truncated away and the journal reopened for
-    /// append.
+    /// returning the snapshot's model and the journal suffix that
+    /// survive ([`read_recovered`]); a torn journal tail is truncated
+    /// away and the journal reopened for append.
     ///
     /// # Errors
     ///
@@ -437,10 +495,10 @@ fn truncate_torn_tail(jpath: &Path) -> Result<(), String> {
     f.sync_all().map_err(err)
 }
 
-/// Read-only recovery of the durable state in `dir`: snapshot plus the
-/// replayable journal suffix. Never writes — this is also the rollback
-/// path the writer uses when entering degraded mode on a possibly
-/// failing disk. A torn final segment (no trailing newline) is dropped
+/// Read-only recovery of the durable state in `dir`: the snapshot's
+/// model plus the replayable journal suffix. Never writes — this is
+/// also the rollback path the writer uses when entering degraded mode
+/// on a possibly failing disk. A torn final segment (no trailing newline) is dropped
 /// silently; a newline-terminated unparseable line is an error.
 ///
 /// # Errors
@@ -452,11 +510,11 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
     let snapshot = if snap_path.exists() {
         let text =
             fs::read_to_string(&snap_path).map_err(|e| io_err("read snapshot", &snap_path, &e))?;
-        Some(read_snapshot(text)?)
+        Some(read_snapshot(&text)?)
     } else {
         None
     };
-    let base_seq = snapshot.as_ref().map_or(0, |&(_, s)| s);
+    let base_seq = snapshot.as_ref().map_or(0, LiveModel::seq);
 
     let jpath = dir.join(JOURNAL);
     let mut replay = Vec::new();
@@ -480,8 +538,13 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
             let seq = entry
                 .get("seq")
                 .and_then(Json::as_f64)
-                .ok_or_else(|| format!("journal line {} missing \"seq\"", lineno + 1))?
-                as u64;
+                .ok_or_else(|| format!("journal line {} missing \"seq\"", lineno + 1))?;
+            let seq = as_count(seq).ok_or_else(|| {
+                format!(
+                    "journal line {} seq {seq} is not a non-negative integer",
+                    lineno + 1
+                )
+            })?;
             // A line the snapshot covers, left by a retirement that did
             // not happen: its mutation is never decoded.
             if seq <= base_seq {
@@ -499,13 +562,16 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
     Ok(Recovered { snapshot, replay })
 }
 
-/// The `state` text and the seq of a snapshot file's text. The envelope
-/// is read with a pull reader that checks the whole file as
-/// [`Json::parse`] would and passes over the state without building it;
-/// the state's own decoder reads it once more.
-fn read_snapshot(mut text: String) -> Result<(String, u64), String> {
+/// The model a snapshot file's text holds. The envelope is read with a
+/// pull reader that checks the whole file as [`Json::parse`] would, and
+/// the state is read in place by the state decoder's read phase, so a
+/// syntax error anywhere is reported at its offset in the file. The
+/// model is built only after the envelope's checks, in the order: the
+/// syntax, the schema, the seq, the state's presence, the state itself,
+/// then that the envelope's seq is the state's.
+fn read_snapshot(text: &str) -> Result<LiveModel, String> {
     let corrupt = |e: String| format!("corrupt snapshot: {e}");
-    let mut r = Reader::new(&text);
+    let mut r = Reader::new(text);
     let (mut schema, mut seq, mut state) = (None, None, None);
     if r.peek() == Some(b'{') {
         r.begin_object().map_err(corrupt)?;
@@ -513,11 +579,7 @@ fn read_snapshot(mut text: String) -> Result<(String, u64), String> {
             match &*key {
                 "schema" => schema = Some(r.value().map_err(corrupt)?),
                 "seq" => seq = Some(r.value().map_err(corrupt)?),
-                "state" => {
-                    let start = r.peek().map(|_| r.pos());
-                    r.skip().map_err(corrupt)?;
-                    state = start.map(|start| start..r.pos());
-                }
+                "state" => state = Some(StateRead::read(&mut r).map_err(corrupt)?),
                 _ => r.skip().map_err(corrupt)?,
             }
         }
@@ -531,12 +593,17 @@ fn read_snapshot(mut text: String) -> Result<(String, u64), String> {
     let seq = seq
         .as_ref()
         .and_then(Json::as_f64)
-        .ok_or("snapshot missing \"seq\"")? as u64;
-    let state = state.ok_or("snapshot missing \"state\"")?;
-    // Cut the file's buffer down to the state rather than copy it.
-    text.truncate(state.end);
-    text.drain(..state.start);
-    Ok((text, seq))
+        .ok_or("snapshot missing \"seq\"")?;
+    let seq =
+        as_count(seq).ok_or_else(|| format!("snapshot seq {seq} is not a non-negative integer"))?;
+    let model = state.ok_or("snapshot missing \"state\"")?.build()?;
+    if model.seq() != seq {
+        return Err(format!(
+            "snapshot seq {seq} differs from its state's seq {}",
+            model.seq()
+        ));
+    }
+    Ok(model)
 }
 
 #[cfg(test)]
@@ -582,14 +649,9 @@ mod tests {
         drop(store);
 
         let (_store2, rec) = Store::open_resume(&dir).unwrap();
-        let (state, snap_seq) = rec.snapshot.expect("snapshot written");
-        assert_eq!(snap_seq, 1);
-        assert_eq!(rec.replay.len(), 2, "only the post-snapshot suffix");
-        let mut recovered = LiveModel::from_state_text(&state).unwrap();
-        for (seq, m) in &rec.replay {
-            recovered.apply(m).unwrap();
-            assert_eq!(recovered.seq(), *seq);
-        }
+        assert_eq!(rec.snapshot_seq(), Some(1));
+        assert_eq!(rec.replay_len(), 2, "only the post-snapshot suffix");
+        let recovered = rec.into_model("paper").unwrap();
         assert_eq!(
             recovered.state_text(),
             model.state_text(),
@@ -696,9 +758,9 @@ mod tests {
             .snapshot_text(model.seq(), &model.state_text())
             .unwrap();
         assert_eq!(unstamped(), tree);
-        let (state, seq) = read_recovered(&dir).unwrap().snapshot.unwrap();
-        assert_eq!(seq, 1);
-        assert_eq!(state, model.state_text());
+        let loaded = read_recovered(&dir).unwrap().snapshot.unwrap();
+        assert_eq!(loaded.seq(), 1);
+        assert_eq!(loaded.state_text(), model.state_text());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -734,7 +796,7 @@ mod tests {
         assert_eq!(String::from_utf8(journal).unwrap().lines().count(), 1);
         drop(store);
         let (mut store, rec) = Store::open_resume(&dir).unwrap();
-        assert_eq!(rec.snapshot.as_ref().map(|s| s.1), Some(2));
+        assert_eq!(rec.snapshot_seq(), Some(2));
         assert_eq!(rec.replay.len(), 1);
         // A resumed store retires and appends the same way.
         store
@@ -758,9 +820,12 @@ mod tests {
         assert_eq!(inj.injected(), 1, "the retirement failed");
         // The snapshot is durable and covers all three lines, which stay.
         let rec = read_recovered(&dir).unwrap();
-        let (state, seq) = rec.snapshot.unwrap();
-        assert_eq!((state.as_str(), seq), (model.state_text().as_str(), 3));
+        assert_eq!(rec.snapshot_seq(), Some(3));
         assert!(rec.replay.is_empty(), "covered lines are passed over");
+        assert_eq!(
+            rec.into_model("paper").unwrap().state_text(),
+            model.state_text()
+        );
         assert_eq!(
             journal_bytes(&dir).iter().filter(|&&b| b == b'\n').count(),
             3
@@ -795,14 +860,16 @@ mod tests {
         assert!(store.append(model.seq(), &all[2]).is_err());
         drop(store);
         let (_store, rec) = Store::open_resume(&dir).unwrap();
-        let (state, seq) = rec.snapshot.unwrap();
-        assert_eq!(seq, 2);
+        assert_eq!(rec.snapshot_seq(), Some(2));
         assert!(rec.replay.is_empty(), "lines 1 and 2 are covered");
         let mut at_2 = LiveModel::new("paper").unwrap();
         for m in &all[..2] {
             at_2.apply(m).unwrap();
         }
-        assert_eq!(state, at_2.state_text());
+        assert_eq!(
+            rec.into_model("paper").unwrap().state_text(),
+            at_2.state_text()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -877,14 +944,7 @@ mod tests {
                     fcm_substrate::prop_assert_eq!(lines, unretired);
                     let rec = read_recovered(&dir)?;
                     fcm_substrate::prop_assert!(rec.replay.len() <= uncovered);
-                    let mut resumed = match &rec.snapshot {
-                        Some((state, _)) => LiveModel::from_state_text(state)?,
-                        None => LiveModel::new("paper")?,
-                    };
-                    for (seq, m) in &rec.replay {
-                        resumed.apply(m)?;
-                        fcm_substrate::prop_assert_eq!(resumed.seq(), *seq);
-                    }
+                    let resumed = rec.into_model("paper")?;
                     fcm_substrate::prop_assert_eq!(resumed.state_text(), model.state_text());
                 }
                 drop(store);

@@ -1,12 +1,16 @@
 //! A corrupt state directory is refused, never recovered wrongly and
 //! never a panic.
 //!
-//! 1. **Pinned refusals.** Each hand-made corruption of a snapshot (a
-//!    truncated file, garbage, a wrong `schema`, a missing `seq` or
-//!    `state`, an FCM without `crit`, an FCM on an unknown HW node, an
-//!    edge endpoint that is negative, fractional or a self-loop)
-//!    makes resume return a structured error with a pinned message, and
-//!    makes `fcm-serve --resume` exit 2 with that message.
+//! 1. **Pinned refusals.** Each hand-made corruption of a state
+//!    directory (a truncated snapshot, garbage, a wrong `schema`, a
+//!    missing `seq` or `state`, an FCM without `crit`, an FCM on an
+//!    unknown HW node, an edge endpoint that is negative, fractional or
+//!    a self-loop, a seq in the envelope, the state or a journal line
+//!    that is not a non-negative integer, an envelope seq that is not
+//!    the state's) makes resume return a structured error with a pinned
+//!    message, and makes `fcm-serve --resume` exit 2 with that message.
+//!    A wrong seq is refused rather than trusted, because it would make
+//!    resume pass over an acknowledged journal line.
 //! 2. **Fuzzed images.** Random truncations and byte flips of a
 //!    fleet-size snapshot and journal never make `Store::open_resume`
 //!    or the full resume path panic: each either recovers or returns an
@@ -51,26 +55,33 @@ fn resume_config(dir: &Path) -> ServerConfig {
     }
 }
 
-/// The snapshot file of the paper model after one `set_attr`.
-fn paper_snapshot() -> String {
+/// The snapshot and journal files of the paper model after two
+/// `set_attr`s with a snapshot between them: a snapshot at seq 1 and
+/// one journal line at seq 2.
+fn paper_image() -> (String, String) {
     let dir = state_dir("source");
     let mut model = LiveModel::new("paper").expect("paper model");
-    let m = Mutation::SetAttr {
-        name: "p8".to_string(),
-        criticality: Some(2),
-        throughput: None,
-        timing: None,
-    };
-    model.apply(&m).expect("set_attr accepted");
     let mut store = Store::create_fresh(&dir).expect("fresh store");
-    store.append(model.seq(), &m).expect("append");
-    store
-        .snapshot_text(model.seq(), &model.state_text())
-        .expect("snapshot");
+    for crit in [2, 3] {
+        let m = Mutation::SetAttr {
+            name: "p8".to_string(),
+            criticality: Some(crit),
+            throughput: None,
+            timing: None,
+        };
+        model.apply(&m).expect("set_attr accepted");
+        store.append(model.seq(), &m).expect("append");
+        if model.seq() == 1 {
+            store
+                .snapshot_text(model.seq(), &model.state_text())
+                .expect("snapshot");
+        }
+    }
     drop(store);
-    let text = std::fs::read_to_string(dir.join("snapshot.json")).expect("snapshot text");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("state file");
+    let image = (read("snapshot.json"), read("journal.jsonl"));
     let _ = std::fs::remove_dir_all(&dir);
-    text
+    image
 }
 
 /// `text` with the first `from` replaced by `to`, which must occur.
@@ -79,15 +90,16 @@ fn edit(text: &str, from: &str, to: &str) -> String {
     text.replacen(from, to, 1)
 }
 
-/// Each corruption: its name, the snapshot text and the pinned error.
-fn corruptions() -> Vec<(&'static str, String, &'static str)> {
-    let text = paper_snapshot();
+/// Each corruption: its name, the snapshot and journal texts and the
+/// pinned error.
+fn corruptions() -> Vec<(&'static str, String, String, &'static str)> {
+    let (text, journal) = paper_image();
     let cut = text.find("\"fcms\"").expect("state has fcms") + 20;
     let crit = &text[text.find("{\"crit\":").expect("fcm has crit") + 1..];
     let crit = &crit[..=crit.find(',').expect("crit is followed by a key")];
     let host = &text[text.find("\"host\":\"").expect("an fcm is hosted")..];
     let host = &host[..host[8..].find('"').expect("host name ends") + 9];
-    vec![
+    let snapshot_cases = vec![
         (
             "truncated",
             text[..cut].to_string(),
@@ -138,15 +150,86 @@ fn corruptions() -> Vec<(&'static str, String, &'static str)> {
             edit(&text, "\"edges\":[[0,1,", "\"edges\":[[1e0,1,"),
             "snapshot edge is a self-loop on fcm \"p1b\"",
         ),
-    ]
+    ];
+    let seq_cases = vec![
+        (
+            "seq-ahead",
+            edit(&text, "\"seq\":1,\"state\"", "\"seq\":2,\"state\""),
+            journal.clone(),
+            "snapshot seq 2 differs from its state's seq 1",
+        ),
+        (
+            "seq-negative",
+            edit(&text, "\"seq\":1,\"state\"", "\"seq\":-1,\"state\""),
+            journal.clone(),
+            "snapshot seq -1 is not a non-negative integer",
+        ),
+        (
+            "seq-fraction",
+            edit(&text, "\"seq\":1,\"state\"", "\"seq\":1.5,\"state\""),
+            journal.clone(),
+            "snapshot seq 1.5 is not a non-negative integer",
+        ),
+        (
+            "state-seq-negative",
+            edit(&text, "\"seq\":1},", "\"seq\":-1},"),
+            journal.clone(),
+            "snapshot state seq -1 is not a non-negative integer",
+        ),
+        (
+            "state-full-condenses-fraction",
+            edit(&text, "\"full_condenses\":1,", "\"full_condenses\":0.5,"),
+            journal.clone(),
+            "snapshot state full_condenses 0.5 is not a non-negative integer",
+        ),
+        (
+            "journal-seq-negative",
+            text.clone(),
+            edit(&journal, "\"seq\":2}", "\"seq\":-2}"),
+            "journal line 1 seq -2 is not a non-negative integer",
+        ),
+        (
+            "journal-seq-fraction",
+            text.clone(),
+            edit(&journal, "\"seq\":2}", "\"seq\":2.5}"),
+            "journal line 1 seq 2.5 is not a non-negative integer",
+        ),
+    ];
+    snapshot_cases
+        .into_iter()
+        .map(|(tag, snapshot, want)| (tag, snapshot, journal.clone(), want))
+        .chain(seq_cases)
+        .collect()
+}
+
+#[test]
+fn the_intact_image_resumes_every_acknowledged_mutation() {
+    let (snapshot, journal) = paper_image();
+    let dir = image(
+        "intact",
+        &[
+            ("snapshot.json", snapshot.as_bytes()),
+            ("journal.jsonl", journal.as_bytes()),
+        ],
+    );
+    let (_store, rec) = Store::open_resume(&dir).expect("intact image reads");
+    assert_eq!(rec.snapshot_seq(), Some(1));
+    assert_eq!(rec.into_model("paper").expect("resumes").seq(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_snapshots_are_refused_with_pinned_messages() {
-    for (tag, text, want) in corruptions() {
-        let dir = image(tag, &[("snapshot.json", text.as_bytes())]);
-        // The envelope is the store's to refuse; the state inside it,
-        // the decoder's. Either way resume fails with the message.
+    for (tag, text, journal, want) in corruptions() {
+        let dir = image(
+            tag,
+            &[
+                ("snapshot.json", text.as_bytes()),
+                ("journal.jsonl", journal.as_bytes()),
+            ],
+        );
+        // Reading the directory refuses most; a model-level check
+        // refuses the rest. Either way resume fails with the message.
         let err = match Store::open_resume(&dir) {
             Err(e) => e,
             Ok(_) => match start(resume_config(&dir)) {
@@ -164,10 +247,13 @@ fn corrupt_snapshots_are_refused_with_pinned_messages() {
 
 #[test]
 fn fcm_serve_resume_from_a_corrupt_snapshot_exits_two() {
-    for (tag, text, want) in corruptions() {
+    for (tag, text, journal, want) in corruptions() {
         let dir = image(
             &format!("exit-{tag}"),
-            &[("snapshot.json", text.as_bytes())],
+            &[
+                ("snapshot.json", text.as_bytes()),
+                ("journal.jsonl", journal.as_bytes()),
+            ],
         );
         let out = Command::new(env!("CARGO_BIN_EXE_fcm-serve"))
             .args(["--model", "paper", "--tcp", "127.0.0.1:0", "--resume"])

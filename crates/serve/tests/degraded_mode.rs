@@ -147,16 +147,15 @@ fn rearm_restores_durability_after_the_fault_clears() {
 
     // After the stop the durable state is that one mutation applied.
     let rec = read_recovered(&dir).expect("durable state reads");
-    assert!(rec.replay.is_empty(), "the snapshot covers the journal");
-    let (state, seq) = rec.snapshot.expect("shutdown snapshot");
-    assert_eq!(seq, 1);
+    assert_eq!(rec.replay_len(), 0, "the snapshot covers the journal");
+    assert_eq!(rec.snapshot_seq(), Some(1), "shutdown snapshot");
     let mut want = LiveModel::new("paper").unwrap();
     let (_, req) = proto::parse_line(MUTATE);
     let Ok(Request::Mutation(m)) = req else {
         panic!("MUTATE is a mutation")
     };
     want.apply(&m).unwrap();
-    let got = LiveModel::from_state_text(&state).expect("snapshot loads");
+    let got = rec.into_model("paper").expect("snapshot loads");
     assert_eq!(got.state_text(), want.state_text());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -188,9 +187,14 @@ fn fault_free_plan_behaves_identically_to_no_plan() {
         }
         let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
         h.stop().expect("clean stop");
-        let snapshot = read_recovered(&dir).expect("durable state reads").snapshot;
+        let rec = read_recovered(&dir).expect("durable state reads");
+        assert_eq!(rec.snapshot_seq(), Some(3), "shutdown snapshot");
+        let state = rec
+            .into_model("paper")
+            .expect("snapshot loads")
+            .state_text();
         let _ = std::fs::remove_dir_all(&dir);
-        (transcript, journal, snapshot.expect("shutdown snapshot"))
+        (transcript, journal, state)
     };
     let (t_none, j_none, s_none) = run(FaultPlan::none(), "none");
     let (t_empty, j_empty, s_empty) = run(FaultPlan::parse("").unwrap(), "empty");

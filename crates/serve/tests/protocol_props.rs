@@ -24,7 +24,7 @@ use std::io::{BufRead, BufReader, Write};
 
 use fcm_serve::proto::{self, Mutation, Request};
 use fcm_serve::server::{start, Listen, ServerConfig};
-use fcm_serve::store::Store;
+use fcm_serve::store::{read_recovered, Store};
 use fcm_serve::LiveModel;
 use fcm_substrate::{prop, prop_assert_eq, Json, Rng};
 
@@ -154,33 +154,44 @@ fn incremental_matrix_stays_bitwise_equal_to_full_condense() {
     }
 }
 
-/// `json` as compact text with every object's keys in reverse order.
-fn write_reversed(json: &Json, out: &mut String) {
-    match json {
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_reversed(item, out);
-            }
-            out.push(']');
+/// `json` as text with every object's keys in reverse order: compact,
+/// or pretty with two-space indents from `depth` on when `pretty`.
+fn write_reversed(json: &Json, out: &mut String, pretty: bool, depth: usize) {
+    let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match json {
+        Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Json::Obj(map) => (
+            '{',
+            '}',
+            map.iter()
+                .rev()
+                .map(|(k, v)| (Some(k.as_str()), v))
+                .collect(),
+        ),
+        scalar => return scalar.write_compact(out),
+    };
+    let newline = |out: &mut String, depth: usize| {
+        if pretty {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
         }
-        Json::Obj(map) => {
-            out.push('{');
-            for (i, (k, v)) in map.iter().rev().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                Json::from(k.as_str()).write_compact(out);
-                out.push(':');
-                write_reversed(v, out);
-            }
-            out.push('}');
+    };
+    out.push(open);
+    let empty = items.is_empty();
+    for (i, (key, value)) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        scalar => scalar.write_compact(out),
+        newline(out, depth + 1);
+        if let Some(key) = key {
+            Json::from(key).write_compact(out);
+            out.push_str(if pretty { ": " } else { ":" });
+        }
+        write_reversed(value, out, pretty, depth + 1);
     }
+    if !empty {
+        newline(out, depth);
+    }
+    out.push(close);
 }
 
 /// `state` with an unknown key at the top level and in every FCM entry.
@@ -191,16 +202,39 @@ fn with_unknown_keys(state: &Json) -> Json {
     state.clone().set("fcms", fcms).set("aa_unknown", unknown())
 }
 
-/// The state's compact, pretty and key-reversed forms, each loaded.
-fn load_forms(state: &Json) -> [Result<String, String>; 3] {
+/// The state's compact, pretty and key-reversed forms, each loaded, and
+/// the state resumed from a snapshot at `seq` whose envelope is pretty
+/// with its keys reversed, so `state` comes before `schema` and `seq`.
+fn load_forms(state: &Json, seq: u64) -> [Result<String, String>; 4] {
     let mut reversed = String::new();
-    write_reversed(state, &mut reversed);
-    [
+    write_reversed(state, &mut reversed, false, 0);
+    let [compact, pretty, reversed] = [
         state.to_string_compact(),
         state.to_string_pretty(),
         reversed,
     ]
-    .map(|text| LiveModel::from_state_text(&text).map(|m| m.state_text()))
+    .map(|text| LiveModel::from_state_text(&text).map(|m| m.state_text()));
+    let envelope = Json::object()
+        .set("schema", "fcm-serve-snapshot/v1")
+        .set("seq", seq)
+        .set("state", state.clone())
+        .set("written_unix_ms", 0u64);
+    let mut text = String::new();
+    write_reversed(&envelope, &mut text, true, 0);
+    [compact, pretty, reversed, resume_snapshot(&text)]
+}
+
+/// The `state_text` of the model resumed from a state directory that
+/// holds only the snapshot file `text`.
+fn resume_snapshot(text: &str) -> Result<String, String> {
+    static DIRS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("fcm-serve-envelope-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create state dir");
+    std::fs::write(dir.join("snapshot.json"), text).expect("write snapshot");
+    let resumed = read_recovered(&dir).and_then(|rec| rec.into_model("paper"));
+    let _ = std::fs::remove_dir_all(&dir);
+    resumed.map(|m| m.state_text())
 }
 
 /// One random state and one random damage to it: which key to drop or
@@ -234,7 +268,7 @@ fn state_text_loads_the_same_in_any_key_order_and_layout() {
             let (model, _) = random_run(c.seed, c.steps);
             let want = model.state_text();
             let state = with_unknown_keys(&model.state_json());
-            for got in load_forms(&state) {
+            for got in load_forms(&state, model.seq()) {
                 prop_assert_eq!(got, Ok(want.clone()));
             }
             // A damaged state reports one outcome in every form.
@@ -263,9 +297,10 @@ fn state_text_loads_the_same_in_any_key_order_and_layout() {
             } else {
                 damage(&state)
             };
-            let [compact, pretty, reversed] = load_forms(&damaged);
+            let [compact, pretty, reversed, envelope] = load_forms(&damaged, model.seq());
             prop_assert_eq!(&pretty, &compact);
             prop_assert_eq!(&reversed, &compact);
+            prop_assert_eq!(&envelope, &compact);
             Ok(())
         },
     );
@@ -310,18 +345,14 @@ fn every_journal_byte_prefix_resumes_to_the_reference_trajectory() {
         std::fs::write(pdir.join("journal.jsonl"), prefix).unwrap();
         let (_store, rec) = Store::open_resume(&pdir)
             .unwrap_or_else(|e| panic!("prefix {cut}: resume failed: {e}"));
-        assert!(rec.snapshot.is_none());
+        assert_eq!(rec.snapshot_seq(), None);
         let complete_lines = prefix.iter().filter(|&&b| b == b'\n').count();
         assert_eq!(
-            rec.replay.len(),
+            rec.replay_len(),
             complete_lines,
             "prefix {cut}: exactly the complete lines survive"
         );
-        let mut recovered = LiveModel::new("paper").expect("paper model");
-        for (seq, m) in &rec.replay {
-            recovered.apply(m).expect("replay applies");
-            assert_eq!(recovered.seq(), *seq);
-        }
+        let recovered = rec.into_model("paper").expect("replay applies");
         assert_eq!(
             recovered.state_text(),
             states[complete_lines],

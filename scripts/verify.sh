@@ -33,13 +33,6 @@ echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # Catches intra-doc links left dangling by a rename or a deletion.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== repro smoke (T1)"
-out=$(cargo run --release --offline -q -p fcm-bench --bin repro -- t1)
-echo "$out" | grep -q "Table 1" || {
-    echo "FAIL: repro t1 did not render Table 1" >&2
-    exit 1
-}
-
 echo "== repro smoke (E14 recovery policy sweep)"
 e14_a=$(cargo run --release --offline -q -p fcm-bench --bin repro -- --quick e14)
 echo "$e14_a" | grep -q "E14 node-failure recovery policy sweep" || {
@@ -110,19 +103,6 @@ if cargo run --release --offline -q -p fcm-bench --bin obsview -- scripts/verify
     echo "FAIL: obsview accepted a non-JSONL file" >&2
     exit 1
 fi
-
-echo "== static analysis: repro --check over every experiment id"
-# The pre-flight gate: every committed workload model must be clean of
-# error diagnostics before any experiment driver will touch it.
-cargo run --release --offline -q -p fcm-bench --bin repro -- --check > target/verify/check_all.txt
-grep -q "paper: 0 error" target/verify/check_all.txt || {
-    echo "FAIL: repro --check did not report a clean paper model" >&2
-    exit 1
-}
-grep -q "avionics: 0 error" target/verify/check_all.txt || {
-    echo "FAIL: repro --check did not report a clean avionics model" >&2
-    exit 1
-}
 
 echo "== static analysis: checktool JSON schema + determinism"
 set +e
