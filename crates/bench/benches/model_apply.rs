@@ -16,9 +16,15 @@
 //!   the model is back at its grown size);
 //! * `state_text/{n}` — `LiveModel::state_text` alone: the state
 //!   document built in memory, no I/O;
-//! * `snapshot/{n}` — what the daemon's writer pays per snapshot:
+//! * `snapshot/{n}` — a whole snapshot on one thread:
 //!   `LiveModel::state_text` plus `Store::snapshot_text` into a temp
-//!   directory (envelope, write, fsync, rename, directory fsync);
+//!   directory (rotation, envelope, write, fsync, rename, directory
+//!   fsync, retirement);
+//! * `snapshot_writer/{n}` — what the daemon's writer pays per
+//!   snapshot: `Store::rotate`, `LiveModel::state_cut` and the handoff
+//!   to a persistence thread over a one-slot channel. The thread's
+//!   render and write (`Snapshotter::write_cut`) are waited for outside
+//!   the timed span, as the writer waits for them only at the next cut;
 //! * `load/{n}` — the snapshot half of `--resume`: `read_recovered` of
 //!   that directory (which reads the snapshot and decodes its state in
 //!   one pass) plus `Recovered::into_model`.
@@ -30,6 +36,9 @@
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
+use std::sync::mpsc;
+use std::time::Instant;
+
 use fcm_serve::store::{read_recovered, Store};
 use fcm_serve::LiveModel;
 use fcm_substrate::bench::Suite;
@@ -121,6 +130,29 @@ fn main() {
                 .snapshot_text(m.seq(), &m.state_text())
                 .expect("snapshot is written")
         });
+        let snapshotter = store.snapshotter();
+        let (handoff, cuts) = mpsc::sync_channel(1);
+        let (written, done) = mpsc::channel();
+        let persistence = std::thread::spawn(move || {
+            for cut in cuts {
+                snapshotter.write_cut(&cut).expect("snapshot is written");
+                written.send(()).expect("the bench waits");
+            }
+        });
+        let mut writer_ns = Vec::new();
+        for _ in 0..warmup + samples {
+            let t0 = Instant::now();
+            store.rotate().expect("the journal rotates");
+            handoff.send(m.state_cut()).expect("handoff");
+            writer_ns.push(t0.elapsed().as_nanos() as u64);
+            done.recv().expect("the snapshot is durable");
+        }
+        drop(handoff);
+        persistence.join().expect("persistence thread");
+        suite.record(
+            &format!("snapshot_writer/{n}"),
+            &writer_ns[warmup as usize..],
+        );
         drop(store);
         let want = m.state_text();
         let load = || {

@@ -24,6 +24,13 @@
 //!    always lands exactly *on* the reference trajectory, never beside
 //!    it.
 //!
+//! The session cuts its snapshots the way the daemon does (rotate the
+//! journal, render, then the snapshot half writes and retires). Each
+//! snapshot-half site is crashed a second time with the snapshot in
+//! flight: the document is written only after the next mutation's line
+//! is appended to the fresh journal, the order the persistence thread
+//! allows.
+//!
 //! The recovered seq may exceed the acknowledged count by at most the
 //! one mutation whose journal line hit the disk before the crash killed
 //! the acknowledgement — durable-but-unacked, the unavoidable ambiguity
@@ -34,13 +41,13 @@
 //! `fault_recovery` bench.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fcm_substrate::fault::{FaultInjector, FaultPlan};
 use fcm_substrate::Json;
 
-use crate::model::LiveModel;
+use crate::model::{LiveModel, StateCut};
 use crate::proto::Mutation;
 use crate::store::Store;
 
@@ -57,6 +64,9 @@ pub struct CrashCase {
     pub site: String,
     /// Whether the crash tore the write (partial bytes on disk).
     pub torn: bool,
+    /// Whether the crash hit the snapshot while the next mutation's
+    /// line was already appended past its cut.
+    pub in_flight: bool,
     /// Mutations acknowledged before the crash.
     pub acked: usize,
     /// Seq the resumed model recovered to.
@@ -90,6 +100,7 @@ impl DrillReport {
             let mut j = Json::object()
                 .set("acked", c.acked as u64)
                 .set("hit", c.hit)
+                .set("in_flight", c.in_flight)
                 .set("ok", c.failure.is_none())
                 .set("recovered_seq", c.recovered_seq)
                 .set("site", c.site.as_str())
@@ -178,30 +189,71 @@ fn drill_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fcm-crashdrill-{tag}-{}", std::process::id()))
 }
 
+/// Runs `session` on a fresh `model_name` model through a store in
+/// `dir` under `inj`, cutting a snapshot every [`SNAPSHOT_EVERY`]
+/// mutations the way the daemon's writer does (rotate the journal,
+/// render the document, hand it to the snapshot half). With `in_flight`
+/// each cut's document is written only after the next mutation is
+/// appended, as the persistence thread may finish while the writer
+/// appends lines past the cut. `acked` sees the model after each
+/// acknowledged mutation. Returns the acknowledged count and whether
+/// the process died (an IO step failed, which in the drill is always
+/// the simulated crash).
+fn drive(
+    model_name: &str,
+    session: &[Mutation],
+    dir: &Path,
+    inj: &Arc<FaultInjector>,
+    in_flight: bool,
+    mut acked: impl FnMut(&LiveModel),
+) -> Result<(usize, bool), String> {
+    let mut store = Store::create_fresh_with(dir, Arc::clone(inj))?;
+    let snapshotter = store.snapshotter();
+    let mut model = LiveModel::new(model_name)?;
+    let mut pending: Option<StateCut> = None;
+    for (i, m) in session.iter().enumerate() {
+        model
+            .apply(m)
+            .map_err(|e| format!("drill apply {i}: {e}"))?;
+        if store.append(model.seq(), m).is_err() {
+            return Ok((i, true));
+        }
+        acked(&model);
+        if let Some(cut) = pending.take() {
+            if snapshotter.write_cut(&cut).is_err() {
+                return Ok((i + 1, true));
+            }
+        }
+        if (i + 1) % SNAPSHOT_EVERY == 0 {
+            if store.rotate().is_err() {
+                return Ok((i + 1, true));
+            }
+            let cut = model.state_cut();
+            if !in_flight && snapshotter.write_cut(&cut).is_err() {
+                return Ok((i + 1, true));
+            }
+            pending = in_flight.then_some(cut);
+        }
+    }
+    let died = pending.is_some_and(|cut| snapshotter.write_cut(&cut).is_err());
+    Ok((session.len(), died))
+}
+
 /// Runs the golden session once with a tracing (but never-failing)
 /// injector: returns the site-hit trace and `states[i]` = canonical
 /// state string after `i` accepted mutations.
 fn reference_run(
     model_name: &str,
     session: &[Mutation],
+    in_flight: bool,
 ) -> Result<(Vec<String>, Vec<String>), String> {
     let dir = drill_dir(&format!("{model_name}-{}-ref", session.len()));
     let _ = fs::remove_dir_all(&dir);
     let inj = Arc::new(FaultInjector::tracing(&FaultPlan::none()));
-    let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj))?;
-    let mut model = LiveModel::new(model_name)?;
-    let mut states = vec![model.state_text()];
-    for (i, m) in session.iter().enumerate() {
-        model
-            .apply(m)
-            .map_err(|e| format!("reference apply {i}: {e}"))?;
-        store.append(model.seq(), m)?;
-        states.push(model.state_text());
-        if (i + 1) % SNAPSHOT_EVERY == 0 {
-            store.snapshot_text(model.seq(), states.last().expect("just pushed"))?;
-        }
-    }
-    drop(store);
+    let mut states = vec![LiveModel::new(model_name)?.state_text()];
+    drive(model_name, session, &dir, &inj, in_flight, |m| {
+        states.push(m.state_text());
+    })?;
     let _ = fs::remove_dir_all(&dir);
     Ok((inj.trace(), states))
 }
@@ -212,59 +264,33 @@ fn reference_run(
 fn crash_case(
     model_name: &str,
     session: &[Mutation],
-    k: u64,
-    site: &str,
+    (k, site): (u64, &str),
     torn: bool,
+    in_flight: bool,
     ref_states: &[String],
 ) -> Result<CrashCase, String> {
     let dir = drill_dir(&format!(
-        "{model_name}-{}-k{k}{}",
+        "{model_name}-{}-k{k}{}{}",
         session.len(),
-        if torn { "t" } else { "" }
+        if torn { "t" } else { "" },
+        if in_flight { "f" } else { "" }
     ));
     let _ = fs::remove_dir_all(&dir);
     let inj = Arc::new(FaultInjector::new(&FaultPlan::crash_at_hit(k, torn)));
-    let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj))?;
-    let mut model = LiveModel::new(model_name)?;
-    let mut acked = 0usize;
-    'session: for (i, m) in session.iter().enumerate() {
-        model
-            .apply(m)
-            .map_err(|e| format!("drill apply {i}: {e}"))?;
-        if store.append(model.seq(), m).is_err() {
-            // The process died mid-append. The flight recorder treats a
-            // simulated crash like a real one: capture the moment, then
-            // best-effort dump (a no-op unless the drill armed it).
-            fcm_obs::recorder::record(
-                "crash_point",
-                Json::object()
-                    .set("site", site)
-                    .set("hit", k)
-                    .set("torn", torn),
-            );
-            let _ = fcm_obs::recorder::auto_dump("crash_point");
-            break 'session;
-        }
-        acked += 1;
-        if (i + 1) % SNAPSHOT_EVERY == 0
-            && store
-                .snapshot_text(model.seq(), &model.state_text())
-                .is_err()
-        {
-            // Died mid-snapshot; journal has everything.
-            fcm_obs::recorder::record(
-                "crash_point",
-                Json::object()
-                    .set("site", site)
-                    .set("hit", k)
-                    .set("torn", torn),
-            );
-            let _ = fcm_obs::recorder::auto_dump("crash_point");
-            break 'session;
-        }
+    let (acked, died) = drive(model_name, session, &dir, &inj, in_flight, |_| {})?;
+    if died {
+        // The flight recorder treats a simulated crash like a real one:
+        // capture the moment, then best-effort dump (a no-op unless the
+        // drill armed it).
+        fcm_obs::recorder::record(
+            "crash_point",
+            Json::object()
+                .set("site", site)
+                .set("hit", k)
+                .set("torn", torn),
+        );
+        let _ = fcm_obs::recorder::auto_dump("crash_point");
     }
-    drop(store);
-    drop(model);
 
     // Resume exactly as `--resume` does: open, then the one recovery
     // path from the recovered state to a model.
@@ -281,6 +307,7 @@ fn crash_case(
         hit: k,
         site: site.to_string(),
         torn,
+        in_flight,
         acked,
         recovered_seq,
         failure,
@@ -315,14 +342,15 @@ fn verify_prefix(recovered: &LiveModel, acked: usize, ref_states: &[String]) -> 
 /// durability violation, which is reported per-case instead.
 pub fn run_matrix(model_name: &str, quick: bool) -> Result<DrillReport, String> {
     let session = golden_session(model_name, quick)?;
-    let (trace, ref_states) = reference_run(model_name, &session)?;
+    let (trace, ref_states) = reference_run(model_name, &session, false)?;
     let mut cases = Vec::new();
     for (k, site) in trace.iter().enumerate() {
+        let hit = (k as u64, site.as_str());
         cases.push(crash_case(
             model_name,
             &session,
-            k as u64,
-            site,
+            hit,
+            false,
             false,
             &ref_states,
         )?);
@@ -332,8 +360,23 @@ pub fn run_matrix(model_name: &str, quick: bool) -> Result<DrillReport, String> 
             cases.push(crash_case(
                 model_name,
                 &session,
-                k as u64,
-                site,
+                hit,
+                true,
+                false,
+                &ref_states,
+            )?);
+        }
+    }
+    // The snapshot half's sites again, with the snapshot in flight: the
+    // next mutation's line is already past the cut in the fresh journal.
+    let (in_flight_trace, _) = reference_run(model_name, &session, true)?;
+    for (k, site) in in_flight_trace.iter().enumerate() {
+        if SNAPSHOT_SITES.contains(&site.as_str()) {
+            cases.push(crash_case(
+                model_name,
+                &session,
+                (k as u64, site),
+                false,
                 true,
                 &ref_states,
             )?);
@@ -345,6 +388,15 @@ pub fn run_matrix(model_name: &str, quick: bool) -> Result<DrillReport, String> 
         cases,
     })
 }
+
+/// The IO sites of the snapshot half ([`crate::store::Snapshotter`]).
+const SNAPSHOT_SITES: [&str; 5] = [
+    "snapshot.tmp.write",
+    "snapshot.tmp.fsync",
+    "snapshot.rename",
+    "snapshot.dir.fsync",
+    "journal.retire",
+];
 
 #[cfg(test)]
 mod tests {
@@ -376,11 +428,12 @@ mod tests {
     #[test]
     fn reference_trace_covers_every_site_kind() {
         let session = golden_session("paper", false).unwrap();
-        let (trace, states) = reference_run("paper", &session).unwrap();
+        let (trace, states) = reference_run("paper", &session, false).unwrap();
         assert_eq!(states.len(), session.len() + 1);
         for site in [
             "journal.append.write",
             "journal.append.flush",
+            "journal.rotate",
             "snapshot.tmp.write",
             "snapshot.tmp.fsync",
             "snapshot.rename",

@@ -57,7 +57,7 @@ use fcm_alloc::sw::{SwEdge, SwGraph, SwNode};
 use fcm_alloc::{AllocError, Clustering, HwGraph, Mapping};
 use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty, Severity};
 use fcm_core::AttributeSet;
-use fcm_graph::{condense, CombineRule, InfluenceMatrix, NodeIdx};
+use fcm_graph::{condense, CombineRule, Edge, InfluenceMatrix, NodeIdx};
 use fcm_sched::{Job, JobId};
 use fcm_substrate::json::{write_escaped, write_list, write_num, Reader};
 use fcm_substrate::Json;
@@ -965,14 +965,16 @@ impl LiveModel {
     /// `write_state`).
     #[must_use]
     pub fn state_text(&self) -> String {
-        // A byte estimate per FCM and per edge, above what a
-        // fleet-scale state takes (~270 bytes per FCM, edges and matrix
-        // included), so the string is not regrown.
-        let mut out = String::with_capacity(
-            256 * self.graph.node_count() + 32 * self.graph.edge_count() + 1024,
-        );
+        let mut out = String::with_capacity(self.state_capacity());
         self.write_state(&mut out);
         out
+    }
+
+    /// A byte estimate of [`LiveModel::state_text`] per FCM and per
+    /// edge, above what a fleet-scale state takes (~270 bytes per FCM,
+    /// edges and matrix included), so a buffer of it is not regrown.
+    pub(crate) fn state_capacity(&self) -> usize {
+        256 * self.graph.node_count() + 32 * self.graph.edge_count() + 1024
     }
 
     /// Appends [`LiveModel::state_text`] to `out`. Every section is
@@ -981,24 +983,20 @@ impl LiveModel {
     /// and one string writer: no tree for the model, the contracts or
     /// the influence matrix, and no `Json` value per field.
     pub(crate) fn write_state(&self, out: &mut String) {
-        out.push('{');
-        // Contracts ride along only once in use, so pre-contract
-        // snapshots and contract-free sessions stay byte-identical.
-        if !self.contracts.is_empty() {
-            out.push_str("\"contracts\":");
-            self.contracts.write_compact(out);
-            out.push(',');
-        }
-        out.push_str("\"edges\":");
-        write_list(out, self.graph.edges(), |out, (_, e)| {
-            out.push('[');
-            write_num(out, e.from.index() as f64);
-            out.push(',');
-            write_num(out, e.to.index() as f64);
-            out.push(',');
-            write_num(out, e.weight.influence());
-            out.push(']');
-        });
+        write_state_parts(
+            out,
+            |out| write_contracts(out, &self.contracts),
+            self.graph.edges().map(|(_, e)| edge_triple(e)),
+            |out| self.write_hosts_and_fcms(out),
+            &self.influence,
+            &self.name,
+            self.seq,
+        );
+    }
+
+    /// The state's `failed` and `fcms` sections and its `full_condenses`,
+    /// written after the `edges` section.
+    fn write_hosts_and_fcms(&self, out: &mut String) {
         out.push_str(",\"failed\":");
         write_list(out, self.placement.down(), |out, &h| {
             write_escaped(out, &self.hw.node(h).expect("valid index").name);
@@ -1039,17 +1037,25 @@ impl LiveModel {
         });
         out.push_str(",\"full_condenses\":");
         write_num(out, self.full_condenses as f64);
-        // Dense emits the legacy array-of-rows byte-for-byte; CSR emits
-        // the `{"format":"csr",...}` object — both round-trip exactly.
-        out.push_str(",\"influence\":");
-        self.influence.write_state(out);
-        out.push_str(",\"model\":");
-        write_escaped(out, &self.name);
-        out.push_str(",\"schema\":");
-        write_escaped(out, STATE_SCHEMA);
-        out.push_str(",\"seq\":");
-        write_num(out, self.seq as f64);
-        out.push('}');
+    }
+
+    /// A [`StateCut`] of this model: what a snapshot at this seq needs,
+    /// taken while the caller holds the model.
+    #[must_use]
+    pub fn state_cut(&self) -> StateCut {
+        let mut contracts = String::new();
+        write_contracts(&mut contracts, &self.contracts);
+        let mut hosts_and_fcms = String::with_capacity(96 * self.graph.node_count() + 64);
+        self.write_hosts_and_fcms(&mut hosts_and_fcms);
+        StateCut {
+            contracts,
+            edges: self.graph.edges().map(|(_, e)| edge_triple(e)).collect(),
+            hosts_and_fcms,
+            influence: self.influence.clone(),
+            name: self.name.clone(),
+            seq: self.seq,
+            capacity: self.state_capacity(),
+        }
     }
 
     /// [`LiveModel::state_text`] parsed into a [`Json`] tree, for callers
@@ -1373,32 +1379,44 @@ fn read_fcm(r: &mut Reader<'_>) -> Result<Option<FcmFields>, String> {
 impl FcmFields {
     /// The node these fields describe and the host it names, checked in
     /// a fixed order: the name, the four attributes, then the timing.
+    /// Every integer field must be a non-negative integer its type
+    /// holds; a cast would load `-2.7` as 0 and `300` as a `u8` 44.
     fn into_node(self) -> Result<(SwNode, Option<String>), String> {
         let fname = self.name.ok_or_else(|| missing("fcms[].name"))?;
         let num = |x: Option<f64>, key: &str| {
             x.ok_or_else(|| format!("snapshot fcm \"{fname}\" missing \"{key}\""))
         };
+        let int = |x: f64, key: &str, max: u64| {
+            as_count(x).filter(|&v| v <= max).ok_or_else(|| {
+                format!("snapshot fcm \"{fname}\" {key} {x} is not an integer from 0 to {max}")
+            })
+        };
+        let small = |x: Option<f64>, key: &str| int(num(x, key)?, key, u8::MAX.into());
+        let group = |x: Option<f64>, key: &str| x.map(|x| int(x, key, u32::MAX.into())).transpose();
+        let crit = int(num(self.crit, "crit")?, "crit", u32::MAX.into())?;
         let mut attrs = AttributeSet::default()
-            .with_criticality(num(self.crit, "crit")? as u32)
+            .with_criticality(crit as u32)
             .with_throughput(num(self.thr, "thr")?)
-            .with_security(num(self.sec, "sec")? as u8)
-            .with_fault_tolerance(fcm_core::FaultTolerance(num(self.ft, "ft")? as u8));
+            .with_security(small(self.sec, "sec")? as u8)
+            .with_fault_tolerance(fcm_core::FaultTolerance(small(self.ft, "ft")? as u8));
         if let Some(t) = self.timing.filter(|t| !matches!(t, Json::Null)) {
             let arr = t
                 .as_array()
                 .filter(|a| a.len() == 3)
                 .ok_or_else(|| missing("timing"))?;
             let g = |i: usize| {
-                arr[i]
-                    .as_f64()
-                    .map(|x| x as u64)
-                    .ok_or_else(|| missing("timing"))
+                let x = arr[i].as_f64().ok_or_else(|| missing("timing"))?;
+                as_count(x).ok_or_else(|| {
+                    format!("snapshot fcm \"{fname}\" timing {x} is not a non-negative integer")
+                })
             };
             attrs = attrs.with_timing(g(0)?, g(1)?, g(2)?);
         }
+        let replica_group = group(self.rep, "rep")?;
+        let separation_group = group(self.sep, "sep")?;
         let mut sw = SwNode::new(fname, attrs);
-        sw.replica_group = self.rep.map(|x| x as u32);
-        sw.separation_group = self.sep.map(|x| x as u32);
+        sw.replica_group = replica_group.map(|x| x as u32);
+        sw.separation_group = separation_group.map(|x| x as u32);
         sw.pinned_to = self.pin;
         if let Some(res) = self.res.as_ref().and_then(Json::as_array) {
             for tag in res.iter().filter_map(Json::as_str) {
@@ -1461,6 +1479,118 @@ fn read_edges(r: &mut Reader<'_>) -> Result<Option<EdgesRead>, String> {
         }
     }
     Ok(Some(read))
+}
+
+/// A model's state at one seq, detached from the model: the edges and
+/// the influence matrix copied, and the rest rendered. The copied
+/// sections hold most of the state's non-integral numbers, whose
+/// formatting is most of a render, and copying them costs a fraction of
+/// rendering them. The daemon's writer takes a cut under the read lock
+/// and its persistence thread streams it ([`StateCut::stream`]) as the
+/// bytes of [`LiveModel::state_text`].
+#[derive(Debug)]
+pub struct StateCut {
+    /// The rendered `contracts` member, empty while none is in use.
+    contracts: String,
+    edges: Vec<(usize, usize, f64)>,
+    hosts_and_fcms: String,
+    influence: InfluenceMatrix,
+    name: String,
+    seq: u64,
+    capacity: usize,
+}
+
+impl StateCut {
+    /// The seq the cut was taken at.
+    #[must_use]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// A byte estimate of the rendered state (see
+    /// [`LiveModel::state_text`]).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Streams the state text of the model the cut was taken from,
+    /// without copying the rendered sections: at the place of each,
+    /// `buf` so far and then the section are handed to `emit`, and `buf`
+    /// is cleared; the rest of the state is left in `buf`.
+    pub fn stream(&self, buf: &mut String, emit: &mut dyn FnMut(&str)) {
+        let emit = std::cell::RefCell::new(emit);
+        let rendered = |buf: &mut String, section: &str| {
+            let mut emit = emit.borrow_mut();
+            emit(buf);
+            buf.clear();
+            emit(section);
+        };
+        write_state_parts(
+            buf,
+            |buf| rendered(buf, &self.contracts),
+            self.edges.iter().copied(),
+            |buf| rendered(buf, &self.hosts_and_fcms),
+            &self.influence,
+            &self.name,
+            self.seq,
+        );
+    }
+}
+
+/// The state's `contracts` member and its separating comma. Contracts
+/// ride along only once in use, so pre-contract snapshots and
+/// contract-free sessions stay byte-identical.
+fn write_contracts(out: &mut String, contracts: &ContractSet) {
+    if !contracts.is_empty() {
+        out.push_str("\"contracts\":");
+        contracts.write_compact(out);
+        out.push(',');
+    }
+}
+
+/// An edge as the state's `edges` section holds it.
+fn edge_triple(e: &Edge<SwEdge>) -> (usize, usize, f64) {
+    (e.from.index(), e.to.index(), e.weight.influence())
+}
+
+/// The one definition of the state text's layout: the sections in the
+/// sorted key order a [`Json`] object emits, `contracts` writing that
+/// member ([`write_contracts`]) and `hosts_and_fcms` the `failed`,
+/// `fcms` and `full_condenses` members.
+fn write_state_parts(
+    out: &mut String,
+    contracts: impl FnOnce(&mut String),
+    edges: impl Iterator<Item = (usize, usize, f64)>,
+    hosts_and_fcms: impl FnOnce(&mut String),
+    influence: &InfluenceMatrix,
+    name: &str,
+    seq: u64,
+) {
+    out.push('{');
+    contracts(out);
+    out.push_str("\"edges\":");
+    write_list(out, edges, |out, (from, to, weight)| {
+        out.push('[');
+        write_num(out, from as f64);
+        out.push(',');
+        write_num(out, to as f64);
+        out.push(',');
+        write_num(out, weight);
+        out.push(']');
+    });
+    hosts_and_fcms(out);
+    // Dense emits the legacy array-of-rows byte-for-byte; CSR emits the
+    // `{"format":"csr",...}` object — both round-trip exactly.
+    out.push_str(",\"influence\":");
+    influence.write_state(out);
+    out.push_str(",\"model\":");
+    write_escaped(out, name);
+    out.push_str(",\"schema\":");
+    write_escaped(out, STATE_SCHEMA);
+    out.push_str(",\"seq\":");
+    write_num(out, seq as f64);
+    out.push('}');
 }
 
 /// Appends a JSON string, or `null` for `None`.

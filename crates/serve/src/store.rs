@@ -9,37 +9,54 @@
 //!   field by field through the substrate's one number and one string
 //!   writer (`fcm_substrate::json::{write_num, write_escaped}`), the
 //!   contracts and the influence matrix included, so no `Json` value is
-//!   built for any part of the state. The daemon's writer hands
-//!   [`Store::snapshot_text`] that text and the envelope is written
-//!   around it, one copy of the text (DESIGN.md §9 gives the measured
-//!   cost). Written to a temp file in
-//!   the same directory, fsynced, atomically renamed, and the parent
+//!   built for any part of the state. The daemon's writer takes a
+//!   [`StateCut`] (the edges and matrix copied, the contracts and FCM
+//!   records rendered) and hands it to the persistence thread, which
+//!   streams the document into the file ([`Snapshotter::write_cut`]):
+//!   the envelope and the copied sections go through one buffer and the
+//!   rendered sections are written as they are, so the document is
+//!   never held whole (DESIGN.md §9 gives the measured cost). Written
+//!   to a temp file in the same directory, fsynced, atomically renamed, and the parent
 //!   directory fsynced, so a crash never leaves a torn or unlinked
 //!   snapshot. Orphaned `snapshot.json.tmp` files from a crash between
 //!   write and rename are removed on startup.
 //! * `journal.jsonl` — one `{"mutation":{...},"seq":N}` line per
-//!   accepted mutation since the last durable snapshot, in canonical
+//!   accepted mutation since the last cut, in canonical
 //!   [`crate::proto::mutation_to_json`] form, written whole-line to the
 //!   OS through an append-mode handle. The writer appends *after*
 //!   applying and *before* replying, so every acknowledged mutation is
 //!   durable.
+//! * `journal.prev.jsonl` — the journal as it stood at the last cut,
+//!   while the snapshot that covers it is in flight.
 //!
-//! **Retirement.** Once a snapshot at seq k is durable (after the
-//! rename and the directory fsync), [`Store::snapshot_text`] truncates
-//! the journal to empty. That is exact because the one writer snapshots
-//! the state of its last appended line, so every line is at or below k.
-//! A crash or a failure before the truncation leaves covered lines
-//! behind; recovery reads their `seq` and passes over them without
-//! decoding the mutation, and the next snapshot retires them. The
-//! journal therefore holds at most the lines since the last durable
-//! snapshot plus those a failed retirement left. Deleting
+//! The store is split in two halves. [`Store`], the journal half, is
+//! owned by the daemon's writer: it appends and, at each cut, rotates.
+//! [`Snapshotter`], the snapshot half (the directory plus the shared
+//! [`FaultInjector`]), writes snapshot documents and runs on the
+//! daemon's persistence thread.
+//!
+//! **Rotation and retirement.** At a cut at seq k the writer renames
+//! `journal.jsonl` to `journal.prev.jsonl` and opens a fresh journal
+//! ([`Store::rotate`]), then takes the cut of the state at k. Lines past the cut
+//! go to the fresh journal while the snapshot is in flight. Once the
+//! snapshot at k is durable (after the rename and the directory fsync),
+//! the snapshotter retires the rotated lines by unlinking
+//! `journal.prev.jsonl`: every line in it is at or below k. A
+//! `journal.prev.jsonl` still present at a cut means an earlier
+//! snapshot or retirement failed; that cut does not rotate, and the
+//! next durable snapshot removes the file. A crash or a failure before
+//! the unlink leaves covered lines behind; recovery reads their `seq`
+//! and passes over them without decoding the mutation. With failures
+//! isolated, the two files hold at most the lines of the interval being
+//! appended, the one before it and one failed interval. Deleting
 //! `snapshot.json` by hand after a retirement leaves a journal that
 //! starts past seq 1: its replay is refused as drift, and an empty one
 //! resumes as a fresh model.
 //!
 //! Recovery (`--resume`) loads the snapshot (if any), then replays the
-//! journal suffix with `seq > snapshot.seq`. It costs one snapshot load
-//! plus at most `--snapshot-every` lines, whatever the uptime. The
+//! lines of `journal.prev.jsonl` and then `journal.jsonl` with
+//! `seq > snapshot.seq`. It costs one snapshot load plus a bounded
+//! number of lines, whatever the uptime. The
 //! snapshot is read once: the envelope's pull reader
 //! ([`fcm_substrate::json::Reader`]) runs the state decoder's read
 //! phase in place where it meets `"state"`, and the decoder builds the
@@ -53,36 +70,39 @@
 //! journal lines the snapshot does not cover.
 //!
 //! A *torn tail* — a final journal segment with no trailing newline, the
-//! only artefact a mid-write crash can leave — is silently dropped and
-//! truncated away (crash-consistent: its mutation was never
-//! acknowledged); the repair reads the journal back from its end only
-//! as far as its last newline. A newline-*terminated* line that fails
-//! to parse is real corruption and is reported with its line number
-//! (exit-code-2 class). Mutations are deterministic functions of model
-//! state, so replay reconstructs the crashed model byte-identically —
-//! `scripts/verify.sh` pins this with a `dump` byte-compare against a
-//! straight-through run, and `crashdrill` pins it at every enumerated
-//! IO site.
+//! only artefact a mid-write crash can leave — is silently dropped
+//! (crash-consistent: its mutation was never acknowledged), and in
+//! `journal.jsonl` truncated away; the repair reads the journal back
+//! from its end only as far as its last newline. A newline-*terminated*
+//! line that fails to parse is real corruption and is reported with its
+//! file and line number (exit-code-2 class). Mutations are
+//! deterministic functions of model state, so replay reconstructs the
+//! crashed model byte-identically — `scripts/verify.sh` pins this with
+//! a `dump` byte-compare against a straight-through run, and
+//! `crashdrill` pins it at every enumerated IO site.
 //!
 //! ## IO-site catalog
 //!
-//! | site | operation |
-//! |---|---|
-//! | `journal.append.write` | one whole journal line to the OS |
-//! | `journal.append.flush` | flush of the journal handle |
-//! | `journal.probe` | re-arm probe: repair torn tail, reopen append |
-//! | `snapshot.tmp.write` | snapshot document into `snapshot.json.tmp` |
-//! | `snapshot.tmp.fsync` | fsync of the temp file before rename |
-//! | `snapshot.rename` | atomic rename onto `snapshot.json` |
-//! | `snapshot.dir.fsync` | fsync of the state directory after rename |
-//! | `journal.retire` | truncation of the journal once the snapshot is durable |
+//! | site | half | operation |
+//! |---|---|---|
+//! | `journal.append.write` | journal | one whole journal line to the OS |
+//! | `journal.append.flush` | journal | flush of the journal handle |
+//! | `journal.probe` | journal | re-arm probe: repair torn tail, reopen append |
+//! | `journal.rotate` | journal | rename to `journal.prev.jsonl`, open a fresh journal |
+//! | `snapshot.tmp.write` | snapshot | snapshot document into `snapshot.json.tmp` |
+//! | `snapshot.tmp.fsync` | snapshot | fsync of the temp file before rename |
+//! | `snapshot.rename` | snapshot | atomic rename onto `snapshot.json` |
+//! | `snapshot.dir.fsync` | snapshot | fsync of the state directory after rename |
+//! | `journal.retire` | snapshot | unlink of `journal.prev.jsonl` once the snapshot is durable |
 //!
-//! Every site consults the store's [`FaultInjector`] first; the
+//! Every site consults the shared [`FaultInjector`] first; the
 //! production plan is [`FaultPlan::none`], whose passive path is a
 //! single bool load. Injected failures return
 //! `"injected <kind> at <site>"` errors; torn kinds first write a
 //! strict prefix of the data, which is exactly the on-disk state the
-//! torn-tail rule above recovers from.
+//! torn-tail rule above recovers from. A failed rotation or retirement
+//! is not an error: the snapshot still covers what it covers, and the
+//! lines stay until a later cut retires them.
 //!
 //! The only wall-clock read in the crate is the snapshot metadata
 //! timestamp (`written_unix_ms`); it is deliberately *outside* the
@@ -98,7 +118,7 @@ use fcm_substrate::fault::{Fault, FaultInjector, FaultKind, FaultPlan};
 use fcm_substrate::json::{write_escaped, write_num, Reader};
 use fcm_substrate::Json;
 
-use crate::model::{as_count, LiveModel, StateRead};
+use crate::model::{as_count, LiveModel, StateCut, StateRead};
 use crate::proto::{self, Mutation};
 
 /// Snapshot-file schema tag.
@@ -107,13 +127,26 @@ pub const SNAPSHOT_SCHEMA: &str = "fcm-serve-snapshot/v1";
 const SNAPSHOT: &str = "snapshot.json";
 const SNAPSHOT_TMP: &str = "snapshot.json.tmp";
 const JOURNAL: &str = "journal.jsonl";
+const JOURNAL_PREV: &str = "journal.prev.jsonl";
 
-/// An open state directory: the journal writer, snapshot paths, and the
-/// fault injector every write-path operation consults.
+/// The journal half of an open state directory: the journal writer and
+/// the fault injector every write-path operation consults. Its
+/// [`Snapshotter`] is the snapshot half.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    journal: File,
+    /// The append handle; `None` once a rotation renamed the journal
+    /// but could not open a fresh one, until a probe reopens it.
+    journal: Option<File>,
+    inj: Arc<FaultInjector>,
+}
+
+/// The snapshot half of a state directory: writes snapshot documents
+/// and retires the rotated journal. Cloned out of a [`Store`], it
+/// shares the store's injector, so one plan covers both halves.
+#[derive(Debug, Clone)]
+pub struct Snapshotter {
+    dir: PathBuf,
     inj: Arc<FaultInjector>,
 }
 
@@ -206,9 +239,11 @@ impl Store {
     pub fn create_fresh_with(dir: &Path, inj: Arc<FaultInjector>) -> Result<Store, String> {
         fs::create_dir_all(dir).map_err(|e| io_err("create state dir", dir, &e))?;
         remove_orphan_tmp(dir)?;
-        let snap = dir.join(SNAPSHOT);
-        if snap.exists() {
-            fs::remove_file(&snap).map_err(|e| io_err("remove stale snapshot", &snap, &e))?;
+        for stale in [SNAPSHOT, JOURNAL_PREV] {
+            let path = dir.join(stale);
+            if path.exists() {
+                fs::remove_file(&path).map_err(|e| io_err("remove stale", &path, &e))?;
+            }
         }
         let jpath = dir.join(JOURNAL);
         let journal = open_journal(&jpath).map_err(|e| io_err("create journal", &jpath, &e))?;
@@ -217,7 +252,7 @@ impl Store {
             .map_err(|e| io_err("create journal", &jpath, &e))?;
         Ok(Store {
             dir: dir.to_path_buf(),
-            journal,
+            journal: Some(journal),
             inj,
         })
     }
@@ -253,7 +288,7 @@ impl Store {
         Ok((
             Store {
                 dir: dir.to_path_buf(),
-                journal,
+                journal: Some(journal),
                 inj,
             },
             recovered,
@@ -272,6 +307,15 @@ impl Store {
         &self.dir
     }
 
+    /// The snapshot half of this store, for the persistence thread.
+    #[must_use]
+    pub fn snapshotter(&self) -> Snapshotter {
+        Snapshotter {
+            dir: self.dir.clone(),
+            inj: Arc::clone(&self.inj),
+        }
+    }
+
     /// Appends one accepted mutation as a whole line and flushes it to
     /// the OS before the caller acknowledges the client.
     ///
@@ -286,18 +330,29 @@ impl Store {
             .to_string_compact();
         line.push('\n');
         let jpath = self.dir.join(JOURNAL);
-        self.gated_write("journal.append.write", line.as_bytes(), &jpath)?;
-        let site = "journal.append.flush";
+        let journal = self
+            .journal
+            .as_mut()
+            .ok_or_else(|| format!("append journal {}: not open", jpath.display()))?;
+        let site = "journal.append.write";
         match self.inj.hit(site) {
-            Fault::Pass => self
-                .journal
-                .flush()
-                .map_err(|e| io_err("flush journal", &jpath, &e)),
+            Fault::Pass => journal
+                .write_all(line.as_bytes())
+                .map_err(|e| io_err("append journal", &jpath, &e))?,
             Fault::Fail(kind) => {
+                if kind.is_torn() {
+                    let _ = journal.write_all(&line.as_bytes()[..line.len() / 2]);
+                    let _ = journal.flush();
+                }
                 note_injection();
-                Err(injected_err(kind, site))
+                return Err(injected_err(kind, site));
             }
         }
+        gated(&self.inj, "journal.append.flush", || {
+            journal
+                .flush()
+                .map_err(|e| io_err("flush journal", &jpath, &e))
+        })
     }
 
     /// Re-arm probe after a journal failure: verifies the injector (and
@@ -309,15 +364,40 @@ impl Store {
     ///
     /// The fault is still armed, or the repair itself fails.
     pub fn probe(&mut self) -> Result<(), String> {
-        let site = "journal.probe";
-        if let Fault::Fail(kind) = self.inj.hit(site) {
-            note_injection();
-            return Err(injected_err(kind, site));
-        }
+        gated(&self.inj, "journal.probe", || Ok(()))?;
         let jpath = self.dir.join(JOURNAL);
         truncate_torn_tail(&jpath)?;
-        self.journal = open_journal(&jpath).map_err(|e| io_err("append journal", &jpath, &e))?;
+        self.journal =
+            Some(open_journal(&jpath).map_err(|e| io_err("append journal", &jpath, &e))?);
         Ok(())
+    }
+
+    /// The cut's journal step: renames `journal.jsonl` to
+    /// `journal.prev.jsonl` and opens a fresh journal, so lines past the
+    /// cut never land in the file the snapshot retires. Returns whether
+    /// it rotated: a `journal.prev.jsonl` left by an earlier failed
+    /// snapshot or retirement stays, and this cut does not rotate. The
+    /// caller must not rotate while a snapshot is in flight.
+    ///
+    /// # Errors
+    ///
+    /// The rename or the fresh open failed. After a failed rename the
+    /// journal is as it was; after a failed open appends fail until
+    /// [`Store::probe`] reopens the journal, so no line is written into
+    /// the rotated file.
+    pub fn rotate(&mut self) -> Result<bool, String> {
+        let prev = self.dir.join(JOURNAL_PREV);
+        if prev.exists() {
+            return Ok(false);
+        }
+        let jpath = self.dir.join(JOURNAL);
+        gated(&self.inj, "journal.rotate", || {
+            fs::rename(&jpath, &prev).map_err(|e| io_err("rotate journal", &jpath, &e))
+        })?;
+        self.journal = None;
+        self.journal =
+            Some(open_journal(&jpath).map_err(|e| io_err("rotate journal", &jpath, &e))?);
+        Ok(true)
     }
 
     /// Writes a snapshot of `state` at `seq`; see
@@ -330,103 +410,158 @@ impl Store {
         self.snapshot_text(seq, &state.to_string_compact())
     }
 
-    /// Writes a snapshot of the compact state text `state` (as
-    /// [`crate::LiveModel::state_text`] returns it) at `seq`: the
-    /// envelope is written around the text, which is copied once and
-    /// never parsed, then temp file + fsync + atomic rename +
-    /// parent-directory fsync. Once the snapshot is durable the journal
-    /// is retired (truncated to empty): the caller snapshots the state
-    /// of its last appended line, so the snapshot covers every line.
-    /// A failed retirement is not an error: the snapshot is durable,
-    /// resume passes over the covered lines, and the next snapshot
-    /// retires them.
+    /// A whole cut on the calling thread: rotates the journal
+    /// ([`Store::rotate`]), wraps the compact state text `state` (as
+    /// [`crate::LiveModel::state_text`] returns it) in the snapshot
+    /// envelope at `seq`, and writes it through [`Snapshotter::write`].
+    /// The caller snapshots the state of its last appended line, so the
+    /// snapshot covers every rotated line. A failed rotation is not an
+    /// error: the lines stay in the journal, covered, until a later cut.
     ///
     /// # Errors
     ///
     /// Temp-file write, fsync, or rename failure.
     pub fn snapshot_text(&mut self, seq: u64, state: &str) -> Result<(), String> {
-        let written_unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
-        // The keys in the sorted order a `Json` object emits them.
-        let mut payload = String::with_capacity(state.len() + 128);
-        payload.push_str("{\"schema\":");
-        write_escaped(&mut payload, SNAPSHOT_SCHEMA);
-        payload.push_str(",\"seq\":");
-        write_num(&mut payload, seq as f64);
-        payload.push_str(",\"state\":");
-        payload.push_str(state);
-        payload.push_str(",\"written_unix_ms\":");
-        write_num(&mut payload, written_unix_ms as f64);
-        payload.push_str("}\n");
+        let _ = self.rotate();
+        self.snapshotter()
+            .write(&envelope(seq, state.len(), |out| out.push_str(state)))
+    }
+}
+
+impl Snapshotter {
+    /// Writes the snapshot document of `cut` without building it whole:
+    /// the envelope and the float-heavy sections are rendered into one
+    /// buffer that is written out and cleared at each of the cut's
+    /// rendered sections (contracts, FCM records), which are written as
+    /// they are. The bytes are those of
+    /// [`Store::snapshot_text`] of the cut model's `state_text`. See
+    /// [`Snapshotter::write`].
+    ///
+    /// # Errors
+    ///
+    /// Temp-file write, fsync, or rename failure.
+    pub fn write_cut(&self, cut: &StateCut) -> Result<(), String> {
+        self.write_with(|emit| {
+            let mut buf = String::with_capacity(cut.capacity() / 2);
+            envelope_head(&mut buf, cut.seq());
+            cut.stream(&mut buf, emit);
+            envelope_tail(&mut buf);
+            emit(&buf);
+        })
+    }
+
+    /// Writes the snapshot document `doc`: temp file + fsync + atomic
+    /// rename + parent-directory fsync. Once the snapshot is durable the
+    /// rotated journal is retired (unlinked). A failed retirement is not
+    /// an error: the snapshot is durable, resume passes over the covered
+    /// lines, and the next durable snapshot retires them.
+    ///
+    /// # Errors
+    ///
+    /// Temp-file write, fsync, or rename failure.
+    pub fn write(&self, doc: &str) -> Result<(), String> {
+        self.write_with(|emit| emit(doc))
+    }
+
+    /// [`Snapshotter::write`] of the document `doc` hands its `emit`
+    /// piece by piece. A torn fault writes half of the first piece.
+    fn write_with(&self, doc: impl FnOnce(&mut dyn FnMut(&str))) -> Result<(), String> {
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let fin = self.dir.join(SNAPSHOT);
 
         let mut tmp_file = File::create(&tmp).map_err(|e| io_err("write snapshot", &tmp, &e))?;
-        {
-            let site = "snapshot.tmp.write";
-            match self.inj.hit(site) {
-                Fault::Pass => tmp_file
-                    .write_all(payload.as_bytes())
-                    .map_err(|e| io_err("write snapshot", &tmp, &e))?,
-                Fault::Fail(kind) => {
-                    if kind.is_torn() {
-                        let _ = tmp_file.write_all(&payload.as_bytes()[..payload.len() / 2]);
+        let site = "snapshot.tmp.write";
+        match self.inj.hit(site) {
+            Fault::Pass => {
+                let mut written = Ok(());
+                doc(&mut |piece| {
+                    if written.is_ok() {
+                        written = tmp_file.write_all(piece.as_bytes());
                     }
-                    note_injection();
-                    return Err(injected_err(kind, site));
+                });
+                written.map_err(|e| io_err("write snapshot", &tmp, &e))?;
+            }
+            Fault::Fail(kind) => {
+                if kind.is_torn() {
+                    let mut first = true;
+                    doc(&mut |piece| {
+                        if std::mem::take(&mut first) {
+                            let _ = tmp_file.write_all(&piece.as_bytes()[..piece.len() / 2]);
+                        }
+                    });
                 }
+                note_injection();
+                return Err(injected_err(kind, site));
             }
         }
-        self.gated("snapshot.tmp.fsync", || {
+        gated(&self.inj, "snapshot.tmp.fsync", || {
             tmp_file
                 .sync_all()
                 .map_err(|e| io_err("fsync snapshot", &tmp, &e))
         })?;
         drop(tmp_file);
-        self.gated("snapshot.rename", || {
+        gated(&self.inj, "snapshot.rename", || {
             fs::rename(&tmp, &fin).map_err(|e| io_err("rename snapshot", &fin, &e))
         })?;
-        self.gated("snapshot.dir.fsync", || {
+        gated(&self.inj, "snapshot.dir.fsync", || {
             File::open(&self.dir)
                 .and_then(|d| d.sync_all())
                 .map_err(|e| io_err("fsync state dir", &self.dir, &e))
         })?;
-        let _ = self.gated("journal.retire", || {
-            self.journal
-                .set_len(0)
-                .map_err(|e| io_err("retire journal", &self.dir.join(JOURNAL), &e))
+        let prev = self.dir.join(JOURNAL_PREV);
+        let _ = gated(&self.inj, "journal.retire", || {
+            match fs::remove_file(&prev) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    Err(io_err("retire journal", &prev, &e))
+                }
+                _ => Ok(()),
+            }
         });
         Ok(())
     }
+}
 
-    /// A byte write through the injector: torn kinds transfer a strict
-    /// prefix before failing.
-    fn gated_write(&mut self, site: &str, bytes: &[u8], path: &Path) -> Result<(), String> {
-        match self.inj.hit(site) {
-            Fault::Pass => self
-                .journal
-                .write_all(bytes)
-                .map_err(|e| io_err("append journal", path, &e)),
-            Fault::Fail(kind) => {
-                if kind.is_torn() {
-                    let _ = self.journal.write_all(&bytes[..bytes.len() / 2]);
-                    let _ = self.journal.flush();
-                }
-                note_injection();
-                Err(injected_err(kind, site))
-            }
-        }
-    }
+/// The snapshot envelope at `seq` around the state `state` writes, in a
+/// buffer sized for a state of about `state_len` bytes.
+fn envelope(seq: u64, state_len: usize, state: impl FnOnce(&mut String)) -> String {
+    let mut doc = String::with_capacity(state_len + 128);
+    envelope_head(&mut doc, seq);
+    state(&mut doc);
+    envelope_tail(&mut doc);
+    doc
+}
 
-    /// A non-byte operation (fsync/rename) through the injector.
-    fn gated(&self, site: &str, op: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
-        match self.inj.hit(site) {
-            Fault::Pass => op(),
-            Fault::Fail(kind) => {
-                note_injection();
-                Err(injected_err(kind, site))
-            }
+/// The envelope up to its state: the keys are in the sorted order a
+/// `Json` object emits them.
+fn envelope_head(out: &mut String, seq: u64) {
+    out.push_str("{\"schema\":");
+    write_escaped(out, SNAPSHOT_SCHEMA);
+    out.push_str(",\"seq\":");
+    write_num(out, seq as f64);
+    out.push_str(",\"state\":");
+}
+
+/// The envelope after its state.
+fn envelope_tail(out: &mut String) {
+    let written_unix_ms = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64);
+    out.push_str(",\"written_unix_ms\":");
+    write_num(out, written_unix_ms as f64);
+    out.push_str("}\n");
+}
+
+/// A non-byte operation (fsync/rename/unlink) through the injector.
+fn gated(
+    inj: &FaultInjector,
+    site: &str,
+    op: impl FnOnce() -> Result<(), String>,
+) -> Result<(), String> {
+    match inj.hit(site) {
+        Fault::Pass => op(),
+        Fault::Fail(kind) => {
+            note_injection();
+            Err(injected_err(kind, site))
         }
     }
 }
@@ -496,15 +631,17 @@ fn truncate_torn_tail(jpath: &Path) -> Result<(), String> {
 }
 
 /// Read-only recovery of the durable state in `dir`: the snapshot's
-/// model plus the replayable journal suffix. Never writes — this is
-/// also the rollback path the writer uses when entering degraded mode
-/// on a possibly failing disk. A torn final segment (no trailing newline) is dropped
-/// silently; a newline-terminated unparseable line is an error.
+/// model plus the replayable journal suffix, from `journal.prev.jsonl`
+/// and then `journal.jsonl`. Never writes — this is also the rollback
+/// path the writer uses when entering degraded mode on a possibly
+/// failing disk, once no snapshot is in flight. In each journal file a
+/// torn final segment (no trailing newline) is dropped silently; a
+/// newline-terminated unparseable line is an error.
 ///
 /// # Errors
 ///
 /// Unreadable/corrupt snapshot, or mid-file journal corruption (with
-/// line number).
+/// file and line number).
 pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
     let snap_path = dir.join(SNAPSHOT);
     let snapshot = if snap_path.exists() {
@@ -515,51 +652,61 @@ pub fn read_recovered(dir: &Path) -> Result<Recovered, String> {
         None
     };
     let base_seq = snapshot.as_ref().map_or(0, LiveModel::seq);
-
-    let jpath = dir.join(JOURNAL);
     let mut replay = Vec::new();
-    if jpath.exists() {
-        let bytes = fs::read(&jpath).map_err(|e| io_err("read journal", &jpath, &e))?;
-        // Only complete (newline-terminated) lines are journal entries;
-        // a trailing newline-less segment is the torn tail of a crashed
-        // append and carries an unacknowledged mutation — drop it.
-        let complete = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(p) => &bytes[..=p],
-            None => &[][..],
-        };
-        let text = std::str::from_utf8(complete)
-            .map_err(|e| format!("corrupt journal (not UTF-8): {e}"))?;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let entry = Json::parse(line)
-                .map_err(|e| format!("corrupt journal line {}: {e}", lineno + 1))?;
-            let seq = entry
-                .get("seq")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("journal line {} missing \"seq\"", lineno + 1))?;
-            let seq = as_count(seq).ok_or_else(|| {
-                format!(
-                    "journal line {} seq {seq} is not a non-negative integer",
-                    lineno + 1
-                )
-            })?;
-            // A line the snapshot covers, left by a retirement that did
-            // not happen: its mutation is never decoded.
-            if seq <= base_seq {
-                continue;
-            }
-            let m = entry
-                .get("mutation")
-                .ok_or_else(|| format!("journal line {} missing \"mutation\"", lineno + 1))?;
-            let mutation = proto::mutation_from_json(m)
-                .map_err(|e| format!("journal line {}: {e}", lineno + 1))?;
-            replay.push((seq, mutation));
-        }
+    for name in [JOURNAL_PREV, JOURNAL] {
+        read_journal(dir, name, base_seq, &mut replay)?;
     }
     replay.sort_by_key(|&(s, _)| s);
     Ok(Recovered { snapshot, replay })
+}
+
+/// Appends the lines of journal file `name` above `base_seq` to
+/// `replay`. Errors name the file.
+fn read_journal(
+    dir: &Path,
+    name: &str,
+    base_seq: u64,
+    replay: &mut Vec<(u64, Mutation)>,
+) -> Result<(), String> {
+    let path = dir.join(name);
+    if !path.exists() {
+        return Ok(());
+    }
+    let bytes = fs::read(&path).map_err(|e| io_err("read journal", &path, &e))?;
+    // Only complete (newline-terminated) lines are journal entries; a
+    // trailing newline-less segment is the torn tail of a crashed
+    // append and carries an unacknowledged mutation — drop it.
+    let complete = match bytes.iter().rposition(|&b| b == b'\n') {
+        Some(p) => &bytes[..=p],
+        None => &[][..],
+    };
+    let text = std::str::from_utf8(complete)
+        .map_err(|e| format!("{name}: corrupt journal (not UTF-8): {e}"))?;
+    for (lineno, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = format!("{name}: journal line {}", lineno + 1);
+        let entry = Json::parse(line)
+            .map_err(|e| format!("{name}: corrupt journal line {}: {e}", lineno + 1))?;
+        let seq = entry
+            .get("seq")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{at} missing \"seq\""))?;
+        let seq =
+            as_count(seq).ok_or_else(|| format!("{at} seq {seq} is not a non-negative integer"))?;
+        // A line the snapshot covers, left by a retirement that did not
+        // happen: its mutation is never decoded.
+        if seq <= base_seq {
+            continue;
+        }
+        let m = entry
+            .get("mutation")
+            .ok_or_else(|| format!("{at} missing \"mutation\""))?;
+        let mutation = proto::mutation_from_json(m).map_err(|e| format!("{at}: {e}"))?;
+        replay.push((seq, mutation));
+    }
+    Ok(())
 }
 
 /// The model a snapshot file's text holds. The envelope is read with a
@@ -764,6 +911,35 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_streamed_cut_writes_the_same_document() {
+        let dir = tmpdir("cut");
+        let mut model = LiveModel::new("paper").unwrap();
+        let (_, add) = proto::parse_line(
+            r#"{"op":"add_fcm","name":"c1","criticality":1,"influences":[["p8",0.3]],"contract":{"guarantee":0.9,"rely":0.5,"floor":0}}"#,
+        );
+        let Ok(crate::proto::Request::Mutation(add)) = add else {
+            panic!("add_fcm with a contract is a mutation")
+        };
+        for m in [add, ops()[1].clone()] {
+            model.apply(&m).unwrap();
+        }
+        let mut store = Store::create_fresh(&dir).unwrap();
+        let unstamped = || {
+            let text = fs::read_to_string(dir.join(SNAPSHOT)).unwrap();
+            let stamp = text.rfind(",\"written_unix_ms\":").expect("stamped");
+            text[..stamp].to_string()
+        };
+        store
+            .snapshot_text(model.seq(), &model.state_text())
+            .unwrap();
+        let text = unstamped();
+        assert!(text.contains("\"contracts\":"), "{text}");
+        store.snapshotter().write_cut(&model.state_cut()).unwrap();
+        assert_eq!(unstamped(), text);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The paper model with `ops()` applied and journaled through
     /// `store`, snapshotting after the `snap_at`-th.
     fn journaled(store: &mut Store, snap_at: usize) -> LiveModel {
@@ -809,6 +985,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The seqs of the lines in journal file `name`, `None` when the
+    /// file is absent.
+    fn seqs_in(dir: &Path, name: &str) -> Option<Vec<u64>> {
+        let text = fs::read_to_string(dir.join(name)).ok()?;
+        Some(
+            text.lines()
+                .map(|l| {
+                    let seq = Json::parse(l).unwrap().get("seq").and_then(Json::as_f64);
+                    seq.unwrap() as u64
+                })
+                .collect(),
+        )
+    }
+
     #[test]
     fn a_failed_retirement_loses_nothing_and_the_next_snapshot_retries() {
         let dir = tmpdir("retire-fail");
@@ -818,7 +1008,8 @@ mod tests {
         let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj)).unwrap();
         let model = journaled(&mut store, 3);
         assert_eq!(inj.injected(), 1, "the retirement failed");
-        // The snapshot is durable and covers all three lines, which stay.
+        // The snapshot is durable and covers all three lines, which stay
+        // in the rotated journal.
         let rec = read_recovered(&dir).unwrap();
         assert_eq!(rec.snapshot_seq(), Some(3));
         assert!(rec.replay.is_empty(), "covered lines are passed over");
@@ -826,15 +1017,53 @@ mod tests {
             rec.into_model("paper").unwrap().state_text(),
             model.state_text()
         );
-        assert_eq!(
-            journal_bytes(&dir).iter().filter(|&&b| b == b'\n').count(),
-            3
-        );
-        // The next snapshot retires them.
+        assert_eq!(seqs_in(&dir, JOURNAL_PREV), Some(vec![1, 2, 3]));
+        assert_eq!(seqs_in(&dir, JOURNAL), Some(vec![]));
+        // The next snapshot does not rotate over them, and retires them.
         store
             .snapshot_text(model.seq(), &model.state_text())
             .unwrap();
-        assert!(journal_bytes(&dir).is_empty());
+        assert_eq!(seqs_in(&dir, JOURNAL_PREV), None);
+        assert_eq!(seqs_in(&dir, JOURNAL), Some(vec![]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_rotated_journal_replays_first_and_its_errors_name_it() {
+        let dir = tmpdir("prev");
+        let inj = Arc::new(FaultInjector::new(
+            &FaultPlan::parse("snapshot.tmp.write:eio@0").unwrap(),
+        ));
+        let mut store = Store::create_fresh_with(&dir, inj).unwrap();
+        // The cut at seq 2 rotates lines 1 and 2, and its snapshot fails.
+        let mut model = LiveModel::new("paper").unwrap();
+        for m in &ops() {
+            model.apply(m).unwrap();
+            store.append(model.seq(), m).unwrap();
+            if model.seq() == 2 {
+                let err = store.snapshot_text(2, &model.state_text()).unwrap_err();
+                assert_eq!(err, "injected eio at snapshot.tmp.write");
+            }
+        }
+        assert_eq!(seqs_in(&dir, JOURNAL_PREV), Some(vec![1, 2]));
+        assert_eq!(seqs_in(&dir, JOURNAL), Some(vec![3]));
+        let rec = read_recovered(&dir).unwrap();
+        assert_eq!(rec.snapshot_seq(), None);
+        assert_eq!(rec.replay_len(), 3);
+        assert_eq!(
+            rec.into_model("paper").unwrap().state_text(),
+            model.state_text()
+        );
+        let mut prev = OpenOptions::new()
+            .append(true)
+            .open(dir.join(JOURNAL_PREV))
+            .unwrap();
+        prev.write_all(b"not json\n").unwrap();
+        let err = read_recovered(&dir).unwrap_err();
+        assert!(
+            err.starts_with("journal.prev.jsonl: corrupt journal line 3: "),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -873,8 +1102,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A run of `ops()` mutations with snapshots at random points and
-    /// one injected `eio` rule over a snapshot or retirement site.
+    /// A run of `ops()` mutations with cuts at random points and one
+    /// injected `eio` rule over a rotation, snapshot or retirement site.
+    /// With `in_flight`, each cut's document is written only after the
+    /// next mutation is appended, the way the persistence thread may
+    /// finish while the writer appends lines past the cut.
     #[derive(Debug)]
     struct RetireCase {
         mutations: usize,
@@ -882,12 +1114,62 @@ mod tests {
         site: &'static str,
         from: u64,
         len: u64,
+        in_flight: bool,
         seed: u64,
+    }
+
+    /// What the files must hold after a run of cuts. Lines at or below
+    /// `floor` are retired, and `journal.prev.jsonl`, when present,
+    /// holds the lines up to `rotated_at`. `durable` is the seq of the
+    /// last snapshot that returned Ok (one that failed at the directory
+    /// fsync was renamed into place already and may cover more), and
+    /// `clean` that of the last clean cut: rotated, durable and retired
+    /// with no fault.
+    #[derive(Default)]
+    struct Track {
+        floor: u64,
+        rotated_at: Option<u64>,
+        durable: u64,
+        clean: u64,
+    }
+
+    /// A cut not written yet: its seq, the cut, whether it rotated, and
+    /// the injections counted before it.
+    type Pending = (u64, StateCut, bool, u64);
+
+    impl Track {
+        /// Rotates and renders a cut of `model`.
+        fn cut(&mut self, store: &mut Store, model: &LiveModel) -> Pending {
+            let injected = store.injector().injected();
+            let rotated = store.rotate() == Ok(true);
+            if rotated {
+                self.rotated_at = Some(model.seq());
+            }
+            (model.seq(), model.state_cut(), rotated, injected)
+        }
+
+        /// Writes a cut's document, as the persistence thread does.
+        fn finish(&mut self, snapshotter: &Snapshotter, (seq, cut, rotated, injected): Pending) {
+            let before = snapshotter.inj.injected();
+            if snapshotter.write_cut(&cut).is_err() {
+                return;
+            }
+            self.durable = seq;
+            if snapshotter.inj.injected() == before {
+                if let Some(r) = self.rotated_at.take() {
+                    self.floor = r;
+                }
+                if rotated && injected == before {
+                    self.clean = seq;
+                }
+            }
+        }
     }
 
     #[test]
     fn the_journal_holds_only_what_the_last_retirement_left() {
-        const SITES: [&str; 5] = [
+        const SITES: [&str; 6] = [
+            "journal.rotate",
             "snapshot.tmp.write",
             "snapshot.tmp.fsync",
             "snapshot.rename",
@@ -907,43 +1189,50 @@ mod tests {
                 site: SITES[rng.gen_range(0usize..SITES.len())],
                 from: rng.gen_range(0u64..4),
                 len: rng.gen_range(1u64..6),
+                in_flight: rng.gen_bool(0.5),
                 seed: rng.next_u64(),
             },
             |c| {
                 let dir = tmpdir(&format!("retire-prop-{}", c.seed));
                 let plan = format!("{}:eio@{}..{}", c.site, c.from, c.from + c.len);
                 let inj = Arc::new(FaultInjector::new(&FaultPlan::parse(&plan).unwrap()));
-                let mut store = Store::create_fresh_with(&dir, Arc::clone(&inj)).unwrap();
+                let mut store = Store::create_fresh_with(&dir, inj).unwrap();
+                let snapshotter = store.snapshotter();
                 let mut rng = fcm_substrate::Rng::seed_from_u64(c.seed);
                 let mut model = LiveModel::new("paper").unwrap();
-                // Lines appended since the last retirement, and since
-                // the last snapshot that returned Ok (one that failed at
-                // the directory fsync was renamed into place already and
-                // may cover more).
-                let (mut unretired, mut uncovered) = (0usize, 0usize);
+                let mut t = Track::default();
+                let mut pending = None;
                 for i in 0..c.mutations {
                     let m = &ops()[i % 3];
                     model.apply(m).unwrap();
                     store.append(model.seq(), m).unwrap();
-                    unretired += 1;
-                    uncovered += 1;
+                    // A cut in flight finishes after a line past it.
+                    if let Some(p) = pending.take() {
+                        t.finish(&snapshotter, p);
+                    }
                     if rng.gen_bool(c.snapshot_odds) {
-                        let injected = inj.injected();
-                        if store
-                            .snapshot_text(model.seq(), &model.state_text())
-                            .is_ok()
-                        {
-                            uncovered = 0;
-                            if inj.injected() == injected {
-                                unretired = 0;
-                            }
+                        let p = t.cut(&mut store, &model);
+                        if c.in_flight {
+                            pending = Some(p);
+                        } else {
+                            t.finish(&snapshotter, p);
                         }
                     }
-                    let journal = journal_bytes(&dir);
-                    let lines = journal.iter().filter(|&&b| b == b'\n').count();
-                    fcm_substrate::prop_assert_eq!(lines, unretired);
+                    let seq = model.seq();
+                    let want_prev = t.rotated_at.map(|r| (t.floor + 1..=r).collect());
+                    fcm_substrate::prop_assert_eq!(seqs_in(&dir, JOURNAL_PREV), want_prev);
+                    let upto = t.rotated_at.unwrap_or(t.floor);
+                    let want: Vec<u64> = (upto + 1..=seq).collect();
+                    fcm_substrate::prop_assert_eq!(seqs_in(&dir, JOURNAL), Some(want));
+                    // Nothing at or below the last clean cut is held, and
+                    // after one the files hold exactly the lines above
+                    // the last durable snapshot.
+                    fcm_substrate::prop_assert!(t.floor >= t.clean);
+                    if t.clean == t.durable {
+                        fcm_substrate::prop_assert_eq!(t.floor, t.durable);
+                    }
                     let rec = read_recovered(&dir)?;
-                    fcm_substrate::prop_assert!(rec.replay.len() <= uncovered);
+                    fcm_substrate::prop_assert!(rec.replay.len() as u64 <= seq - t.durable);
                     let resumed = rec.into_model("paper")?;
                     fcm_substrate::prop_assert_eq!(resumed.state_text(), model.state_text());
                 }

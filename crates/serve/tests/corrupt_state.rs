@@ -4,7 +4,9 @@
 //! 1. **Pinned refusals.** Each hand-made corruption of a state
 //!    directory (a truncated snapshot, garbage, a wrong `schema`, a
 //!    missing `seq` or `state`, an FCM without `crit`, an FCM on an
-//!    unknown HW node, an edge endpoint that is negative, fractional or
+//!    unknown HW node, an FCM integer field (`crit`, `sec`, `ft`, `rep`,
+//!    `sep`, a timing value) that is negative, fractional or out of its
+//!    type's range, an edge endpoint that is negative, fractional or
 //!    a self-loop, a seq in the envelope, the state or a journal line
 //!    that is not a non-negative integer, an envelope seq that is not
 //!    the state's) makes resume return a structured error with a pinned
@@ -136,6 +138,36 @@ fn corruptions() -> Vec<(&'static str, String, String, &'static str)> {
             "snapshot fcm \"p1a\" on unknown hw \"hw99\"",
         ),
         (
+            "crit-fraction",
+            edit(&text, "{\"crit\":10,", "{\"crit\":-2.7,"),
+            "snapshot fcm \"p1a\" crit -2.7 is not an integer from 0 to 4294967295",
+        ),
+        (
+            "sec-range",
+            edit(&text, "\"sec\":0,", "\"sec\":300,"),
+            "snapshot fcm \"p1a\" sec 300 is not an integer from 0 to 255",
+        ),
+        (
+            "ft-negative",
+            edit(&text, "\"ft\":3,", "\"ft\":-1,"),
+            "snapshot fcm \"p1a\" ft -1 is not an integer from 0 to 255",
+        ),
+        (
+            "rep-fraction",
+            edit(&text, "\"rep\":0,", "\"rep\":0.5,"),
+            "snapshot fcm \"p1a\" rep 0.5 is not an integer from 0 to 4294967295",
+        ),
+        (
+            "sep-negative",
+            edit(&text, "\"sep\":null,", "\"sep\":-3,"),
+            "snapshot fcm \"p1a\" sep -3 is not an integer from 0 to 4294967295",
+        ),
+        (
+            "timing-fraction",
+            edit(&text, "\"timing\":[0,10,", "\"timing\":[0,10.5,"),
+            "snapshot fcm \"p1a\" timing 10.5 is not a non-negative integer",
+        ),
+        (
             "edge-negative",
             edit(&text, "\"edges\":[[0,", "\"edges\":[[-1,"),
             "snapshot edge endpoint -1 is not an fcm index",
@@ -186,13 +218,13 @@ fn corruptions() -> Vec<(&'static str, String, String, &'static str)> {
             "journal-seq-negative",
             text.clone(),
             edit(&journal, "\"seq\":2}", "\"seq\":-2}"),
-            "journal line 1 seq -2 is not a non-negative integer",
+            "journal.jsonl: journal line 1 seq -2 is not a non-negative integer",
         ),
         (
             "journal-seq-fraction",
             text.clone(),
             edit(&journal, "\"seq\":2}", "\"seq\":2.5}"),
-            "journal line 1 seq 2.5 is not a non-negative integer",
+            "journal.jsonl: journal line 1 seq 2.5 is not a non-negative integer",
         ),
     ];
     snapshot_cases

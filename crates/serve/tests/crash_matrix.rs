@@ -49,6 +49,7 @@ fn matrix_covers_all_write_flush_rename_sites() {
     for site in [
         "journal.append.write",
         "journal.append.flush",
+        "journal.rotate",
         "snapshot.tmp.write",
         "snapshot.tmp.fsync",
         "snapshot.rename",
@@ -60,6 +61,24 @@ fn matrix_covers_all_write_flush_rename_sites() {
             "no crash case at {site}"
         );
     }
+    // Each snapshot-half site is also crashed while the next mutation's
+    // line is past the cut, and only those sites are.
+    for site in [
+        "snapshot.tmp.write",
+        "snapshot.tmp.fsync",
+        "snapshot.rename",
+        "snapshot.dir.fsync",
+        "journal.retire",
+    ] {
+        assert!(
+            report.cases.iter().any(|c| c.in_flight && c.site == site),
+            "no in-flight crash case at {site}"
+        );
+    }
+    assert!(report
+        .cases
+        .iter()
+        .all(|c| !c.in_flight || c.site.starts_with("snapshot.") || c.site == "journal.retire"));
     // Torn variants exist exactly for byte-write sites.
     assert!(report
         .cases

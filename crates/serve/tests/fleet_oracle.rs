@@ -9,7 +9,8 @@
 //! live model is compared with two twins:
 //!
 //! * `LiveModel::from_state_text` of the `state_text`: the same state
-//!   bytes (and the parsed tree re-emits them byte for byte), every
+//!   bytes (and the parsed tree and a `state_cut` rendered by the
+//!   snapshot path re-emit them byte for byte), every
 //!   query answered byte-identically (the certifier's `dirty`/`reused`
 //!   counters excepted — they describe the last pass, not the state);
 //! * a from-scratch build: a full `condense` of the graph (bitwise-equal
@@ -111,6 +112,11 @@ fn assert_matches_twins(m: &LiveModel, step: usize) {
         text,
         "step {step}: the parsed state re-emits the state text"
     );
+    let (mut cut, mut rest) = (String::new(), String::new());
+    m.state_cut()
+        .stream(&mut rest, &mut |piece| cut.push_str(piece));
+    cut.push_str(&rest);
+    assert_eq!(cut, text, "step {step}: a state cut streams the state text");
 
     // Twin 1: resume from the state bytes.
     let resumed = LiveModel::from_state_text(&text)

@@ -306,9 +306,14 @@ wait_for_socket target/verify/serve_r.sock
 kill -TERM "$serve_pid"
 set +e; wait "$serve_pid"; set -e
 rm -f target/verify/serve_r.sock
-# The drain's final snapshot covers every line, so it retired the journal.
+# The drain's final snapshot covers every line, so it retired the journal:
+# the rotated lines are unlinked and the fresh journal is empty.
 if [ ! -f target/verify/serve_state_ref/journal.jsonl ] || [ -s target/verify/serve_state_ref/journal.jsonl ]; then
     echo "FAIL: journal.jsonl not retired by the SIGTERM drain's snapshot" >&2
+    exit 1
+fi
+if [ -e target/verify/serve_state_ref/journal.prev.jsonl ]; then
+    echo "FAIL: journal.prev.jsonl survived the SIGTERM drain's snapshot" >&2
     exit 1
 fi
 # Crash drill: part 1, kill -9 (no drain, no final snapshot), --resume,
@@ -333,6 +338,12 @@ kill -TERM "$serve_pid"
 set +e; wait "$serve_pid"; set -e
 if ! cmp -s <(tail -1 target/verify/serve_ref.txt) <(tail -1 target/verify/serve_resumed.txt); then
     echo "FAIL: resumed model dump differs from the straight-through run" >&2
+    exit 1
+fi
+# A rotated journal the kill -9 left behind is retired by the resumed
+# daemon's drain.
+if [ -e target/verify/serve_state_kill/journal.prev.jsonl ]; then
+    echo "FAIL: journal.prev.jsonl survived the resumed daemon's SIGTERM drain" >&2
     exit 1
 fi
 
