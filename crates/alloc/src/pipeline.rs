@@ -31,14 +31,13 @@
 
 use std::collections::BTreeMap;
 
-use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, NodeIdx};
+use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, NodeIdx, SparseMatrix};
 
 use crate::cluster::{is_schedulable, member_names, replica_conflict, Clustering};
 use crate::error::AllocError;
 use crate::sw::SwGraph;
 
-/// Sparse `(index, value)` entries of one matrix row or column.
-pub type Entries = Vec<(usize, f64)>;
+pub use fcm_graph::Entries;
 
 /// The Eq. 4 complement-product fold: row `gi` and column `gi` as
 /// ascending `(index, value)` lists without the diagonal
@@ -73,6 +72,34 @@ pub fn eq4_incident(
         comp.into_iter().map(|(t, c)| (t, 1.0 - c)).collect()
     };
     (finish(comp_out), finish(comp_in))
+}
+
+/// The singleton-partition Eq. 4 matrix of `g` in O(E log degree),
+/// under the representation policy: bitwise equal to `condense` over
+/// singletons (`condense(g, [[0], [1], …],
+/// Probabilistic).influence_matrix()`) without its `n × n` buckets. A
+/// node's out-edges, in edge-id order, hold its row's buckets: a stable
+/// sort by target keeps that order within each `(from, to)` bucket, which
+/// folds `c *= 1 − w` from 1 and emits `1 − c`, the association
+/// `condense` and [`eq4_incident`] use.
+#[must_use]
+pub fn eq4_singletons(g: &SwGraph) -> InfluenceMatrix {
+    let n = g.node_count();
+    let mut triples = Vec::with_capacity(g.edge_count());
+    let mut row: Vec<(usize, f64)> = Vec::new();
+    for v in g.node_indices() {
+        row.clear();
+        row.extend(
+            g.out_edges(v)
+                .map(|(_, e)| (e.to.index(), e.weight.influence())),
+        );
+        row.sort_by_key(|&(t, _)| t);
+        for bucket in row.chunk_by(|a, b| a.0 == b.0) {
+            let c = bucket.iter().fold(1.0, |c, &(_, w)| c * (1.0 - w));
+            triples.push((v.index(), bucket[0].0, 1.0 - c));
+        }
+    }
+    InfluenceMatrix::from_sparse_auto(SparseMatrix::from_triples(n, n, triples))
 }
 
 /// [`eq4_incident`] scattered into dense length-`k` slices (zero where

@@ -27,7 +27,11 @@
 //!   the timed span, as the writer waits for them only at the next cut;
 //! * `load/{n}` — the snapshot half of `--resume`: `read_recovered` of
 //!   that directory (which reads the snapshot and decodes its state in
-//!   one pass) plus `Recovered::into_model`.
+//!   one pass, rebuilding the Eq. 4 matrix from the edges) plus
+//!   `Recovered::into_model`;
+//! * `load_v1/{n}` — the same for a snapshot of the same state in the v1
+//!   form, which also holds the matrix: the section is read as well,
+//!   and checked against the rebuild.
 //!
 //! The add and set_attr paths are O(degree + log n); removal edits the
 //! graph, the placement and the name index in place, shifting the
@@ -36,6 +40,7 @@
 
 use fcm_check::Contract;
 use fcm_serve::proto::Mutation;
+use std::path::Path;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -154,15 +159,25 @@ fn main() {
             &writer_ns[warmup as usize..],
         );
         drop(store);
-        let want = m.state_text();
-        let load = || {
-            read_recovered(&dir)
+        let v1_dir = dir.with_extension("v1");
+        Store::create_fresh(&v1_dir)
+            .and_then(|mut v1| {
+                let state = m.state_json().set("schema", "fcm-serve-state/v1");
+                v1.snapshot(m.seq(), &state)
+            })
+            .expect("v1 snapshot is written");
+        let want = m.state_json();
+        let load = |dir: &Path| {
+            read_recovered(dir)
                 .and_then(|rec| rec.into_model("paper"))
                 .expect("snapshot loads")
         };
-        suite.bench(&format!("load/{n}"), load);
-        assert_eq!(load().state_text(), want);
+        suite.bench(&format!("load/{n}"), || load(&dir));
+        suite.bench(&format!("load_v1/{n}"), || load(&v1_dir));
+        assert_eq!(load(&dir).state_json(), want);
+        assert_eq!(load(&v1_dir).state_json(), want);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&v1_dir);
     }
     suite.finish();
 }

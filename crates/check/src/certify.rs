@@ -316,32 +316,27 @@ impl Certifier {
         }
     }
 
-    /// Removes row `i`, shifting later rows up — the cache side of
-    /// removing an FCM. The FCM's contract is re-read by the next pass
-    /// (it may have left with the FCM, or now names an absent FCM), and
-    /// the rows whose caps named it are re-verified; the caller lists
+    /// Removes row `i`, FCM `name`'s, shifting later rows up — the cache
+    /// side of removing an FCM. The FCM's contract is re-read by the next
+    /// pass (it may have left with the FCM, or now names an absent FCM),
+    /// and the rows whose caps named it are re-verified; the caller lists
     /// the rows whose matrix row changed (the removed FCM's in-edge
     /// sources, by their new index). O(n). A cold cache ignores the
     /// edit.
     ///
     /// # Panics
     ///
-    /// When `i` is not a row.
-    pub fn remove_row(&mut self, i: usize) {
+    /// When `i` is not `name`'s row.
+    pub fn remove_row(&mut self, i: usize, name: &str) {
         if !self.warm {
             return;
         }
+        assert_eq!(self.index.remove(name), Some(i), "row {i} is {name:?}'s");
+        let name = name.to_string();
         let slot = self.slots.remove(i);
         if let Some(v) = &slot.verdict {
             self.findings.remove(&v.diags);
         }
-        let name = self
-            .index
-            .iter()
-            .find(|&(_, &row)| row == i)
-            .map(|(name, _)| name.clone())
-            .expect("every row is indexed");
-        self.index.remove(&name);
         self.pending.retain(|&r| r != i);
         for row in self.index.values_mut().chain(&mut self.pending) {
             *row -= usize::from(*row > i);
@@ -787,7 +782,7 @@ mod tests {
         names.pop();
         crits.pop();
         contracts.remove("d");
-        warm.remove_row(3);
+        warm.remove_row(3, "d");
         let (inc, cold) = warm_vs_cold(&mut warm, &[2], (&names, &crits, &influence, &contracts));
         assert_eq!(inc.report.render(), cold.report.render());
         assert_eq!(inc.certified, cold.certified);

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use fcm_graph::{fnv, InfluenceMatrix};
-use fcm_substrate::json::{write_escaped, write_list, write_num};
+use fcm_substrate::json::{write_escaped, write_list, write_num, Reader};
 use fcm_substrate::Json;
 
 use crate::diag::{Code, Diagnostic, Severity};
@@ -138,17 +138,92 @@ impl Contract {
     /// non-finite or negative `guarantee`/`rely`/cap values, or a
     /// non-integral `floor`.
     pub fn from_json(doc: &Json) -> Result<Contract, String> {
-        let fcm = doc
-            .get("fcm")
-            .and_then(Json::as_str)
+        ContractFields::of_tree(doc).check()
+    }
+}
+
+/// One contract's fields as a tree lookup finds them, before any check:
+/// a field of the wrong type reads as absent. Both the tree path
+/// ([`Contract::from_json`]) and the pull-reader path
+/// ([`ContractSet::read`]) check them through [`ContractFields::check`],
+/// so the two give the same messages.
+#[derive(Debug, Default)]
+struct ContractFields {
+    fcm: Option<String>,
+    guarantee: Option<f64>,
+    rely: Option<f64>,
+    floor: Option<f64>,
+    /// `None` when absent, `Some(None)` when not an object, else the
+    /// caps by target, in target order, each `None` unless a number.
+    caps: Option<Option<BTreeMap<String, Option<f64>>>>,
+}
+
+impl ContractFields {
+    fn of_tree(doc: &Json) -> ContractFields {
+        let num = |key: &str| doc.get(key).and_then(Json::as_f64);
+        ContractFields {
+            fcm: doc.get("fcm").and_then(Json::as_str).map(str::to_string),
+            guarantee: num("guarantee"),
+            rely: num("rely"),
+            floor: num("floor"),
+            caps: doc.get("caps").map(|caps| match caps {
+                Json::Obj(entries) => Some(
+                    entries
+                        .iter()
+                        .map(|(target, cap)| (target.clone(), cap.as_f64()))
+                        .collect(),
+                ),
+                _ => None,
+            }),
+        }
+    }
+
+    /// Reads the next value of `r`; a repeated key's last value counts,
+    /// as in a parsed tree. Only a syntax error is an error.
+    fn read(r: &mut Reader<'_>) -> Result<ContractFields, String> {
+        let mut f = ContractFields::default();
+        if r.peek() != Some(b'{') {
+            r.skip()?;
+            return Ok(f);
+        }
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "fcm" => {
+                    f.fcm = match r.value()? {
+                        Json::Str(s) => Some(s),
+                        _ => None,
+                    }
+                }
+                "guarantee" => f.guarantee = r.value()?.as_f64(),
+                "rely" => f.rely = r.value()?.as_f64(),
+                "floor" => f.floor = r.value()?.as_f64(),
+                "caps" if r.peek() == Some(b'{') => {
+                    let mut caps = BTreeMap::new();
+                    r.begin_object()?;
+                    while let Some(target) = r.next_key()? {
+                        caps.insert(target.into_owned(), r.value()?.as_f64());
+                    }
+                    f.caps = Some(Some(caps));
+                }
+                "caps" => {
+                    r.skip()?;
+                    f.caps = Some(None);
+                }
+                _ => r.skip()?,
+            }
+        }
+        Ok(f)
+    }
+
+    /// The contract, checked field by field in a fixed order.
+    fn check(self) -> Result<Contract, String> {
+        let fcm = self
+            .fcm
             .filter(|s| !s.is_empty())
-            .ok_or("contract needs a non-empty \"fcm\" name")?
-            .to_string();
-        let bound = |key: &str| -> Result<f64, String> {
-            let v = doc
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("contract {fcm:?} needs a numeric \"{key}\""))?;
+            .ok_or("contract needs a non-empty \"fcm\" name")?;
+        let bound = |v: Option<f64>, key: &str| -> Result<f64, String> {
+            let v = v.ok_or_else(|| format!("contract {fcm:?} needs a numeric \"{key}\""))?;
             if !v.is_finite() || v < 0.0 {
                 return Err(format!(
                     "contract {fcm:?}: \"{key}\" {v} is not a finite bound ≥ 0"
@@ -156,28 +231,25 @@ impl Contract {
             }
             Ok(v)
         };
-        let guarantee = bound("guarantee")?;
-        let rely = bound("rely")?;
-        let floor_raw = doc
-            .get("floor")
-            .and_then(Json::as_f64)
+        let guarantee = bound(self.guarantee, "guarantee")?;
+        let rely = bound(self.rely, "rely")?;
+        let floor_raw = self
+            .floor
             .ok_or_else(|| format!("contract {fcm:?} needs a numeric \"floor\""))?;
         if floor_raw.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&floor_raw) {
             return Err(format!(
                 "contract {fcm:?}: floor {floor_raw} is not a criticality rank"
             ));
         }
-        let mut c = Contract::new(fcm.clone(), guarantee, rely, floor_raw as u32);
-        if let Some(caps) = doc.get("caps") {
-            let Json::Obj(entries) = caps else {
-                return Err(format!("contract {fcm:?}: \"caps\" must be an object"));
-            };
-            for (target, cap) in entries {
-                let v = cap
-                    .as_f64()
-                    .filter(|v| v.is_finite() && *v >= 0.0)
-                    .ok_or_else(|| format!("contract {fcm:?}: cap to {target:?} is malformed"))?;
-                c = c.with_cap(target.as_str(), v);
+        let mut c = Contract::new(fcm, guarantee, rely, floor_raw as u32);
+        if let Some(caps) = self.caps {
+            let caps =
+                caps.ok_or_else(|| format!("contract {:?}: \"caps\" must be an object", c.fcm))?;
+            for (target, cap) in caps {
+                let v = cap.filter(|v| v.is_finite() && *v >= 0.0).ok_or_else(|| {
+                    format!("contract {:?}: cap to {target:?} is malformed", c.fcm)
+                })?;
+                c = c.with_cap(target, v);
             }
         }
         Ok(c)
@@ -305,7 +377,61 @@ impl ContractSet {
     /// Wrong schema tag, a malformed contract, or two contracts naming
     /// the same FCM.
     pub fn from_json(doc: &Json) -> Result<ContractSet, String> {
-        match doc.get("schema").and_then(Json::as_str) {
+        let items = doc
+            .get("contracts")
+            .and_then(Json::as_array)
+            .map(|items| items.iter().map(ContractFields::of_tree).collect());
+        ContractSet::check(doc.get("schema").and_then(Json::as_str), items)
+    }
+
+    /// Reads a contract-file document off `r` with no tree: the outer
+    /// error is a syntax error, in the reader's words; the inner result
+    /// is [`ContractSet::from_json`]'s for the same document.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn read(r: &mut Reader<'_>) -> Result<Result<ContractSet, String>, String> {
+        let (mut schema, mut items) = (None, None);
+        if r.peek() == Some(b'{') {
+            r.begin_object()?;
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "schema" => {
+                        schema = match r.value()? {
+                            Json::Str(s) => Some(s),
+                            _ => None,
+                        }
+                    }
+                    "contracts" if r.peek() == Some(b'[') => {
+                        let mut list = Vec::new();
+                        r.begin_array()?;
+                        while r.next_item()? {
+                            list.push(ContractFields::read(r)?);
+                        }
+                        items = Some(list);
+                    }
+                    "contracts" => {
+                        r.skip()?;
+                        items = None;
+                    }
+                    _ => r.skip()?,
+                }
+            }
+        } else {
+            r.skip()?;
+        }
+        Ok(ContractSet::check(schema.as_deref(), items))
+    }
+
+    /// The set a document with this schema tag and these contracts
+    /// holds, checked in a fixed order: the tag, the array, then each
+    /// contract in array order.
+    fn check(
+        schema: Option<&str>,
+        items: Option<Vec<ContractFields>>,
+    ) -> Result<ContractSet, String> {
+        match schema {
             Some(CONTRACTS_SCHEMA) => {}
             other => {
                 return Err(format!(
@@ -313,17 +439,25 @@ impl ContractSet {
                 ))
             }
         }
-        let items = doc
-            .get("contracts")
-            .and_then(Json::as_array)
-            .ok_or("document needs a \"contracts\" array")?;
+        let items = items.ok_or("document needs a \"contracts\" array")?;
         let mut set = ContractSet::new();
         for item in items {
-            let c = Contract::from_json(item)?;
-            if set.get(&c.fcm).is_some() {
+            let c = item.check()?;
+            // A name past the last one, as in a written set's name
+            // order, appends: no search, and no duplicate possible.
+            if set
+                .contracts
+                .last()
+                .is_none_or(|(last, _)| last.fcm < c.fcm)
+            {
+                let fp = c.fingerprint();
+                set.fingerprint_sum = set.fingerprint_sum.wrapping_add(fp);
+                set.contracts.push((c, fp));
+            } else if set.get(&c.fcm).is_some() {
                 return Err(format!("duplicate contract for {:?}", c.fcm));
+            } else {
+                set.insert(c);
             }
-            set.insert(c);
         }
         Ok(set)
     }
@@ -703,6 +837,43 @@ mod tests {
             let doc = Json::parse(text).unwrap();
             assert!(ContractSet::from_json(&doc).is_err(), "{text}");
         }
+    }
+
+    #[test]
+    fn the_pull_reader_reads_what_from_json_parses() {
+        let docs = [
+            "{\"schema\":\"nope\",\"contracts\":[]}",
+            "{\"contracts\":[{\"fcm\":\"a\"}],\"schema\":\"nope\"}",
+            "{\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":7,\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[],\"schema\":\"fcm-contracts/v1\",\"contracts\":3}",
+            "[1,2]",
+            "{\"contracts\":[3,{\"fcm\":\"\"}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"fcm\":\"a\",\"guarantee\":-1,\"rely\":0,\"floor\":0}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":\"x\",\"floor\":0}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":0.2,\"floor\":1.5}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":0.2,\"floor\":0,\"caps\":[1]}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"caps\":{\"z\":0.1,\"b\":\"x\",\"c\":-1},\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":0.2,\"floor\":0}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":0.2,\"floor\":0},{\"fcm\":\"a\",\"guarantee\":0.1,\"rely\":0.2,\"floor\":0}],\"schema\":\"fcm-contracts/v1\"}",
+            "{\"contracts\":[{\"caps\":{\"b\":0.1,\"b\":0.05},\"fcm\":\"x\",\"fcm\":\"a\",\"floor\":2,\"guarantee\":0.3,\"rely\":0.9,\"other\":[{}]},{\"fcm\":\"b\",\"floor\":0,\"guarantee\":0.4,\"rely\":0.9}],\"schema\":\"fcm-contracts/v1\"}",
+        ];
+        let mut read_ok = 0;
+        for text in docs
+            .into_iter()
+            .chain([demo_set().to_json().to_string_compact().as_str()])
+        {
+            let mut r = Reader::new(text);
+            let read = ContractSet::read(&mut r).expect("valid JSON");
+            r.finish().expect("one document");
+            assert_eq!(
+                read,
+                ContractSet::from_json(&Json::parse(text).unwrap()),
+                "{text}"
+            );
+            read_ok += usize::from(read.is_ok());
+        }
+        assert_eq!(read_ok, 2, "the last two documents are valid");
+        assert!(ContractSet::read(&mut Reader::new("{\"contracts\":[}")).is_err());
     }
 
     #[test]

@@ -590,7 +590,7 @@ fn row_edits_on_a_warm_certifier_equal_a_cold_full_pass_dense_and_csr() {
                     if rng.gen_bool(0.8) {
                         contracts.remove(&name);
                     }
-                    warm.remove_row(at);
+                    warm.remove_row(at, &name);
                     "remove"
                 }
                 3 => {

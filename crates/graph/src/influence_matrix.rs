@@ -24,7 +24,7 @@
 //! every value bitwise, so a rebalance is never observable in results.
 
 use crate::matrix::Matrix;
-use crate::sparse::SparseMatrix;
+use crate::sparse::{Entries, SparseMatrix};
 use crate::DiGraph;
 use fcm_substrate::json::{write_list, write_num};
 use fcm_substrate::Json;
@@ -132,7 +132,13 @@ impl InfluenceMatrix {
     /// [`Matrix::from_graph`].
     #[must_use]
     pub fn from_graph_auto<N, E: Copy + Into<f64>>(g: &DiGraph<N, E>) -> InfluenceMatrix {
-        let s = SparseMatrix::from_graph(g);
+        InfluenceMatrix::from_sparse_auto(SparseMatrix::from_graph(g))
+    }
+
+    /// Wraps a CSR matrix under the selection policy, materialising a
+    /// dense copy only when dense is chosen.
+    #[must_use]
+    pub fn from_sparse_auto(s: SparseMatrix) -> InfluenceMatrix {
         if prefer_sparse(s.rows(), s.density()) {
             InfluenceMatrix::Sparse(s)
         } else {
@@ -376,8 +382,84 @@ impl InfluenceMatrix {
         }
     }
 
-    /// Removes row and column `hi`, shifting later indices down (serve
-    /// retire hook), keeping the representation.
+    /// Removes row and column `v` in place, shifting later indices down
+    /// (the serve retire hook), keeping the representation; call
+    /// [`rebalance`](Self::rebalance) after. Returns the removed
+    /// nonzero entries, row `v`'s `(column, value)` and column `v`'s
+    /// `(row, value)` from the other rows, ascending and in the indices
+    /// before the removal, for [`insert_row_col`](Self::insert_row_col)
+    /// to splice back.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or `v` is out of bounds.
+    pub fn remove_row_col(&mut self, v: usize) -> (Entries, Entries) {
+        match self {
+            InfluenceMatrix::Dense(m) => {
+                let n = m.rows();
+                assert!(n == m.cols() && v < n, "remove index out of bounds");
+                let nonzero = |(i, x): (usize, f64)| (x != 0.0).then_some((i, x));
+                let row = (0..n).map(|j| (j, m[(v, j)])).filter_map(nonzero);
+                let row = row.collect();
+                let col = (0..n).filter(|&i| i != v).map(|i| (i, m[(i, v)]));
+                let col = col.filter_map(nonzero).collect();
+                m.remove_in_place(v);
+                (row, col)
+            }
+            InfluenceMatrix::Sparse(s) => s.remove_row_col(v),
+        }
+    }
+
+    /// Inserts row and column `v`, shifting later indices up, keeping
+    /// the representation: the undo of
+    /// [`remove_row_col`](Self::remove_row_col), whose entries (a zero
+    /// diagonal, as an influence matrix has) it takes. It runs only when
+    /// a removal is rejected, so it appends them
+    /// ([`push_row_col`](Self::push_row_col)) and moves the new last
+    /// index to `v` with one relabelling copy ([`permuted`](Self::permuted)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square, `v` is past the last row,
+    /// or an index is out of bounds.
+    pub fn insert_row_col(&mut self, v: usize, row: &[(usize, f64)], col: &[(usize, f64)]) {
+        let n = self.rows();
+        assert!(v <= n, "insert index out of bounds");
+        // An index after the insertion, as it stands while the entries
+        // sit last.
+        let at_end = |i: usize| if i == v { n } else { i - usize::from(i > v) };
+        let last = |entries: &[(usize, f64)]| -> Entries {
+            entries.iter().map(|&(i, x)| (at_end(i), x)).collect()
+        };
+        self.push_row_col(&last(row), &last(col));
+        *self = self.permuted(&(0..=n).map(at_end).collect::<Vec<_>>());
+    }
+
+    /// The first entry, in row-major order, where `self` and `other`
+    /// differ, as `(row, col, self's value, other's value)`; `None` when
+    /// they are equal in the sense of [`PartialEq`], whatever their
+    /// representations.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes differ.
+    #[must_use]
+    pub fn first_difference(&self, other: &InfluenceMatrix) -> Option<(usize, usize, f64, f64)> {
+        assert!(
+            self.rows() == other.rows() && self.cols() == other.cols(),
+            "first_difference needs one shape"
+        );
+        if self == other {
+            return None;
+        }
+        let cells = (0..self.rows()).flat_map(|i| (0..self.cols()).map(move |j| (i, j)));
+        cells
+            .map(|(i, j)| (i, j, self[(i, j)], other[(i, j)]))
+            .find(|&(_, _, a, b)| a != b)
+    }
+
+    /// A copy without row and column `hi`, later indices shifted down
+    /// (the condense pipeline's merge hook), keeping the representation.
     ///
     /// # Panics
     ///
@@ -772,6 +854,50 @@ mod tests {
         assert_eq!(d.shrink_row_col(2), s.shrink_row_col(2));
         let map = [3usize, 1, 0, 2];
         assert_eq!(d.permuted(&map), s.permuted(&map));
+    }
+
+    #[test]
+    fn in_place_removal_matches_the_copy_and_splices_back_bitwise() {
+        let mut rng = fcm_substrate::Rng::seed_from_u64(0x5e1f);
+        for n in [1, 2, 5, 9] {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && rng.gen_bool(0.4) {
+                        m[(i, j)] = rng.gen_range(0.01..1.0);
+                    }
+                }
+            }
+            for v in 0..n {
+                for im in [
+                    InfluenceMatrix::Dense(m.clone()),
+                    InfluenceMatrix::Sparse(SparseMatrix::from_dense(&m)),
+                ] {
+                    let mut edited = im.clone();
+                    let (row, col) = edited.remove_row_col(v);
+                    assert_eq!(edited.repr(), im.repr());
+                    assert_eq!(edited, im.shrink_row_col(v), "n {n} v {v} {}", im.repr());
+                    assert!(row.iter().all(|&(j, x)| x == m[(v, j)] && x != 0.0));
+                    assert!(col.iter().all(|&(i, x)| i != v && x == m[(i, v)]));
+                    edited.insert_row_col(v, &row, &col);
+                    assert_eq!(edited.repr(), im.repr());
+                    assert_eq!(edited.to_dense(), m, "n {n} v {v} {}", im.repr());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_difference_names_the_first_unequal_entry() {
+        let d = InfluenceMatrix::Dense(chain());
+        let s = InfluenceMatrix::Sparse(SparseMatrix::from_dense(&chain()));
+        assert_eq!(d.first_difference(&s), None);
+        let mut other = chain();
+        other[(2, 0)] = 0.125;
+        other[(1, 2)] = 0.5;
+        let other = InfluenceMatrix::Sparse(SparseMatrix::from_dense(&other));
+        assert_eq!(d.first_difference(&other), Some((1, 2, 0.4, 0.5)));
+        assert_eq!(other.first_difference(&s), Some((1, 2, 0.5, 0.4)));
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use influence_matrix::{
     fnv, prefer_sparse, InfluenceMatrix, SPARSE_MAX_DENSITY, SPARSE_MIN_N, SPARSE_N_THRESHOLD,
 };
 pub use matrix::{Matrix, Workspace};
-pub use sparse::SparseMatrix;
+pub use sparse::{Entries, SparseMatrix};

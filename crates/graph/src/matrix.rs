@@ -113,6 +113,23 @@ impl Matrix {
         self.cols += 1;
     }
 
+    /// Drops row and column `v` of a square matrix in place, moving the
+    /// later entries forward within the one buffer.
+    pub(crate) fn remove_in_place(&mut self, v: usize) {
+        let n = self.rows;
+        debug_assert!(n == self.cols && v < n);
+        let mut w = 0;
+        for i in (0..n).filter(|&i| i != v) {
+            for j in (0..n).filter(|&j| j != v) {
+                self.data[w] = self.data[i * n + j];
+                w += 1;
+            }
+        }
+        self.data.truncate(w);
+        self.rows -= 1;
+        self.cols -= 1;
+    }
+
     /// Drops the last row and the last column in place.
     ///
     /// # Panics

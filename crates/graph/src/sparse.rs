@@ -36,6 +36,10 @@ use crate::matrix::Matrix;
 use crate::DiGraph;
 use fcm_substrate::pool;
 
+/// Sparse `(index, value)` entries of one matrix row or column,
+/// ascending by index.
+pub type Entries = Vec<(usize, f64)>;
+
 /// A square-or-rectangular CSR (compressed sparse row) `f64` matrix.
 ///
 /// Within each row, stored entries are ordered by ascending column and
@@ -90,13 +94,25 @@ impl SparseMatrix {
         cols: usize,
         triples: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> SparseMatrix {
-        let mut by_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); rows];
-        for (r, c, v) in triples {
+        let triples: Vec<(usize, usize, f64)> = triples.into_iter().collect();
+        // A stable counting sort by row into one buffer.
+        let mut start = vec![0usize; rows + 1];
+        for &(r, c, _) in &triples {
             assert!(r < rows && c < cols, "triple ({r}, {c}) out of bounds");
-            by_row[r].push((c, v));
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut by_row = vec![(0usize, 0.0f64); triples.len()];
+        for (r, c, v) in triples {
+            by_row[next[r]] = (c, v);
+            next[r] += 1;
         }
         let mut m = SparseMatrix::empty(rows, cols);
-        for (r, mut row) in by_row.into_iter().enumerate() {
+        for r in 0..rows {
+            let row = &mut by_row[start[r]..start[r + 1]];
             // Stable by column: duplicates keep triple order, so the
             // run-fold below sums them left to right exactly as the
             // dense `+=` accumulation does.
@@ -136,12 +152,17 @@ impl SparseMatrix {
     /// Converts a dense matrix, pruning exact zeros.
     #[must_use]
     pub fn from_dense(m: &Matrix) -> SparseMatrix {
-        let (rows, cols) = (m.rows(), m.cols());
-        SparseMatrix::from_triples(
-            rows,
-            cols,
-            (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j, m.get(i, j).expect("in bounds")))),
-        )
+        let mut s = SparseMatrix::empty(m.rows(), m.cols());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                if m[(i, j)] != 0.0 {
+                    s.col_idx.push(j);
+                    s.vals.push(m[(i, j)]);
+                }
+            }
+            s.row_ptr[i + 1] = s.col_idx.len();
+        }
+        s
     }
 
     /// Materialises the dense equivalent (entry-for-entry bitwise).
@@ -551,6 +572,54 @@ impl SparseMatrix {
         self.vals.truncate(w);
         self.rows = last;
         self.cols = last;
+    }
+
+    /// Removes row and column `v` in place, shifting later indices down
+    /// by one, and returns the removed entries: row `v`'s `(column,
+    /// value)` pairs and column `v`'s `(row, value)` pairs from the other
+    /// rows, each ascending and in the indices before the removal
+    /// ([`crate::InfluenceMatrix::insert_row_col`] of them undoes it).
+    /// O(nnz), with no copy of the matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix is not square or `v` is out of bounds.
+    pub fn remove_row_col(&mut self, v: usize) -> (Entries, Entries) {
+        assert_eq!(self.rows, self.cols, "remove_row_col needs a square matrix");
+        assert!(v < self.rows, "remove index out of bounds");
+        let (lo, hi) = (self.row_ptr[v], self.row_ptr[v + 1]);
+        let row: Entries = self.col_idx[lo..hi]
+            .iter()
+            .copied()
+            .zip(self.vals[lo..hi].iter().copied())
+            .collect();
+        let mut col = Vec::new();
+        let mut w = 0;
+        for r in 0..self.rows {
+            // `row_ptr[r + 1]` is read before any write reaches it.
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            if r == v {
+                continue;
+            }
+            self.row_ptr[r - usize::from(r > v)] = w;
+            for k in lo..hi {
+                let c = self.col_idx[k];
+                if c == v {
+                    col.push((r, self.vals[k]));
+                    continue;
+                }
+                self.col_idx[w] = c - usize::from(c > v);
+                self.vals[w] = self.vals[k];
+                w += 1;
+            }
+        }
+        self.rows -= 1;
+        self.cols -= 1;
+        self.row_ptr.truncate(self.rows + 1);
+        self.row_ptr[self.rows] = w;
+        self.col_idx.truncate(w);
+        self.vals.truncate(w);
+        (row, col)
     }
 
     /// Removes row and column `hi`, shifting later indices down by one —

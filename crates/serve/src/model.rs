@@ -5,8 +5,9 @@
 //! node-level influence matrix, maintained **incrementally** through the
 //! `fcm_alloc::pipeline` helpers: `add_fcm` folds the new node's row and
 //! column from its own edges ([`pipeline::eq4_incident`]) and splices
-//! them into the matrix in place; `remove_fcm` drops one row/column. No
-//! mutation ever performs a full condensation — the one full condense
+//! them into the matrix in place; `remove_fcm` takes one row/column out
+//! in place. No mutation ever rebuilds the matrix — the one full build
+//! ([`pipeline::eq4_singletons`], an O(E log degree) fold over the edges)
 //! happens at construction and is counted, so callers can assert the hot
 //! path stays incremental.
 //!
@@ -21,6 +22,22 @@
 //! edges incident to the removed node and preserves the relative order
 //! of the survivors. The protocol property tests and the fleet-scale
 //! oracle (`tests/fleet_oracle.rs`) pin this.
+//!
+//! # The state: primary data only
+//!
+//! The paper's Eq. 4 makes the matrix a function of the Eq. 2 edge
+//! weights, so the state text ([`LiveModel::state_text`], schema
+//! `fcm-serve-state/v2`) holds the edges and not the matrix: `contracts`
+//! (once in use), `edges`, `failed`, `fcms`, `full_condenses`, `model`,
+//! `schema` and `seq`. A load rebuilds the matrix with the same fold as
+//! construction, without counting it, and by the contract above the
+//! rebuild is bitwise the matrix the saved model held, in the same
+//! representation (the selection policy is a function of the size and
+//! fill alone). `dump` and [`LiveModel::state_json`] add the derived
+//! `influence` section for readers of the matrix. A state that carries
+//! the section (a v1 snapshot, or a `state_json` tree) is rebuilt and
+//! checked: a section that differs from the rebuild is refused, naming
+//! the first entry that differs.
 //!
 //! # Apply in place, undo on rejection
 //!
@@ -57,7 +74,7 @@ use fcm_alloc::sw::{SwEdge, SwGraph, SwNode};
 use fcm_alloc::{AllocError, Clustering, HwGraph, Mapping};
 use fcm_check::{CertView, Certification, Certifier, Contract, ContractSet, Dirty, Severity};
 use fcm_core::AttributeSet;
-use fcm_graph::{condense, CombineRule, Edge, InfluenceMatrix, NodeIdx};
+use fcm_graph::{Edge, InfluenceMatrix, NodeIdx};
 use fcm_sched::{Job, JobId};
 use fcm_substrate::json::{write_escaped, write_list, write_num, Reader};
 use fcm_substrate::Json;
@@ -66,7 +83,11 @@ use fcm_workloads::{avionics, paper};
 use crate::proto::{Mutation, Query};
 
 /// State-schema tag embedded in dumps and snapshots.
-pub const STATE_SCHEMA: &str = "fcm-serve-state/v1";
+pub const STATE_SCHEMA: &str = "fcm-serve-state/v2";
+
+/// The schema before the influence section became optional: still
+/// loaded, its section checked against the rebuild.
+const STATE_SCHEMA_V1: &str = "fcm-serve-state/v1";
 
 /// Names of the models a daemon can start from.
 pub const MODEL_NAMES: [&str; 2] = ["paper", "avionics"];
@@ -94,8 +115,9 @@ pub struct LiveModel {
     shed: ShedPolicy,
     /// Accepted mutations (journal cursor).
     seq: u64,
-    /// Full condensations performed by *this model* (1 at startup,
-    /// carried over by resume; never incremented by a mutation).
+    /// Full Eq. 4 builds performed by *this model* (1 at startup,
+    /// carried over by resume, whose rebuild does not count; never
+    /// incremented by a mutation).
     full_condenses: u64,
     /// Per-FCM rely-guarantee contracts (serialized with the state;
     /// empty = contracts not in use, certification skipped entirely).
@@ -165,7 +187,8 @@ fn incident_triples(g: &SwGraph, v: NodeIdx) -> impl Iterator<Item = (usize, usi
 
 impl LiveModel {
     /// Builds the named committed workload (`paper` or `avionics`),
-    /// places every FCM, and performs the one full condensation.
+    /// places every FCM, and performs the one full Eq. 4 build
+    /// ([`pipeline::eq4_singletons`]).
     ///
     /// # Errors
     ///
@@ -186,12 +209,7 @@ impl LiveModel {
         if report.has_errors() {
             return Err(report.error_lines());
         }
-        let groups: Vec<Vec<NodeIdx>> = graph.node_indices().map(|n| vec![n]).collect();
-        let influence = InfluenceMatrix::from_dense_auto(
-            condense(&graph, &groups, CombineRule::Probabilistic)
-                .expect("singletons always form a partition")
-                .influence_matrix(),
-        );
+        let influence = pipeline::eq4_singletons(&graph);
 
         let (index, names, crits) = fcm_columns(&graph);
         // Initial placement: most critical first (index breaks ties), the
@@ -517,7 +535,7 @@ impl LiveModel {
         self.influence.rebalance();
         let v = self.graph.node_count() - 1;
         self.graph.pop_node();
-        self.certifier.remove_row(v);
+        self.certifier.remove_row(v, name);
         self.rewind_certifier(sources);
     }
 
@@ -530,20 +548,22 @@ impl LiveModel {
             .in_edges(node)
             .map(|(_, e)| e.from.index())
             .collect();
-        let mut influence = self.influence.shrink_row_col(v);
-        influence.rebalance();
-        let kept_influence = std::mem::replace(&mut self.influence, influence);
+        // Row and column `v` leave in place; a rejection splices their
+        // entries back.
+        let (row, col) = self.influence.remove_row_col(v);
+        self.influence.rebalance();
         let kept_name = self.names.remove(v);
         let kept_crit = self.crits.remove(v);
         // The FCM's own contract leaves with it; survivors' caps naming
         // it would dangle (a C021 error), which rejects the removal.
         let kept_contract = self.contracts.remove(name);
-        self.certifier.remove_row(v);
+        self.certifier.remove_row(v, name);
         let dirty: Vec<usize> = sources.iter().map(|&u| u - usize::from(u > v)).collect();
         let cert = match self.gate_contracts("remove_fcm", &dirty) {
             Ok(cert) => cert,
             Err(e) => {
-                self.influence = kept_influence;
+                self.influence.insert_row_col(v, &row, &col);
+                self.influence.rebalance();
                 self.names.insert(v, kept_name);
                 self.crits.insert(v, kept_crit);
                 if let Some(c) = kept_contract {
@@ -958,37 +978,41 @@ impl LiveModel {
             .set("unhosted", unhosted as u64)
     }
 
-    /// The full canonical state as compact JSON text: everything needed
-    /// to reconstruct the model bit for bit (substrate JSON emits `f64`s
-    /// shortest-exact, so matrix entries round-trip exactly). This is the
-    /// one definition of the state format (written by the private
-    /// `write_state`).
+    /// The full canonical state as compact JSON text, the one a snapshot
+    /// holds: the primary data that reconstructs the model bit for bit
+    /// (substrate JSON emits `f64`s shortest-exact, so edge weights
+    /// round-trip exactly). The Eq. 4 matrix is derived, so it is not in
+    /// it: a load rebuilds it from the edges. This is the one definition
+    /// of the state format (written by the private `write_state`).
     #[must_use]
     pub fn state_text(&self) -> String {
         let mut out = String::with_capacity(self.state_capacity());
-        self.write_state(&mut out);
+        self.write_state(&mut out, false);
         out
     }
 
     /// A byte estimate of [`LiveModel::state_text`] per FCM and per
-    /// edge, above what a fleet-scale state takes (~270 bytes per FCM,
-    /// edges and matrix included), so a buffer of it is not regrown.
+    /// edge, above what a fleet-scale state takes (~225 bytes per FCM,
+    /// edges included, ~265 with the matrix of `state_json`), so a
+    /// buffer of it is not regrown.
     pub(crate) fn state_capacity(&self) -> usize {
         256 * self.graph.node_count() + 32 * self.graph.edge_count() + 1024
     }
 
-    /// Appends [`LiveModel::state_text`] to `out`. Every section is
-    /// written straight into `out`, each object's keys in the sorted
-    /// order a [`Json`] object emits, through the substrate's one number
-    /// and one string writer: no tree for the model, the contracts or
-    /// the influence matrix, and no `Json` value per field.
-    pub(crate) fn write_state(&self, out: &mut String) {
+    /// Appends [`LiveModel::state_text`] to `out`, with the derived
+    /// `influence` section when `with_influence` is set (the form of
+    /// `dump` and [`LiveModel::state_json`]). Every section is written
+    /// straight into `out`, each object's keys in the sorted order a
+    /// [`Json`] object emits, through the substrate's one number and one
+    /// string writer: no tree for the model, the contracts or the
+    /// influence matrix, and no `Json` value per field.
+    pub(crate) fn write_state(&self, out: &mut String, with_influence: bool) {
         write_state_parts(
             out,
             |out| write_contracts(out, &self.contracts),
             self.graph.edges().map(|(_, e)| edge_triple(e)),
             |out| self.write_hosts_and_fcms(out),
-            &self.influence,
+            with_influence.then_some(&self.influence),
             &self.name,
             self.seq,
         );
@@ -1040,29 +1064,36 @@ impl LiveModel {
     }
 
     /// A [`StateCut`] of this model: what a snapshot at this seq needs,
-    /// taken while the caller holds the model.
+    /// taken while the caller holds the model. The matrix is not copied:
+    /// a snapshot does not hold it.
     #[must_use]
     pub fn state_cut(&self) -> StateCut {
-        let mut contracts = String::new();
+        // Sized above a fleet-scale render (~60 bytes per contract
+        // without caps, ~120 per FCM record), so neither buffer regrows.
+        let mut contracts = String::with_capacity(64 * self.contracts.len() + 64);
         write_contracts(&mut contracts, &self.contracts);
-        let mut hosts_and_fcms = String::with_capacity(96 * self.graph.node_count() + 64);
+        let mut hosts_and_fcms = String::with_capacity(128 * self.graph.node_count() + 64);
         self.write_hosts_and_fcms(&mut hosts_and_fcms);
         StateCut {
             contracts,
             edges: self.graph.edges().map(|(_, e)| edge_triple(e)).collect(),
             hosts_and_fcms,
-            influence: self.influence.clone(),
             name: self.name.clone(),
             seq: self.seq,
             capacity: self.state_capacity(),
         }
     }
 
-    /// [`LiveModel::state_text`] parsed into a [`Json`] tree, for callers
-    /// that read fields out of the state.
+    /// [`LiveModel::state_text`] with the derived `influence` section,
+    /// parsed into a [`Json`] tree: the `state` a `dump` answers with, for
+    /// callers that read fields, the matrix included, out of the state.
+    /// It loads like the state text, the section checked against the
+    /// rebuild.
     #[must_use]
     pub fn state_json(&self) -> Json {
-        Json::parse(&self.state_text()).expect("the state text is valid JSON")
+        let mut out = String::with_capacity(self.state_capacity());
+        self.write_state(&mut out, true);
+        Json::parse(&out).expect("the state text is valid JSON")
     }
 
     /// [`LiveModel::from_state_text`] of a state tree, for callers that
@@ -1098,8 +1129,10 @@ impl LiveModel {
 /// A state object as read, before any check: the read phase of the
 /// state decoder.
 ///
-/// `fcms` and `edges`, the bulk of a large state, stream straight into
-/// the graph, and only the other sections are read as [`Json`] subtrees.
+/// `fcms`, `edges` and `contracts`, the bulk of a large state, stream
+/// straight into the graph and the contract set, and only the other
+/// sections are read as [`Json`] subtrees: the small ones, and a v1
+/// state's `influence`.
 /// Keys may come in any order and with any whitespace, and unknown keys
 /// are passed over, as in a parsed tree. The checks run in
 /// [`StateRead::build`], in one fixed order, so the error a bad state
@@ -1107,7 +1140,9 @@ impl LiveModel {
 pub(crate) struct StateRead {
     fcms: Option<FcmsRead>,
     edges: Option<EdgesRead>,
-    /// The small sections, as the tree's object would hold them.
+    /// The contract set, or why it does not validate.
+    contracts: Option<Result<ContractSet, String>>,
+    /// The other sections, as the tree's object would hold them.
     rest: BTreeMap<String, Json>,
 }
 
@@ -1119,6 +1154,7 @@ impl StateRead {
         let mut read = StateRead {
             fcms: None,
             edges: None,
+            contracts: None,
             rest: BTreeMap::new(),
         };
         if r.peek() == Some(b'{') {
@@ -1127,8 +1163,8 @@ impl StateRead {
                 match &*key {
                     "fcms" => read.fcms = read_fcms(r)?,
                     "edges" => read.edges = read_edges(r)?,
-                    "contracts" | "failed" | "full_condenses" | "influence" | "model"
-                    | "schema" | "seq" => {
+                    "contracts" => read.contracts = Some(ContractSet::read(r)?),
+                    "failed" | "full_condenses" | "influence" | "model" | "schema" | "seq" => {
                         read.rest.insert(key.into_owned(), r.value()?);
                     }
                     _ => r.skip()?,
@@ -1141,19 +1177,32 @@ impl StateRead {
         Ok(read)
     }
 
-    /// The model the state describes. The influence matrix is taken
-    /// verbatim (no recondensation — the full-condense count is carried
-    /// over), and host state is rebuilt deterministically.
+    /// The model the state describes. The influence matrix is rebuilt
+    /// from the edges ([`pipeline::eq4_singletons`]; the full-condense
+    /// count is carried over, not incremented), and a state that holds an
+    /// `influence` section (v1, or a [`LiveModel::state_json`] tree) is
+    /// refused unless the section equals the rebuild. Host state is
+    /// rebuilt deterministically.
     ///
     /// # Errors
     ///
     /// A malformed or internally inconsistent state object.
     pub(crate) fn build(self) -> Result<LiveModel, String> {
-        let StateRead { fcms, edges, rest } = self;
+        let StateRead {
+            fcms,
+            edges,
+            contracts,
+            rest,
+        } = self;
         let state = Json::Obj(rest);
 
-        if state.get("schema").and_then(Json::as_str) != Some(STATE_SCHEMA) {
-            return Err(format!("snapshot state is not {STATE_SCHEMA}"));
+        if !matches!(
+            state.get("schema").and_then(Json::as_str),
+            Some(STATE_SCHEMA | STATE_SCHEMA_V1)
+        ) {
+            return Err(format!(
+                "snapshot state is not {STATE_SCHEMA} or {STATE_SCHEMA_V1}"
+            ));
         }
         let name = state
             .get("model")
@@ -1214,12 +1263,17 @@ impl StateRead {
             return Err(missing("edges[]"));
         }
 
-        let influence = state
+        // A stored matrix (v1, or a `state_json` tree), checked against
+        // the rebuild below.
+        let stored = state
             .get("influence")
-            .and_then(InfluenceMatrix::from_state_json)
-            .ok_or_else(|| missing("influence"))?;
+            .map(|m| InfluenceMatrix::from_state_json(m).ok_or_else(|| missing("influence")))
+            .transpose()?;
         let n = graph.node_count();
-        if influence.rows() != n || influence.cols() != n {
+        if stored
+            .as_ref()
+            .is_some_and(|m| m.rows() != n || m.cols() != n)
+        {
             return Err("snapshot influence matrix has wrong dimensions".to_string());
         }
 
@@ -1247,10 +1301,8 @@ impl StateRead {
         };
         let seq = count("seq")?;
         let full_condenses = count("full_condenses")?;
-        let contracts = match state.get("contracts") {
-            Some(doc) => {
-                ContractSet::from_json(doc).map_err(|e| format!("snapshot contracts: {e}"))?
-            }
+        let contracts = match contracts {
+            Some(set) => set.map_err(|e| format!("snapshot contracts: {e}"))?,
             None => ContractSet::new(),
         };
         // Every committed state passed the full pre-flight gate, which is
@@ -1260,6 +1312,15 @@ impl StateRead {
             return Err(format!(
                 "snapshot rejected by preflight: {}",
                 report.error_lines()
+            ));
+        }
+        let influence = pipeline::eq4_singletons(&graph);
+        if let Some((i, j, was, is)) = stored.and_then(|m| m.first_difference(&influence)) {
+            let fcm = |v: usize| &graph.node(NodeIdx(v)).expect("matrix index").name;
+            return Err(format!(
+                "snapshot influence {:?} -> {:?} is {was} but its edges give {is}",
+                fcm(i),
+                fcm(j)
             ));
         }
         let placement = build_placement(&graph, &hw, host_of, failed)?;
@@ -1481,20 +1542,18 @@ fn read_edges(r: &mut Reader<'_>) -> Result<Option<EdgesRead>, String> {
     Ok(Some(read))
 }
 
-/// A model's state at one seq, detached from the model: the edges and
-/// the influence matrix copied, and the rest rendered. The copied
-/// sections hold most of the state's non-integral numbers, whose
-/// formatting is most of a render, and copying them costs a fraction of
-/// rendering them. The daemon's writer takes a cut under the read lock
-/// and its persistence thread streams it ([`StateCut::stream`]) as the
-/// bytes of [`LiveModel::state_text`].
+/// A model's state at one seq, detached from the model: the edges
+/// copied, and the rest rendered. The edges hold most of the state's
+/// non-integral numbers, whose formatting is most of a render, and
+/// copying them costs a fraction of rendering them. The daemon's writer
+/// takes a cut under the read lock and its persistence thread streams
+/// it ([`StateCut::stream`]) as the bytes of [`LiveModel::state_text`].
 #[derive(Debug)]
 pub struct StateCut {
     /// The rendered `contracts` member, empty while none is in use.
     contracts: String,
     edges: Vec<(usize, usize, f64)>,
     hosts_and_fcms: String,
-    influence: InfluenceMatrix,
     name: String,
     seq: u64,
     capacity: usize,
@@ -1531,7 +1590,7 @@ impl StateCut {
             |buf| rendered(buf, &self.contracts),
             self.edges.iter().copied(),
             |buf| rendered(buf, &self.hosts_and_fcms),
-            &self.influence,
+            None,
             &self.name,
             self.seq,
         );
@@ -1556,14 +1615,15 @@ fn edge_triple(e: &Edge<SwEdge>) -> (usize, usize, f64) {
 
 /// The one definition of the state text's layout: the sections in the
 /// sorted key order a [`Json`] object emits, `contracts` writing that
-/// member ([`write_contracts`]) and `hosts_and_fcms` the `failed`,
-/// `fcms` and `full_condenses` members.
+/// member ([`write_contracts`]), `hosts_and_fcms` the `failed`, `fcms`
+/// and `full_condenses` members, and the derived `influence` member
+/// only when given.
 fn write_state_parts(
     out: &mut String,
     contracts: impl FnOnce(&mut String),
     edges: impl Iterator<Item = (usize, usize, f64)>,
     hosts_and_fcms: impl FnOnce(&mut String),
-    influence: &InfluenceMatrix,
+    influence: Option<&InfluenceMatrix>,
     name: &str,
     seq: u64,
 ) {
@@ -1580,10 +1640,12 @@ fn write_state_parts(
         out.push(']');
     });
     hosts_and_fcms(out);
-    // Dense emits the legacy array-of-rows byte-for-byte; CSR emits the
-    // `{"format":"csr",...}` object — both round-trip exactly.
-    out.push_str(",\"influence\":");
-    influence.write_state(out);
+    if let Some(influence) = influence {
+        // Dense emits the array-of-rows; CSR emits the
+        // `{"format":"csr",...}` object — both round-trip exactly.
+        out.push_str(",\"influence\":");
+        influence.write_state(out);
+    }
     out.push_str(",\"model\":");
     write_escaped(out, name);
     out.push_str(",\"schema\":");
@@ -1638,7 +1700,7 @@ mod mutations;
 mod tests {
     use super::*;
     use crate::proto::Mutation;
-    use fcm_graph::Matrix;
+    use fcm_graph::{condense, CombineRule, Matrix};
     use fcm_substrate::Rng;
     use mutations::random_mutation;
 
@@ -1762,7 +1824,7 @@ mod tests {
         let restored = LiveModel::from_state(&state).unwrap();
         assert_eq!(restored.influence.repr(), "csr");
         assert_eq!(restored.influence, m.influence);
-        assert_eq!(restored.state_text(), state.to_string_compact());
+        assert_eq!(restored.state_json(), state);
         // Shrinking back below the threshold flips the matrix home.
         for i in 0..(64 - n0) {
             m.apply(&Mutation::RemoveFcm {
@@ -1844,7 +1906,7 @@ mod tests {
         .unwrap();
         let state = m.state_json();
         let restored = LiveModel::from_state(&state).unwrap();
-        assert_eq!(restored.state_text(), state.to_string_compact());
+        assert_eq!(restored.state_json(), state);
         // And the restored model keeps evolving identically.
         let mut a = m.clone();
         let mut b = restored;
@@ -1947,7 +2009,7 @@ mod tests {
         let state = m.state_json();
         assert!(state.get("contracts").is_some());
         let restored = LiveModel::from_state(&state).unwrap();
-        assert_eq!(restored.state_text(), state.to_string_compact());
+        assert_eq!(restored.state_json(), state);
         assert_eq!(
             restored.query(&Query::Certify).unwrap().get("warnings"),
             m.query(&Query::Certify).unwrap().get("warnings"),
@@ -1962,6 +2024,39 @@ mod tests {
         assert_eq!(after.get("contracts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(after.get("certified"), Some(&Json::Bool(false)));
         assert!(m.state_json().get("contracts").is_none());
+    }
+
+    #[test]
+    fn a_rejected_removal_splices_the_matrix_back() {
+        // A cap naming `x` would dangle once `x` left, so the contract
+        // gate rejects the removal after the matrix lost row and column
+        // `x`: on the dense paper model and past the CSR flip.
+        let mut m = LiveModel::new("paper").unwrap();
+        for round in 0..2 {
+            let (x, y) = (format!("x{round}"), format!("y{round}"));
+            let guarded = Contract::new(y.as_str(), 0.9, 9.0, 0).with_cap(x.as_str(), 0.5);
+            m.apply(&add_contracted(
+                &x,
+                1,
+                &[("p8", 0.2)],
+                Contract::new(x.as_str(), 0.9, 9.0, 0),
+            ))
+            .unwrap();
+            m.apply(&add_contracted(&y, 1, &[(x.as_str(), 0.3)], guarded))
+                .unwrap();
+            let before = m.state_json();
+            let err = m
+                .apply(&Mutation::RemoveFcm { name: x.clone() })
+                .unwrap_err();
+            assert!(err.starts_with("contracts rejected remove_fcm"), "{err}");
+            assert_eq!(m.state_json(), before, "{}", m.influence.repr());
+            assert_eq!(m.influence, full_recompute(&m.graph));
+            for i in 0..64 {
+                m.apply(&add(&format!("w{round}_{i}"), 1, &[("p8", 0.01)]))
+                    .unwrap();
+            }
+        }
+        assert_eq!(m.influence.repr(), "csr", "the second round ran on CSR");
     }
 
     #[test]
@@ -2343,7 +2438,7 @@ mod tests {
                 for id in [None, Some(Json::from(7u64)), Some(Json::from("d\"1"))] {
                     let streamed =
                         crate::proto::render_dump(id.as_ref(), &m.matrix_info(), |out| {
-                            m.write_state(out);
+                            m.write_state(out, true);
                         });
                     assert_eq!(
                         streamed,

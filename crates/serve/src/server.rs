@@ -23,9 +23,10 @@
 //!   for the previous snapshot if it is still in flight, never skipping
 //!   or coalescing one, so the cadence holds; (2) rotates the journal
 //!   to `journal.prev.jsonl` ([`Store::rotate`]); (3) takes a
-//!   [`StateCut`] under the read lock, so queries go on: the edges and
-//!   influence matrix, which hold most of the state's floats, are
-//!   copied, and the contracts and FCM records rendered; (4) hands the cut
+//!   [`StateCut`] under the read lock, so queries go on: the edges,
+//!   which hold most of the state's floats, are copied, the contracts
+//!   and FCM records rendered, and the derived matrix, which a snapshot
+//!   does not hold, left alone; (4) hands the cut
 //!   over a one-slot channel. The thread renders the rest and streams
 //!   the document through the snapshot sites, then retires the rotated
 //!   journal ([`store::Snapshotter::write_cut`]), while the writer goes
@@ -1181,7 +1182,7 @@ fn serve_client(stream: Stream, shared: &Shared, writer: &mpsc::SyncSender<Write
                     let response = {
                         let m = shared.model.read().expect("model lock");
                         proto::render_dump(id.as_ref(), &m.matrix_info(), |out| {
-                            m.write_state(out);
+                            m.write_state(out, true);
                         })
                     };
                     record_query(shared, t0);

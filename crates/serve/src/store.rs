@@ -5,17 +5,19 @@
 //!
 //! * `snapshot.json` — `{"schema":"fcm-serve-snapshot/v1","seq":N,
 //!   "state":{...},"written_unix_ms":T}` where `state` is
-//!   [`crate::LiveModel::state_text`] output. That text is streamed
-//!   field by field through the substrate's one number and one string
-//!   writer (`fcm_substrate::json::{write_num, write_escaped}`), the
-//!   contracts and the influence matrix included, so no `Json` value is
-//!   built for any part of the state. The daemon's writer takes a
-//!   [`StateCut`] (the edges and matrix copied, the contracts and FCM
-//!   records rendered) and hands it to the persistence thread, which
-//!   streams the document into the file ([`Snapshotter::write_cut`]):
-//!   the envelope and the copied sections go through one buffer and the
-//!   rendered sections are written as they are, so the document is
-//!   never held whole (DESIGN.md §9 gives the measured cost). Written
+//!   [`crate::LiveModel::state_text`] output (`fcm-serve-state/v2`):
+//!   the primary data only, the edges but not the Eq. 4 matrix they
+//!   determine, which a load rebuilds. That text is streamed field by
+//!   field through the substrate's one number and one string writer
+//!   (`fcm_substrate::json::{write_num, write_escaped}`), the contracts
+//!   included, so no `Json` value is built for any part of the state.
+//!   The daemon's writer takes a [`StateCut`] (the edges copied, the
+//!   contracts and FCM records rendered, no matrix) and hands it to the
+//!   persistence thread, which streams the document into the file
+//!   ([`Snapshotter::write_cut`]): the envelope and the edges go through
+//!   one buffer and the rendered sections are written as they are, so
+//!   the document is never held whole (DESIGN.md §9 gives the measured
+//!   cost). Written
 //!   to a temp file in the same directory, fsynced, atomically renamed, and the parent
 //!   directory fsynced, so a crash never leaves a torn or unlinked
 //!   snapshot. Orphaned `snapshot.json.tmp` files from a crash between
@@ -60,7 +62,9 @@
 //! snapshot is read once: the envelope's pull reader
 //! ([`fcm_substrate::json::Reader`]) runs the state decoder's read
 //! phase in place where it meets `"state"`, and the decoder builds the
-//! model only once the envelope has passed its checks. There is one
+//! model only once the envelope has passed its checks. The build
+//! rebuilds the matrix from the edges and refuses a state whose
+//! `influence` section (a v1 snapshot's) differs from it. There is one
 //! path from a state directory to a model, [`read_recovered`] then
 //! [`Recovered::into_model`]: `--resume`, the degraded-mode rollback,
 //! the crash matrix and the recovery benches all take it. Every seq on
@@ -430,10 +434,10 @@ impl Store {
 
 impl Snapshotter {
     /// Writes the snapshot document of `cut` without building it whole:
-    /// the envelope and the float-heavy sections are rendered into one
-    /// buffer that is written out and cleared at each of the cut's
-    /// rendered sections (contracts, FCM records), which are written as
-    /// they are. The bytes are those of
+    /// the envelope and the edges are rendered into one buffer that is
+    /// written out and cleared at each of the cut's rendered sections
+    /// (contracts, FCM records), which are written as they are. The
+    /// bytes are those of
     /// [`Store::snapshot_text`] of the cut model's `state_text`. See
     /// [`Snapshotter::write`].
     ///
@@ -899,15 +903,20 @@ mod tests {
             let stamp = text.rfind(",\"written_unix_ms\":").expect("stamped");
             text[..stamp].to_string()
         };
-        store.snapshot(model.seq(), &model.state_json()).unwrap();
-        let tree = unstamped();
+        let state = model.state_text();
         store
-            .snapshot_text(model.seq(), &model.state_text())
+            .snapshot(model.seq(), &Json::parse(&state).unwrap())
             .unwrap();
+        let tree = unstamped();
+        store.snapshot_text(model.seq(), &state).unwrap();
         assert_eq!(unstamped(), tree);
         let loaded = read_recovered(&dir).unwrap().snapshot.unwrap();
         assert_eq!(loaded.seq(), 1);
-        assert_eq!(loaded.state_text(), model.state_text());
+        assert_eq!(loaded.state_text(), state);
+        // A tree with the derived matrix loads to the same model.
+        store.snapshot(model.seq(), &model.state_json()).unwrap();
+        let loaded = read_recovered(&dir).unwrap().snapshot.unwrap();
+        assert_eq!(loaded.state_json(), model.state_json());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,10 @@
 //!    type's range, an edge endpoint that is negative, fractional or
 //!    a self-loop, a seq in the envelope, the state or a journal line
 //!    that is not a non-negative integer, an envelope seq that is not
-//!    the state's) makes resume return a structured error with a pinned
-//!    message, and makes `fcm-serve --resume` exit 2 with that message.
+//!    the state's, a v1 `influence` section that differs from the matrix
+//!    its edges give) makes resume return a structured error with a
+//!    pinned message, and makes `fcm-serve --resume` exit 2 with that
+//!    message.
 //!    A wrong seq is refused rather than trusted, because it would make
 //!    resume pass over an acknowledged journal line.
 //! 2. **Fuzzed images.** Random truncations and byte flips of a
@@ -20,6 +22,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fcm_serve::proto::Mutation;
@@ -61,7 +64,24 @@ fn resume_config(dir: &Path) -> ServerConfig {
 /// `set_attr`s with a snapshot between them: a snapshot at seq 1 and
 /// one journal line at seq 2.
 fn paper_image() -> (String, String) {
-    let dir = state_dir("source");
+    paper_image_with(|store, model| store.snapshot_text(model.seq(), &model.state_text()))
+}
+
+/// [`paper_image`] with its snapshot in the v1 form: the state with its
+/// `influence` section, under the v1 schema tag.
+fn paper_v1_image() -> (String, String) {
+    paper_image_with(|store, model| {
+        let v1 = model.state_json().set("schema", "fcm-serve-state/v1");
+        store.snapshot(model.seq(), &v1)
+    })
+}
+
+/// [`paper_image`] with the snapshot at seq 1 written by `snapshot`.
+fn paper_image_with(
+    snapshot: impl Fn(&mut Store, &LiveModel) -> Result<(), String>,
+) -> (String, String) {
+    static IMAGES: AtomicUsize = AtomicUsize::new(0);
+    let dir = state_dir(&format!("source{}", IMAGES.fetch_add(1, Ordering::Relaxed)));
     let mut model = LiveModel::new("paper").expect("paper model");
     let mut store = Store::create_fresh(&dir).expect("fresh store");
     for crit in [2, 3] {
@@ -74,9 +94,7 @@ fn paper_image() -> (String, String) {
         model.apply(&m).expect("set_attr accepted");
         store.append(model.seq(), &m).expect("append");
         if model.seq() == 1 {
-            store
-                .snapshot_text(model.seq(), &model.state_text())
-                .expect("snapshot");
+            snapshot(&mut store, &model).expect("snapshot");
         }
     }
     drop(store);
@@ -183,7 +201,21 @@ fn corruptions() -> Vec<(&'static str, String, String, &'static str)> {
             "snapshot edge is a self-loop on fcm \"p1b\"",
         ),
     ];
+    // A v1 snapshot whose stored matrix disagrees with its edges: the
+    // p1a -> p2a entry, which the edge [0,3,0.5] makes 0.5, edited to 0.9.
+    let (v1, _) = paper_v1_image();
+    let tampered = edit(
+        &v1,
+        "\"influence\":[[0,0,0,0.5,",
+        "\"influence\":[[0,0,0,0.9,",
+    );
     let seq_cases = vec![
+        (
+            "influence-v1",
+            tampered,
+            journal.clone(),
+            "snapshot influence \"p1a\" -> \"p2a\" is 0.9 but its edges give 0.5",
+        ),
         (
             "seq-ahead",
             edit(&text, "\"seq\":1,\"state\"", "\"seq\":2,\"state\""),
@@ -246,7 +278,24 @@ fn the_intact_image_resumes_every_acknowledged_mutation() {
     );
     let (_store, rec) = Store::open_resume(&dir).expect("intact image reads");
     assert_eq!(rec.snapshot_seq(), Some(1));
-    assert_eq!(rec.into_model("paper").expect("resumes").seq(), 2);
+    let resumed = rec.into_model("paper").expect("resumes");
+    assert_eq!(resumed.seq(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+    // The snapshot holds no matrix; the v1 form, which does, resumes to
+    // the same model.
+    assert!(!snapshot.contains("\"influence\""), "{snapshot}");
+    let (v1, journal) = paper_v1_image();
+    assert!(v1.contains("\"influence\":[[0,0,0,0.5,"), "{v1}");
+    let dir = image(
+        "intact-v1",
+        &[
+            ("snapshot.json", v1.as_bytes()),
+            ("journal.jsonl", journal.as_bytes()),
+        ],
+    );
+    let (_store, rec) = Store::open_resume(&dir).expect("intact v1 image reads");
+    let from_v1 = rec.into_model("paper").expect("resumes");
+    assert_eq!(from_v1.state_json(), resumed.state_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,7 +10,8 @@
 //!
 //! * `LiveModel::from_state_text` of the `state_text`: the same state
 //!   bytes (and the parsed tree and a `state_cut` rendered by the
-//!   snapshot path re-emit them byte for byte), every
+//!   snapshot path re-emit them byte for byte), the Eq. 4 matrix the
+//!   load rebuilt from the edges bitwise equal to the live one, every
 //!   query answered byte-identically (the certifier's `dirty`/`reused`
 //!   counters excepted — they describe the last pass, not the state);
 //! * a from-scratch build: a full `condense` of the graph (bitwise-equal
@@ -21,7 +22,7 @@
 //! A third twin, resumed from the live state every `CHECK_EVERY`
 //! mutations, applies every mutation in lockstep and must decide it the
 //! same way with the same payload. Every rejected mutation must leave
-//! `state_text` and `certify` byte-identical.
+//! `state_json` (the state with the matrix) and `certify` unchanged.
 
 use std::collections::BTreeSet;
 
@@ -104,6 +105,14 @@ fn queries(m: &LiveModel) -> Vec<Query> {
     out
 }
 
+/// The Eq. 4 matrix `m` holds, read from its `state_json`.
+fn matrix_of(m: &LiveModel) -> InfluenceMatrix {
+    m.state_json()
+        .get("influence")
+        .and_then(InfluenceMatrix::from_state_json)
+        .expect("state_json carries the matrix")
+}
+
 fn assert_matches_twins(m: &LiveModel, step: usize) {
     let text = m.state_text();
     let state = Json::parse(&text).expect("the state text parses");
@@ -136,24 +145,37 @@ fn assert_matches_twins(m: &LiveModel, step: usize) {
     let scratch = condense(g, &groups, CombineRule::Probabilistic)
         .expect("singletons partition")
         .influence_matrix();
-    let live = state
-        .get("influence")
-        .and_then(InfluenceMatrix::from_state_json)
-        .expect("state carries the matrix");
+    // The resumed twin's matrix, rebuilt by the load, against the live
+    // one: same representation, same bits.
+    let (live, rebuilt) = (matrix_of(m), matrix_of(&resumed));
     assert_eq!(
         live.repr(),
         InfluenceMatrix::from_dense_auto(scratch.clone()).repr(),
         "step {step}: representation"
     );
+    assert_eq!(
+        rebuilt.repr(),
+        live.repr(),
+        "step {step}: resumed representation"
+    );
     let n = g.node_count();
     assert_eq!((live.rows(), live.cols()), (n, n), "step {step}: shape");
     for i in 0..n {
         for j in 0..n {
-            let (a, b) = (live.get(i, j).unwrap(), scratch[(i, j)]);
+            let (a, b, r) = (
+                live.get(i, j).unwrap(),
+                scratch[(i, j)],
+                rebuilt.get(i, j).unwrap(),
+            );
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
                 "step {step}: entry ({i},{j}) live {a} vs scratch {b}"
+            );
+            assert_eq!(
+                r.to_bits(),
+                a.to_bits(),
+                "step {step}: entry ({i},{j}) resumed {r} vs live {a}"
             );
         }
     }
@@ -254,7 +276,7 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
         if step % CHECK_EVERY == 0 {
             twin = LiveModel::from_state_text(&m.state_text()).expect("state loads");
         }
-        let (state, cert) = (m.state_text(), certify_text(&m));
+        let (state, cert) = (m.state_json(), certify_text(&m));
         let outcome = m.apply(&mutation);
         let render = |r: &Result<Json, String>| match r {
             Ok(payload) => payload.to_string_compact(),
@@ -290,9 +312,8 @@ fn fleet_growth_and_churn_match_their_from_scratch_twins() {
             }
             Err(e) => {
                 rejected += 1;
-                assert_eq!(
-                    m.state_text(),
-                    state,
+                assert!(
+                    m.state_json() == state,
                     "step {step}: rejected {mutation:?} ({e}) changed the state"
                 );
                 assert_eq!(

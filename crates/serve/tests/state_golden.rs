@@ -1,6 +1,7 @@
 //! Golden state bytes: `LiveModel::state_text()`, the text every
-//! snapshot embeds, is pinned byte for byte on two states, and so is
-//! `state_json().to_string_compact()`.
+//! snapshot embeds, is pinned byte for byte on two states, and so is the
+//! text of its parsed tree. The text holds no `influence` section: the
+//! matrix is derived from the edges.
 //!
 //! * `state_paper.json`: the `paper` model after a fixed protocol script
 //!   (contracts with caps, a name that needs JSON escaping, a timing
@@ -140,7 +141,9 @@ fn assert_golden(m: &LiveModel, golden: &str, what: &str) {
     let text = m.state_text();
     let want = golden.strip_suffix('\n').expect("golden ends in a newline");
     assert_eq!(
-        m.state_json().to_string_compact(),
+        Json::parse(&text)
+            .expect("state text parses")
+            .to_string_compact(),
         text,
         "{what}: the parsed tree re-emits the state text"
     );

@@ -424,7 +424,18 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
+    // Up to 15 digits, the integers most documents are full of, convert
+    // exactly on their own (they are below 2^53); the float parser
+    // would give the same value.
+    let token = &bytes[start..*pos];
+    let digits = token.strip_prefix(b"-").unwrap_or(token);
+    if (1..=15).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        let n = digits
+            .iter()
+            .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0')) as f64;
+        return Ok(Json::Num(if digits.len() < token.len() { -n } else { n }));
+    }
+    std::str::from_utf8(token)
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .map(Json::Num)
@@ -703,6 +714,23 @@ mod tests {
         assert_eq!(Json::from(42u64).to_string_compact(), "42");
         assert_eq!(Json::from(-3i64).to_string_compact(), "-3");
         assert_eq!(Json::from(0.5f64).to_string_compact(), "0.5");
+    }
+
+    #[test]
+    fn integer_tokens_parse_as_the_float_parser_reads_them() {
+        let mut rng = crate::Rng::seed_from_u64(0x1e7);
+        let mut tokens: Vec<String> = ["0", "-0", "007", "-12", "999999999999999", "1000000000"]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        tokens.push("1234567890123456".to_string());
+        tokens.extend((0..200).map(|_| rng.gen_range(0..10u64.pow(15)).to_string()));
+        for t in &tokens {
+            let got = Json::parse(t).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), t.parse::<f64>().unwrap().to_bits(), "{t}");
+        }
+        assert!(Json::parse("-").is_err());
+        assert!(Json::parse("[1,-]").is_err());
     }
 
     #[test]

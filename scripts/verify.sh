@@ -316,6 +316,34 @@ if [ -e target/verify/serve_state_ref/journal.prev.jsonl ]; then
     echo "FAIL: journal.prev.jsonl survived the SIGTERM drain's snapshot" >&2
     exit 1
 fi
+# A snapshot holds primary data only: the Eq. 4 matrix is rebuilt at load.
+if grep -q '"influence":' target/verify/serve_state_ref/snapshot.json; then
+    echo "FAIL: snapshot.json still holds an influence section" >&2
+    exit 1
+fi
+# Its v1 form carries the matrix (here the reference's final dump's) and
+# is checked against the rebuild: one edited entry must refuse --resume.
+influence=$(tail -1 target/verify/serve_ref.txt | grep -oE '"influence":\[(\[[^]]*\],?)+\]')
+tampered=$(printf '%s' "$influence" | sed 's/0\.5,/0.9,/')
+if [ -z "$influence" ] || [ "$tampered" = "$influence" ]; then
+    echo "FAIL: the reference dump has no influence entry 0.5 to edit" >&2
+    exit 1
+fi
+rm -rf target/verify/serve_state_v1
+mkdir -p target/verify/serve_state_v1
+sed -e 's/"schema":"fcm-serve-state\/v2"/"schema":"fcm-serve-state\/v1"/' \
+    -e "s/\(\"full_condenses\":[0-9]*\)/\1,$tampered/" \
+    target/verify/serve_state_ref/snapshot.json > target/verify/serve_state_v1/snapshot.json
+set +e
+"$serve_bin" --model paper --socket target/verify/serve_v1.sock \
+    --state-dir target/verify/serve_state_v1 --resume > target/verify/serve_v1.log 2>&1
+v1_rc=$?
+set -e
+if [ "$v1_rc" -ne 2 ] || ! grep -q "snapshot influence" target/verify/serve_v1.log; then
+    echo "FAIL: --resume from a v1 snapshot with an edited matrix entry exited $v1_rc, expected 2" >&2
+    cat target/verify/serve_v1.log >&2
+    exit 1
+fi
 # Crash drill: part 1, kill -9 (no drain, no final snapshot), --resume,
 # part 2. Acked mutations are journaled before the ack, so the dump at
 # the end of part 2 must match the reference byte-for-byte.
